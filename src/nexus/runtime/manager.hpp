@@ -28,10 +28,9 @@ constexpr Tick kSubmitBlocked = -1;
 /// Sentinel returned by TaskManagerModel::submit when the submitting
 /// *tenant* is over its admission quota while the shared structures still
 /// have room (multi-tenant managers only). Unlike kSubmitBlocked this is
-/// backpressure on one tenant: a tenancy-aware driver holds only that
-/// tenant's stream and keeps submitting for others. Single-stream drivers
-/// treat it exactly like kSubmitBlocked (any negative return blocks the
-/// master); the manager still calls master_resume when occupancy drops.
+/// backpressure on one tenant: the driver holds only that tenant's stream
+/// and keeps submitting for others (on a single-stream port that amounts
+/// to a block); the manager still calls master_resume when occupancy drops.
 constexpr Tick kSubmitNacked = -2;
 
 /// Callbacks from the manager into the host simulation.

@@ -1,295 +1,45 @@
 #include "nexus/runtime/multi_app.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <string>
-#include <unordered_map>
-
-#include "nexus/runtime/machine.hpp"
 #include "nexus/telemetry/registry.hpp"
 
 namespace nexus {
-namespace {
-
-/// Per-application address-space placement: apps own disjoint 44-bit
-/// windows of the 48-bit physical space.
-Addr place(Addr addr, std::size_t app) {
-  return (addr + (static_cast<Addr>(app) << 44)) & kAddrMask;
-}
-
-class MultiDriver final : public Component, public RuntimeHost {
- public:
-  MultiDriver(const std::vector<const Trace*>& traces, TaskManagerModel& manager,
-              const RuntimeConfig& config)
-      : traces_(traces), manager_(manager), config_(config),
-        workers_(config.workers) {
-    // Densify tasks: app a's task i -> global id base[a] + i, with its
-    // addresses placed into the app's window. Degenerate inputs are
-    // well-defined: an empty trace list or a zero-task application simply
-    // contributes nothing (its completion time is 0).
-    std::uint64_t next = 0;
-    for (std::size_t a = 0; a < traces_.size(); ++a) {
-      const Trace& tr = *traces_[a];
-      base_.push_back(static_cast<TaskId>(next));
-      next += tr.num_tasks();
-      for (TaskId i = 0; i < tr.num_tasks(); ++i) {
-        TaskDescriptor t = tr.task(i);
-        t.id = base_[a] + i;
-        for (auto& p : t.params) p.addr = place(p.addr, a);
-        global_.push_back(t);
-      }
-    }
-    finished_.assign(next, false);
-    app_of_.resize(next);
-    for (std::size_t a = 0; a < traces_.size(); ++a)
-      for (TaskId i = 0; i < traces_[a]->num_tasks(); ++i)
-        app_of_[base_[a] + i] = static_cast<std::uint32_t>(a);
-    apps_.resize(traces_.size());
-
-    // The same observability surface as the single-app driver: the manager
-    // publishes its block metrics/spans into the run's registry/recorder.
-    if (config_.metrics != nullptr) manager_.bind_telemetry(*config_.metrics);
-    if (config_.trace != nullptr) manager_.bind_trace(config_.trace);
-    self_ = sim_.add_component(this);
-    manager_.attach(sim_, this);
-  }
-
-  MultiAppResult run() {
-    for (std::uint32_t a = 0; a < apps_.size(); ++a)
-      sim_.schedule(0, self_, kMasterStep, a);
-    sim_.run();
-
-    MultiAppResult r;
-    r.total_tasks = global_.size();
-    for (std::size_t a = 0; a < apps_.size(); ++a) {
-      NEXUS_ASSERT_MSG(apps_[a].state == AppState::kDone &&
-                           apps_[a].outstanding == 0,
-                       "application did not drain");
-      r.app_completion.push_back(apps_[a].last_completion);
-      r.makespan = std::max(r.makespan, apps_[a].last_completion);
-    }
-    if (r.makespan > 0) {
-      r.utilization = static_cast<double>(workers_.total_busy()) /
-                      (static_cast<double>(r.makespan) * workers_.size());
-    }
-    if (config_.metrics != nullptr) {
-      // Per-core busy/idle split mirroring the single-app driver: busy +
-      // idle == makespan for every core, so the report's utilization
-      // reconciles exactly against cores x makespan.
-      telemetry::MetricRegistry& reg = *config_.metrics;
-      reg.gauge("runtime/makespan_ps").set(r.makespan);
-      reg.gauge("runtime/cores").set(workers_.size());
-      reg.gauge("runtime/tasks").set(static_cast<std::int64_t>(r.total_tasks));
-      reg.gauge("runtime/apps").set(static_cast<std::int64_t>(apps_.size()));
-      for (std::uint32_t w = 0; w < workers_.size(); ++w) {
-        const Tick busy = workers_.core_busy(w);
-        const std::string core = "runtime/core" + std::to_string(w);
-        reg.gauge(core + "/busy_ps").set(busy);
-        reg.gauge(core + "/idle_ps").set(r.makespan - busy);
-      }
-      for (std::size_t a = 0; a < apps_.size(); ++a)
-        reg.gauge(telemetry::path_join(
-                      telemetry::indexed_path(
-                          "runtime/app", static_cast<std::uint32_t>(a),
-                          static_cast<std::uint32_t>(apps_.size())),
-                      "completion_ps"))
-            .set(apps_[a].last_completion);
-    }
-    return r;
-  }
-
-  // Component
-  void handle(Simulation& sim, const Event& ev) override {
-    switch (ev.op) {
-      case kMasterStep:
-        master_step(sim, static_cast<std::uint32_t>(ev.a));
-        break;
-      case kTaskDone:
-        on_task_done(sim, static_cast<std::uint32_t>(ev.a),
-                     static_cast<TaskId>(ev.b));
-        break;
-      case kWorkerFree:
-        workers_.release(static_cast<std::uint32_t>(ev.a));
-        try_dispatch(sim);
-        break;
-      default:
-        NEXUS_ASSERT_MSG(false, "unknown MultiDriver op");
-    }
-  }
-
-  // RuntimeHost
-  void task_ready(Simulation& sim, TaskId id) override {
-    ready_queue_.push_back(id);
-    try_dispatch(sim);
-  }
-
-  void master_resume(Simulation& sim) override {
-    // The manager freed space; wake every pool-blocked application (the
-    // first to retry wins the slot, later ones re-block inside submit).
-    for (std::uint32_t a = 0; a < apps_.size(); ++a) {
-      if (apps_[a].state == AppState::kBlockedOnPool) {
-        apps_[a].state = AppState::kRunning;
-        master_step(sim, a);
-      }
-    }
-  }
-
- private:
-  enum Op : std::uint32_t { kMasterStep = 0, kTaskDone = 1, kWorkerFree = 2 };
-
-  enum class AppState : std::uint8_t {
-    kRunning,
-    kBlockedOnPool,
-    kBlockedOnBarrier,
-    kBlockedOnTask,
-    kDone,
-  };
-
-  struct App {
-    std::size_t next_event = 0;
-    AppState state = AppState::kRunning;
-    TaskId wait_task = kInvalidTask;
-    std::uint64_t outstanding = 0;
-    Tick last_completion = 0;
-    std::unordered_map<Addr, TaskId> last_writer;  ///< placed addresses
-  };
-
-  void master_step(Simulation& sim, std::uint32_t a) {
-    App& app = apps_[a];
-    const Trace& tr = *traces_[a];
-    while (app.state == AppState::kRunning) {
-      if (app.next_event >= tr.events().size()) {
-        app.state = AppState::kDone;
-        return;
-      }
-      const TraceEvent& ev = tr.events()[app.next_event];
-      switch (ev.op) {
-        case TraceOp::kSubmit: {
-          const TaskDescriptor& task = global_[base_[a] + ev.task];
-          const Tick resume = manager_.submit(sim, task);
-          if (resume < 0) {
-            // kSubmitBlocked or kSubmitNacked: this app's stream holds and
-            // retries on the next master_resume either way.
-            app.state = AppState::kBlockedOnPool;
-            return;
-          }
-          ++app.next_event;
-          ++app.outstanding;
-          for (const auto& p : task.params)
-            if (is_write(p.dir)) app.last_writer[p.addr] = task.id;
-          const Tick cont =
-              resume + config_.master_event_cost + config_.host_message_cost;
-          if (cont > sim.now()) {
-            sim.schedule(cont, self_, kMasterStep, a);
-            return;
-          }
-          break;
-        }
-        case TraceOp::kTaskwait: {
-          ++app.next_event;
-          if (app.outstanding > 0) {
-            app.state = AppState::kBlockedOnBarrier;
-            return;
-          }
-          break;
-        }
-        case TraceOp::kTaskwaitOn: {
-          const Addr addr = place(ev.addr, a);
-          if (!manager_.supports_taskwait_on()) {
-            ++app.next_event;
-            if (app.outstanding > 0) {
-              app.state = AppState::kBlockedOnBarrier;
-              return;
-            }
-            break;
-          }
-          ++app.next_event;
-          const auto it = app.last_writer.find(addr);
-          if (it != app.last_writer.end() && !finished_[it->second]) {
-            app.state = AppState::kBlockedOnTask;
-            app.wait_task = it->second;
-            return;
-          }
-          const Tick query =
-              manager_.taskwait_on_query_cost() + config_.host_message_cost;
-          if (query > 0) {
-            sim.schedule(sim.now() + query, self_, kMasterStep, a);
-            return;
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  void try_dispatch(Simulation& sim) {
-    while (workers_.any_free() && !ready_queue_.empty()) {
-      const TaskId id = ready_queue_.front();
-      ready_queue_.pop_front();
-      const std::uint32_t w = workers_.claim();
-      const Tick start = manager_.dispatch_time(sim) + config_.host_message_cost;
-      const Tick end = start + global_[id].duration;
-      workers_.occupy(w, sim.now(), end);
-      if (config_.schedule_out != nullptr)
-        config_.schedule_out->push_back(ScheduleEntry{id, w, start, end});
-      sim.schedule(end, self_, kTaskDone, w, id);
-    }
-  }
-
-  void on_task_done(Simulation& sim, std::uint32_t worker, TaskId id) {
-    NEXUS_ASSERT(!finished_[id]);
-    finished_[id] = true;
-    App& app = apps_[app_of_[id]];
-    NEXUS_ASSERT(app.outstanding > 0);
-    --app.outstanding;
-    app.last_completion = sim.now();
-
-    const Tick free_at =
-        manager_.notify_finished(sim, id) + config_.host_message_cost;
-    if (free_at == sim.now()) {
-      workers_.release(worker);
-      try_dispatch(sim);
-    } else {
-      sim.schedule(free_at, self_, kWorkerFree, worker);
-    }
-
-    if (app.state == AppState::kBlockedOnBarrier && app.outstanding == 0) {
-      app.state = AppState::kRunning;
-      master_step(sim, app_of_[id]);
-    } else if (app.state == AppState::kBlockedOnTask && finished_[app.wait_task]) {
-      app.wait_task = kInvalidTask;
-      app.state = AppState::kRunning;
-      const Tick query =
-          manager_.taskwait_on_query_cost() + config_.host_message_cost;
-      if (query > 0) {
-        sim.schedule(sim.now() + query, self_, kMasterStep, app_of_[id]);
-      } else {
-        master_step(sim, app_of_[id]);
-      }
-    }
-  }
-
-  std::vector<const Trace*> traces_;
-  TaskManagerModel& manager_;
-  RuntimeConfig config_;
-  Simulation sim_;
-  std::uint32_t self_ = 0;
-
-  WorkerPool workers_;
-  std::deque<TaskId> ready_queue_;
-  std::vector<TaskDescriptor> global_;
-  std::vector<TaskId> base_;
-  std::vector<std::uint32_t> app_of_;
-  std::vector<bool> finished_;
-  std::vector<App> apps_;
-};
-
-}  // namespace
 
 MultiAppResult run_multi_app(const std::vector<const Trace*>& traces,
                              TaskManagerModel& manager, const RuntimeConfig& config) {
-  MultiDriver driver(traces, manager, config);
-  return driver.run();
+  // Apps own disjoint 44-bit windows of the 48-bit physical space, so a 17th
+  // app would wrap onto app 0's window and alias its addresses.
+  NEXUS_ASSERT_MSG(traces.size() <= 16,
+                   "multi-app address windows support up to 16 applications");
+  // One master (port) per app. Degenerate inputs are well-defined: an empty
+  // trace list or a zero-task application simply contributes nothing (its
+  // completion time is 0).
+  std::vector<detail::Stream> streams;
+  for (std::size_t a = 0; a < traces.size(); ++a) {
+    streams.push_back({.trace = traces[a],
+                       .addr_offset = static_cast<Addr>(a) << 44,
+                       .port = static_cast<std::uint32_t>(a)});
+  }
+  RuntimeConfig rc = config;
+  rc.open_loop = nullptr;  // applications replay closed loop
+  detail::Driver driver(streams, detail::Arrival::kWake, manager, rc);
+  const RunResult run = driver.run();
+
+  MultiAppResult r;
+  r.makespan = run.makespan;
+  r.total_tasks = run.tasks;
+  r.utilization = run.utilization;
+  for (std::size_t a = 0; a < traces.size(); ++a)
+    r.app_completion.push_back(driver.completion(a));
+  if (config.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *config.metrics;
+    const auto apps = static_cast<std::uint32_t>(traces.size());
+    reg.gauge("runtime/apps").set(apps);
+    for (std::uint32_t a = 0; a < apps; ++a)
+      reg.gauge(telemetry::path_join(telemetry::indexed_path("runtime/app", a, apps),
+                                     "completion_ps"))
+          .set(r.app_completion[a]);
+  }
+  return r;
 }
 
 }  // namespace nexus

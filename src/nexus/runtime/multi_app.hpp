@@ -28,8 +28,9 @@ struct MultiAppResult {
 
 /// Run `traces` concurrently on `manager` with `config.workers` cores.
 /// Address spaces are made disjoint by offsetting each app's addresses
-/// (app index in the high 48-bit address nibbles); task ids are offset to a
-/// dense global range. Deterministic.
+/// (app index in the high 48-bit address nibbles, so at most 16 apps; more
+/// abort); task ids are offset to a dense global range. One submission
+/// port per app of the shared detail::Driver. Deterministic.
 MultiAppResult run_multi_app(const std::vector<const Trace*>& traces,
                              TaskManagerModel& manager, const RuntimeConfig& config);
 

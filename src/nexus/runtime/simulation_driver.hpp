@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "nexus/noc/network.hpp"
-#include "nexus/runtime/machine.hpp"
 #include "nexus/runtime/manager.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/task/trace.hpp"
@@ -135,12 +134,61 @@ RunResult run_trace(const Trace& trace, TaskManagerModel& manager,
 
 namespace detail {
 
-/// The DES component implementing the master thread, dispatcher and workers.
+/// One submission stream: a task sequence a master replays into the shared
+/// manager (a whole trace, one co-running application, or one tenant's
+/// arrivals). Streams get dense global task ids in order, and a stream's
+/// taskwait / taskwait_on pragmas wait on its own tasks only.
+struct Stream {
+  const Trace* trace = nullptr;
+  /// Arrival time per local task (open loop); null submits as fast as the
+  /// manager admits.
+  const std::vector<Tick>* release = nullptr;
+  /// Stamped into the submitted descriptors (TaskDescriptor::tenant).
+  std::uint16_t tenant = 0;
+  /// Added to every parameter address: the stream's disjoint window of the
+  /// 48-bit space.
+  Addr addr_offset = 0;
+  /// The port (master thread) submitting this stream, numbered from 0.
+  std::uint32_t port = 0;
+  /// If nonnull, receives each task's release -> finish latency in
+  /// completion order (requires `release`).
+  std::vector<Tick>* latency_out = nullptr;
+};
+
+/// How a port sees open-loop arrivals. The two order same-tick events
+/// differently, so folding them into one would move committed results;
+/// each entry point keeps the order it was built with.
+enum class Arrival : std::uint8_t {
+  /// A task has arrived once now() reaches its release; an idle port sleeps
+  /// until the next release on one wake-up event (run_trace).
+  kWake,
+  /// One release event per task is scheduled up front, and a task has
+  /// arrived once its event fired, behind the events already queued for
+  /// that tick (run_tenants).
+  kReleaseEvents,
+};
+
+/// The DES component implementing the masters, the dispatcher and the
+/// workers. Each port submits one task at a time from its eligible streams,
+/// earliest release first with ties to the lower stream. kSubmitBlocked
+/// holds the whole port, kSubmitNacked only the offending stream, and the
+/// manager's master_resume clears both on every port.
 class Driver final : public Component, public RuntimeHost {
  public:
-  Driver(const Trace& trace, TaskManagerModel& manager, const RuntimeConfig& config);
+  Driver(const std::vector<Stream>& streams, Arrival arrival,
+         TaskManagerModel& manager, const RuntimeConfig& config);
 
+  /// Run until every stream drained, then publish the runtime metrics.
   RunResult run();
+
+  /// Last task completion of stream `s` (0 if it has no tasks).
+  [[nodiscard]] Tick completion(std::size_t s) const {
+    return feeds_[s].last_completion;
+  }
+  /// Times stream `s` was held by an admission NACK.
+  [[nodiscard]] std::uint64_t nack_holds(std::size_t s) const {
+    return feeds_[s].nack_holds;
+  }
 
   // Component
   void handle(Simulation& sim, const Event& ev) override;
@@ -155,31 +203,61 @@ class Driver final : public Component, public RuntimeHost {
 
  private:
   enum Op : std::uint32_t {
-    kMasterStep = 0,
+    kMasterStep = 0,       ///< a = port
     kTaskDone = 1,         ///< a = worker, b = task
     kWorkerFree = 2,       ///< a = worker
     kDispatchArrived = 3,  ///< a = worker, b = task (host NoC, non-ideal)
     kNotifyArrived = 4,    ///< a = worker, b = task (host NoC, non-ideal)
+    kRelease = 5,          ///< a = stream; its next task arrived
   };
 
-  enum class MasterState : std::uint8_t {
-    kRunning,
-    kBlockedOnPool,     ///< manager returned kSubmitBlocked
-    kBlockedOnBarrier,  ///< taskwait
-    kBlockedOnTask,     ///< taskwait_on
-    kDone,
+  enum class Wait : std::uint8_t { kNone, kBarrier, kTask };
+
+  /// A stream and its master-side progress.
+  struct Feed {
+    Stream s;
+    TaskId base = 0;            ///< global id of local task 0
+    std::size_t next = 0;       ///< index into s.trace->events()
+    std::size_t released = 0;   ///< events whose kRelease fired
+    Wait wait = Wait::kNone;    ///< taskwait / taskwait_on in progress
+    TaskId wait_task = kInvalidTask;
+    bool held = false;          ///< NACK-held until master_resume
+    bool track_writers = false; ///< the trace has taskwait_on pragmas
+    std::uint64_t outstanding = 0;  ///< submitted but not finished
+    std::uint64_t nack_holds = 0;
+    Tick last_completion = 0;
+    /// Local address -> global id of its last submitted writer, as of
+    /// master progress (kept only when track_writers).
+    std::unordered_map<Addr, TaskId> last_writer;
   };
 
-  void master_step(Simulation& sim);
+  /// One master thread: a single in-flight submission at a time.
+  struct Port {
+    bool blocked = false;       ///< kSubmitBlocked until master_resume
+    bool wake_pending = false;  ///< a kMasterStep for it is queued
+    Tick busy_until = 0;        ///< submission occupancy / query round trip
+  };
+
+  void master_step(Simulation& sim, std::uint32_t p);
+  bool submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local);
+  void busy(Simulation& sim, std::uint32_t p, Tick until);
+  void wake(Simulation& sim, std::uint32_t p, Tick at);
+  Feed& feed_of(TaskId id);
+  const TaskDescriptor& descriptor(const Feed& f, TaskId local);
   void try_dispatch(Simulation& sim);
-  void begin_task(Simulation& sim, std::uint32_t worker, TaskId id);
+  /// Execute `id` on `worker` from `start`; the worker is reserved from
+  /// `from` (dispatch) or `start` (host-NoC arrival).
+  void begin_task(Simulation& sim, std::uint32_t worker, TaskId id, Tick from,
+                  Tick start);
   void on_task_done(Simulation& sim, std::uint32_t worker, TaskId id);
   void on_notify(Simulation& sim, std::uint32_t worker, TaskId id);
-  void finish_barrier_checks(Simulation& sim);
 
-  const Trace& trace_;
   TaskManagerModel& manager_;
   RuntimeConfig config_;
+  Arrival arrival_;
+  std::vector<Feed> feeds_;
+  std::vector<Port> ports_;
+  TaskDescriptor placed_;  ///< a descriptor moved into its stream's window
 
   Simulation sim_;
   std::uint32_t self_ = 0;
@@ -187,16 +265,16 @@ class Driver final : public Component, public RuntimeHost {
   /// synchronous — the pre-NoC code path, bit-identical).
   std::unique_ptr<noc::Network> host_net_;
 
-  WorkerPool workers_;
+  /// Free workers; the lowest index is on top and claimed first
+  /// (deterministic dispatch order).
+  std::vector<std::uint32_t> free_workers_;
+  std::vector<Tick> core_busy_;  ///< execution time per worker core
   std::deque<TaskId> ready_queue_;
   std::vector<bool> finished_;
-  std::unordered_map<Addr, TaskId> last_writer_;  ///< as of master progress
-
-  std::size_t next_event_ = 0;  ///< index into trace_.events()
-  MasterState master_ = MasterState::kRunning;
-  TaskId master_wait_task_ = kInvalidTask;
   std::uint64_t outstanding_ = 0;  ///< submitted but not finished
   std::uint64_t finished_count_ = 0;
+  /// Last task completion, or a master's last step if it came later with
+  /// nothing left in flight.
   Tick last_activity_ = 0;
 
   telemetry::Profiler* prof_ = nullptr;
@@ -208,17 +286,16 @@ class Driver final : public Component, public RuntimeHost {
   telemetry::Histogram* m_sojourn_ = nullptr;     ///< submit -> finish, per task
   telemetry::Histogram* m_queue_wait_ = nullptr;  ///< ready -> dispatch
 
-  // Open-loop serving metrics (created only when `open_loop` is set and a
-  // registry is bound; see docs/METRICS.md "Serving metrics").
-  telemetry::Counter* m_offered_ = nullptr;   ///< arrivals whose submit was attempted
+  // Open-loop serving metrics (created only when a stream has release
+  // times and a registry is bound; see docs/METRICS.md "Serving metrics").
+  telemetry::Counter* m_offered_ = nullptr;   ///< arrivals whose release was reached
   telemetry::Counter* m_accepted_ = nullptr;  ///< arrivals admitted by the manager
   telemetry::Histogram* m_serving_ = nullptr;        ///< release -> finish
   telemetry::Histogram* m_admission_wait_ = nullptr; ///< release -> admission
   std::vector<telemetry::Histogram*> m_client_sojourn_;  ///< per client
 
-  /// Per-task submit/ready times (task ids are dense trace indices), kept
-  /// only when metrics are bound — they feed the sojourn and queue-wait
-  /// histograms above.
+  /// Per-task submit/ready times (global ids), kept only when metrics are
+  /// bound — they feed the sojourn and queue-wait histograms above.
   std::vector<Tick> submit_t_;
   std::vector<Tick> ready_t_;
 };

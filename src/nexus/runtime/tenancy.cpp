@@ -2,320 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <string>
 
 #include "nexus/common/assert.hpp"
-#include "nexus/runtime/machine.hpp"
 #include "nexus/telemetry/registry.hpp"
 
 namespace nexus {
-namespace {
-
-/// Per-tenant address-space placement: tenants own disjoint 40-bit windows
-/// of the 48-bit physical space (up to 256 tenants).
-Addr place(Addr addr, std::size_t tenant) {
-  return (addr + (static_cast<Addr>(tenant) << 40)) & kAddrMask;
-}
-
-constexpr std::uint32_t kNoTenant = ~std::uint32_t{0};
-
-class TenantDriver final : public Component, public RuntimeHost {
- public:
-  TenantDriver(const std::vector<TenantStream>& streams,
-               TaskManagerModel& manager, const RuntimeConfig& config)
-      : manager_(manager), config_(config), workers_(config.workers) {
-    NEXUS_ASSERT_MSG(streams.size() <= 256,
-                     "tenant address windows support up to 256 tenants");
-    // Densify: tenant t's local task i -> global id base[t] + i, addresses
-    // placed into the tenant's window, descriptor tagged with the tenant so
-    // a tenancy-configured manager can attribute and police it.
-    std::uint64_t next = 0;
-    for (std::size_t t = 0; t < streams.size(); ++t) {
-      const TenantStream& s = streams[t];
-      NEXUS_ASSERT_MSG(s.trace != nullptr, "tenant stream needs a trace");
-      NEXUS_ASSERT_MSG(s.release.size() == s.trace->num_tasks(),
-                       "one release time per tenant task");
-      for (std::size_t i = 0; i + 1 < s.release.size(); ++i)
-        NEXUS_ASSERT_MSG(s.release[i] <= s.release[i + 1],
-                         "tenant release times must be non-decreasing");
-      for (const TraceEvent& ev : s.trace->events())
-        NEXUS_ASSERT_MSG(ev.op == TraceOp::kSubmit,
-                         "tenant streams are submit-only (no taskwaits)");
-      base_.push_back(static_cast<TaskId>(next));
-      next += s.trace->num_tasks();
-      for (TaskId i = 0; i < s.trace->num_tasks(); ++i) {
-        TaskDescriptor d = s.trace->task(i);
-        d.id = base_[t] + i;
-        d.tenant = static_cast<std::uint16_t>(t);
-        for (auto& p : d.params) p.addr = place(p.addr, t);
-        global_.push_back(d);
-        release_of_.push_back(s.release[i]);
-        tenant_of_.push_back(static_cast<std::uint32_t>(t));
-      }
-    }
-    pending_.resize(streams.size());
-    held_.assign(streams.size(), false);
-    nack_holds_.assign(streams.size(), 0);
-    raw_.resize(streams.size());
-
-    if (config_.metrics != nullptr) {
-      manager_.bind_telemetry(*config_.metrics);
-      telemetry::MetricRegistry& reg = *config_.metrics;
-      m_offered_ = &reg.counter("runtime/offered");
-      m_accepted_ = &reg.counter("runtime/accepted");
-      m_admission_wait_ = &reg.histogram("runtime/admission_wait_ps");
-      m_serving_ = &reg.histogram("runtime/serving_latency_ps");
-    }
-    if (config_.trace != nullptr) manager_.bind_trace(config_.trace);
-    self_ = sim_.add_component(this);
-    manager_.attach(sim_, this);
-  }
-
-  TenantRunResult run() {
-    for (TaskId id = 0; id < global_.size(); ++id)
-      sim_.schedule(release_of_[id], self_, kRelease, id);
-    sim_.run();
-
-    for (std::size_t t = 0; t < pending_.size(); ++t)
-      NEXUS_ASSERT_MSG(pending_[t].empty(), "tenant stream did not drain");
-    NEXUS_ASSERT_MSG(outstanding_ == 0, "tasks still in flight at drain");
-
-    TenantRunResult r;
-    r.makespan = last_completion_;
-    r.total_tasks = global_.size();
-    for (std::size_t t = 0; t < raw_.size(); ++t) {
-      TenantLatency lat;
-      lat.tasks = raw_[t].size();
-      lat.nack_holds = nack_holds_[t];
-      lat.raw = raw_[t];
-      if (!lat.raw.empty()) {
-        std::uint64_t sum = 0;
-        for (const Tick v : lat.raw) {
-          sum += static_cast<std::uint64_t>(v);
-          lat.max_ps = std::max(lat.max_ps, v);
-        }
-        lat.mean_ps = static_cast<double>(sum) /
-                      static_cast<double>(lat.raw.size());
-        std::vector<Tick> sorted = lat.raw;
-        std::sort(sorted.begin(), sorted.end());
-        const std::size_t n = sorted.size();
-        const std::size_t idx = static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(n))) - 1;
-        lat.p99_ps = static_cast<double>(sorted[std::min(idx, n - 1)]);
-      }
-      r.tenants.push_back(std::move(lat));
-    }
-
-    if (config_.metrics != nullptr) {
-      telemetry::MetricRegistry& reg = *config_.metrics;
-      reg.gauge("runtime/makespan_ps").set(r.makespan);
-      reg.gauge("runtime/cores").set(workers_.size());
-      reg.gauge("runtime/tasks").set(static_cast<std::int64_t>(r.total_tasks));
-      reg.gauge("tenancy/tenants")
-          .set(static_cast<std::int64_t>(r.tenants.size()));
-      for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-        const TenantLatency& lat = r.tenants[t];
-        const std::string stem = telemetry::indexed_path(
-            "tenancy/tenant", static_cast<std::uint32_t>(t),
-            static_cast<std::uint32_t>(r.tenants.size()));
-        reg.gauge(telemetry::path_join(stem, "tasks"))
-            .set(static_cast<std::int64_t>(lat.tasks));
-        reg.gauge(telemetry::path_join(stem, "mean_ps"))
-            .set(std::llround(lat.mean_ps));
-        reg.gauge(telemetry::path_join(stem, "p99_ps"))
-            .set(std::llround(lat.p99_ps));
-        reg.gauge(telemetry::path_join(stem, "nack_holds"))
-            .set(static_cast<std::int64_t>(lat.nack_holds));
-      }
-    }
-    return r;
-  }
-
-  // Component
-  void handle(Simulation& sim, const Event& ev) override {
-    switch (ev.op) {
-      case kRelease: {
-        const TaskId id = static_cast<TaskId>(ev.a);
-        if (m_offered_ != nullptr) m_offered_->inc();
-        pending_[tenant_of_[id]].push_back(id);
-        pump(sim);
-        break;
-      }
-      case kPump:
-        pump_pending_ = false;
-        pump(sim);
-        break;
-      case kTaskDone:
-        on_task_done(sim, static_cast<std::uint32_t>(ev.a),
-                     static_cast<TaskId>(ev.b));
-        break;
-      case kWorkerFree:
-        workers_.release(static_cast<std::uint32_t>(ev.a));
-        try_dispatch(sim);
-        break;
-      default:
-        NEXUS_ASSERT_MSG(false, "unknown TenantDriver op");
-    }
-  }
-
-  // RuntimeHost
-  void task_ready(Simulation& sim, TaskId id) override {
-    ready_queue_.push_back(id);
-    try_dispatch(sim);
-  }
-
-  void master_resume(Simulation& sim) override {
-    // The manager freed structure space. Wake the whole port: NACK-held
-    // tenants retry (re-NACK costs nothing if still over quota) and a
-    // pool-full stall clears.
-    port_blocked_ = false;
-    std::fill(held_.begin(), held_.end(), false);
-    pump(sim);
-  }
-
-  [[nodiscard]] const char* telemetry_label() const override {
-    return "tenant-driver";
-  }
-
- private:
-  enum Op : std::uint32_t {
-    kRelease = 0,   ///< a = global task id
-    kPump = 1,      ///< retry the submission port
-    kTaskDone = 2,  ///< a = worker, b = task
-    kWorkerFree = 3 ///< a = worker
-  };
-
-  /// The submission port: one in-flight submit at a time (the master is a
-  /// single thread), serving pending tasks in global ARRIVAL order — a
-  /// tenancy-unaware runtime has no reason to reorder tenants, so a heavy
-  /// burst head-of-line blocks everyone behind it when the manager stalls
-  /// the port (kSubmitBlocked). The manager's per-tenant NACK is what
-  /// breaks that: a kSubmitNacked return holds only the offending tenant's
-  /// stream and the port moves on to the next arrival from anyone else.
-  /// Both hold kinds clear on master_resume.
-  void pump(Simulation& sim) {
-    if (port_blocked_) return;
-    const Tick now = sim.now();
-    if (now < port_free_) {
-      schedule_pump(sim, port_free_);
-      return;
-    }
-    while (true) {
-      std::uint32_t pick = kNoTenant;
-      Tick best = 0;
-      const std::uint32_t n = static_cast<std::uint32_t>(pending_.size());
-      for (std::uint32_t t = 0; t < n; ++t) {
-        if (held_[t] || pending_[t].empty()) continue;
-        const Tick rel = release_of_[pending_[t].front()];
-        if (pick == kNoTenant || rel < best) {
-          pick = t;
-          best = rel;
-        }
-      }
-      if (pick == kNoTenant) return;
-      const TaskId id = pending_[pick].front();
-      const Tick resume = manager_.submit(sim, global_[id]);
-      if (resume == kSubmitBlocked) {
-        port_blocked_ = true;
-        return;
-      }
-      if (resume == kSubmitNacked) {
-        held_[pick] = true;
-        ++nack_holds_[pick];
-        continue;
-      }
-      pending_[pick].pop_front();
-      ++outstanding_;
-      if (m_accepted_ != nullptr) m_accepted_->inc();
-      if (m_admission_wait_ != nullptr)
-        m_admission_wait_->record(
-            static_cast<std::uint64_t>(now - release_of_[id]));
-      const Tick cont =
-          resume + config_.master_event_cost + config_.host_message_cost;
-      if (cont > now) {
-        port_free_ = cont;
-        schedule_pump(sim, cont);
-        return;
-      }
-    }
-  }
-
-  void schedule_pump(Simulation& sim, Tick at) {
-    if (pump_pending_) return;
-    pump_pending_ = true;
-    sim.schedule(at, self_, kPump);
-  }
-
-  void try_dispatch(Simulation& sim) {
-    while (workers_.any_free() && !ready_queue_.empty()) {
-      const TaskId id = ready_queue_.front();
-      ready_queue_.pop_front();
-      const std::uint32_t w = workers_.claim();
-      const Tick start = manager_.dispatch_time(sim) + config_.host_message_cost;
-      const Tick end = start + global_[id].duration;
-      workers_.occupy(w, sim.now(), end);
-      if (config_.schedule_out != nullptr)
-        config_.schedule_out->push_back(ScheduleEntry{id, w, start, end});
-      sim.schedule(end, self_, kTaskDone, w, id);
-    }
-  }
-
-  void on_task_done(Simulation& sim, std::uint32_t worker, TaskId id) {
-    NEXUS_ASSERT(outstanding_ > 0);
-    --outstanding_;
-    last_completion_ = sim.now();
-    const Tick latency = sim.now() - release_of_[id];
-    raw_[tenant_of_[id]].push_back(latency);
-    if (m_serving_ != nullptr)
-      m_serving_->record(static_cast<std::uint64_t>(latency));
-
-    const Tick free_at =
-        manager_.notify_finished(sim, id) + config_.host_message_cost;
-    if (free_at == sim.now()) {
-      workers_.release(worker);
-      try_dispatch(sim);
-    } else {
-      sim.schedule(free_at, self_, kWorkerFree, worker);
-    }
-  }
-
-  TaskManagerModel& manager_;
-  RuntimeConfig config_;
-  Simulation sim_;
-  std::uint32_t self_ = 0;
-
-  WorkerPool workers_;
-  std::deque<TaskId> ready_queue_;
-  std::vector<TaskDescriptor> global_;
-  std::vector<TaskId> base_;
-  std::vector<Tick> release_of_;
-  std::vector<std::uint32_t> tenant_of_;
-
-  std::vector<std::deque<TaskId>> pending_;  ///< released, not yet admitted
-  std::vector<bool> held_;                   ///< NACK-held until resume
-  std::vector<std::uint64_t> nack_holds_;
-  bool port_blocked_ = false;     ///< kSubmitBlocked outstanding
-  bool pump_pending_ = false;     ///< a kPump event is queued
-  Tick port_free_ = 0;            ///< submission port busy until
-  std::uint64_t outstanding_ = 0;
-  Tick last_completion_ = 0;
-
-  std::vector<std::vector<Tick>> raw_;  ///< per-tenant serving latencies
-
-  telemetry::Counter* m_offered_ = nullptr;
-  telemetry::Counter* m_accepted_ = nullptr;
-  telemetry::Histogram* m_admission_wait_ = nullptr;
-  telemetry::Histogram* m_serving_ = nullptr;
-};
-
-}  // namespace
 
 TenantRunResult run_tenants(const std::vector<TenantStream>& streams,
                             TaskManagerModel& manager,
                             const RuntimeConfig& config) {
-  TenantDriver driver(streams, manager, config);
-  return driver.run();
+  NEXUS_ASSERT_MSG(streams.size() <= 256,
+                   "tenant address windows support up to 256 tenants");
+  TenantRunResult r;
+  r.tenants.resize(streams.size());
+  // All tenants share one port. Tenant t's addresses go to its own 40-bit
+  // window and its descriptors carry tenant = t, so a tenancy-configured
+  // manager can attribute and police them.
+  std::vector<detail::Stream> feeds;
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    const TenantStream& s = streams[t];
+    NEXUS_ASSERT_MSG(s.trace != nullptr, "tenant stream needs a trace");
+    NEXUS_ASSERT_MSG(s.release.size() == s.trace->num_tasks(),
+                     "one release time per tenant task");
+    NEXUS_ASSERT_MSG(std::is_sorted(s.release.begin(), s.release.end()),
+                     "tenant release times must be non-decreasing");
+    for (const TraceEvent& ev : s.trace->events())
+      NEXUS_ASSERT_MSG(ev.op == TraceOp::kSubmit,
+                       "tenant streams are submit-only (no taskwaits)");
+    feeds.push_back({.trace = s.trace,
+                     .release = &s.release,
+                     .tenant = static_cast<std::uint16_t>(t),
+                     .addr_offset = static_cast<Addr>(t) << 40,
+                     .latency_out = &r.tenants[t].raw});
+  }
+  RuntimeConfig rc = config;
+  rc.open_loop = nullptr;  // the streams carry their own release times
+  detail::Driver driver(feeds, detail::Arrival::kReleaseEvents, manager, rc);
+  const RunResult run = driver.run();
+  r.makespan = run.makespan;
+  r.total_tasks = run.tasks;
+
+  for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+    TenantLatency& lat = r.tenants[t];
+    lat.tasks = lat.raw.size();
+    lat.nack_holds = driver.nack_holds(t);
+    if (lat.raw.empty()) continue;
+    std::uint64_t sum = 0;
+    for (const Tick v : lat.raw) {
+      sum += static_cast<std::uint64_t>(v);
+      lat.max_ps = std::max(lat.max_ps, v);
+    }
+    lat.mean_ps = static_cast<double>(sum) / static_cast<double>(lat.raw.size());
+    std::vector<Tick> sorted = lat.raw;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    const std::size_t idx =
+        static_cast<std::size_t>(std::ceil(0.99 * static_cast<double>(n))) - 1;
+    lat.p99_ps = static_cast<double>(sorted[std::min(idx, n - 1)]);
+  }
+
+  if (config.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *config.metrics;
+    const auto tenants = static_cast<std::uint32_t>(r.tenants.size());
+    reg.gauge("tenancy/tenants").set(tenants);
+    for (std::uint32_t t = 0; t < tenants; ++t) {
+      const TenantLatency& lat = r.tenants[t];
+      const std::string stem = telemetry::indexed_path("tenancy/tenant", t, tenants);
+      reg.gauge(telemetry::path_join(stem, "tasks"))
+          .set(static_cast<std::int64_t>(lat.tasks));
+      reg.gauge(telemetry::path_join(stem, "mean_ps")).set(std::llround(lat.mean_ps));
+      reg.gauge(telemetry::path_join(stem, "p99_ps")).set(std::llround(lat.p99_ps));
+      reg.gauge(telemetry::path_join(stem, "nack_holds"))
+          .set(static_cast<std::int64_t>(lat.nack_holds));
+    }
+  }
+  return r;
 }
 
 }  // namespace nexus

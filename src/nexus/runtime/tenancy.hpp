@@ -50,7 +50,8 @@ struct TenantRunResult {
 /// so a tenancy-configured manager can attribute and police them.
 /// The shared submission port serves pending tasks in global arrival
 /// order (ties by tenant index) — only a manager NACK lets later arrivals
-/// from other tenants overtake a held stream. Deterministic.
+/// from other tenants overtake a held stream. One port of the shared
+/// detail::Driver, with one stream per tenant. Deterministic.
 TenantRunResult run_tenants(const std::vector<TenantStream>& streams,
                             TaskManagerModel& manager,
                             const RuntimeConfig& config);

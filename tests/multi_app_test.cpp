@@ -2,9 +2,11 @@
 // barriers, shared-manager contention, and legality of combined schedules.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/multi_app.hpp"
@@ -37,13 +39,53 @@ Trace independent_trace(int n, Tick dur) {
 }
 
 TEST(MultiApp, SingleAppMatchesDriver) {
+  // One app through run_multi_app is the same run as run_trace: the same
+  // schedule entry by entry, for every manager kind and on a routed host
+  // NoC too (RuntimeConfig::noc must not be dropped).
   const Trace tr = workloads::make_gaussian({.n = 80});
-  IdealManager m1;
-  IdealManager m2;
-  const RunResult single = run_trace(tr, m1, RuntimeConfig{.workers = 8});
-  const MultiAppResult multi = run_multi_app({&tr}, m2, RuntimeConfig{.workers = 8});
-  EXPECT_EQ(multi.makespan, single.makespan);
-  EXPECT_EQ(multi.total_tasks, single.tasks);
+  auto make = [](int kind) -> std::unique_ptr<TaskManagerModel> {
+    NexusSharpConfig cfg;
+    cfg.num_task_graphs = 4;
+    cfg.freq_mhz = 100.0;
+    if (kind == 0) return std::make_unique<IdealManager>();
+    if (kind == 1) return std::make_unique<NexusSharp>(cfg);
+    return std::make_unique<NexusPP>();
+  };
+  for (const noc::TopologyKind host : {noc::TopologyKind::kIdeal, noc::TopologyKind::kMesh}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE(std::string(noc::to_string(host)) + " manager " + std::to_string(kind));
+      std::vector<ScheduleEntry> s_single;
+      std::vector<ScheduleEntry> s_multi;
+      RuntimeConfig rc{.workers = 8};
+      rc.noc.kind = host;
+      rc.schedule_out = &s_single;
+      const auto m1 = make(kind);
+      const RunResult single = run_trace(tr, *m1, rc);
+      rc.schedule_out = &s_multi;
+      const auto m2 = make(kind);
+      const MultiAppResult multi = run_multi_app({&tr}, *m2, rc);
+      EXPECT_EQ(multi.makespan, single.makespan);
+      EXPECT_EQ(multi.total_tasks, single.tasks);
+      EXPECT_EQ(multi.utilization, single.utilization);
+      ASSERT_EQ(s_multi.size(), s_single.size());
+      for (std::size_t i = 0; i < s_single.size(); ++i) {
+        EXPECT_EQ(s_multi[i].task, s_single[i].task) << "entry " << i;
+        EXPECT_EQ(s_multi[i].worker, s_single[i].worker) << "entry " << i;
+        EXPECT_EQ(s_multi[i].start, s_single[i].start) << "entry " << i;
+        EXPECT_EQ(s_multi[i].end, s_single[i].end) << "entry " << i;
+      }
+    }
+  }
+}
+
+TEST(MultiAppDeathTest, SeventeenAppsWouldAliasAddressWindows) {
+  // App a's window starts at a << 44 inside the 48-bit space, so app 16
+  // would wrap onto app 0's window: refuse instead of faking dependencies.
+  const Trace tr = independent_trace(2, us(1));
+  const std::vector<const Trace*> apps(17, &tr);
+  IdealManager mgr;
+  EXPECT_DEATH(run_multi_app(apps, mgr, RuntimeConfig{.workers = 2}),
+               "up to 16 applications");
 }
 
 TEST(MultiApp, AddressSpacesAreIsolated) {

@@ -12,11 +12,13 @@
 #include "nexus/harness/experiment.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
+#include "nexus/runtime/tenancy.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/telemetry/profile_export.hpp"
 #include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/writers.hpp"
+#include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus {
@@ -261,6 +263,71 @@ TEST(Profiler, FullStackRunAttributesQueueOpsAndComponentTypes) {
   for (const std::uint32_t c : d.nodes[0].children)
     child_sum += d.nodes[c].total_ns;
   EXPECT_EQ(d.nodes[0].total_ns, d.nodes[0].self_ns + child_sum);
+}
+
+/// Every node's total is its self time plus its children's totals.
+void expect_reconciles(const ProfileData& d) {
+  for (const ProfileNode& n : d.nodes) {
+    std::uint64_t child_sum = 0;
+    for (const std::uint32_t c : n.children) child_sum += d.nodes[c].total_ns;
+    EXPECT_EQ(n.total_ns, n.self_ns + child_sum) << n.name;
+  }
+}
+
+TEST(Profiler, TenantRunReconcilesAndIsBitIdenticalToDetached) {
+  // run_tenants goes through the same driver, so it profiles too — and
+  // attaching the profiler must not move one latency sample.
+  std::vector<workloads::ArrivalSchedule> scheds;
+  std::vector<Trace> traces;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    workloads::ArrivalConfig c;
+    c.tasks = 150;
+    c.clients = 1;
+    c.rate_hz = t == 0 ? 5e6 : 1e6;
+    c.seed = 0xAB + t;
+    scheds.push_back(workloads::generate_arrivals(c));
+  }
+  for (const workloads::ArrivalSchedule& s : scheds)
+    traces.push_back(workloads::make_serving_trace(s));
+  std::vector<TenantStream> streams;
+  for (std::size_t t = 0; t < scheds.size(); ++t)
+    streams.push_back({&traces[t], scheds[t].submission.release});
+  auto run = [&](Profiler* prof, std::vector<ScheduleEntry>* sched) {
+    NexusSharpConfig cfg;
+    cfg.num_task_graphs = 2;
+    cfg.freq_mhz = 100.0;
+    cfg.tenancy.tenants = 2;
+    cfg.tenancy.quota.pool = 6;
+    NexusSharp mgr(cfg);
+    RuntimeConfig rc;
+    rc.workers = 4;
+    rc.profiler = prof;
+    rc.schedule_out = sched;
+    return run_tenants(streams, mgr, rc);
+  };
+  std::vector<ScheduleEntry> s_detached;
+  std::vector<ScheduleEntry> s_attached;
+  const TenantRunResult detached = run(nullptr, &s_detached);
+  Profiler prof;
+  const TenantRunResult attached = run(&prof, &s_attached);
+  EXPECT_EQ(detached.makespan, attached.makespan);
+  for (std::size_t t = 0; t < streams.size(); ++t) {
+    EXPECT_EQ(detached.tenants[t].raw, attached.tenants[t].raw) << t;
+    EXPECT_EQ(detached.tenants[t].nack_holds, attached.tenants[t].nack_holds) << t;
+  }
+  ASSERT_EQ(s_detached.size(), s_attached.size());
+  for (std::size_t i = 0; i < s_detached.size(); ++i) {
+    EXPECT_EQ(s_detached[i].task, s_attached[i].task) << i;
+    EXPECT_EQ(s_detached[i].worker, s_attached[i].worker) << i;
+    EXPECT_EQ(s_detached[i].start, s_attached[i].start) << i;
+  }
+  const ProfileData d = prof.freeze();
+  EXPECT_NE(d.find("handle;driver;dispatch"), nullptr);
+  ASSERT_NE(d.find("handle;driver;notify"), nullptr);
+  EXPECT_EQ(d.find("handle;driver;notify")->count, s_attached.size());
+  EXPECT_NE(d.find("handle;io"), nullptr);
+  EXPECT_GT(d.nodes[0].total_ns, 0u);
+  expect_reconciles(d);
 }
 
 // ---------- exporters ----------

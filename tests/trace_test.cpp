@@ -18,6 +18,7 @@
 #include "nexus/noc/network.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
+#include "nexus/runtime/tenancy.hpp"
 #include "nexus/telemetry/critical_path.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/snapshot.hpp"
@@ -481,6 +482,131 @@ TEST(ServingConservation, OpenLoopHistogramsMatchSpanChains) {
   }
   EXPECT_EQ(client_count, tr.num_tasks());
   EXPECT_EQ(client_sum, serving_sum);
+}
+
+/// Three open-loop tenants (one four times busier) on a quota-policed
+/// Nexus#: the stream set, its traces and each task's release by global id.
+struct TenantWorkload {
+  std::vector<workloads::ArrivalSchedule> scheds;
+  std::vector<Trace> traces;
+  std::vector<TenantStream> streams;
+  std::vector<Tick> release;
+
+  TenantWorkload() {
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      workloads::ArrivalConfig acfg;
+      acfg.tasks = 120;
+      acfg.clients = 1;
+      acfg.kernel = "h264dec-8x8-10f";
+      acfg.rate_hz = t == 0 ? 4e6 : 1e6;
+      acfg.seed = 0x7E4A + t;
+      scheds.push_back(workloads::generate_arrivals(acfg));
+    }
+    for (const workloads::ArrivalSchedule& s : scheds)
+      traces.push_back(workloads::make_serving_trace(s));
+    for (std::size_t t = 0; t < scheds.size(); ++t) {
+      const std::vector<Tick>& rel = scheds[t].submission.release;
+      streams.push_back({&traces[t], rel});
+      release.insert(release.end(), rel.begin(), rel.end());
+    }
+  }
+
+  static NexusSharpConfig manager() {
+    NexusSharpConfig cfg = sharp_cfg(noc::TopologyKind::kIdeal);
+    cfg.pool_capacity = 16;
+    cfg.tenancy.tenants = 3;
+    cfg.tenancy.quota.pool = 4;
+    return cfg;
+  }
+};
+
+TEST(ServingConservation, TenantRunHistogramsMatchSpanChains) {
+  // run_tenants feeds the same lifecycle spans and runtime histograms as
+  // the single-stream open loop, keyed by global task id.
+  const TenantWorkload w;
+  NexusSharp mgr(TenantWorkload::manager());
+  TraceRecorder rec;
+  telemetry::MetricRegistry reg;
+  RuntimeConfig rc;
+  rc.workers = 8;
+  rc.trace = &rec;
+  rc.metrics = &reg;
+  const TenantRunResult result = run_tenants(w.streams, mgr, rc);
+  const TraceData td = rec.freeze();
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_GT(mgr.stats().nacks, 0u);
+
+  ASSERT_EQ(td.tasks.size(), w.release.size());
+  EXPECT_EQ(td.makespan, result.makespan);
+  EXPECT_EQ(snap.counter_at("runtime/offered"), w.release.size());
+  EXPECT_EQ(snap.counter_at("runtime/accepted"), w.release.size());
+  EXPECT_EQ(snap.counter_at("runtime/dispatches"), w.release.size());
+
+  std::uint64_t sojourn_sum = 0;
+  std::uint64_t serving_sum = 0;
+  for (const TaskSpan& s : td.tasks) {
+    ASSERT_TRUE(s.complete()) << "task " << s.task;
+    const TaskPhases p = telemetry::phases_of(s);
+    EXPECT_EQ(p.ingest + p.dep_wait + p.writeback + p.queue_wait + p.dispatch +
+                  p.execute,
+              s.sojourn())
+        << "task " << s.task;
+    EXPECT_GE(s.submit, w.release[s.task]) << s.task;
+    sojourn_sum += static_cast<std::uint64_t>(s.sojourn());
+    serving_sum += static_cast<std::uint64_t>(s.exec_end - w.release[s.task]);
+  }
+  const telemetry::MetricValue* soj = snap.find("runtime/sojourn_ps");
+  ASSERT_NE(soj, nullptr);
+  EXPECT_EQ(soj->hist.count, w.release.size());
+  EXPECT_EQ(soj->hist.sum, sojourn_sum);
+  const telemetry::MetricValue* serving = snap.find("runtime/serving_latency_ps");
+  ASSERT_NE(serving, nullptr);
+  EXPECT_EQ(serving->hist.count, w.release.size());
+  EXPECT_EQ(serving->hist.sum, serving_sum);
+  const telemetry::MetricValue* wait = snap.find("runtime/queue_wait_ps");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->hist.count, w.release.size());
+
+  // The per-tenant raw vectors partition the same latency set.
+  std::uint64_t raw_count = 0;
+  std::uint64_t raw_sum = 0;
+  for (const TenantLatency& t : result.tenants) {
+    raw_count += t.raw.size();
+    for (const Tick v : t.raw) raw_sum += static_cast<std::uint64_t>(v);
+  }
+  EXPECT_EQ(raw_count, w.release.size());
+  EXPECT_EQ(raw_sum, serving_sum);
+}
+
+TEST(TraceZeroOverhead, TenantRunBitIdenticalWithAndWithoutRecorder) {
+  const TenantWorkload w;
+  auto run_one = [&](TraceRecorder* rec, std::vector<ScheduleEntry>* sched) {
+    NexusSharp mgr(TenantWorkload::manager());
+    RuntimeConfig rc;
+    rc.workers = 8;
+    rc.trace = rec;
+    rc.schedule_out = sched;
+    return run_tenants(w.streams, mgr, rc);
+  };
+  TraceRecorder rec;
+  std::vector<ScheduleEntry> with;
+  std::vector<ScheduleEntry> without;
+  const TenantRunResult a = run_one(&rec, &with);
+  const TenantRunResult b = run_one(nullptr, &without);
+  EXPECT_EQ(a.makespan, b.makespan);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    EXPECT_EQ(a.tenants[t].raw, b.tenants[t].raw) << "tenant " << t;
+    EXPECT_EQ(a.tenants[t].nack_holds, b.tenants[t].nack_holds) << "tenant " << t;
+  }
+  ASSERT_EQ(with.size(), without.size());
+  for (std::size_t i = 0; i < with.size(); ++i) {
+    EXPECT_EQ(with[i].task, without[i].task) << "entry " << i;
+    EXPECT_EQ(with[i].worker, without[i].worker) << "entry " << i;
+    EXPECT_EQ(with[i].start, without[i].start) << "entry " << i;
+    EXPECT_EQ(with[i].end, without[i].end) << "entry " << i;
+  }
+  EXPECT_EQ(rec.freeze().tasks.size(), w.release.size());
 }
 
 TEST(TraceRecorderUnit, FirstSubmitWinsAndFreezeSorts) {
