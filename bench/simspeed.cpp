@@ -1,23 +1,20 @@
-// DES kernel throughput: events/sec of the binary-heap and calendar-queue
-// schedulers on (a) a synthetic hold-model event storm and (b) Table-II
-// workload runs through the full Nexus# stack.
+// DES kernel throughput: events/sec of the binary-heap scheduler on (a) a
+// synthetic hold-model event storm and (b) Table-II workload runs through
+// the full Nexus# stack.
 //
 // The storm is a PHOLD-style hold model: a fixed in-flight population of
 // events, each handled event scheduling exactly one successor at a seeded
 // random delay (mostly uniform, with same-tick bursts and far-future
-// stragglers mixed in, so the calendar queue's tie-break, bucket rotation
-// and sweep paths are all on the measured path). Both queue kinds replay
-// the identical event stream — the bench cross-checks makespan, event count
-// and an order-sensitive checksum between them, so a speedup number from a
-// queue that reordered events can never be reported.
+// stragglers mixed in). Every row runs twice and the bench cross-checks
+// makespan, event count and (storm) an order-sensitive checksum between
+// the runs, so a rate from a kernel that stopped being deterministic can
+// never be reported.
 //
 // With --json=<path> it writes BENCH_simspeed.json records: one row per
-// (workload, queue kind), manager "kernel-heap"/"kernel-calendar", the
-// deterministic sim makespan (perfdiff gates it tightly), and wall-clock
-// metrics simspeed/events_per_sec + simspeed/wall_us (gated
-// improvement-only with a generous tolerance — wall clock is machine-
-// dependent). The record's "speedup" field is events/sec relative to the
-// binary-heap row of the same workload.
+// workload, manager "kernel-heap", the deterministic sim makespan (perfdiff
+// gates it tightly), and wall-clock metrics simspeed/events_per_sec +
+// simspeed/wall_us (gated improvement-only with a generous tolerance —
+// wall clock is machine-dependent). The record's "speedup" field is 1.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -27,7 +24,6 @@
 #include "nexus/common/rng.hpp"
 #include "nexus/common/table.hpp"
 #include "nexus/harness/experiment.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/telemetry/profile_export.hpp"
 #include "nexus/telemetry/profiler.hpp"
@@ -97,11 +93,10 @@ HostProfile host_profile_from(const telemetry::ProfileData& d) {
   return h;
 }
 
-StormResult run_storm(QueueKind kind, std::uint64_t n_events,
-                      std::uint64_t inflight, std::uint32_t ncomp,
-                      std::uint64_t seed,
+StormResult run_storm(std::uint64_t n_events, std::uint64_t inflight,
+                      std::uint32_t ncomp, std::uint64_t seed,
                       telemetry::ProfileData* profile_out = nullptr) {
-  Simulation sim(kind);
+  Simulation sim;
   telemetry::Profiler prof;
   if (profile_out != nullptr) sim.bind_profiler(prof);
   std::uint64_t checksum = 0x6E78757353696D21ULL;
@@ -144,9 +139,8 @@ struct TraceResult {
   double events_per_sec = 0.0;
 };
 
-TraceResult run_workload(QueueKind kind, const Trace& tr, std::uint32_t cores,
+TraceResult run_workload(const Trace& tr, std::uint32_t cores,
                          telemetry::ProfileData* profile_out = nullptr) {
-  set_default_queue_kind(kind);  // run_trace builds its Simulation internally
   const harness::ManagerSpec spec = harness::ManagerSpec::nexussharp(6);
   NexusSharp mgr(spec.sharp);
   telemetry::Profiler prof;
@@ -172,10 +166,9 @@ TraceResult run_workload(QueueKind kind, const Trace& tr, std::uint32_t cores,
 /// One BENCH record: the deterministic makespan plus wall-clock gauges.
 /// A non-null `host` (from a --prof re-run) folds the schema-4 host-time
 /// fields in as prof/* gauges.
-std::string record(const std::string& workload, QueueKind kind,
-                   std::uint32_t cores, Tick makespan, std::uint64_t events,
-                   double wall_us, double events_per_sec, double speedup,
-                   const HostProfile* host = nullptr) {
+std::string record(const std::string& workload, std::uint32_t cores,
+                   Tick makespan, std::uint64_t events, double wall_us,
+                   double events_per_sec, const HostProfile* host = nullptr) {
   telemetry::MetricRegistry reg;
   reg.gauge("simspeed/events").set(static_cast<std::int64_t>(events));
   reg.gauge("simspeed/events_per_sec")
@@ -188,9 +181,10 @@ std::string record(const std::string& workload, QueueKind kind,
     reg.gauge("prof/total_ns").set(static_cast<std::int64_t>(host->total_ns));
   }
   const telemetry::Snapshot snap = reg.snapshot();
-  const std::string manager = std::string("kernel-") + to_string(kind);
-  return harness::metrics_report_json("simspeed", workload, manager, cores,
-                                      makespan, speedup, &snap);
+  // "kernel-heap" keeps the join key of the records committed before the
+  // heap became the only queue.
+  return harness::metrics_report_json("simspeed", workload, "kernel-heap",
+                                      cores, makespan, 1.0, &snap);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -219,9 +213,6 @@ int main(int argc, char** argv) {
         "comma-separated Table II workloads to time through run_trace "
         "(default sparselu,h264dec-8x8-10f; \"none\" to skip)"},
        {"cores", "worker cores for the workload runs (default 32)"},
-       {"min-speedup",
-        "fail (exit 1) unless calendar/heap events/sec on the storm reaches "
-        "this ratio (default 0 = report only)"},
        {"prof",
         "profiled re-run per row: fold prof/*_ns host-time gauges into "
         "--json records (report-only perfdiff watches) and print self-time "
@@ -238,69 +229,52 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 32));
   const bool prof_mode = flags.get_bool("prof", false);
-  const QueueKind saved_default = default_queue_kind();
 
-  std::printf("simspeed: DES kernel throughput, heap vs calendar\n\n");
+  std::printf("simspeed: DES kernel throughput\n\n");
   const std::string storm_label = "storm-" + std::to_string(n_events);
   harness::BenchRecordWriter out;
 
-  // --- synthetic storm ---
-  const StormResult heap = run_storm(QueueKind::kBinaryHeap, n_events,
-                                     inflight, ncomp, seed);
-  const StormResult cal = run_storm(QueueKind::kCalendar, n_events, inflight,
-                                    ncomp, seed);
-  if (heap.makespan != cal.makespan || heap.events != cal.events ||
-      heap.checksum != cal.checksum) {
+  // --- synthetic storm, run twice ---
+  const StormResult storm = run_storm(n_events, inflight, ncomp, seed);
+  const StormResult again = run_storm(n_events, inflight, ncomp, seed);
+  if (storm.makespan != again.makespan || storm.events != again.events ||
+      storm.checksum != again.checksum) {
     std::fprintf(stderr,
-                 "FATAL: queue implementations diverged on the storm "
-                 "(makespan %lld vs %lld, events %llu vs %llu, checksum "
-                 "%016llx vs %016llx)\n",
-                 static_cast<long long>(heap.makespan),
-                 static_cast<long long>(cal.makespan),
-                 static_cast<unsigned long long>(heap.events),
-                 static_cast<unsigned long long>(cal.events),
-                 static_cast<unsigned long long>(heap.checksum),
-                 static_cast<unsigned long long>(cal.checksum));
+                 "FATAL: the storm did not repeat (makespan %lld vs %lld, "
+                 "events %llu vs %llu, checksum %016llx vs %016llx)\n",
+                 static_cast<long long>(storm.makespan),
+                 static_cast<long long>(again.makespan),
+                 static_cast<unsigned long long>(storm.events),
+                 static_cast<unsigned long long>(again.events),
+                 static_cast<unsigned long long>(storm.checksum),
+                 static_cast<unsigned long long>(again.checksum));
     return 2;
   }
-  const double storm_speedup =
-      heap.events_per_sec > 0.0 ? cal.events_per_sec / heap.events_per_sec : 0.0;
 
-  TextTable t({"workload", "queue", "events", "wall (ms)", "events/sec",
-               "vs heap"});
-  auto add = [&t](const std::string& wl, const char* queue, std::uint64_t ev,
-                  double wall_us, double eps, double ratio) {
-    t.add_row({wl, queue, TextTable::integer(static_cast<long long>(ev)),
+  TextTable t({"workload", "events", "wall (ms)", "events/sec"});
+  auto add = [&t](const std::string& wl, std::uint64_t ev, double wall_us,
+                  double eps) {
+    t.add_row({wl, TextTable::integer(static_cast<long long>(ev)),
                TextTable::num(wall_us * 1e-3, 2),
-               TextTable::integer(static_cast<long long>(eps)),
-               TextTable::num(ratio, 2)});
+               TextTable::integer(static_cast<long long>(eps))});
   };
-  add(storm_label, "heap", heap.events, heap.wall_us, heap.events_per_sec, 1.0);
-  add(storm_label, "calendar", cal.events, cal.wall_us, cal.events_per_sec,
-      storm_speedup);
+  add(storm_label, storm.events, storm.wall_us, storm.events_per_sec);
 
   // Profiled re-runs attribute the measured wall time; the *measurement*
   // rows above stay detached so attribution never taxes the headline
   // events/sec numbers.
-  HostProfile heap_host, cal_host;
+  HostProfile storm_host;
   if (prof_mode) {
-    telemetry::ProfileData dh, dc;
-    run_storm(QueueKind::kBinaryHeap, n_events, inflight, ncomp, seed, &dh);
-    run_storm(QueueKind::kCalendar, n_events, inflight, ncomp, seed, &dc);
-    heap_host = host_profile_from(dh);
-    cal_host = host_profile_from(dc);
-    std::printf("--- %s kernel-calendar self-time (profiled re-run) ---\n%s\n",
-                storm_label.c_str(),
-                telemetry::profile_top_table(dc, 10).c_str());
+    telemetry::ProfileData d;
+    run_storm(n_events, inflight, ncomp, seed, &d);
+    storm_host = host_profile_from(d);
+    std::printf("--- %s self-time (profiled re-run) ---\n%s\n",
+                storm_label.c_str(), telemetry::profile_top_table(d, 10).c_str());
   }
-  out.append(record(storm_label, QueueKind::kBinaryHeap, 1, heap.makespan,
-                    heap.events, heap.wall_us, heap.events_per_sec, 1.0,
-                    prof_mode ? &heap_host : nullptr));
-  out.append(record(storm_label, QueueKind::kCalendar, 1, cal.makespan,
-                    cal.events, cal.wall_us, cal.events_per_sec, storm_speedup,
-                    prof_mode ? &cal_host : nullptr));
+  out.append(record(storm_label, 1, storm.makespan, storm.events, storm.wall_us,
+                    storm.events_per_sec, prof_mode ? &storm_host : nullptr));
 
-  // --- Table II workloads through the full stack ---
+  // --- Table II workloads through the full stack, each run twice ---
   std::vector<std::string> selected =
       split_csv(flags.get("workloads", "sparselu,h264dec-8x8-10f"));
   if (selected.size() == 1 && selected[0] == "none") selected.clear();
@@ -310,53 +284,33 @@ int main(int argc, char** argv) {
       return 2;
     }
     const Trace tr = workloads::make_workload(name);
-    const TraceResult h = run_workload(QueueKind::kBinaryHeap, tr, cores);
-    const TraceResult c = run_workload(QueueKind::kCalendar, tr, cores);
-    if (h.makespan != c.makespan || h.events != c.events) {
-      std::fprintf(stderr, "FATAL: queue implementations diverged on %s\n",
-                   name.c_str());
+    const TraceResult r = run_workload(tr, cores);
+    const TraceResult r2 = run_workload(tr, cores);
+    if (r.makespan != r2.makespan || r.events != r2.events) {
+      std::fprintf(stderr, "FATAL: %s did not repeat\n", name.c_str());
       return 2;
     }
-    const double ratio =
-        h.events_per_sec > 0.0 ? c.events_per_sec / h.events_per_sec : 0.0;
-    add(name, "heap", h.events, h.wall_us, h.events_per_sec, 1.0);
-    add(name, "calendar", c.events, c.wall_us, c.events_per_sec, ratio);
-    HostProfile h_host, c_host;
+    add(name, r.events, r.wall_us, r.events_per_sec);
+    HostProfile host;
     if (prof_mode) {
-      telemetry::ProfileData dh, dc;
-      run_workload(QueueKind::kBinaryHeap, tr, cores, &dh);
-      run_workload(QueueKind::kCalendar, tr, cores, &dc);
-      h_host = host_profile_from(dh);
-      c_host = host_profile_from(dc);
-      std::printf("--- %s kernel-calendar self-time (profiled re-run) ---\n%s\n",
-                  name.c_str(), telemetry::profile_top_table(dc, 10).c_str());
+      telemetry::ProfileData d;
+      run_workload(tr, cores, &d);
+      host = host_profile_from(d);
+      std::printf("--- %s self-time (profiled re-run) ---\n%s\n", name.c_str(),
+                  telemetry::profile_top_table(d, 10).c_str());
     }
-    out.append(record(name, QueueKind::kBinaryHeap, cores, h.makespan,
-                      h.events, h.wall_us, h.events_per_sec, 1.0,
-                      prof_mode ? &h_host : nullptr));
-    out.append(record(name, QueueKind::kCalendar, cores, c.makespan, c.events,
-                      c.wall_us, c.events_per_sec, ratio,
-                      prof_mode ? &c_host : nullptr));
+    out.append(record(name, cores, r.makespan, r.events, r.wall_us,
+                      r.events_per_sec, prof_mode ? &host : nullptr));
   }
-  set_default_queue_kind(saved_default);
 
   t.print();
-  std::printf("\nstorm cross-check: makespan %lld, checksum %016llx — "
-              "identical under both queues\n",
-              static_cast<long long>(cal.makespan),
-              static_cast<unsigned long long>(cal.checksum));
-  std::printf("storm calendar speedup: %.2fx over the binary heap "
-              "(%llu in-flight)\n",
-              storm_speedup, static_cast<unsigned long long>(inflight));
+  std::printf("\nstorm determinism check: makespan %lld, checksum %016llx — "
+              "identical across two runs (%llu in-flight)\n",
+              static_cast<long long>(storm.makespan),
+              static_cast<unsigned long long>(storm.checksum),
+              static_cast<unsigned long long>(inflight));
 
   int rc = 0;
-  const double min_speedup = flags.get_double("min-speedup", 0.0);
-  if (min_speedup > 0.0 && storm_speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: storm speedup %.2fx < required %.2fx\n",
-                 storm_speedup, min_speedup);
-    rc = 1;
-  }
-
   // Attached-overhead smoke: the profiler's whole value proposition is that
   // leaving it attached is cheap. Min-of-3 walls per side on the fig9
   // workload (gaussian-250, full Nexus# stack) filters scheduler noise —
@@ -366,10 +320,9 @@ int main(int argc, char** argv) {
     const Trace smoke = workloads::make_workload("gaussian-250");
     double detached_us = 0.0, attached_us = 0.0;
     for (int i = 0; i < 3; ++i) {
-      const double d = run_workload(QueueKind::kCalendar, smoke, 8).wall_us;
+      const double d = run_workload(smoke, 8).wall_us;
       telemetry::ProfileData unused;
-      const double a =
-          run_workload(QueueKind::kCalendar, smoke, 8, &unused).wall_us;
+      const double a = run_workload(smoke, 8, &unused).wall_us;
       if (detached_us == 0.0 || d < detached_us) detached_us = d;
       if (attached_us == 0.0 || a < attached_us) attached_us = a;
     }

@@ -21,7 +21,7 @@ MultiAppResult run_multi_app(const std::vector<const Trace*>& traces,
   }
   RuntimeConfig rc = config;
   rc.open_loop = nullptr;  // applications replay closed loop
-  detail::Driver driver(streams, detail::Arrival::kWake, manager, rc);
+  detail::Driver driver(streams, manager, rc);
   const RunResult run = driver.run();
 
   MultiAppResult r;

@@ -22,24 +22,21 @@ RunResult run_trace(const Trace& trace, TaskManagerModel& manager,
                      "open-loop client vector must be empty or cover every task");
   }
   detail::Driver driver({{.trace = &trace, .release = open ? &open->release : nullptr}},
-                        detail::Arrival::kWake, manager, config);
+                        manager, config);
   return driver.run();
 }
 
 namespace detail {
 
-Driver::Driver(const std::vector<Stream>& streams, Arrival arrival,
-               TaskManagerModel& manager, const RuntimeConfig& config)
-    : manager_(manager), config_(config), arrival_(arrival),
-      core_busy_(config.workers, 0) {
+Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
+               const RuntimeConfig& config)
+    : manager_(manager), config_(config), core_busy_(config.workers, 0) {
   NEXUS_ASSERT_MSG(config.workers > 0, "need at least one worker");
   for (std::uint32_t w = config.workers; w > 0; --w) free_workers_.push_back(w - 1);
   std::size_t tasks = 0;
   feeds_.reserve(streams.size());
   for (const Stream& s : streams) {
     NEXUS_ASSERT_MSG(s.trace != nullptr, "stream needs a trace");
-    NEXUS_ASSERT_MSG(arrival_ == Arrival::kWake || s.release != nullptr,
-                     "release events need release times");
     Feed& f = feeds_.emplace_back();
     f.s = s;
     f.base = static_cast<TaskId>(tasks);
@@ -120,13 +117,7 @@ Driver::Driver(const std::vector<Stream>& streams, Arrival arrival,
 }
 
 RunResult Driver::run() {
-  if (arrival_ == Arrival::kWake) {
-    for (std::uint32_t p = 0; p < ports_.size(); ++p) wake(sim_, p, 0);
-  } else {
-    for (std::uint32_t i = 0; i < feeds_.size(); ++i)
-      for (const TraceEvent& ev : feeds_[i].s.trace->events())
-        sim_.schedule((*feeds_[i].s.release)[ev.task], self_, kRelease, i);
-  }
+  for (std::uint32_t p = 0; p < ports_.size(); ++p) wake(sim_, p, 0);
   sim_.run();
   for (const Feed& f : feeds_) {
     NEXUS_ASSERT_MSG(f.next == f.s.trace->events().size() && f.wait == Wait::kNone,
@@ -174,13 +165,10 @@ void Driver::handle(Simulation& sim, const Event& ev) {
   const auto id = static_cast<TaskId>(ev.b);
   switch (ev.op) {
     case kMasterStep:
-      ports_[a].wake_pending = false;
+      // A step superseded by an earlier wake-up leaves its event queued; it
+      // arrives as a spurious step, which master_step tolerates.
+      if (ev.t == ports_[a].wake_at) ports_[a].wake_pending = false;
       master_step(sim, a);
-      break;
-    case kRelease:
-      ++feeds_[a].released;
-      telemetry::inc(m_offered_);
-      master_step(sim, feeds_[a].s.port);
       break;
     case kTaskDone:
       on_task_done(sim, a, id);
@@ -216,10 +204,8 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
     Feed* pick = nullptr;
     Tick at = 0;
     for (Feed& f : feeds_) {
-      const std::size_t avail = arrival_ == Arrival::kReleaseEvents
-                                    ? f.released
-                                    : f.s.trace->events().size();
-      if (f.s.port != p || f.held || f.wait != Wait::kNone || f.next >= avail)
+      if (f.s.port != p || f.held || f.wait != Wait::kNone ||
+          f.next >= f.s.trace->events().size())
         continue;
       const TraceEvent& ev = f.s.trace->events()[f.next];
       const Tick rel = f.s.release != nullptr && ev.op == TraceOp::kSubmit
@@ -287,7 +273,7 @@ bool Driver::submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local) {
   if (config_.trace != nullptr) config_.trace->on_submit(id, sim.now());
   if (config_.metrics != nullptr && submit_t_[id] < 0) {
     submit_t_[id] = sim.now();
-    if (arrival_ == Arrival::kWake) telemetry::inc(m_offered_);
+    telemetry::inc(m_offered_);
   }
   const Tick resume = manager_.submit(sim, task);
   if (resume == kSubmitNacked) {
@@ -327,8 +313,12 @@ void Driver::busy(Simulation& sim, std::uint32_t p, Tick until) {
 }
 
 void Driver::wake(Simulation& sim, std::uint32_t p, Tick at) {
-  if (ports_[p].wake_pending) return;
-  ports_[p].wake_pending = true;
+  Port& port = ports_[p];
+  // A queued later wake-up (say, for a far release) must not swallow an
+  // earlier one (a NACK-held stream resumed and submitted meanwhile).
+  if (port.wake_pending && port.wake_at <= at) return;
+  port.wake_pending = true;
+  port.wake_at = at;
   sim.schedule(at, self_, kMasterStep, p);
 }
 

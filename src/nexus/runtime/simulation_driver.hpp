@@ -155,28 +155,17 @@ struct Stream {
   std::vector<Tick>* latency_out = nullptr;
 };
 
-/// How a port sees open-loop arrivals. The two order same-tick events
-/// differently, so folding them into one would move committed results;
-/// each entry point keeps the order it was built with.
-enum class Arrival : std::uint8_t {
-  /// A task has arrived once now() reaches its release; an idle port sleeps
-  /// until the next release on one wake-up event (run_trace).
-  kWake,
-  /// One release event per task is scheduled up front, and a task has
-  /// arrived once its event fired, behind the events already queued for
-  /// that tick (run_tenants).
-  kReleaseEvents,
-};
-
 /// The DES component implementing the masters, the dispatcher and the
 /// workers. Each port submits one task at a time from its eligible streams,
-/// earliest release first with ties to the lower stream. kSubmitBlocked
-/// holds the whole port, kSubmitNacked only the offending stream, and the
-/// manager's master_resume clears both on every port.
+/// earliest release first with ties to the lower stream; a task has arrived
+/// once now() reaches its release, and an idle port sleeps until the next
+/// release on one wake-up event. kSubmitBlocked holds the whole port,
+/// kSubmitNacked only the offending stream, and the manager's master_resume
+/// clears both on every port.
 class Driver final : public Component, public RuntimeHost {
  public:
-  Driver(const std::vector<Stream>& streams, Arrival arrival,
-         TaskManagerModel& manager, const RuntimeConfig& config);
+  Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
+         const RuntimeConfig& config);
 
   /// Run until every stream drained, then publish the runtime metrics.
   RunResult run();
@@ -208,7 +197,6 @@ class Driver final : public Component, public RuntimeHost {
     kWorkerFree = 2,       ///< a = worker
     kDispatchArrived = 3,  ///< a = worker, b = task (host NoC, non-ideal)
     kNotifyArrived = 4,    ///< a = worker, b = task (host NoC, non-ideal)
-    kRelease = 5,          ///< a = stream; its next task arrived
   };
 
   enum class Wait : std::uint8_t { kNone, kBarrier, kTask };
@@ -218,7 +206,6 @@ class Driver final : public Component, public RuntimeHost {
     Stream s;
     TaskId base = 0;            ///< global id of local task 0
     std::size_t next = 0;       ///< index into s.trace->events()
-    std::size_t released = 0;   ///< events whose kRelease fired
     Wait wait = Wait::kNone;    ///< taskwait / taskwait_on in progress
     TaskId wait_task = kInvalidTask;
     bool held = false;          ///< NACK-held until master_resume
@@ -235,6 +222,7 @@ class Driver final : public Component, public RuntimeHost {
   struct Port {
     bool blocked = false;       ///< kSubmitBlocked until master_resume
     bool wake_pending = false;  ///< a kMasterStep for it is queued
+    Tick wake_at = 0;           ///< the earliest queued kMasterStep's time
     Tick busy_until = 0;        ///< submission occupancy / query round trip
   };
 
@@ -254,7 +242,6 @@ class Driver final : public Component, public RuntimeHost {
 
   TaskManagerModel& manager_;
   RuntimeConfig config_;
-  Arrival arrival_;
   std::vector<Feed> feeds_;
   std::vector<Port> ports_;
   TaskDescriptor placed_;  ///< a descriptor moved into its stream's window
@@ -288,7 +275,7 @@ class Driver final : public Component, public RuntimeHost {
 
   // Open-loop serving metrics (created only when a stream has release
   // times and a registry is bound; see docs/METRICS.md "Serving metrics").
-  telemetry::Counter* m_offered_ = nullptr;   ///< arrivals whose release was reached
+  telemetry::Counter* m_offered_ = nullptr;   ///< tasks at their first submit attempt
   telemetry::Counter* m_accepted_ = nullptr;  ///< arrivals admitted by the manager
   telemetry::Histogram* m_serving_ = nullptr;        ///< release -> finish
   telemetry::Histogram* m_admission_wait_ = nullptr; ///< release -> admission

@@ -38,7 +38,7 @@ TenantRunResult run_tenants(const std::vector<TenantStream>& streams,
   }
   RuntimeConfig rc = config;
   rc.open_loop = nullptr;  // the streams carry their own release times
-  detail::Driver driver(feeds, detail::Arrival::kReleaseEvents, manager, rc);
+  detail::Driver driver(feeds, manager, rc);
   const RunResult run = driver.run();
   r.makespan = run.makespan;
   r.total_tasks = run.tasks;

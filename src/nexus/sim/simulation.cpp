@@ -75,7 +75,7 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
       components_[ev.comp]->handle(*this, ev);
     }
   }
-  flush_queue_stats();
+  prof_->stat_max(prof_max_depth_, queue_.max_depth());
   flush_queue_metrics();
   return !queue_.empty() && !stopped_;
 }
@@ -86,15 +86,6 @@ void Simulation::bind_profiler(telemetry::Profiler& prof,
   const auto queue = prof.node(parent, "queue");
   prof_push_ = prof.node(queue, "push");
   prof_pop_ = prof.node(queue, "pop");
-  const auto rebuild = prof.node(queue, "rebuild");
-  const auto sweep = prof.node(queue, "sweep");
-  queue_.bind_profiler(&prof, rebuild, sweep);
-  prof_grows_ = prof.node(queue, "grows");
-  prof_shrinks_ = prof.node(queue, "shrinks");
-  prof_arena_alloc_ = prof.node(queue, "arena_alloc");
-  prof_arena_reuse_ = prof.node(queue, "arena_reuse");
-  prof_arena_high_ = prof.node(queue, "arena_high_water");
-  prof_max_bucket_ = prof.node(queue, "max_bucket");
   prof_max_depth_ = prof.node(queue, "max_depth");
 
   prof_handle_ = prof.node(parent, "handle");
@@ -106,17 +97,6 @@ void Simulation::bind_profiler(telemetry::Profiler& prof,
     // the cycles go per *kind* of unit", which is what partitioning needs.
     prof_comp_node_.push_back(prof.node(prof_handle_, c->telemetry_label()));
   }
-}
-
-void Simulation::flush_queue_stats() {
-  const CalendarQueue::Stats s = queue_.calendar_stats();
-  prof_->set_count(prof_grows_, s.grows);
-  prof_->set_count(prof_shrinks_, s.shrinks);
-  prof_->set_count(prof_arena_alloc_, s.arena_allocs);
-  prof_->set_count(prof_arena_reuse_, s.arena_reuses);
-  prof_->stat_max(prof_arena_high_, s.arena_high_water);
-  prof_->stat_max(prof_max_bucket_, s.max_bucket);
-  prof_->stat_max(prof_max_depth_, queue_.max_depth());
 }
 
 void Simulation::bind_telemetry(telemetry::MetricRegistry& reg,
@@ -133,27 +113,11 @@ void Simulation::bind_telemetry(telemetry::MetricRegistry& reg,
     comp_events_.push_back(&reg.counter(telemetry::path_join(base, "events")));
     comp_gap_.push_back(&reg.histogram(telemetry::path_join(base, "gap_ps")));
   }
-  const std::string q = telemetry::path_join(prefix, "queue");
-  m_q_grows_ = &reg.gauge(telemetry::path_join(q, "grows"));
-  m_q_shrinks_ = &reg.gauge(telemetry::path_join(q, "shrinks"));
-  m_q_sweeps_ = &reg.gauge(telemetry::path_join(q, "sweeps"));
-  m_q_arena_allocs_ = &reg.gauge(telemetry::path_join(q, "arena_allocs"));
-  m_q_arena_reuses_ = &reg.gauge(telemetry::path_join(q, "arena_reuses"));
-  m_q_arena_high_ = &reg.gauge(telemetry::path_join(q, "arena_high_water"));
-  m_q_max_bucket_ = &reg.gauge(telemetry::path_join(q, "max_bucket"));
-  m_q_max_depth_ = &reg.gauge(telemetry::path_join(q, "max_depth"));
+  m_q_max_depth_ = &reg.gauge(telemetry::path_join(prefix, "queue/max_depth"));
 }
 
 void Simulation::flush_queue_metrics() {
-  if (m_q_grows_ == nullptr) return;
-  const CalendarQueue::Stats s = queue_.calendar_stats();
-  m_q_grows_->set(static_cast<std::int64_t>(s.grows));
-  m_q_shrinks_->set(static_cast<std::int64_t>(s.shrinks));
-  m_q_sweeps_->set(static_cast<std::int64_t>(s.sweeps));
-  m_q_arena_allocs_->set(static_cast<std::int64_t>(s.arena_allocs));
-  m_q_arena_reuses_->set(static_cast<std::int64_t>(s.arena_reuses));
-  m_q_arena_high_->set(static_cast<std::int64_t>(s.arena_high_water));
-  m_q_max_bucket_->set(static_cast<std::int64_t>(s.max_bucket));
+  if (m_q_max_depth_ == nullptr) return;
   m_q_max_depth_->set(static_cast<std::int64_t>(queue_.max_depth()));
 }
 

@@ -3,8 +3,8 @@
 // process kind, interarrival CV ≈ 1 for Poisson and materially > 1 for the
 // bursty MMPP, diurnal arrivals concentrating in the rate curve's peak
 // half, exact generator→JSON→reload replay equality (schedule, trace, and
-// open-loop run), and identical streams across the heap/calendar event
-// queue kinds. Tolerances are sized for the fixed seeds below — the
+// open-loop run), and an open-loop run that repeats bit for bit and never
+// starts a task before its release. Tolerances are sized for the fixed seeds below — the
 // generators are deterministic, so these are exact regression checks, not
 // flaky statistical gates.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
@@ -245,31 +244,27 @@ RunFingerprint run_open_loop(const ArrivalSchedule& s) {
   return fp;
 }
 
-TEST(ArrivalReplay, OpenLoopRunIsIdenticalAcrossQueueKinds) {
+TEST(ArrivalReplay, OpenLoopRunRepeatsAndHonoursReleases) {
   ArrivalConfig cfg;
   cfg.tasks = 300;
   cfg.clients = 4;
   cfg.process = ArrivalProcess::kBursty;
   const ArrivalSchedule s = workloads::generate_arrivals(cfg);
 
-  const QueueKind saved = default_queue_kind();
-  set_default_queue_kind(QueueKind::kBinaryHeap);
-  const RunFingerprint heap = run_open_loop(s);
-  set_default_queue_kind(QueueKind::kCalendar);
-  const RunFingerprint calendar = run_open_loop(s);
-  set_default_queue_kind(saved);
+  const RunFingerprint first = run_open_loop(s);
+  const RunFingerprint second = run_open_loop(s);
 
-  EXPECT_EQ(heap.makespan, calendar.makespan);
-  ASSERT_EQ(heap.schedule.size(), calendar.schedule.size());
-  for (std::size_t i = 0; i < heap.schedule.size(); ++i) {
-    EXPECT_EQ(heap.schedule[i].task, calendar.schedule[i].task) << i;
-    EXPECT_EQ(heap.schedule[i].worker, calendar.schedule[i].worker) << i;
-    EXPECT_EQ(heap.schedule[i].start, calendar.schedule[i].start) << i;
-    EXPECT_EQ(heap.schedule[i].end, calendar.schedule[i].end) << i;
+  EXPECT_EQ(first.makespan, second.makespan);
+  ASSERT_EQ(first.schedule.size(), second.schedule.size());
+  for (std::size_t i = 0; i < first.schedule.size(); ++i) {
+    EXPECT_EQ(first.schedule[i].task, second.schedule[i].task) << i;
+    EXPECT_EQ(first.schedule[i].worker, second.schedule[i].worker) << i;
+    EXPECT_EQ(first.schedule[i].start, second.schedule[i].start) << i;
+    EXPECT_EQ(first.schedule[i].end, second.schedule[i].end) << i;
   }
   // The open loop really paced the run: no task started before its release.
   std::vector<Tick> start_of(cfg.tasks, -1);
-  for (const ScheduleEntry& e : heap.schedule) start_of[e.task] = e.start;
+  for (const ScheduleEntry& e : first.schedule) start_of[e.task] = e.start;
   for (std::size_t i = 0; i < cfg.tasks; ++i)
     EXPECT_GE(start_of[i], s.submission.release[i]) << "task " << i;
 }

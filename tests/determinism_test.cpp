@@ -12,7 +12,6 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/noc/placement.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/task/trace.hpp"
 #include "nexus/task/trace_stats.hpp"
@@ -350,43 +349,11 @@ TEST(Determinism, TorusRunWithPlacementReproduces) {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-implementation sweep: the kernel's pop-order contract ((time, issue
-// seq), same-tick ties in insertion order) is queue-independent, so the
-// binary heap and the calendar queue must produce bit-identical schedules
-// AND bit-identical telemetry — not merely equal makespans — on every
-// configuration the stack can run. This is what pins the six pre-existing
-// BENCH records across the scheduler swap.
+// Open-loop serving: the arrival generators plus the release-gated driver
+// must stay bit-reproducible — same seed means identical executed schedules
+// AND identical BENCH records — on ideal, mesh and torus interconnects. This
+// is what pins the committed BENCH_serving.json trajectory.
 // ---------------------------------------------------------------------------
-
-/// Restores the process-default queue kind on scope exit (the sweep must
-/// not leak a kind into unrelated suites).
-class ScopedQueueKind {
- public:
-  explicit ScopedQueueKind(QueueKind k) : saved_(default_queue_kind()) {
-    set_default_queue_kind(k);
-  }
-  ~ScopedQueueKind() { set_default_queue_kind(saved_); }
-  ScopedQueueKind(const ScopedQueueKind&) = delete;
-  ScopedQueueKind& operator=(const ScopedQueueKind&) = delete;
-
- private:
-  QueueKind saved_;
-};
-
-constexpr QueueKind kBothKinds[] = {QueueKind::kBinaryHeap,
-                                    QueueKind::kCalendar};
-
-/// Queue-structure gauges (sim/queue/*: calendar lane grows/shrinks, arena
-/// slab reuse, bucket occupancy) describe the queue *implementation*, not
-/// the simulated workload, so they legitimately differ across queue kinds.
-/// The cross-kind contract covers everything else: schedules, makespans,
-/// event counts, and all workload-visible metrics stay bit-identical.
-telemetry::Snapshot drop_queue_structure_gauges(telemetry::Snapshot snap) {
-  std::erase_if(snap.values, [](const telemetry::MetricValue& v) {
-    return v.path.rfind("sim/queue/", 0) == 0;
-  });
-  return snap;
-}
 
 /// Everything observable about one run: the result scalars, the full
 /// per-worker schedule, and the complete metric snapshot as JSON.
@@ -413,94 +380,7 @@ void expect_runs_identical(const ObservedRun& x, const ObservedRun& y,
   }
 }
 
-ObservedRun run_observed(const Trace& tr, noc::TopologyKind mgr_noc,
-                         noc::TopologyKind host_noc) {
-  ObservedRun out;
-  telemetry::MetricRegistry reg;
-  NexusSharpConfig cfg;
-  cfg.num_task_graphs = 4;
-  cfg.freq_mhz = 100.0;
-  cfg.noc.kind = mgr_noc;
-  NexusSharp mgr(cfg);
-  RuntimeConfig rc;
-  rc.workers = 8;
-  rc.noc.kind = host_noc;
-  rc.schedule_out = &out.schedule;
-  rc.metrics = &reg;
-  const RunResult r = run_trace(tr, mgr, rc);
-  out.makespan = r.makespan;
-  out.events = r.events;
-  out.metrics_json =
-      telemetry::snapshot_json(drop_queue_structure_gauges(reg.snapshot()));
-  return out;
-}
-
-TEST(QueueKindSweep, RunTraceIdenticalUnderHeapAndCalendar) {
-  workloads::GaussianConfig gcfg;
-  gcfg.n = 60;
-  const Trace tr = workloads::make_gaussian(gcfg);
-  std::vector<ObservedRun> runs;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    runs.push_back(run_observed(tr, noc::TopologyKind::kIdeal,
-                                noc::TopologyKind::kIdeal));
-  }
-  ASSERT_GT(runs[0].events, 1000u);
-  expect_runs_identical(runs[0], runs[1], "ideal-topology run");
-}
-
-TEST(QueueKindSweep, NocRunIdenticalUnderHeapAndCalendar) {
-  // Mesh manager fabric + ring host fabric: per-hop events and link-FIFO
-  // ordering are exactly where a queue that mis-breaks ties would diverge.
-  workloads::GaussianConfig gcfg;
-  gcfg.n = 60;
-  const Trace tr = workloads::make_gaussian(gcfg);
-  std::vector<ObservedRun> runs;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    runs.push_back(
-        run_observed(tr, noc::TopologyKind::kMesh, noc::TopologyKind::kRing));
-  }
-  expect_runs_identical(runs[0], runs[1], "mesh+ring run");
-}
-
-TEST(QueueKindSweep, PlacementPipelineIdenticalUnderHeapAndCalendar) {
-  // The placement search consumes a traffic matrix measured by a NoC run;
-  // identical matrices across queue kinds mean identical search inputs, and
-  // the seeded search itself does not touch the DES at all.
-  const Trace tr = workloads::make_h264dec(workloads::h264_config(8));
-  std::vector<std::vector<std::uint64_t>> traffic;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    NexusSharpConfig cfg;
-    cfg.num_task_graphs = 6;
-    cfg.freq_mhz = 100.0;
-    cfg.noc.kind = noc::TopologyKind::kMesh;
-    NexusSharp mgr(cfg);
-    run_trace(tr, mgr, RuntimeConfig{.workers = 16});
-    traffic.push_back(mgr.network().stats().traffic);
-  }
-  ASSERT_EQ(traffic[0], traffic[1]) << "traffic matrices diverged across kinds";
-
-  const std::uint32_t endpoints = sharp_noc_endpoints(6);
-  const noc::Topology topo(noc::TopologyKind::kMesh, endpoints);
-  const noc::TrafficMatrix m =
-      noc::TrafficMatrix::from_network(endpoints, traffic[0]);
-  const noc::PlacementResult a = noc::optimize_placement(topo, m);
-  const noc::PlacementResult b = noc::optimize_placement(topo, m);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.cost, b.cost);
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop serving sweep: the arrival generators plus the release-gated
-// driver must stay bit-reproducible — same seed means identical executed
-// schedules AND identical BENCH records — across both event-queue kinds and
-// across ideal/mesh/torus interconnects. This is what pins the committed
-// BENCH_serving.json trajectory.
-// ---------------------------------------------------------------------------
-
-TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
+TEST(Determinism, OpenLoopServingReproducesOnEveryTopology) {
   workloads::ArrivalConfig acfg;
   acfg.process = workloads::ArrivalProcess::kBursty;
   acfg.tasks = 250;
@@ -515,8 +395,7 @@ TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
         noc::TopologyKind::kTorus}) {
     std::vector<ObservedRun> runs;
     std::vector<std::string> records;
-    for (const QueueKind kind : kBothKinds) {
-      ScopedQueueKind guard(kind);
+    for (int run = 0; run < 2; ++run) {
       ObservedRun out;
       telemetry::MetricRegistry reg;
       NexusSharpConfig cfg;
@@ -533,8 +412,7 @@ TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
       const RunResult r = run_trace(tr, mgr, rc);
       out.makespan = r.makespan;
       out.events = r.events;
-      const telemetry::Snapshot snap =
-          drop_queue_structure_gauges(reg.snapshot());
+      const telemetry::Snapshot snap = reg.snapshot();
       out.metrics_json = telemetry::snapshot_json(snap);
       runs.push_back(std::move(out));
       records.push_back(harness::metrics_report_json(
@@ -543,7 +421,7 @@ TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
     }
     expect_runs_identical(runs[0], runs[1], noc::to_string(topo));
     EXPECT_EQ(records[0], records[1])
-        << "BENCH record diverged across queue kinds on "
+        << "BENCH record diverged between runs on "
         << noc::to_string(topo);
     // Release gating held on every interconnect: no early starts.
     for (const ScheduleEntry& e : runs[0].schedule)

@@ -1,68 +1,28 @@
-// The DES scheduler equivalence suite: the calendar queue must pop the
-// exact (t, seq) total order the reference binary heap pops, event by
-// event, under every load shape the kernel can produce — same-tick bursts,
-// regime changes that force bucket-array resizes in both directions,
-// far-future stragglers that trigger full-rotation sweeps, and
-// schedule-during-pop reentrancy (the hold model every component's handle()
-// runs). The heap is the original kernel structure, so agreement here is
-// what licenses swapping the implementation under six pinned BENCH records.
+// The DES scheduler's pop-order contract: earliest time first, ties broken
+// by issue sequence, so same-tick events pop in insertion order and a
+// far-future straggler waits its turn; plus the max-depth high-water the
+// sim/queue/max_depth gauge reports.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "nexus/common/rng.hpp"
 #include "nexus/sim/event_queue.hpp"
-#include "nexus/sim/simulation.hpp"
 #include "nexus/sim/time.hpp"
 
 namespace nexus {
 namespace {
 
-// ---------- knobs ----------
-
 TEST(QueueKind, ToString) {
   EXPECT_STREQ(to_string(QueueKind::kBinaryHeap), "heap");
-  EXPECT_STREQ(to_string(QueueKind::kCalendar), "calendar");
+  EXPECT_EQ(default_queue_kind(), QueueKind::kBinaryHeap);
 }
-
-/// Restores the process default on scope exit so tests cannot leak a kind
-/// into later suites (gtest runs everything in one process).
-class ScopedQueueKind {
- public:
-  explicit ScopedQueueKind(QueueKind k) : saved_(default_queue_kind()) {
-    set_default_queue_kind(k);
-  }
-  ~ScopedQueueKind() { set_default_queue_kind(saved_); }
-  ScopedQueueKind(const ScopedQueueKind&) = delete;
-  ScopedQueueKind& operator=(const ScopedQueueKind&) = delete;
-
- private:
-  QueueKind saved_;
-};
-
-TEST(QueueKind, DefaultKnobSelectsNewSimulationsQueue) {
-  {
-    ScopedQueueKind guard(QueueKind::kBinaryHeap);
-    EXPECT_EQ(Simulation().queue_kind(), QueueKind::kBinaryHeap);
-  }
-  {
-    ScopedQueueKind guard(QueueKind::kCalendar);
-    EXPECT_EQ(Simulation().queue_kind(), QueueKind::kCalendar);
-  }
-  // The explicit constructor wins over the default either way.
-  ScopedQueueKind guard(QueueKind::kCalendar);
-  EXPECT_EQ(Simulation(QueueKind::kBinaryHeap).queue_kind(),
-            QueueKind::kBinaryHeap);
-}
-
-// ---------- direct calendar-queue semantics ----------
 
 Event ev_at(Tick t, std::uint64_t seq) { return Event{t, seq, 0, 0, seq, 0}; }
 
-TEST(CalendarQueue, PopsTimeThenSeqOrder) {
-  // A batch whose arrival order is adversarially shuffled across buckets.
-  EventQueue q(QueueKind::kCalendar);
+TEST(EventQueue, PopsTimeThenSeqOrder) {
+  // A batch whose arrival order is shuffled in time.
+  EventQueue q;
   std::uint64_t seq = 0;
   for (const Tick t : {ns(50), ns(10), ns(90), ns(10), ns(0), ns(50), ns(200)})
     q.push(ev_at(t, seq++));
@@ -77,8 +37,8 @@ TEST(CalendarQueue, PopsTimeThenSeqOrder) {
   EXPECT_EQ(popped, want);
 }
 
-TEST(CalendarQueue, SameTickBurstPopsInInsertionOrder) {
-  EventQueue q(QueueKind::kCalendar);
+TEST(EventQueue, SameTickBurstPopsInInsertionOrder) {
+  EventQueue q;
   for (std::uint64_t i = 0; i < 1000; ++i) q.push(ev_at(ns(7), i));
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const Event e = q.pop();
@@ -88,16 +48,11 @@ TEST(CalendarQueue, SameTickBurstPopsInInsertionOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueue, FarFutureStragglerTriggersSweepAndStillPopsLast) {
-  // Dense region plus one event seconds ahead: after the dense region
-  // drains, serving it by rotating window by window would walk millions of
-  // empty windows — the direct-search fallback (a "sweep") must jump there.
-  // The population is kept at 16 events so neither resize threshold can
-  // fire: a rebuild re-aims the server at the earliest pending event
-  // directly, which would reach the straggler without ever sweeping.
-  EventQueue q(QueueKind::kCalendar);
+TEST(EventQueue, FarFutureStragglerPopsLast) {
+  // Dense region plus one event seconds ahead, pushed first.
+  EventQueue q;
   std::uint64_t seq = 0;
-  q.push(ev_at(ms(4500), seq++));  // straggler, ~4.5e9 ps ahead
+  q.push(ev_at(ms(4500), seq++));
   for (int i = 0; i < 15; ++i) q.push(ev_at(ns(i), seq++));
   Tick last = -1;
   std::size_t n = 0;
@@ -109,196 +64,17 @@ TEST(CalendarQueue, FarFutureStragglerTriggersSweepAndStillPopsLast) {
   }
   EXPECT_EQ(n, 16u);
   EXPECT_EQ(last, ms(4500));
-  EXPECT_GE(q.calendar_stats().sweeps, 1u);
-}
-
-TEST(CalendarQueue, ResizeChurnAndArenaReuse) {
-  // Two fill/drain waves across the grow and shrink thresholds: the second
-  // wave's bucket storage must come out of the arena pool, not the
-  // allocator.
-  EventQueue q(QueueKind::kCalendar);
-  Xoshiro256 rng(17);
-  std::uint64_t seq = 0;
-  auto fill_drain = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      q.push(ev_at(static_cast<Tick>(rng.below(ns(1000))), seq++));
-    Tick last = -1;
-    while (!q.empty()) {
-      const Event e = q.pop();
-      ASSERT_GE(e.t, last);
-      last = e.t;
-    }
-  };
-  fill_drain(4096);
-  const CalendarQueue::Stats s1 = q.calendar_stats();
-  EXPECT_GT(s1.grows, 0u);    // 4096 events >> 8 initial buckets
-  EXPECT_GT(s1.shrinks, 0u);  // the drain crosses the halving threshold
-  fill_drain(4096);
-  const CalendarQueue::Stats s2 = q.calendar_stats();
-  EXPECT_GT(s2.arena_reuses, s1.arena_reuses)
-      << "second wave should recycle slabs pooled by the first";
-}
-
-TEST(CalendarQueue, StructureStatsTrackHighWaters) {
-  // The introspection stats the profiler/telemetry surface: arena slab
-  // high-water, densest-bucket occupancy, and the queue's max depth.
-  EventQueue q(QueueKind::kCalendar);
-  std::uint64_t seq = 0;
-  // A same-tick burst makes one bucket visibly dense.
-  for (int i = 0; i < 64; ++i) q.push(ev_at(ns(5), seq++));
-  for (int i = 0; i < 32; ++i) q.push(ev_at(ns(100 + i), seq++));
-  EXPECT_EQ(q.max_depth(), 96u);
-  const CalendarQueue::Stats s = q.calendar_stats();
-  EXPECT_GE(s.max_bucket, 64u) << "the same-tick burst shares one bucket";
-  EXPECT_GT(s.arena_high_water, 0u) << "bucket slabs come from the arena";
-  while (!q.empty()) (void)q.pop();
-  // High-waters are monotone: draining must not lower them.
-  EXPECT_EQ(q.max_depth(), 96u);
-  EXPECT_GE(q.calendar_stats().max_bucket, 64u);
 }
 
 TEST(EventQueueDepth, HeapTracksMaxDepthToo) {
-  // max_depth is queue-kind-independent (it feeds the sim/queue/max_depth
-  // gauge on both kinds).
-  EventQueue q(QueueKind::kBinaryHeap);
+  // max_depth feeds the sim/queue/max_depth gauge; it is a high-water mark,
+  // so draining never lowers it.
+  EventQueue q;
   std::uint64_t seq = 0;
   for (int i = 0; i < 10; ++i) q.push(ev_at(ns(i), seq++));
   for (int i = 0; i < 5; ++i) (void)q.pop();
   for (int i = 0; i < 3; ++i) q.push(ev_at(ns(50 + i), seq++));
   EXPECT_EQ(q.max_depth(), 10u);  // the first wave's peak
-}
-
-// ---------- differential: queue level ----------
-
-/// Drives a heap and a calendar through the identical operation stream and
-/// asserts every popped event matches field for field. The stream follows
-/// the kernel's monotonic-time contract (pushes never precede the last
-/// popped time), mimicking handle()-reentrancy: most pops immediately push
-/// successors.
-void run_differential(std::uint64_t seed, std::uint64_t total_pops) {
-  EventQueue heap(QueueKind::kBinaryHeap);
-  EventQueue cal(QueueKind::kCalendar);
-  Xoshiro256 rng(seed);
-  std::uint64_t seq = 0;
-  Tick now = 0;
-  auto push_both = [&](Tick t, std::uint32_t op) {
-    const Event e{t, seq, 0, op, seq, static_cast<std::uint64_t>(t)};
-    ++seq;
-    heap.push(e);
-    cal.push(e);
-  };
-
-  for (int i = 0; i < 256; ++i)
-    push_both(static_cast<Tick>(rng.below(ns(100))), 0);
-
-  for (std::uint64_t pops = 0; pops < total_pops && !heap.empty(); ++pops) {
-    ASSERT_FALSE(cal.empty());
-    ASSERT_EQ(heap.size(), cal.size());
-    const Event a = heap.pop();
-    const Event b = cal.pop();
-    ASSERT_EQ(a.t, b.t) << "pop " << pops;
-    ASSERT_EQ(a.seq, b.seq) << "pop " << pops;
-    ASSERT_EQ(a.op, b.op);
-    ASSERT_EQ(a.a, b.a);
-    now = a.t;
-
-    // Schedule-during-pop: the regimes sweep dense bursts, typical jitter,
-    // population growth/shrink phases, and rare far-future stragglers.
-    const std::uint64_t phase = pops * 8 / total_pops;  // 0..7
-    const std::uint64_t sel = rng.below(100);
-    if (sel < 8) {
-      for (int k = 0; k < 3; ++k) push_both(now, 1);  // same-tick burst
-    } else if (sel < 10) {
-      push_both(now + ms(2) + static_cast<Tick>(rng.below(ms(8))), 2);
-    } else if (sel < (phase % 2 == 0 ? 95u : 60u)) {
-      // Even phases push more than they pop (population grows, calendar
-      // must resize up); odd phases drain it back down.
-      push_both(now + static_cast<Tick>(rng.below(ns(200))), 3);
-      if (sel < 40) push_both(now + static_cast<Tick>(rng.below(ns(20))), 4);
-    }
-  }
-  while (!heap.empty()) {
-    ASSERT_FALSE(cal.empty());
-    const Event a = heap.pop();
-    const Event b = cal.pop();
-    ASSERT_EQ(a.t, b.t);
-    ASSERT_EQ(a.seq, b.seq);
-  }
-  EXPECT_TRUE(cal.empty());
-}
-
-TEST(EventQueueDifferential, AdversarialHoldModelPopsIdentically) {
-  run_differential(0xD1FFE12Eull, 60000);
-}
-
-TEST(EventQueueDifferential, SeedSweep) {
-  for (const std::uint64_t seed : {1ull, 42ull, 0xFEEDull})
-    run_differential(seed, 12000);
-}
-
-// ---------- differential: whole simulations ----------
-
-/// A component web with seeded random fan-out: every live event reschedules
-/// one successor (occasionally two) across components at mixed delays
-/// (including zero), so each seed chain survives its whole budget instead of
-/// dying as a critical branching process would. The recorded (time, op,
-/// payload) journal is the full observable schedule.
-class ChatterBox final : public Component {
- public:
-  ChatterBox(std::uint64_t seed, std::vector<std::string>* journal)
-      : rng_(seed), journal_(journal) {}
-
-  void set_peers(std::vector<std::uint32_t> ids) { peers_ = std::move(ids); }
-
-  void handle(Simulation& sim, const Event& e) override {
-    journal_->push_back(std::to_string(sim.now()) + "/" +
-                        std::to_string(e.op) + "/" + std::to_string(e.a));
-    if (e.a == 0) return;
-    // Hoisted draws: the stream must not depend on evaluation order.
-    const std::uint64_t fan = 1 + (rng_.below(10) == 9 ? 1 : 0);
-    for (std::uint64_t k = 0; k < fan; ++k) {
-      const std::uint64_t sel = rng_.below(10);
-      const Tick d = sel < 3 ? 0
-                     : sel < 9
-                         ? static_cast<Tick>(rng_.below(ns(50)))
-                         : ns(2000) + static_cast<Tick>(rng_.below(ns(500)));
-      const auto dest = static_cast<std::uint32_t>(rng_.below(peers_.size()));
-      sim.schedule_in(d, peers_[dest], e.op + 1, e.a - 1);
-    }
-  }
-
- private:
-  Xoshiro256 rng_;
-  std::vector<std::string>* journal_;
-  std::vector<std::uint32_t> peers_;
-};
-
-std::vector<std::string> run_chatter(QueueKind kind, std::uint64_t seed) {
-  Simulation sim(kind);
-  std::vector<std::string> journal;
-  std::vector<ChatterBox> boxes;
-  boxes.reserve(8);
-  for (int i = 0; i < 8; ++i) boxes.emplace_back(seed + 100u + static_cast<std::uint64_t>(i), &journal);
-  std::vector<std::uint32_t> ids;
-  ids.reserve(boxes.size());
-  for (auto& b : boxes) ids.push_back(sim.add_component(&b));
-  for (auto& b : boxes) b.set_peers(ids);
-  for (std::uint32_t i = 0; i < ids.size(); ++i)
-    sim.schedule(ns(i), ids[i], 0, 40);  // fan-out budget 40 per seed event
-  sim.run();
-  journal.push_back("makespan=" + std::to_string(sim.now()) +
-                    " events=" + std::to_string(sim.events_processed()));
-  return journal;
-}
-
-TEST(EventQueueDifferential, FullSimulationJournalsMatch) {
-  for (const std::uint64_t seed : {7ull, 0xABCDull}) {
-    const std::vector<std::string> heap = run_chatter(QueueKind::kBinaryHeap, seed);
-    const std::vector<std::string> cal = run_chatter(QueueKind::kCalendar, seed);
-    ASSERT_EQ(heap.size(), cal.size());
-    EXPECT_EQ(heap, cal);
-    EXPECT_GT(heap.size(), 100u) << "web died too early to prove anything";
-  }
 }
 
 }  // namespace

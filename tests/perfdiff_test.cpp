@@ -242,10 +242,10 @@ BenchRecord simspeed_fixture(double events_per_sec) {
   r.schema = 2;
   r.bench = "simspeed";
   r.workload = "storm-1000000";
-  r.manager = "kernel-calendar";
+  r.manager = "kernel-heap";
   r.cores = 1;
   r.makespan = 25970;
-  r.speedup = 4.0;
+  r.speedup = 1.0;
   r.metrics = {{"simspeed/events_per_sec", events_per_sec},
                {"simspeed/wall_us", 1e6}};
   return r;
@@ -260,7 +260,7 @@ TEST(Perfdiff, HigherIsBetterRateRegressesOnCollapseOnly) {
   EXPECT_TRUE(harness::perfdiff_compare(base, {simspeed_fixture(2e6)}).ok());
   // +300%: faster is always fine.
   EXPECT_TRUE(harness::perfdiff_compare(base, {simspeed_fixture(16e6)}).ok());
-  // -95%: the calendar queue collapsed to below a quarter of the baseline.
+  // -95%: the kernel collapsed to below a quarter of the baseline.
   const PerfdiffResult res =
       harness::perfdiff_compare(base, {simspeed_fixture(2e5)});
   EXPECT_FALSE(res.ok());

@@ -1,7 +1,7 @@
 // Multi-tenant Nexus# tests: clustered arbiter hierarchy correctness,
 // flat-mode bit-identity, per-tenant quota NACK isolation and liveness,
-// WRR starvation regression, fairness-harness arithmetic, and the
-// determinism contracts of the tenant driver.
+// WRR starvation regression, fairness-harness arithmetic, the lazy-release
+// arrival path, and the determinism contracts of the tenant driver.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/tenancy.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
@@ -200,24 +199,21 @@ TEST(Tenancy, DisabledTenancyNeverNacks) {
 
 // --- determinism ----------------------------------------------------------
 
-TEST(Tenancy, QueueKindBitIdentity) {
-  // The co-run's every per-task latency must be identical under the heap
-  // and calendar event queues (the repo-wide determinism contract).
+TEST(Tenancy, RunTwiceBitIdentity) {
+  // The co-run's every per-task latency must repeat exactly (the repo-wide
+  // determinism contract).
   TenantSet set = make_tenants({1e6, 4e6, 5e5}, 150);
   NexusSharpConfig cfg = sharp_cfg(2);
   cfg.tenancy.tenants = 3;
   cfg.tenancy.quota.pool = 16;
   cfg.tenancy.weights = {1, 4, 1};
 
-  const QueueKind saved = default_queue_kind();
   std::vector<TenantRunResult> results;
-  for (const QueueKind k : {QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
-    set_default_queue_kind(k);
+  for (int run = 0; run < 2; ++run) {
     NexusSharp mgr(cfg);
     results.push_back(
         run_tenants(set.streams, mgr, RuntimeConfig{.workers = 8}));
   }
-  set_default_queue_kind(saved);
 
   EXPECT_EQ(results[0].makespan, results[1].makespan);
   ASSERT_EQ(results[0].tenants.size(), results[1].tenants.size());
@@ -226,6 +222,71 @@ TEST(Tenancy, QueueKindBitIdentity) {
         << "tenant " << t;
     EXPECT_EQ(results[0].tenants[t].nack_holds,
               results[1].tenants[t].nack_holds);
+  }
+}
+
+// --- lazy releases ---------------------------------------------------------
+
+TEST(Tenancy, NackResumeSubmitsBeforeAFarRelease) {
+  // Tenant 0 offers a burst at t = 0 under quota.pool = 1, so each task
+  // after the first is NACK-held until its predecessor frees its pool slot.
+  // Tenant 1's only task arrives far in the future, so while tenant 0 is
+  // held the port's one queued wake-up is for that release. Every resume
+  // must still submit, and step on to the next task, at its own time.
+  constexpr Tick kFar = ms(10);
+  constexpr int kBurst = 4;
+  Trace burst("burst");
+  for (int i = 0; i < kBurst; ++i)
+    burst.submit(0, us(5), {{0x1000 + 0x40 * static_cast<Addr>(i), Dir::kOut}});
+  Trace late("late");
+  late.submit(0, us(5), {{0x1000, Dir::kOut}});
+  const std::vector<TenantStream> streams = {
+      {&burst, std::vector<Tick>(kBurst, 0)}, {&late, {kFar}}};
+
+  NexusSharpConfig cfg = sharp_cfg(0);
+  cfg.tenancy.tenants = 2;
+  cfg.tenancy.quota.pool = 1;
+  NexusSharp mgr(cfg);
+  const TenantRunResult r =
+      run_tenants(streams, mgr, RuntimeConfig{.workers = 2});
+  ASSERT_EQ(r.tenants[0].tasks, static_cast<std::uint64_t>(kBurst));
+  EXPECT_GE(r.tenants[0].nack_holds, static_cast<std::uint64_t>(kBurst - 1));
+  // The burst runs back to back: a few task lengths, nowhere near kFar.
+  EXPECT_LT(r.tenants[0].max_ps, kBurst * us(20));
+  EXPECT_GE(r.makespan, kFar);
+}
+
+TEST(Tenancy, QueueDepthIsBoundedByTheInFlightSet) {
+  // Releases are lazy (one wake-up per port, at its next release), so the
+  // pending-event set holds only what is in flight: per task in the pool a
+  // few manager-pipeline events, per worker a completion or free event,
+  // and per stream at most a wake-up. It must not grow with the offered
+  // task count, for FIFO and WRR root arbitration alike.
+  TenantSet set = make_tenants({8e6, 2e5, 2e5, 2e5}, 250);
+  std::uint64_t offered = 0;
+  for (const TenantStream& s : set.streams) offered += s.release.size();
+  constexpr std::uint32_t kWorkers = 4;
+  for (const bool weighted : {false, true}) {
+    NexusSharpConfig cfg = sharp_cfg(2);
+    cfg.pool_capacity = 48;
+    cfg.tenancy.tenants = 4;
+    cfg.tenancy.weighted = weighted;
+    if (weighted) cfg.tenancy.quota.pool = 12;
+    NexusSharp mgr(cfg);
+    telemetry::MetricRegistry reg;
+    RuntimeConfig rc;
+    rc.workers = kWorkers;
+    rc.metrics = &reg;
+    const TenantRunResult r = run_tenants(set.streams, mgr, rc);
+    ASSERT_EQ(r.total_tasks, offered);
+
+    const std::uint64_t bound =
+        2 * (cfg.pool_capacity + kWorkers) + set.streams.size();
+    ASSERT_LT(bound, offered) << "the bound must be able to catch eager releases";
+    const auto depth = static_cast<std::uint64_t>(
+        reg.snapshot().gauge_at("sim/queue/max_depth"));
+    EXPECT_GT(depth, 0u);
+    EXPECT_LE(depth, bound) << (weighted ? "wrr" : "fifo");
   }
 }
 
