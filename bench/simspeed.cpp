@@ -1,6 +1,7 @@
-// DES kernel throughput: events/sec of the binary-heap scheduler on (a) a
+// DES kernel throughput: events/sec of the radix-heap scheduler on (a) a
 // synthetic hold-model event storm and (b) Table-II workload runs through
-// the full Nexus# stack.
+// the full Nexus# stack, by default on the ideal fabric plus one run with a
+// mesh NoC on the manager and host fabrics, where per-hop routing is hot.
 //
 // The storm is a PHOLD-style hold model: a fixed in-flight population of
 // events, each handled event scheduling exactly one successor at a seeded
@@ -11,10 +12,11 @@
 // never be reported.
 //
 // With --json=<path> it writes BENCH_simspeed.json records: one row per
-// workload, manager "kernel-heap", the deterministic sim makespan (perfdiff
-// gates it tightly), and wall-clock metrics simspeed/events_per_sec +
-// simspeed/wall_us (gated improvement-only with a generous tolerance —
-// wall clock is machine-dependent). The record's "speedup" field is 1.
+// workload (mesh rows carry topology "mesh"), manager "kernel-heap", the
+// deterministic sim makespan (perfdiff gates it tightly), and wall-clock
+// metrics simspeed/events_per_sec + simspeed/wall_us (gated
+// improvement-only with a generous tolerance — wall clock is
+// machine-dependent). The record's "speedup" field is 1.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -24,6 +26,7 @@
 #include "nexus/common/rng.hpp"
 #include "nexus/common/table.hpp"
 #include "nexus/harness/experiment.hpp"
+#include "nexus/noc/topology.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/telemetry/profile_export.hpp"
 #include "nexus/telemetry/profiler.hpp"
@@ -139,13 +142,18 @@ struct TraceResult {
   double events_per_sec = 0.0;
 };
 
+/// One run_trace through Nexus# (6 TGs) with `fabric` as both the manager
+/// and the host NoC topology.
 TraceResult run_workload(const Trace& tr, std::uint32_t cores,
+                         noc::TopologyKind fabric,
                          telemetry::ProfileData* profile_out = nullptr) {
-  const harness::ManagerSpec spec = harness::ManagerSpec::nexussharp(6);
+  harness::ManagerSpec spec = harness::ManagerSpec::nexussharp(6);
+  spec.sharp.noc.kind = fabric;
   NexusSharp mgr(spec.sharp);
   telemetry::Profiler prof;
   RuntimeConfig rc;
   rc.workers = cores;
+  rc.noc.kind = fabric;
   if (profile_out != nullptr) rc.profiler = &prof;
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult res = run_trace(tr, mgr, rc);
@@ -168,7 +176,8 @@ TraceResult run_workload(const Trace& tr, std::uint32_t cores,
 /// fields in as prof/* gauges.
 std::string record(const std::string& workload, std::uint32_t cores,
                    Tick makespan, std::uint64_t events, double wall_us,
-                   double events_per_sec, const HostProfile* host = nullptr) {
+                   double events_per_sec, const HostProfile* host = nullptr,
+                   noc::TopologyKind fabric = noc::TopologyKind::kIdeal) {
   telemetry::MetricRegistry reg;
   reg.gauge("simspeed/events").set(static_cast<std::int64_t>(events));
   reg.gauge("simspeed/events_per_sec")
@@ -181,10 +190,11 @@ std::string record(const std::string& workload, std::uint32_t cores,
     reg.gauge("prof/total_ns").set(static_cast<std::int64_t>(host->total_ns));
   }
   const telemetry::Snapshot snap = reg.snapshot();
-  // "kernel-heap" keeps the join key of the records committed before the
-  // heap became the only queue.
+  // "kernel-heap" keeps the join key of the rows committed while the queue
+  // was a binary heap.
   return harness::metrics_report_json("simspeed", workload, "kernel-heap",
-                                      cores, makespan, 1.0, &snap);
+                                      cores, makespan, 1.0, &snap, nullptr,
+                                      noc::to_string(fabric));
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -210,8 +220,10 @@ int main(int argc, char** argv) {
        {"components", "storm component count (default 256)"},
        {"seed", "storm rng seed (default 42)"},
        {"workloads",
-        "comma-separated Table II workloads to time through run_trace "
-        "(default sparselu,h264dec-8x8-10f; \"none\" to skip)"},
+        "comma-separated Table II workloads to time through run_trace; a "
+        "\":<topology>\" suffix puts that NoC on the manager and host "
+        "fabrics (default sparselu,h264dec-8x8-10f,gaussian-250:mesh; "
+        "\"none\" to skip)"},
        {"cores", "worker cores for the workload runs (default 32)"},
        {"prof",
         "profiled re-run per row: fold prof/*_ns host-time gauges into "
@@ -275,32 +287,40 @@ int main(int argc, char** argv) {
                     storm.events_per_sec, prof_mode ? &storm_host : nullptr));
 
   // --- Table II workloads through the full stack, each run twice ---
-  std::vector<std::string> selected =
-      split_csv(flags.get("workloads", "sparselu,h264dec-8x8-10f"));
+  std::vector<std::string> selected = split_csv(
+      flags.get("workloads", "sparselu,h264dec-8x8-10f,gaussian-250:mesh"));
   if (selected.size() == 1 && selected[0] == "none") selected.clear();
-  for (const auto& name : selected) {
+  for (const std::string& label : selected) {
+    const std::size_t colon = label.find(':');
+    const std::string name = label.substr(0, colon);
+    noc::TopologyKind fabric = noc::TopologyKind::kIdeal;
+    if (colon != std::string::npos &&
+        !noc::parse_topology(label.substr(colon + 1), &fabric)) {
+      std::fprintf(stderr, "unknown topology in: %s\n", label.c_str());
+      return 2;
+    }
     if (!workloads::is_workload(name)) {
       std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
       return 2;
     }
     const Trace tr = workloads::make_workload(name);
-    const TraceResult r = run_workload(tr, cores);
-    const TraceResult r2 = run_workload(tr, cores);
+    const TraceResult r = run_workload(tr, cores, fabric);
+    const TraceResult r2 = run_workload(tr, cores, fabric);
     if (r.makespan != r2.makespan || r.events != r2.events) {
-      std::fprintf(stderr, "FATAL: %s did not repeat\n", name.c_str());
+      std::fprintf(stderr, "FATAL: %s did not repeat\n", label.c_str());
       return 2;
     }
-    add(name, r.events, r.wall_us, r.events_per_sec);
+    add(label, r.events, r.wall_us, r.events_per_sec);
     HostProfile host;
     if (prof_mode) {
       telemetry::ProfileData d;
-      run_workload(tr, cores, &d);
+      run_workload(tr, cores, fabric, &d);
       host = host_profile_from(d);
-      std::printf("--- %s self-time (profiled re-run) ---\n%s\n", name.c_str(),
-                  telemetry::profile_top_table(d, 10).c_str());
+      std::printf("--- %s self-time (profiled re-run) ---\n%s\n",
+                  label.c_str(), telemetry::profile_top_table(d, 10).c_str());
     }
     out.append(record(name, cores, r.makespan, r.events, r.wall_us,
-                      r.events_per_sec, prof_mode ? &host : nullptr));
+                      r.events_per_sec, prof_mode ? &host : nullptr, fabric));
   }
 
   t.print();
@@ -320,9 +340,10 @@ int main(int argc, char** argv) {
     const Trace smoke = workloads::make_workload("gaussian-250");
     double detached_us = 0.0, attached_us = 0.0;
     for (int i = 0; i < 3; ++i) {
-      const double d = run_workload(smoke, 8).wall_us;
+      const double d = run_workload(smoke, 8, noc::TopologyKind::kIdeal).wall_us;
       telemetry::ProfileData unused;
-      const double a = run_workload(smoke, 8, &unused).wall_us;
+      const double a =
+          run_workload(smoke, 8, noc::TopologyKind::kIdeal, &unused).wall_us;
       if (detached_us == 0.0 || d < detached_us) detached_us = d;
       if (attached_us == 0.0 || a < attached_us) attached_us = a;
     }

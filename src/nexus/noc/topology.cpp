@@ -37,7 +37,6 @@ Topology::Topology(TopologyKind kind, std::uint32_t endpoints,
     case TopologyKind::kIdeal:
       break;  // a crossbar: no modelled links
     case TopologyKind::kRing: {
-      out_links_.resize(nodes_);
       // Clockwise links first (i -> i+1), then counter-clockwise. A 2-node
       // ring keeps one link per direction (the counter-clockwise set would
       // duplicate it); a 1-node ring has no links at all.
@@ -60,7 +59,6 @@ Topology::Topology(TopologyKind kind, std::uint32_t endpoints,
       NEXUS_ASSERT_MSG(cols_ >= 1, "mesh needs at least one column");
       rows_ = (endpoints_ + cols_ - 1) / cols_;
       nodes_ = rows_ * cols_;  // full router grid; fillers host no endpoint
-      out_links_.resize(nodes_);
       for (NodeId n = 0; n < nodes_; ++n) {
         const std::uint32_t x = n % cols_;
         const std::uint32_t y = n / cols_;
@@ -86,18 +84,24 @@ Topology::Topology(TopologyKind kind, std::uint32_t endpoints,
       break;
     }
   }
+  if (kind_ != TopologyKind::kIdeal) build_route_table();
 }
 
-void Topology::add_link(NodeId src, NodeId dst) {
-  out_links_[src].push_back(static_cast<LinkId>(links_.size()));
-  links_.push_back(Link{src, dst});
-}
-
-LinkId Topology::link_between(NodeId a, NodeId b) const {
-  for (const LinkId l : out_links_[a])
-    if (links_[l].dst == b) return l;
-  NEXUS_ASSERT_MSG(false, "no link between adjacent nodes");
-  return 0;
+void Topology::build_route_table() {
+  constexpr LinkId kNone = ~LinkId{0};
+  const std::size_t n = nodes_;
+  std::vector<LinkId> link_to(n * n, kNone);  // [src * n + dst] -> link
+  for (LinkId l = 0; l < links_.size(); ++l)
+    link_to[links_[l].src * n + links_[l].dst] = l;
+  next_.assign(n * n, kNone);  // the diagonal (from == to) stays kNone
+  for (NodeId from = 0; from < nodes_; ++from) {
+    for (NodeId to = 0; to < nodes_; ++to) {
+      if (from == to) continue;
+      const LinkId l = link_to[from * n + next_node(from, to)];
+      NEXUS_ASSERT_MSG(l != kNone, "no link between adjacent nodes");
+      next_[from * n + to] = l;
+    }
+  }
 }
 
 std::uint32_t Topology::hops(NodeId from, NodeId to) const {
@@ -131,17 +135,12 @@ std::uint32_t Topology::hops(NodeId from, NodeId to) const {
   return 0;
 }
 
-LinkId Topology::next_link(NodeId from, NodeId to) const {
-  NEXUS_DCHECK(from != to && from < nodes_ && to < nodes_);
-  NEXUS_ASSERT_MSG(kind_ != TopologyKind::kIdeal,
-                   "the ideal crossbar has no routed links");
+NodeId Topology::next_node(NodeId from, NodeId to) const {
   if (kind_ == TopologyKind::kRing) {
     const std::uint32_t cw = (to + nodes_ - from) % nodes_;
     const std::uint32_t ccw = (from + nodes_ - to) % nodes_;
     // Shortest way; clockwise on a tie (deterministic across runs).
-    const NodeId next = cw <= ccw ? (from + 1) % nodes_
-                                  : (from + nodes_ - 1) % nodes_;
-    return link_between(from, next);
+    return cw <= ccw ? (from + 1) % nodes_ : (from + nodes_ - 1) % nodes_;
   }
   // Mesh/torus: dimension-ordered XY routing — exhaust the x offset, then
   // y. The torus additionally picks the shorter way around each dimension's
@@ -150,25 +149,20 @@ LinkId Topology::next_link(NodeId from, NodeId to) const {
   const std::uint32_t tx = to % cols_;
   const std::uint32_t fy = from / cols_;
   const std::uint32_t ty = to / cols_;
-  NodeId next = 0;
   if (kind_ == TopologyKind::kTorus) {
     if (fx != tx) {
       const std::uint32_t fwd = (tx + cols_ - fx) % cols_;
       const std::uint32_t nx = fwd <= cols_ - fwd ? (fx + 1) % cols_
                                                   : (fx + cols_ - 1) % cols_;
-      next = fy * cols_ + nx;
-    } else {
-      const std::uint32_t fwd = (ty + rows_ - fy) % rows_;
-      const std::uint32_t ny = fwd <= rows_ - fwd ? (fy + 1) % rows_
-                                                  : (fy + rows_ - 1) % rows_;
-      next = ny * cols_ + fx;
+      return fy * cols_ + nx;
     }
-  } else if (fx != tx) {
-    next = fx < tx ? from + 1 : from - 1;
-  } else {
-    next = fy < ty ? from + cols_ : from - cols_;
+    const std::uint32_t fwd = (ty + rows_ - fy) % rows_;
+    const std::uint32_t ny = fwd <= rows_ - fwd ? (fy + 1) % rows_
+                                                : (fy + rows_ - 1) % rows_;
+    return ny * cols_ + fx;
   }
-  return link_between(from, next);
+  if (fx != tx) return fx < tx ? from + 1 : from - 1;
+  return fy < ty ? from + cols_ : from - cols_;
 }
 
 void Topology::route(NodeId from, NodeId to, std::vector<LinkId>* out) const {

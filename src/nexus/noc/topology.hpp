@@ -9,10 +9,11 @@
 // ring, a 2D mesh, or a 2D torus (the mesh plus wraparound links), and
 // computes deterministic hop routes (XY routing on the mesh, shortest-way
 // XY with wraparound on the torus, shortest-way with a clockwise tie-break
-// on the ring). The Network (network.hpp) carries messages over those
+// on the ring), tabulated once per topology so a hop is one table load. The Network (network.hpp) carries messages over those
 // routes with per-hop latency and per-link serialization.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -107,9 +108,14 @@ class Topology {
   /// ideal-crossbar traversal).
   [[nodiscard]] std::uint32_t hops(NodeId from, NodeId to) const;
 
-  /// First link of the route from `from` towards `to`. Precondition:
-  /// from != to and the topology is not ideal (the crossbar has no links).
-  [[nodiscard]] LinkId next_link(NodeId from, NodeId to) const;
+  /// First link of the route from `from` towards `to`: one load from the
+  /// route table the constructor builds. Precondition: from != to and the
+  /// topology is not ideal (the crossbar has no links).
+  [[nodiscard]] LinkId next_link(NodeId from, NodeId to) const {
+    NEXUS_DCHECK(from != to && from < nodes_ && to < nodes_);
+    NEXUS_DCHECK(kind_ != TopologyKind::kIdeal);
+    return next_[static_cast<std::size_t>(from) * nodes_ + to];
+  }
 
   [[nodiscard]] NodeId link_src(LinkId l) const { return links_[l].src; }
   [[nodiscard]] NodeId link_dst(LinkId l) const { return links_[l].dst; }
@@ -129,8 +135,11 @@ class Topology {
     NodeId dst = 0;
   };
 
-  [[nodiscard]] LinkId link_between(NodeId a, NodeId b) const;
-  void add_link(NodeId src, NodeId dst);
+  /// The routing rule: the neighbour the route from `from` to `to` steps
+  /// to first. Only the route-table builder calls it.
+  [[nodiscard]] NodeId next_node(NodeId from, NodeId to) const;
+  void add_link(NodeId src, NodeId dst) { links_.push_back(Link{src, dst}); }
+  void build_route_table();
 
   TopologyKind kind_;
   std::uint32_t endpoints_;
@@ -138,8 +147,9 @@ class Topology {
   std::uint32_t cols_ = 0;
   std::uint32_t nodes_;
   std::vector<Link> links_;
-  /// Outgoing link ids per node (degree <= 4), searched linearly.
-  std::vector<std::vector<LinkId>> out_links_;
+  /// Dense route table, row-major nodes x nodes: next_[from * nodes + to]
+  /// is next_link(from, to) (empty for the ideal crossbar).
+  std::vector<LinkId> next_;
 };
 
 }  // namespace nexus::noc

@@ -1,12 +1,19 @@
 // The DES scheduler's pop-order contract: earliest time first, ties broken
 // by issue sequence, so same-tick events pop in insertion order and a
 // far-future straggler waits its turn; plus the max-depth high-water the
-// sim/queue/max_depth gauge reports.
+// sim/queue/max_depth gauge reports. The differential tests replay seeded
+// monotone push/pop interleavings through the radix heap and a reference
+// binary heap (std::priority_queue over EventLater) and require the same
+// (t, seq) pop sequence and the same max depth.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
+#include "nexus/common/rng.hpp"
 #include "nexus/sim/event_queue.hpp"
 #include "nexus/sim/time.hpp"
 
@@ -14,8 +21,8 @@ namespace nexus {
 namespace {
 
 TEST(QueueKind, ToString) {
-  EXPECT_STREQ(to_string(QueueKind::kBinaryHeap), "heap");
-  EXPECT_EQ(default_queue_kind(), QueueKind::kBinaryHeap);
+  EXPECT_STREQ(to_string(QueueKind::kRadixHeap), "radix-heap");
+  EXPECT_EQ(default_queue_kind(), QueueKind::kRadixHeap);
 }
 
 Event ev_at(Tick t, std::uint64_t seq) { return Event{t, seq, 0, 0, seq, 0}; }
@@ -75,6 +82,177 @@ TEST(EventQueueDepth, HeapTracksMaxDepthToo) {
   for (int i = 0; i < 5; ++i) (void)q.pop();
   for (int i = 0; i < 3; ++i) q.push(ev_at(ns(50 + i), seq++));
   EXPECT_EQ(q.max_depth(), 10u);  // the first wave's peak
+}
+
+// ---------- differential: radix heap vs a reference binary heap ----------
+
+/// Drives an EventQueue and a reference std::priority_queue in lockstep.
+/// Pushes must be monotone (t >= the last popped t), as in the kernel.
+class Differential {
+ public:
+  void push(Tick t) {
+    ASSERT_GE(t, now_) << "test bug: non-monotone push";
+    const Event ev = ev_at(t, seq_++);
+    q_.push(ev);
+    ref_.push(ev);
+    if (ref_.size() > ref_max_) ref_max_ = ref_.size();
+  }
+
+  /// Pop one event from both and require the same (t, seq).
+  void pop() {
+    ASSERT_FALSE(q_.empty());
+    ASSERT_FALSE(ref_.empty());
+    const Event got = q_.pop();
+    const Event want = ref_.top();
+    ref_.pop();
+    ASSERT_EQ(got.t, want.t) << "pop #" << pops_;
+    ASSERT_EQ(got.seq, want.seq) << "pop #" << pops_;
+    ASSERT_EQ(got.a, want.a);
+    now_ = got.t;
+    ++pops_;
+  }
+
+  void drain() {
+    while (!ref_.empty()) {
+      pop();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q_.empty());
+  }
+
+  void check_sizes() const {
+    EXPECT_EQ(q_.size(), ref_.size());
+    EXPECT_EQ(q_.max_depth(), ref_max_);
+  }
+
+  [[nodiscard]] Tick now() const { return now_; }
+  [[nodiscard]] std::size_t size() const { return ref_.size(); }
+  [[nodiscard]] std::uint64_t pops() const { return pops_; }
+
+ private:
+  EventQueue q_;
+  std::priority_queue<Event, std::vector<Event>, EventLater> ref_;
+  std::size_t ref_max_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t pops_ = 0;
+  Tick now_ = 0;
+};
+
+TEST(EventQueueDifferential, SeededMonotoneInterleavings) {
+  // Hold-model mixes: mostly small delays, same-tick bursts (pushed while
+  // bucket 0 is draining), and far-future stragglers.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    Differential d;
+    for (int i = 0; i < 64; ++i)
+      d.push(static_cast<Tick>(rng.below(1000)));
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t sel = rng.below(100);
+      if (d.size() > 0 && sel < 45) {
+        d.pop();
+      } else {
+        const std::uint64_t kind = rng.below(16);
+        const Tick delay = kind < 3   ? 0  // same tick
+                           : kind < 4 ? static_cast<Tick>(rng.below(1u << 30))
+                                      : static_cast<Tick>(rng.below(2000));
+        d.push(d.now() + delay);
+      }
+      if (HasFatalFailure()) return;
+    }
+    d.check_sizes();
+    d.drain();
+    d.check_sizes();
+  }
+}
+
+TEST(EventQueueDifferential, SameTickBurstWhileBucketZeroDrains) {
+  Differential d;
+  for (int i = 0; i < 8; ++i) d.push(ns(5));
+  d.push(ns(6));
+  d.push(ns(9));
+  // Each pop at t = 5 ns schedules two more at the same tick (and one at
+  // 6 ns), so bucket 0 keeps growing behind its head while it drains.
+  for (int i = 0; i < 200; ++i) {
+    d.pop();
+    ASSERT_FALSE(HasFatalFailure());
+    if (d.now() == ns(5) && i < 100) {
+      d.push(ns(5));
+      d.push(ns(5));
+      d.push(ns(6));
+    }
+  }
+  d.drain();
+  d.check_sizes();
+}
+
+TEST(EventQueueDifferential, PowerOfTwoBoundaries) {
+  // Keys straddling every bit boundary: 2^k - 1, 2^k and 2^k + 1, pushed in
+  // scrambled order, then popped with refills landing on each boundary.
+  Differential d;
+  std::vector<Tick> keys;
+  for (int k = 1; k < 62; ++k) {
+    const Tick p = Tick{1} << k;
+    keys.push_back(p + 1);
+    keys.push_back(p - 1);
+    keys.push_back(p);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    d.push(keys[(i * 37) % keys.size()]);
+  // Interleave: after each pop, push the next boundary triple above now().
+  for (int i = 0; i < 120; ++i) {
+    d.pop();
+    ASSERT_FALSE(HasFatalFailure());
+    const Tick now = d.now();
+    d.push(now);
+    if (now >= 1) d.push(now + 1);
+  }
+  d.drain();
+  d.check_sizes();
+}
+
+TEST(EventQueueDifferential, KeysNearTwoToTheSixtySecond) {
+  // Near the top of the Tick range: bucket indices up to 63 and XORs whose
+  // highest bit is bit 62.
+  Differential d;
+  const Tick base = Tick{1} << 62;
+  d.push(3);
+  d.push(base - 1);
+  d.push(base + 5);
+  d.push(base);
+  d.push(base + 5);
+  d.push(base - 1);
+  d.pop();  // 3
+  ASSERT_FALSE(HasFatalFailure());
+  d.push(base - 2);
+  d.push((Tick{1} << 62) + (Tick{1} << 61));
+  for (int i = 0; i < 4; ++i) {
+    d.pop();
+    ASSERT_FALSE(HasFatalFailure());
+    d.push(d.now() + (Tick{1} << 40));
+    d.push(d.now());
+  }
+  d.drain();
+  d.check_sizes();
+}
+
+TEST(EventQueueDifferential, RefillLeavesSeveralEqualTimes) {
+  // One high bucket holding several equal-t groups in interleaved push
+  // order: the refill must hand each group to bucket 0 in seq order.
+  Differential d;
+  d.push(0);
+  for (int rep = 0; rep < 4; ++rep) {
+    d.push(ns(300));
+    d.push(ns(260));
+    d.push(ns(300));
+    d.push(ns(257));
+    d.push(ns(260));
+  }
+  d.pop();  // t = 0; the rest sit together above it
+  ASSERT_FALSE(HasFatalFailure());
+  d.push(ns(257));  // joins its equal-t group after the refill set
+  d.drain();
+  d.check_sizes();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // nexus::noc tests: routing geometry (XY mesh, shortest-way ring, torus
-// wraparound), multi-flit serialization and flit conservation, link
-// contention, queuing/backpressure behind a bottleneck link, hop-count
-// goldens, the placement search, and the subsystem's load-bearing contract
+// wraparound) and the precomputed route table, multi-flit serialization
+// and flit conservation, link contention, queuing/backpressure behind a
+// bottleneck link, hop-count goldens, the placement search, and the subsystem's load-bearing contract
 // — the ideal topology reproduces the pre-NoC ("seed") makespans
 // bit-identically even with multi-flit accounting, while ring/mesh/torus
 // bound them from above.
@@ -189,6 +189,98 @@ TEST(Topology, LinkLabelsAreTelemetryPathSafe) {
   const std::string label = t.link_label(0);
   EXPECT_EQ(label, "l0_0to1");
   EXPECT_EQ(label.find('/'), std::string::npos);
+}
+
+// ---------- route table ----------
+
+/// The routing rule spelled out arithmetically, independent of the
+/// Topology's own builder: the neighbour a route from `from` to `to` steps
+/// to first.
+noc::NodeId expected_next(const Topology& t, noc::NodeId from,
+                          noc::NodeId to) {
+  const std::uint32_t n = t.node_count();
+  if (t.kind() == TopologyKind::kRing) {
+    const std::uint32_t cw = (to + n - from) % n;
+    const std::uint32_t ccw = (from + n - to) % n;
+    return cw <= ccw ? (from + 1) % n : (from + n - 1) % n;  // tie: clockwise
+  }
+  const std::uint32_t cols = t.cols();
+  const std::uint32_t rows = t.rows();
+  const std::uint32_t fx = from % cols, fy = from / cols;
+  const std::uint32_t tx = to % cols, ty = to / cols;
+  // One step along a dimension of size `len` from `f` towards `d`.
+  auto step = [&t](std::uint32_t f, std::uint32_t d, std::uint32_t len) {
+    if (t.kind() == TopologyKind::kTorus) {
+      const std::uint32_t fwd = (d + len - f) % len;
+      return fwd <= len - fwd ? (f + 1) % len : (f + len - 1) % len;
+    }
+    return f < d ? f + 1 : f - 1;
+  };
+  if (fx != tx) return fy * cols + step(fx, tx, cols);  // x first
+  return step(fy, ty, rows) * cols + fx;
+}
+
+/// Walk next_link from every node to every other node: each step must
+/// leave the current node towards the arithmetic rule's neighbour, and the
+/// walk must reach `to` in exactly hops(from, to) steps.
+void expect_route_table_matches_rule(const Topology& t) {
+  const std::uint32_t n = t.node_count();
+  for (noc::NodeId from = 0; from < n; ++from) {
+    for (noc::NodeId to = 0; to < n; ++to) {
+      if (from == to) continue;
+      noc::NodeId at = from;
+      std::uint32_t steps = 0;
+      while (at != to && steps <= n) {
+        const noc::LinkId l = t.next_link(at, to);
+        ASSERT_LT(l, t.link_count()) << t.describe() << " " << at << "->" << to;
+        ASSERT_EQ(t.link_src(l), at);
+        ASSERT_EQ(t.link_dst(l), expected_next(t, at, to))
+            << t.describe() << " from " << from << " to " << to << " at " << at;
+        at = t.link_dst(l);
+        ++steps;
+      }
+      ASSERT_EQ(at, to) << t.describe() << " " << from << "->" << to;
+      ASSERT_EQ(steps, t.hops(from, to))
+          << t.describe() << " " << from << "->" << to;
+    }
+  }
+}
+
+TEST(RouteTable, RingsMatchTheShortestWayRule) {
+  const Topology one(TopologyKind::kRing, 1);
+  EXPECT_EQ(one.node_count(), 1u);
+  EXPECT_EQ(one.link_count(), 0u);
+  for (const std::uint32_t nodes : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(nodes);
+    expect_route_table_matches_rule(Topology(TopologyKind::kRing, nodes));
+  }
+}
+
+TEST(RouteTable, MeshesAndToriMatchTheXYRule) {
+  struct Shape {
+    std::uint32_t endpoints;
+    std::uint32_t mesh_cols;
+    std::uint32_t rows;
+    std::uint32_t cols;
+  };
+  const Shape shapes[] = {
+      {5, 5, 1, 5},    // 1 x N
+      {5, 1, 5, 1},    // N x 1
+      {4, 0, 2, 2},    // 2 x 2
+      {9, 0, 3, 3},    // 3 x 3
+      {33, 0, 6, 6},   // 6 x 6 with three filler routers
+      {10, 4, 3, 4},   // explicit mesh_cols, two fillers
+  };
+  for (const TopologyKind kind : {TopologyKind::kMesh, TopologyKind::kTorus}) {
+    for (const Shape& s : shapes) {
+      const Topology t(kind, s.endpoints, s.mesh_cols);
+      SCOPED_TRACE(t.describe());
+      ASSERT_EQ(t.rows(), s.rows);
+      ASSERT_EQ(t.cols(), s.cols);
+      expect_route_table_matches_rule(t);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---------- network dynamics ----------
