@@ -4,8 +4,15 @@
 // counts included) — with 64-bit FNV-1a, and pins the digest. Any change to
 // submission order, dispatch, notification or same-tick event order moves a
 // digest, so a driver refactor that keeps them all is bit-identical.
+//
+// The GoldenSurface cases pin the observation surface the same way: with a
+// metric registry, a trace recorder and a profiler all attached, they hash
+// the full snapshot JSON, the frozen trace and the sorted set of profile
+// node paths (names only; the times are host wall clock). A change to how
+// instrumentation is attached that keeps them is invisible to every report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -13,9 +20,14 @@
 
 #include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
+#include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/multi_app.hpp"
 #include "nexus/runtime/nanos_model.hpp"
 #include "nexus/runtime/tenancy.hpp"
+#include "nexus/telemetry/profiler.hpp"
+#include "nexus/telemetry/registry.hpp"
+#include "nexus/telemetry/trace.hpp"
+#include "nexus/telemetry/writers.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
@@ -240,6 +252,146 @@ TEST(Golden, RunTenantsPoolFullStall) {
             0xd6b9af7eb88ee190ULL);
   EXPECT_EQ(m.stats().nacks, 0u);
   EXPECT_EQ(m.stats().pool_peak, 6u);  // a full pool stalls the whole port
+}
+
+// ---------------------------------------------------------------------------
+// The observation surface: metrics, trace and profile shape.
+// ---------------------------------------------------------------------------
+
+/// The three observers of one run and the digests of what they collected.
+struct Surface {
+  telemetry::MetricRegistry reg;
+  telemetry::TraceRecorder trace;
+  telemetry::Profiler prof;
+
+  /// `rc` with all three observers attached.
+  [[nodiscard]] RuntimeConfig observed(RuntimeConfig rc) {
+    rc.metrics = &reg;
+    rc.trace = &trace;
+    rc.profiler = &prof;
+    return rc;
+  }
+
+  [[nodiscard]] std::uint64_t metrics_digest() const {
+    Fnv1a h;
+    h.add(telemetry::snapshot_json(reg.snapshot()));
+    return h.value();
+  }
+
+  [[nodiscard]] std::uint64_t trace_digest() const {
+    const telemetry::TraceData d = trace.freeze();
+    Fnv1a h;
+    h.add(static_cast<std::uint64_t>(d.tasks.size()));
+    for (const telemetry::TaskSpan& t : d.tasks) {
+      h.add(t.task);
+      h.add(static_cast<std::int64_t>(t.worker));
+      for (const telemetry::TraceTick v :
+           {t.submit, t.accepted, t.resolved, t.ready, t.dispatch, t.exec_start,
+            t.exec_end, t.freed})
+        h.add(v);
+    }
+    h.add(static_cast<std::uint64_t>(d.messages.size()));
+    for (const telemetry::NocMessage& m : d.messages) {
+      h.add(d.str(m.net));
+      h.add(d.str(m.op));
+      h.add(static_cast<std::uint64_t>(m.src));
+      h.add(static_cast<std::uint64_t>(m.dst));
+      h.add(static_cast<std::uint64_t>(m.flits));
+      h.add(m.depart);
+      h.add(m.arrive);
+    }
+    h.add(static_cast<std::uint64_t>(d.link_spans.size()));
+    for (const telemetry::LinkSpan& l : d.link_spans) {
+      h.add(static_cast<std::uint64_t>(l.msg));
+      h.add(d.str(l.link));
+      h.add(l.start);
+      h.add(l.dur);
+    }
+    h.add(static_cast<std::uint64_t>(d.deps.size()));
+    for (const telemetry::DepEdge& e : d.deps) {
+      h.add(e.producer);
+      h.add(e.consumer);
+      h.add(e.t);
+    }
+    h.add(static_cast<std::uint64_t>(d.unit_spans.size()));
+    for (const telemetry::UnitSpan& u : d.unit_spans) {
+      h.add(d.str(u.unit));
+      h.add(d.str(u.what));
+      h.add(u.task);
+      h.add(u.start);
+      h.add(u.dur);
+    }
+    h.add(static_cast<std::uint64_t>(d.counters.size()));
+    for (const telemetry::CounterSample& c : d.counters) {
+      h.add(d.str(c.track));
+      h.add(c.t);
+      h.add(c.v);
+    }
+    h.add(d.makespan);
+    return h.value();
+  }
+
+  [[nodiscard]] std::uint64_t profile_digest() const {
+    const telemetry::ProfileData d = prof.freeze();
+    std::vector<std::string> paths;
+    for (std::uint32_t i = 0; i < d.nodes.size(); ++i) paths.push_back(d.path_of(i));
+    std::sort(paths.begin(), paths.end());
+    Fnv1a h;
+    for (const std::string& p : paths) h.add(p);
+    return h.value();
+  }
+};
+
+TEST(GoldenSurface, NexusSharpClusteredTenantsOnMeshes) {
+  const Tenants set = make_tenants({4e6, 1e6, 1e6, 1e6}, 80);
+  NexusSharpConfig cfg = sharp(4);
+  cfg.arbiter_clusters = 2;
+  cfg.pool_capacity = 32;
+  cfg.tenancy.tenants = 4;
+  cfg.tenancy.quota.pool = 8;
+  cfg.tenancy.weights = {2, 1, 1, 1};
+  cfg.noc.kind = noc::TopologyKind::kMesh;
+  NexusSharp m(cfg);
+  RuntimeConfig rc{.workers = 4};
+  rc.noc.kind = noc::TopologyKind::kMesh;
+  Surface s;
+  run_tenants(set.streams, m, s.observed(rc));
+  EXPECT_GT(m.stats().nacks, 0u);
+  EXPECT_EQ(s.metrics_digest(), 0xbc5b20c6a424f4beULL) << "metrics";
+  EXPECT_EQ(s.trace_digest(), 0x7877d0b2e84696dcULL) << "trace";
+  EXPECT_EQ(s.profile_digest(), 0x2779067224782905ULL) << "profile";
+}
+
+TEST(GoldenSurface, NexusPPOnRing) {
+  const Trace gauss = workloads::make_gaussian({.n = 30});
+  NexusPPConfig cfg;
+  cfg.noc.kind = noc::TopologyKind::kRing;
+  NexusPP m(cfg);
+  Surface s;
+  run_trace(gauss, m, s.observed(RuntimeConfig{.workers = 4}));
+  EXPECT_EQ(s.metrics_digest(), 0xe6ba87404927b3b9ULL) << "metrics";
+  EXPECT_EQ(s.trace_digest(), 0x42e49514565698a8ULL) << "trace";
+  EXPECT_EQ(s.profile_digest(), 0x2a2b64df45b0e490ULL) << "profile";
+}
+
+TEST(GoldenSurface, NanosModel) {
+  const Trace gauss = workloads::make_gaussian({.n = 30});
+  NanosModel m;
+  Surface s;
+  run_trace(gauss, m, s.observed(RuntimeConfig{.workers = 4}));
+  EXPECT_EQ(s.metrics_digest(), 0x8c6165ca437f1af6ULL) << "metrics";
+  EXPECT_EQ(s.trace_digest(), 0x31a1a9ed18138b70ULL) << "trace";
+  EXPECT_EQ(s.profile_digest(), 0x4a47b3b18a1249c8ULL) << "profile";
+}
+
+TEST(GoldenSurface, IdealManager) {
+  const Trace gauss = workloads::make_gaussian({.n = 30});
+  IdealManager m;
+  Surface s;
+  run_trace(gauss, m, s.observed(RuntimeConfig{.workers = 4}));
+  EXPECT_EQ(s.metrics_digest(), 0xe053311403b900c6ULL) << "metrics";
+  EXPECT_EQ(s.trace_digest(), 0x7836c5c56b1036b4ULL) << "trace";
+  EXPECT_EQ(s.profile_digest(), 0xbc5ad926cc5bacfdULL) << "profile";
 }
 
 }  // namespace
