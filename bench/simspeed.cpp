@@ -101,7 +101,7 @@ StormResult run_storm(std::uint64_t n_events, std::uint64_t inflight,
                       telemetry::ProfileData* profile_out = nullptr) {
   Simulation sim;
   telemetry::Profiler prof;
-  if (profile_out != nullptr) sim.bind_profiler(prof);
+  if (profile_out != nullptr) sim.bind({.profiler = &prof});
   std::uint64_t checksum = 0x6E78757353696D21ULL;
   std::vector<StormCore> cores;
   cores.reserve(ncomp);

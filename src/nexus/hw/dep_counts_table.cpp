@@ -36,17 +36,16 @@ bool DepCountsTable::decrement(TaskId id, telemetry::TraceTick at) {
   return false;
 }
 
-void DepCountsTable::bind_telemetry(telemetry::MetricRegistry& reg,
-                                    std::string_view prefix) {
-  m_parked_ = &reg.counter(telemetry::path_join(prefix, "parked"));
-  m_hits_ = &reg.counter(telemetry::path_join(prefix, "hits"));
-  m_released_ = &reg.counter(telemetry::path_join(prefix, "released"));
-  m_occupancy_ = &reg.histogram(telemetry::path_join(prefix, "occupancy"));
-}
-
-void DepCountsTable::bind_trace(telemetry::TraceRecorder* trace,
-                                std::string_view track) {
-  trace_ = trace;
+void DepCountsTable::bind(const telemetry::Observers& obs,
+                          std::string_view prefix, std::string_view track) {
+  if (obs.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *obs.metrics;
+    m_parked_ = &reg.counter(telemetry::path_join(prefix, "parked"));
+    m_hits_ = &reg.counter(telemetry::path_join(prefix, "hits"));
+    m_released_ = &reg.counter(telemetry::path_join(prefix, "released"));
+    m_occupancy_ = &reg.histogram(telemetry::path_join(prefix, "occupancy"));
+  }
+  trace_ = obs.trace;
   track_ = std::string(track);
 }
 

@@ -12,7 +12,7 @@
 
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
-#include "nexus/telemetry/fwd.hpp"
+#include "nexus/telemetry/observers.hpp"
 
 namespace nexus::hw {
 
@@ -36,12 +36,11 @@ class DepCountsTable {
   void configure_tenancy(std::uint32_t tenants) { tenants_.configure(tenants); }
   [[nodiscard]] const TenantLedger& tenant_ledger() const { return tenants_; }
 
-  /// Register park/hit metrics under `prefix` (cold path; call before a run).
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-
-  /// Attach a trace recorder; table size lands on counter track `track`
-  /// at each park/release.
-  void bind_trace(telemetry::TraceRecorder* trace, std::string_view track);
+  /// Pick up the run's observers (the owner calls this from its attach):
+  /// park/hit metrics under `prefix`, and the table size on trace counter
+  /// track `track` at each park/release.
+  void bind(const telemetry::Observers& obs, std::string_view prefix,
+            std::string_view track);
 
  private:
   struct Parked {

@@ -183,8 +183,10 @@ bool TaskGraphTable::tracks(Addr addr) const {
   return const_cast<TaskGraphTable*>(this)->find(addr) != nullptr;
 }
 
-void TaskGraphTable::bind_telemetry(telemetry::MetricRegistry& reg,
-                                    std::string_view prefix) {
+void TaskGraphTable::bind(const telemetry::Observers& obs,
+                          std::string_view prefix) {
+  if (obs.metrics == nullptr) return;
+  telemetry::MetricRegistry& reg = *obs.metrics;
   m_inserts_ = &reg.counter(telemetry::path_join(prefix, "inserts"));
   m_queued_ = &reg.counter(telemetry::path_join(prefix, "queued"));
   m_stalls_ = &reg.counter(telemetry::path_join(prefix, "stalls"));

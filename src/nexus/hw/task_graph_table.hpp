@@ -25,7 +25,7 @@
 
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
-#include "nexus/telemetry/fwd.hpp"
+#include "nexus/telemetry/observers.hpp"
 
 namespace nexus::hw {
 
@@ -85,8 +85,9 @@ class TaskGraphTable {
   void configure_tenancy(std::uint32_t tenants) { tenants_.configure(tenants); }
   [[nodiscard]] const TenantLedger& tenant_ledger() const { return tenants_; }
 
-  /// Register fill/stall/chain metrics under `prefix` (cold path).
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
+  /// Pick up the run's observers (the owner calls this from its attach):
+  /// fill/stall/chain metrics under `prefix`.
+  void bind(const telemetry::Observers& obs, std::string_view prefix);
 
  private:
   struct Entry {

@@ -39,18 +39,16 @@ void TaskPool::erase(TaskId id, telemetry::TraceTick at) {
     trace_->counter(track_, at, static_cast<std::int64_t>(slots_.size()));
 }
 
-void TaskPool::bind_telemetry(telemetry::MetricRegistry& reg,
-                              std::string_view prefix) {
-  m_inserts_ = &reg.counter(telemetry::path_join(prefix, "inserts"));
-  m_retired_ = &reg.counter(telemetry::path_join(prefix, "retired"));
-  m_peak_ = &reg.gauge(telemetry::path_join(prefix, "peak"));
-  m_occupancy_ = &reg.histogram(telemetry::path_join(prefix, "occupancy"));
-}
-
-void TaskPool::bind_trace(telemetry::TraceRecorder* trace,
-                          std::string_view track) {
-  trace_ = trace;
-  track_ = std::string(track);
+void TaskPool::bind(const telemetry::Observers& obs, std::string_view name) {
+  if (obs.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *obs.metrics;
+    m_inserts_ = &reg.counter(telemetry::path_join(name, "inserts"));
+    m_retired_ = &reg.counter(telemetry::path_join(name, "retired"));
+    m_peak_ = &reg.gauge(telemetry::path_join(name, "peak"));
+    m_occupancy_ = &reg.histogram(telemetry::path_join(name, "occupancy"));
+  }
+  trace_ = obs.trace;
+  track_ = std::string(name);
 }
 
 }  // namespace nexus::hw

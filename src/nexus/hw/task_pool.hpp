@@ -14,7 +14,7 @@
 
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
-#include "nexus/telemetry/fwd.hpp"
+#include "nexus/telemetry/observers.hpp"
 
 namespace nexus::hw {
 
@@ -45,13 +45,11 @@ class TaskPool {
   [[nodiscard]] const TenantLedger& tenant_ledger() const { return tenants_; }
   [[nodiscard]] TenantLedger& tenant_ledger() { return tenants_; }
 
-  /// Register occupancy/lifecycle metrics under `prefix` (cold path; call
-  /// once before a run). Without this call the pool records nothing.
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-
-  /// Attach a trace recorder; occupancy samples land on counter track
-  /// `track` at each insert/erase.
-  void bind_trace(telemetry::TraceRecorder* trace, std::string_view track);
+  /// Pick up the run's observers (the owner calls this from its attach):
+  /// occupancy/lifecycle metrics under `name`, and occupancy samples on
+  /// trace counter track `name` at each insert/erase. Unbound, the pool
+  /// records nothing.
+  void bind(const telemetry::Observers& obs, std::string_view name);
 
  private:
   std::size_t capacity_;

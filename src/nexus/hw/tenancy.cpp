@@ -22,11 +22,12 @@ void TenantLedger::sub(std::uint32_t tenant) {
   --count_[tenant];
 }
 
-void TenantLedger::bind_telemetry(telemetry::MetricRegistry& reg,
-                                  std::string_view prefix) {
+void TenantLedger::bind(const telemetry::Observers& obs,
+                        std::string_view prefix) {
+  if (obs.metrics == nullptr) return;
   m_peak_.assign(count_.size(), nullptr);
   for (std::uint32_t t = 0; t < count_.size(); ++t)
-    m_peak_[t] = &reg.gauge(telemetry::path_join(
+    m_peak_[t] = &obs.metrics->gauge(telemetry::path_join(
         telemetry::path_join(prefix, telemetry::indexed_path("tenant", t,
                                                              tenants())),
         "peak"));

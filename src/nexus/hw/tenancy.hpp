@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "nexus/common/assert.hpp"
-#include "nexus/telemetry/fwd.hpp"
+#include "nexus/telemetry/observers.hpp"
 
 namespace nexus::hw {
 
@@ -90,9 +90,10 @@ class TenantLedger {
     return peak_[tenant];
   }
 
-  /// Register per-tenant peak-occupancy gauges "<prefix>/tenant<NN>/peak"
-  /// (zero-padded indices; cold path, call once before a run).
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
+  /// Pick up the run's observers (the owner calls this from its attach):
+  /// per-tenant peak-occupancy gauges "<prefix>/tenant<NN>/peak"
+  /// (zero-padded indices).
+  void bind(const telemetry::Observers& obs, std::string_view prefix);
 
  private:
   std::vector<std::uint64_t> count_;

@@ -9,30 +9,10 @@ namespace nexus {
 
 NexusPP::NexusPP(const NexusPPConfig& cfg)
     : cfg_(cfg), clk_(cfg.freq_mhz), pool_(cfg.pool_capacity), table_(cfg.table) {
-  net_ = std::make_unique<noc::Network>(cfg_.noc, npp_noc_endpoints(),
-                                        cfg.freq_mhz,
-                                        clk_.cycles(cfg.fifo_latency));
-}
-
-void NexusPP::bind_telemetry(telemetry::MetricRegistry& reg) {
-  pool_.bind_telemetry(reg, "nexus++/pool");
-  net_->bind_telemetry(reg, "nexus++/noc");
-  table_.bind_telemetry(reg, "nexus++/table");
-  depcounts_.bind_telemetry(reg, "nexus++/dep_counts");
-  m_tasks_in_ = &reg.counter("nexus++/tasks_in");
-  m_ready_out_ = &reg.counter("nexus++/ready_out");
-}
-
-void NexusPP::bind_trace(telemetry::TraceRecorder* trace) {
-  trace_ = trace;
-  pool_.bind_trace(trace, "nexus++/pool");
-  depcounts_.bind_trace(trace, "nexus++/dep_counts");
-  net_->bind_trace(trace, "nexus++/noc",
-                   {"insert", "finish", "pump", "ready", "wb"});
-}
-
-void NexusPP::bind_profiler(Simulation& sim) {
-  net_->bind_profiler(sim, {"insert", "finish", "pump", "ready", "wb"});
+  net_ = std::make_unique<noc::Network>(
+      cfg_.noc, npp_noc_endpoints(), cfg.freq_mhz, clk_.cycles(cfg.fifo_latency),
+      "nexus++/noc",
+      std::vector<std::string>{"insert", "finish", "pump", "ready", "wb"});
 }
 
 void NexusPP::attach(Simulation& sim, RuntimeHost* host) {
@@ -40,6 +20,14 @@ void NexusPP::attach(Simulation& sim, RuntimeHost* host) {
   host_ = host;
   self_ = sim.add_component(this);
   net_->attach(sim);  // after self_, keeping the pre-NoC component id
+  const telemetry::Observers& obs = sim.observers();
+  pool_.bind(obs, "nexus++/pool");
+  table_.bind(obs, "nexus++/table");
+  depcounts_.bind(obs, "nexus++/dep_counts", "nexus++/dep_counts");
+  trace_ = obs.trace;
+  if (obs.metrics == nullptr) return;
+  m_tasks_in_ = &obs.metrics->counter("nexus++/tasks_in");
+  m_ready_out_ = &obs.metrics->counter("nexus++/ready_out");
 }
 
 Tick NexusPP::submit(Simulation& sim, const TaskDescriptor& task) {

@@ -65,16 +65,14 @@ class NexusPP final : public TaskManagerModel, public Component {
   explicit NexusPP(const NexusPPConfig& cfg = {});
 
   // TaskManagerModel
+  /// Registers the block and picks up the simulation's observers: pool,
+  /// table, dep-counts and NoC metrics under "nexus++/";
+  /// dependency-resolution stamps and edges, table port occupancy spans,
+  /// pool/dep-count depth counters and NoC flow events on the trace.
   void attach(Simulation& sim, RuntimeHost* host) override;
   Tick submit(Simulation& sim, const TaskDescriptor& task) override;
   Tick notify_finished(Simulation& sim, TaskId id) override;
   [[nodiscard]] bool supports_taskwait_on() const override { return false; }
-  /// Registers pool/table/dep-counts metrics under "nexus++/".
-  void bind_telemetry(telemetry::MetricRegistry& reg) override;
-  /// Attach a span recorder: dependency-resolution stamps and edges, table
-  /// port occupancy spans, pool/dep-count depth counters, NoC flow events.
-  void bind_trace(telemetry::TraceRecorder* trace) override;
-  void bind_profiler(Simulation& sim) override;
   [[nodiscard]] const char* name() const override { return "nexus++"; }
 
   // Component

@@ -37,14 +37,16 @@ bool SharpArbiter::dep_pending() const {
   return false;
 }
 
-void SharpArbiter::attach(Simulation& sim, RuntimeHost* host) {
+void SharpArbiter::attach(Simulation& sim, RuntimeHost* host,
+                          std::string_view prefix) {
   host_ = host;
   self_ = sim.add_component(this);
-}
-
-void SharpArbiter::bind_telemetry(telemetry::MetricRegistry& reg,
-                                  std::string_view prefix) {
-  depcounts_.bind_telemetry(reg, telemetry::path_join(prefix, "dep_counts"));
+  const telemetry::Observers& obs = sim.observers();
+  depcounts_.bind(obs, telemetry::path_join(prefix, "dep_counts"),
+                  "nexus#/dep_counts");
+  trace_ = obs.trace;
+  if (obs.metrics == nullptr) return;
+  telemetry::MetricRegistry& reg = *obs.metrics;
   m_grants_ready_ = &reg.counter(telemetry::path_join(prefix, "grants_ready"));
   m_grants_wait_ = &reg.counter(telemetry::path_join(prefix, "grants_wait"));
   m_grants_dep_ = &reg.counter(telemetry::path_join(prefix, "grants_dep"));
@@ -53,11 +55,6 @@ void SharpArbiter::bind_telemetry(telemetry::MetricRegistry& reg,
   m_meta_parks_ = &reg.counter(telemetry::path_join(prefix, "meta_parks"));
   m_ready_depth_ = &reg.histogram(telemetry::path_join(prefix, "ready_q_depth"));
   m_wait_depth_ = &reg.histogram(telemetry::path_join(prefix, "wait_q_depth"));
-}
-
-void SharpArbiter::bind_trace(telemetry::TraceRecorder* trace) {
-  trace_ = trace;
-  depcounts_.bind_trace(trace, "nexus#/dep_counts");
 }
 
 void SharpArbiter::handle(Simulation& sim, const Event& ev) {
@@ -261,19 +258,12 @@ void SharpArbiter::to_writeback(Simulation& sim, Tick from, TaskId id) {
   if (trace_ != nullptr) trace_->on_resolved(id, from);
   const Tick start = std::max(from + cycles(cfg_.fifo_latency), sim.now());
   const Tick done = wb_.acquire(start, cycles(cfg_.writeback_cycles));
-  if (net_->ideal()) {
-    // Legacy behaviour: the WB->IO forward is free (folded into
-    // writeback_cycles). Kept exactly so the default config stays
-    // bit-identical to the pre-NoC model.
-    sim.schedule(done, self_, kWbDone, id);
-  } else {
-    // On a real topology the ready record crosses the interconnect from
-    // this arbiter's tile back to its consumer (IO tile in flat mode, the
-    // root arbiter in clustered mode): ready id + function pointer, one
-    // parameter-sized payload.
-    net_->send(sim, done, self_node_, dst_node_, self_, kWbDone, id, 0,
-               noc::kParamBytes);
-  }
+  // The ready record (id + function pointer, one parameter-sized payload)
+  // returns to its consumer: the IO tile in flat mode, the root arbiter in
+  // clustered mode. The ideal crossbar folds the forward into
+  // writeback_cycles.
+  net_->send_sideband(sim, done, self_node_, dst_node_, self_, kWbDone, id,
+                      noc::kParamBytes);
 }
 
 }  // namespace detail

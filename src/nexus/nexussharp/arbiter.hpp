@@ -44,7 +44,12 @@ class SharpArbiter final : public Component {
                noc::Network* net, std::int64_t self_node = -1,
                std::int64_t dst_node = -1);
 
-  void attach(Simulation& sim, RuntimeHost* host);
+  /// Register with the simulation and pick up its observers: grant,
+  /// conflict and queue metrics (and the dep-counts table's) under
+  /// `prefix`; resolution stamps at write-back entry, grant occupancy spans
+  /// and dep-count depth counters on the trace.
+  void attach(Simulation& sim, RuntimeHost* host,
+              std::string_view prefix = "nexus#/arbiter");
 
   /// Component id for event addressing (valid after attach).
   [[nodiscard]] std::uint32_t component_id() const { return self_; }
@@ -70,14 +75,6 @@ class SharpArbiter final : public Component {
   [[nodiscard]] const char* telemetry_label() const override {
     return "arbiter";
   }
-
-  /// Register grant/conflict/queue metrics (and the dep-counts table's)
-  /// under `prefix`.
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-
-  /// Attach a span recorder: resolution stamps at write-back entry, grant
-  /// occupancy spans, dep-count depth counters.
-  void bind_trace(telemetry::TraceRecorder* trace);
 
   // --- stats ---
   [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }

@@ -8,7 +8,6 @@
 #include "nexus/hw/task_graph_table.hpp"
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/noc/topology.hpp"
-#include "nexus/telemetry/fwd.hpp"
 
 namespace nexus {
 
@@ -44,12 +43,6 @@ struct NexusSharpConfig {
   /// bit-identical to the pre-NoC model; ring/mesh/torus add per-hop
   /// distance and payload-proportional (multi-flit) per-link contention.
   noc::NocConfig noc{};
-
-  /// Optional lifecycle-span recorder, attached to every unit at
-  /// construction (equivalent to calling bind_trace after construction;
-  /// RuntimeConfig::trace reaches the same hooks through the driver).
-  /// Null: zero overhead, bit-identical schedules.
-  telemetry::TraceRecorder* trace = nullptr;
 
   // --- submission pipeline (Fig. 4) ---
   std::int64_t header_cycles = 2;      ///< IPh: header word (fn ptr + #params)

@@ -28,9 +28,13 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
   }
   if (cfg_.tenancy.enabled()) pool_.configure_tenancy(cfg_.tenancy.tenants);
 
+  // Op codes are per receiving component; the ambiguous ones carry both
+  // spellings (op 0 is kNewArg into a task graph, kReady into the arbiter).
   net_ = std::make_unique<noc::Network>(
       cfg_.noc, sharp_noc_endpoints(cfg.num_task_graphs, clusters),
-      cfg.freq_mhz, clk_.cycles(cfg.fifo_latency));
+      cfg.freq_mhz, clk_.cycles(cfg.fifo_latency), "nexus#/noc",
+      std::vector<std::string>{"new_arg|ready", "fin_arg|wait", "dep", "meta",
+                               "wb"});
   if (clustered) {
     root_ = std::make_unique<detail::RootArbiter>(cfg_, net_.get());
     cluster_params_.resize(clusters);
@@ -53,52 +57,41 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
             ? static_cast<std::int64_t>(sharp_leaf_node(cfg.num_task_graphs, c))
             : -1));
   }
-  if (cfg_.trace != nullptr) bind_trace(cfg_.trace);
 }
 
-void NexusSharp::bind_trace(telemetry::TraceRecorder* trace) {
-  trace_ = trace;
-  pool_.bind_trace(trace, "nexus#/pool");
-  // Op codes are per receiving component; the ambiguous ones carry both
-  // spellings (op 0 is kNewArg into a task graph, kReady into the arbiter).
-  net_->bind_trace(trace, "nexus#/noc",
-                   {"new_arg|ready", "fin_arg|wait", "dep", "meta", "wb"});
-  for (auto& arb : arbiters_) arb->bind_trace(trace);
-  if (root_ != nullptr) root_->bind_trace(trace);
-  for (std::uint32_t i = 0; i < cfg_.num_task_graphs; ++i)
-    tgs_[i]->bind_trace(trace);
-}
-
-void NexusSharp::bind_profiler(Simulation& sim) {
-  net_->bind_profiler(sim,
-                      {"new_arg|ready", "fin_arg|wait", "dep", "meta", "wb"});
-}
-
-void NexusSharp::bind_telemetry(telemetry::MetricRegistry& reg) {
-  pool_.bind_telemetry(reg, "nexus#/pool");
-  net_->bind_telemetry(reg, "nexus#/noc");
+void NexusSharp::attach(Simulation& sim, RuntimeHost* host) {
+  NEXUS_ASSERT(host != nullptr);
+  host_ = host;
+  self_ = sim.add_component(this);
+  const telemetry::Observers& obs = sim.observers();
+  pool_.bind(obs, "nexus#/pool");
   if (clustered()) {
-    for (std::uint32_t c = 0; c < arbiters_.size(); ++c)
-      arbiters_[c]->bind_telemetry(
-          reg, telemetry::path_join(
-                   telemetry::indexed_path(
-                       "nexus#/cluster", c,
-                       static_cast<std::uint32_t>(arbiters_.size())),
-                   "arbiter"));
-    root_->bind_telemetry(reg, "nexus#/root");
+    const auto clusters = static_cast<std::uint32_t>(arbiters_.size());
+    for (std::uint32_t c = 0; c < clusters; ++c) {
+      relays_.push_back(std::make_unique<detail::ClusterRelay>(root_.get()));
+      arbiters_[c]->attach(
+          sim, relays_.back().get(),
+          telemetry::path_join(
+              telemetry::indexed_path("nexus#/cluster", c, clusters),
+              "arbiter"));
+    }
+    root_->attach(sim, host);
   } else {
-    arbiters_[0]->bind_telemetry(reg, "nexus#/arbiter");
+    arbiters_[0]->attach(sim, host, "nexus#/arbiter");
   }
+  for (auto& tg : tgs_) tg->attach(sim);
+  // Last, so the block's own components keep their pre-NoC ids/labels.
+  net_->attach(sim);
+
+  if (obs.metrics == nullptr) return;
+  telemetry::MetricRegistry& reg = *obs.metrics;
   m_route_.assign(cfg_.num_task_graphs, nullptr);
-  for (std::uint32_t i = 0; i < cfg_.num_task_graphs; ++i) {
-    const std::string tg = "nexus#/tg" + std::to_string(i);
-    tgs_[i]->bind_telemetry(reg, tg);
-    m_route_[i] = &reg.counter(tg + "/routed");
-  }
+  for (std::uint32_t i = 0; i < cfg_.num_task_graphs; ++i)
+    m_route_[i] = &reg.counter("nexus#/tg" + std::to_string(i) + "/routed");
   m_tasks_in_ = &reg.counter("nexus#/tasks_in");
   m_finishes_ = &reg.counter("nexus#/finishes");
   if (cfg_.tenancy.enabled()) {
-    pool_.tenant_ledger().bind_telemetry(reg, "nexus#/pool");
+    pool_.tenant_ledger().bind(obs, "nexus#/pool");
     m_nacks_ = &reg.counter("nexus#/admission/nacks");
     m_hw_blocks_ = &reg.counter("nexus#/admission/high_water_blocks");
     m_tenant_nacks_.assign(cfg_.tenancy.tenants, nullptr);
@@ -109,24 +102,6 @@ void NexusSharp::bind_telemetry(telemetry::MetricRegistry& reg) {
                                                        cfg_.tenancy.tenants)),
           "nacks"));
   }
-}
-
-void NexusSharp::attach(Simulation& sim, RuntimeHost* host) {
-  NEXUS_ASSERT(host != nullptr);
-  host_ = host;
-  self_ = sim.add_component(this);
-  if (clustered()) {
-    for (auto& arb : arbiters_) {
-      relays_.push_back(std::make_unique<detail::ClusterRelay>(root_.get()));
-      arb->attach(sim, relays_.back().get());
-    }
-    root_->attach(sim, host);
-  } else {
-    arbiters_[0]->attach(sim, host);
-  }
-  for (auto& tg : tgs_) tg->attach(sim);
-  // Last, so the block's own components keep their pre-NoC ids/labels.
-  net_->attach(sim);
 }
 
 Tick NexusSharp::taskwait_on_query_cost() const {
@@ -224,22 +199,15 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
         static_cast<std::uint64_t>(task.id) |
         (static_cast<std::uint64_t>(task.num_params() & 0xFFFF) << 32) |
         (static_cast<std::uint64_t>(task.tenant) << 48);
-    if (net_->ideal()) {
-      // Legacy behaviour: a direct pool-commit side-band, kept exactly so
-      // the default config stays bit-identical to the pre-NoC model.
-      sim.schedule(recv_done, arbiters_[0]->component_id(),
-                   detail::SharpArbiter::kMeta, meta);
-    } else {
-      // On a real topology the descriptor is routed traffic like everything
-      // else: a parameter-list-sized message from the IO tile to the arbiter
-      // tile. It may now arrive after the task's ready record; the arbiter
-      // parks that record until the descriptor lands (meta_parks metric).
-      net_->send(sim, recv_done, sharp_io_node(),
-                 sharp_arbiter_node(cfg_.num_task_graphs),
-                 arbiters_[0]->component_id(), detail::SharpArbiter::kMeta,
-                 meta, 0,
-                 noc::kParamBytes * static_cast<std::uint32_t>(task.num_params()));
-    }
+    // The ideal crossbar commits the descriptor on a free side-band. On a
+    // real topology it is a parameter-list-sized message from the IO tile
+    // to the arbiter tile, and may arrive after the task's ready record;
+    // the arbiter parks that record until the descriptor lands (meta_parks
+    // metric).
+    net_->send_sideband(
+        sim, recv_done, sharp_io_node(), sharp_arbiter_node(cfg_.num_task_graphs),
+        arbiters_[0]->component_id(), detail::SharpArbiter::kMeta, meta,
+        noc::kParamBytes * static_cast<std::uint32_t>(task.num_params()));
   } else {
     // Clustered: each participating leaf gets a descriptor carrying its
     // cluster-local parameter count; the root gets the participating-cluster
@@ -252,29 +220,21 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
           static_cast<std::uint64_t>(task.id) |
           (static_cast<std::uint64_t>(cluster_params_[c] & 0xFFFF) << 32) |
           (static_cast<std::uint64_t>(task.tenant) << 48);
-      if (net_->ideal()) {
-        sim.schedule(recv_done, arbiters_[c]->component_id(),
-                     detail::SharpArbiter::kMeta, meta);
-      } else {
-        net_->send(sim, recv_done, sharp_io_node(),
-                   sharp_leaf_node(cfg_.num_task_graphs, c),
-                   arbiters_[c]->component_id(), detail::SharpArbiter::kMeta,
-                   meta, 0, noc::kParamBytes * cluster_params_[c]);
-      }
+      net_->send_sideband(sim, recv_done, sharp_io_node(),
+                          sharp_leaf_node(cfg_.num_task_graphs, c),
+                          arbiters_[c]->component_id(),
+                          detail::SharpArbiter::kMeta, meta,
+                          noc::kParamBytes * cluster_params_[c]);
     }
     const std::uint64_t root_meta =
         static_cast<std::uint64_t>(task.id) |
         (static_cast<std::uint64_t>(participating) << 32) |
         (static_cast<std::uint64_t>(task.tenant) << 48);
-    if (net_->ideal()) {
-      sim.schedule(recv_done, root_->component_id(),
-                   detail::RootArbiter::kMeta, root_meta);
-    } else {
-      net_->send(sim, recv_done, sharp_io_node(),
-                 sharp_root_node(cfg_.num_task_graphs, cfg_.arbiter_clusters),
-                 root_->component_id(), detail::RootArbiter::kMeta, root_meta,
-                 0, noc::kParamBytes);
-    }
+    net_->send_sideband(
+        sim, recv_done, sharp_io_node(),
+        sharp_root_node(cfg_.num_task_graphs, cfg_.arbiter_clusters),
+        root_->component_id(), detail::RootArbiter::kMeta, root_meta,
+        noc::kParamBytes);
   }
   return recv_done;
 }

@@ -35,19 +35,16 @@ class NexusSharp final : public TaskManagerModel, public Component {
                       ArbiterPolicy arbiter_policy = ArbiterPolicy::kReadyFirst);
 
   // TaskManagerModel
+  /// Registers every unit and picks up the simulation's observers: metrics
+  /// under "nexus#/" (task pool, per-TG units and tables, arbiters, NoC,
+  /// admission), dependency stamps and edges, unit occupancy spans, pool
+  /// and dep-count depth counters and NoC flow events on the trace, and
+  /// per-message-kind NoC send nodes in the profile.
   void attach(Simulation& sim, RuntimeHost* host) override;
   Tick submit(Simulation& sim, const TaskDescriptor& task) override;
   Tick notify_finished(Simulation& sim, TaskId id) override;
   [[nodiscard]] bool supports_taskwait_on() const override { return true; }
   [[nodiscard]] Tick taskwait_on_query_cost() const override;
-  /// Registers the whole block's metrics under "nexus#/": task pool, per-TG
-  /// units (tables, queue depths, routing balance) and the arbiter.
-  void bind_telemetry(telemetry::MetricRegistry& reg) override;
-  /// Attach a span recorder to every unit: dependency stamps and edges
-  /// (arbiter + task graphs), table/arbiter occupancy spans, pool and
-  /// dep-count depth counters, NoC flow events.
-  void bind_trace(telemetry::TraceRecorder* trace) override;
-  void bind_profiler(Simulation& sim) override;
   [[nodiscard]] const char* name() const override { return "nexus#"; }
 
   // Component (front-end events)
@@ -108,7 +105,6 @@ class NexusSharp final : public TaskManagerModel, public Component {
   bool master_blocked_ = false;
   std::uint64_t tasks_in_ = 0;
   std::uint64_t nacks_ = 0;
-  telemetry::TraceRecorder* trace_ = nullptr;
   std::vector<std::uint32_t> cluster_params_;  ///< scratch: params per cluster
 
   telemetry::Counter* m_tasks_in_ = nullptr;

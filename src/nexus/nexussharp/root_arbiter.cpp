@@ -21,22 +21,21 @@ RootArbiter::RootArbiter(const NexusSharpConfig& cfg, noc::Network* net)
 void RootArbiter::attach(Simulation& sim, RuntimeHost* host) {
   host_ = host;
   self_ = sim.add_component(this);
-}
-
-void RootArbiter::bind_telemetry(telemetry::MetricRegistry& reg,
-                                 std::string_view prefix) {
-  m_grants_ = &reg.counter(telemetry::path_join(prefix, "grants"));
-  m_merges_ = &reg.counter(telemetry::path_join(prefix, "merges"));
-  m_ready_depth_ =
-      &reg.histogram(telemetry::path_join(prefix, "ready_q_depth"));
+  const telemetry::Observers& obs = sim.observers();
+  trace_ = obs.trace;
+  if (obs.metrics == nullptr) return;
+  telemetry::MetricRegistry& reg = *obs.metrics;
+  m_grants_ = &reg.counter("nexus#/root/grants");
+  m_merges_ = &reg.counter("nexus#/root/merges");
+  m_ready_depth_ = &reg.histogram("nexus#/root/ready_q_depth");
   if (queues_.size() > 1) {
     m_tenant_grants_.assign(queues_.size(), nullptr);
     for (std::uint32_t t = 0; t < queues_.size(); ++t)
       m_tenant_grants_[t] = &reg.counter(telemetry::path_join(
           telemetry::path_join(
-              prefix, telemetry::indexed_path(
-                          "tenant", t,
-                          static_cast<std::uint32_t>(queues_.size()))),
+              "nexus#/root",
+              telemetry::indexed_path(
+                  "tenant", t, static_cast<std::uint32_t>(queues_.size()))),
           "grants"));
   }
 }
@@ -146,13 +145,9 @@ void RootArbiter::to_writeback(Simulation& sim, Tick from, TaskId id) {
   if (trace_ != nullptr) trace_->on_resolved(id, from);
   const Tick start = std::max(from + cycles(cfg_.fifo_latency), sim.now());
   const Tick done = wb_.acquire(start, cycles(cfg_.writeback_cycles));
-  if (net_->ideal()) {
-    sim.schedule(done, self_, kWbDone, id);
-  } else {
-    net_->send(sim, done,
-               sharp_root_node(cfg_.num_task_graphs, cfg_.arbiter_clusters),
-               sharp_io_node(), self_, kWbDone, id, 0, noc::kParamBytes);
-  }
+  net_->send_sideband(
+      sim, done, sharp_root_node(cfg_.num_task_graphs, cfg_.arbiter_clusters),
+      sharp_io_node(), self_, kWbDone, id, noc::kParamBytes);
 }
 
 }  // namespace nexus::detail

@@ -31,6 +31,9 @@ class RootArbiter final : public Component {
  public:
   RootArbiter(const NexusSharpConfig& cfg, noc::Network* net);
 
+  /// Register with the simulation and pick up its observers: grant/merge
+  /// metrics under "nexus#/root" (per-tenant grants under WRR) and grant
+  /// spans plus global resolution stamps on the trace.
   void attach(Simulation& sim, RuntimeHost* host);
 
   [[nodiscard]] std::uint32_t component_id() const { return self_; }
@@ -48,9 +51,6 @@ class RootArbiter final : public Component {
   void cluster_ready(Simulation& sim, TaskId id);
 
   [[nodiscard]] const char* telemetry_label() const override { return "root"; }
-
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-  void bind_trace(telemetry::TraceRecorder* trace) { trace_ = trace; }
 
   // --- stats ---
   [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }

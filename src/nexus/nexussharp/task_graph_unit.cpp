@@ -18,20 +18,19 @@ TaskGraphUnit::TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
   if (cfg.tenancy.enabled()) table_.configure_tenancy(cfg.tenancy.tenants);
 }
 
-void TaskGraphUnit::attach(Simulation& sim) { self_ = sim.add_component(this); }
-
-void TaskGraphUnit::bind_telemetry(telemetry::MetricRegistry& reg,
-                                   std::string_view prefix) {
-  table_.bind_telemetry(reg, telemetry::path_join(prefix, "table"));
+void TaskGraphUnit::attach(Simulation& sim) {
+  self_ = sim.add_component(this);
+  const telemetry::Observers& obs = sim.observers();
+  const std::string prefix = "nexus#/tg" + std::to_string(index_);
+  table_.bind(obs, telemetry::path_join(prefix, "table"));
+  trace_ = obs.trace;
+  if (trace_ != nullptr) trace_track_ = "sharp/tg" + std::to_string(index_);
+  if (obs.metrics == nullptr) return;
+  telemetry::MetricRegistry& reg = *obs.metrics;
   m_new_depth_ = &reg.histogram(telemetry::path_join(prefix, "new_q_depth"));
   m_fin_depth_ = &reg.histogram(telemetry::path_join(prefix, "fin_q_depth"));
   m_args_ = &reg.counter(telemetry::path_join(prefix, "args"));
   m_kicks_ = &reg.counter(telemetry::path_join(prefix, "kicks"));
-}
-
-void TaskGraphUnit::bind_trace(telemetry::TraceRecorder* trace) {
-  trace_ = trace;
-  trace_track_ = "sharp/tg" + std::to_string(index_);
 }
 
 std::uint64_t TaskGraphUnit::pack(const Arg& a) {

@@ -32,6 +32,10 @@ class TaskGraphUnit final : public Component {
                 SharpArbiter* arbiter, noc::Network* net,
                 std::int64_t arb_node = -1);
 
+  /// Register with the simulation and pick up its observers: queue-depth
+  /// and service metrics (and the table's) under "nexus#/tg<i>"; dependency
+  /// edges at kick time plus per-arg table occupancy spans on the
+  /// "sharp/tg<i>" trace track.
   void attach(Simulation& sim);
 
   /// Component id for event addressing (valid after attach).
@@ -58,13 +62,6 @@ class TaskGraphUnit final : public Component {
   void handle(Simulation& sim, const Event& ev) override;
 
   [[nodiscard]] const char* telemetry_label() const override { return "tg"; }
-
-  /// Register queue-depth/service metrics (and the table's) under `prefix`.
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-
-  /// Attach a span recorder: dependency edges at kick time plus per-arg
-  /// table occupancy spans on the "sharp/tg<i>" track.
-  void bind_trace(telemetry::TraceRecorder* trace);
 
   // --- stats ---
   [[nodiscard]] const hw::TaskGraphTable& table() const { return table_; }

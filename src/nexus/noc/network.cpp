@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
@@ -10,13 +11,16 @@
 namespace nexus::noc {
 
 Network::Network(const NocConfig& cfg, std::uint32_t endpoints,
-                 double default_mhz, Tick ideal_latency)
+                 double default_mhz, Tick ideal_latency, std::string name,
+                 std::vector<std::string> op_names)
     : cfg_(cfg),
       topo_(cfg.kind, endpoints, cfg.mesh_cols),
       clk_(cfg.freq_mhz > 0.0 ? cfg.freq_mhz : default_mhz),
       ideal_latency_(ideal_latency),
       links_(topo_.link_count()),
-      traffic_(static_cast<std::size_t>(endpoints) * endpoints, 0) {
+      traffic_(static_cast<std::size_t>(endpoints) * endpoints, 0),
+      name_(std::move(name)),
+      ops_(std::move(op_names)) {
   NEXUS_ASSERT_MSG(cfg.hop_cycles >= 0 && cfg.link_cycles >= 1,
                    "noc needs hop_cycles >= 0 and link_cycles >= 1");
   NEXUS_ASSERT_MSG(cfg.flit_bytes >= 1, "noc needs flit_bytes >= 1");
@@ -33,46 +37,36 @@ Network::Network(const NocConfig& cfg, std::uint32_t endpoints,
   }
 }
 
-void Network::attach(Simulation& sim) { self_ = sim.add_component(this); }
-
-void Network::bind_telemetry(telemetry::MetricRegistry& reg,
-                             std::string_view prefix) {
-  m_messages_ = &reg.counter(telemetry::path_join(prefix, "messages"));
-  m_delivered_ = &reg.counter(telemetry::path_join(prefix, "delivered"));
-  m_flits_ = &reg.counter(telemetry::path_join(prefix, "flits"));
-  m_delivered_flits_ =
-      &reg.counter(telemetry::path_join(prefix, "delivered_flits"));
-  m_blocked_ = &reg.counter(telemetry::path_join(prefix, "blocked_flits"));
-  m_stall_ticks_ = &reg.counter(telemetry::path_join(prefix, "stall_ps"));
-  m_hops_ = &reg.histogram(telemetry::path_join(prefix, "hops"));
-  m_in_flight_ = &reg.histogram(telemetry::path_join(prefix, "in_flight"));
-  for (LinkId l = 0; l < topo_.link_count(); ++l) {
-    const std::string link =
-        telemetry::path_join(prefix, "link/" + topo_.link_label(l));
-    links_[l].m_flits = &reg.counter(link + "/flits");
-    links_[l].m_busy = &reg.counter(link + "/busy_ps");
+void Network::attach(Simulation& sim) {
+  self_ = sim.add_component(this);
+  const telemetry::Observers& obs = sim.observers();
+  if (obs.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *obs.metrics;
+    m_messages_ = &reg.counter(telemetry::path_join(name_, "messages"));
+    m_delivered_ = &reg.counter(telemetry::path_join(name_, "delivered"));
+    m_flits_ = &reg.counter(telemetry::path_join(name_, "flits"));
+    m_delivered_flits_ =
+        &reg.counter(telemetry::path_join(name_, "delivered_flits"));
+    m_blocked_ = &reg.counter(telemetry::path_join(name_, "blocked_flits"));
+    m_stall_ticks_ = &reg.counter(telemetry::path_join(name_, "stall_ps"));
+    m_hops_ = &reg.histogram(telemetry::path_join(name_, "hops"));
+    m_in_flight_ = &reg.histogram(telemetry::path_join(name_, "in_flight"));
+    for (LinkId l = 0; l < topo_.link_count(); ++l) {
+      const std::string link =
+          telemetry::path_join(name_, "link/" + topo_.link_label(l));
+      links_[l].m_flits = &reg.counter(link + "/flits");
+      links_[l].m_busy = &reg.counter(link + "/busy_ps");
+    }
   }
-}
-
-void Network::bind_trace(telemetry::TraceRecorder* trace,
-                         std::string_view name,
-                         std::vector<std::string> op_names) {
-  trace_ = trace;
-  trace_name_.assign(name);
-  trace_ops_ = std::move(op_names);
-  trace_links_.clear();
-  trace_links_.reserve(topo_.link_count());
-  for (LinkId l = 0; l < topo_.link_count(); ++l)
-    trace_links_.push_back(topo_.link_label(l));
-}
-
-void Network::bind_profiler(Simulation& sim, std::vector<std::string> op_names) {
-  prof_ = sim.profiler();
-  if (prof_ == nullptr) return;
-  prof_parent_ = sim.profiler_component_node(self_);
-  // Share the op spellings with the trace layer so a profile and a trace of
-  // the same run agree on message-kind names.
-  if (trace_ops_.empty()) trace_ops_ = std::move(op_names);
+  trace_ = obs.trace;
+  if (trace_ != nullptr) {
+    trace_links_.clear();
+    trace_links_.reserve(topo_.link_count());
+    for (LinkId l = 0; l < topo_.link_count(); ++l)
+      trace_links_.push_back(topo_.link_label(l));
+  }
+  prof_ = obs.profiler;
+  if (prof_ != nullptr) prof_parent_ = sim.profiler_component_node(self_);
   prof_send_.clear();
 }
 
@@ -88,9 +82,8 @@ std::uint32_t Network::prof_send_node(std::uint32_t op) {
 std::string_view Network::op_label(std::uint32_t op) {
   // Fallback labels are grown on demand and kept, so the recorder's string
   // interner always sees a stable spelling for a given op code.
-  while (trace_ops_.size() <= op)
-    trace_ops_.push_back("op" + std::to_string(trace_ops_.size()));
-  return trace_ops_[op];
+  while (ops_.size() <= op) ops_.push_back("op" + std::to_string(ops_.size()));
+  return ops_[op];
 }
 
 void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
@@ -108,7 +101,7 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
   telemetry::inc(m_flits_, flits);
   std::uint32_t tmsg = 0;
   if (trace_ != nullptr) {
-    tmsg = trace_->noc_send(trace_name_, src, dst, op_label(op), flits,
+    tmsg = trace_->noc_send(name_, src, dst, op_label(op), flits,
                             static_cast<telemetry::TraceTick>(depart));
   }
   if (cfg_.ideal() || src == dst) {

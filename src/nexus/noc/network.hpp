@@ -35,12 +35,24 @@ class Network final : public Component {
  public:
   /// `default_mhz` clocks the interconnect when cfg.freq_mhz is 0 (the
   /// owning block's domain); `ideal_latency` is the uniform delivery delay
-  /// under the ideal topology (the legacy FIFO visibility latency).
+  /// under the ideal topology (the legacy FIFO visibility latency). `name`
+  /// is both the metric prefix and the trace network label (e.g.
+  /// "nexus#/noc"); `op_names` spells the op codes for trace messages and
+  /// per-kind profile nodes alike (unknown ops fall back to "op<N>").
   Network(const NocConfig& cfg, std::uint32_t endpoints, double default_mhz,
-          Tick ideal_latency);
+          Tick ideal_latency, std::string name = "noc",
+          std::vector<std::string> op_names = {});
 
-  /// Register with the simulation. Call after the owning block's own
-  /// components so their ids (and telemetry labels) keep their positions.
+  /// Register with the simulation and pick up its observers. Metrics under
+  /// the network's name: messages/delivered counters, hop + in-flight
+  /// histograms, contention stalls, and per-link flit counts and busy time.
+  /// Trace: every send becomes a message, delivered ones get an arrival
+  /// stamp, and routed topologies add one link-occupancy span per hop.
+  /// Profile: send() time accumulates into per-op-kind "send:<label>"
+  /// children of this component's node, separating injection cost by
+  /// message kind from the hop/delivery time handled under the node itself.
+  /// Call after the owning block's own components so their ids (and
+  /// telemetry labels) keep their positions.
   void attach(Simulation& sim);
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -70,29 +82,23 @@ class Network final : public Component {
             std::uint32_t comp, std::uint32_t op, std::uint64_t a = 0,
             std::uint64_t b = 0, std::uint32_t payload_bytes = 0);
 
+  /// A record the ideal crossbar carries on a free side-band: under the
+  /// ideal topology, one uncounted event at `depart` exactly (the legacy
+  /// zero-cost path, kept so ideal runs stay bit-identical); on a real
+  /// topology, routed traffic exactly like send().
+  void send_sideband(Simulation& sim, Tick depart, NodeId src, NodeId dst,
+                     std::uint32_t comp, std::uint32_t op, std::uint64_t a,
+                     std::uint32_t payload_bytes) {
+    if (ideal()) {
+      sim.schedule(depart, comp, op, a);
+    } else {
+      send(sim, depart, src, dst, comp, op, a, 0, payload_bytes);
+    }
+  }
+
   // Component
   void handle(Simulation& sim, const Event& ev) override;
   [[nodiscard]] const char* telemetry_label() const override { return "noc"; }
-
-  /// Register interconnect metrics under `prefix` (e.g. "nexus#/noc"):
-  /// messages/delivered counters, hop + in-flight histograms, contention
-  /// stalls, and per-link flit counts and busy time.
-  void bind_telemetry(telemetry::MetricRegistry& reg, std::string_view prefix);
-
-  /// Attach a span recorder: every send becomes a trace message named under
-  /// `name`, delivered messages get an arrival stamp, and routed topologies
-  /// additionally record one link-occupancy span per hop. `op_names`
-  /// optionally labels the op codes; unknown ops fall back to "op<N>".
-  void bind_trace(telemetry::TraceRecorder* trace, std::string_view name,
-                  std::vector<std::string> op_names = {});
-
-  /// Attach the host profiler bound to `sim` (no-op if none): send() time
-  /// accumulates into per-op-kind "send:<label>" children of this
-  /// component's profile node, so the profile separates injection cost by
-  /// message kind from the hop/delivery time handled under the component
-  /// node itself. Call after attach(); shares op spellings with
-  /// bind_trace when both are bound.
-  void bind_profiler(Simulation& sim, std::vector<std::string> op_names = {});
 
   // --- introspection for tests and reports ---
   struct Stats {
@@ -174,9 +180,10 @@ class Network final : public Component {
   std::uint32_t prof_parent_ = 0;
   std::vector<std::uint32_t> prof_send_;  ///< per-op nodes, grown on demand
 
+  std::string name_;              ///< metric prefix and trace label
+  std::vector<std::string> ops_;  ///< op-code labels (grown on demand)
+
   telemetry::TraceRecorder* trace_ = nullptr;
-  std::string trace_name_;
-  std::vector<std::string> trace_ops_;    ///< op-code labels (grown on demand)
   std::vector<std::string> trace_links_;  ///< cached per-link labels
 
   telemetry::Counter* m_messages_ = nullptr;

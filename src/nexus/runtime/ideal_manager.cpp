@@ -4,9 +4,10 @@
 
 namespace nexus {
 
-void IdealManager::attach(Simulation& /*sim*/, RuntimeHost* host) {
+void IdealManager::attach(Simulation& sim, RuntimeHost* host) {
   NEXUS_ASSERT(host != nullptr);
   host_ = host;
+  trace_ = sim.observers().trace;
   tracker_ = DependencyTracker{};
 }
 

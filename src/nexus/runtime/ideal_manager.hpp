@@ -18,7 +18,6 @@ class IdealManager final : public TaskManagerModel {
   void attach(Simulation& sim, RuntimeHost* host) override;
   Tick submit(Simulation& sim, const TaskDescriptor& task) override;
   Tick notify_finished(Simulation& sim, TaskId id) override;
-  void bind_trace(telemetry::TraceRecorder* trace) override { trace_ = trace; }
   [[nodiscard]] const char* name() const override { return "ideal"; }
 
  private:

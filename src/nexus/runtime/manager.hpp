@@ -50,7 +50,8 @@ class TaskManagerModel {
   virtual ~TaskManagerModel() = default;
 
   /// Wire the manager into the simulation (register components, reset
-  /// state). Called exactly once per run, before any submit.
+  /// state) and pick up the run's observers (Simulation::observers()).
+  /// Called exactly once per run, before any submit.
   virtual void attach(Simulation& sim, RuntimeHost* host) = 0;
 
   /// Master submits a task at sim.now(). Returns the time at which the
@@ -76,23 +77,11 @@ class TaskManagerModel {
   /// Extra latency for a supported taskwait_on query round trip.
   [[nodiscard]] virtual Tick taskwait_on_query_cost() const { return 0; }
 
-  /// Register the manager's internal metrics (queue depths, arbitration
-  /// counts, table fill, ...) with `reg`. Called once, before attach, when
-  /// the run collects telemetry; managers without internals keep the no-op.
+  /// Inert shims: a manager picks up metrics, trace and profiler from
+  /// Simulation::observers() in attach(), and nothing calls these. They
+  /// remain only because perfbench's ObservedManager overrides them.
   virtual void bind_telemetry(telemetry::MetricRegistry& reg) { (void)reg; }
-
-  /// Attach a lifecycle trace recorder (see telemetry/trace.hpp). Called
-  /// once, before attach, when the run traces. Managers fill the
-  /// `resolved` span boundary and the dependency-kick edges; the driver
-  /// owns every other boundary. The no-op default keeps untraced managers
-  /// untraced.
   virtual void bind_trace(telemetry::TraceRecorder* trace) { (void)trace; }
-
-  /// Attach the host-side self-profiler bound to `sim` (see
-  /// telemetry/profiler.hpp). Called once, *after* attach and after
-  /// Simulation::bind_profiler, when the run profiles — component handle()
-  /// time is already attributed by the kernel; managers that own internal
-  /// networks forward this so their message kinds get per-op send nodes.
   virtual void bind_profiler(Simulation& sim) { (void)sim; }
 
   [[nodiscard]] virtual const char* name() const = 0;

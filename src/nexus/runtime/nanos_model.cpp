@@ -8,6 +8,7 @@ void NanosModel::attach(Simulation& sim, RuntimeHost* host) {
   NEXUS_ASSERT(host != nullptr);
   host_ = host;
   self_ = sim.add_component(this);
+  trace_ = sim.observers().trace;
   tracker_ = DependencyTracker{};
   lock_.reset();
 }

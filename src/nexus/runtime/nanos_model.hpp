@@ -46,7 +46,6 @@ class NanosModel final : public TaskManagerModel, public Component {
   [[nodiscard]] Tick taskwait_on_query_cost() const override {
     return cfg_.barrier_wake;
   }
-  void bind_trace(telemetry::TraceRecorder* trace) override { trace_ = trace; }
   [[nodiscard]] const char* name() const override { return "nanos"; }
 
   // Component: deferred ready-task delivery at lock-release times.

@@ -48,8 +48,10 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
   }
   finished_.assign(tasks, false);
 
-  if (config_.metrics != nullptr) manager_.bind_telemetry(*config_.metrics);
-  if (config_.trace != nullptr) manager_.bind_trace(config_.trace);
+  sim_.bind({.metrics = config_.metrics,
+             .trace = config_.trace,
+             .profiler = config_.profiler,
+             .profile_parent = config_.profile_parent});
   self_ = sim_.add_component(this);
   manager_.attach(sim_, this);
   if (!config_.noc.ideal()) {
@@ -58,14 +60,13 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
     // notification synchronous (the pre-NoC code path, bit-identical).
     host_net_ = std::make_unique<noc::Network>(
         config_.noc, config_.workers + 1, /*default_mhz=*/100.0,
-        /*ideal_latency=*/0);
+        /*ideal_latency=*/0, "runtime/noc",
+        std::vector<std::string>{"master_step", "task_done", "worker_free",
+                                 "dispatch", "notify"});
     host_net_->attach(sim_);
   }
   if (config_.metrics != nullptr) {
-    // After attach so every manager component is registered with the kernel.
     telemetry::MetricRegistry& reg = *config_.metrics;
-    sim_.bind_telemetry(reg);
-    if (host_net_ != nullptr) host_net_->bind_telemetry(reg, "runtime/noc");
     m_ready_depth_ = &reg.histogram("runtime/ready_q_depth");
     m_dispatches_ = &reg.counter("runtime/dispatches");
     m_sojourn_ = &reg.histogram("runtime/sojourn_ps");
@@ -93,21 +94,11 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
             telemetry::indexed_path("client", c, open->clients) + "/sojourn_ps")));
     }
   }
-  if (config_.trace != nullptr && host_net_ != nullptr)
-    host_net_->bind_trace(config_.trace, "runtime/noc");
   if (config_.profiler != nullptr) {
-    // After every attach, so the per-component-type handle() nodes cover
-    // the manager's components and the host NoC alike.
     prof_ = config_.profiler;
-    sim_.bind_profiler(*prof_, config_.profile_parent);
-    manager_.bind_profiler(sim_);
     const std::uint32_t me = sim_.profiler_component_node(self_);
     prof_dispatch_ = prof_->node(me, "dispatch");
     prof_notify_ = prof_->node(me, "notify");
-    if (host_net_ != nullptr) {
-      host_net_->bind_profiler(sim_, {"master_step", "task_done",
-                                      "worker_free", "dispatch", "notify"});
-    }
   }
   if (config_.timeline != nullptr) {
     NEXUS_ASSERT_MSG(config_.metrics != nullptr,

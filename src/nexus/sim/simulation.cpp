@@ -12,7 +12,9 @@ namespace nexus {
 std::uint32_t Simulation::add_component(Component* c) {
   NEXUS_ASSERT(c != nullptr);
   components_.push_back(c);
-  return static_cast<std::uint32_t>(components_.size() - 1);
+  const auto id = static_cast<std::uint32_t>(components_.size() - 1);
+  cover(id);
+  return id;
 }
 
 void Simulation::schedule(Tick t, std::uint32_t comp, std::uint32_t op,
@@ -20,16 +22,16 @@ void Simulation::schedule(Tick t, std::uint32_t comp, std::uint32_t op,
   NEXUS_ASSERT_MSG(t >= now_, "cannot schedule into the past");
   NEXUS_ASSERT_MSG(comp < components_.size(), "unknown component id");
   const Event ev{t, seq_++, comp, op, a, b};
-  if (prof_ == nullptr) {
+  if (obs_.profiler == nullptr) {
     queue_.push(ev);
     return;
   }
-  telemetry::ProfScope ps(prof_, prof_push_);
+  telemetry::ProfScope ps(obs_.profiler, prof_push_);
   queue_.push(ev);
 }
 
 void Simulation::run() {
-  if (prof_ != nullptr) {
+  if (obs_.profiler != nullptr) {
     run_profiled(~std::uint64_t{0});
     return;
   }
@@ -44,7 +46,7 @@ void Simulation::run() {
 }
 
 bool Simulation::run_some(std::uint64_t max_events) {
-  if (prof_ != nullptr) return run_profiled(max_events);
+  if (obs_.profiler != nullptr) return run_profiled(max_events);
   std::uint64_t n = 0;
   while (!queue_.empty() && !stopped_ && n < max_events) {
     const Event ev = queue_.pop();
@@ -63,7 +65,7 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
   while (!queue_.empty() && !stopped_ && n < max_events) {
     Event ev;
     {
-      telemetry::ProfScope ps(prof_, prof_pop_);
+      telemetry::ProfScope ps(obs_.profiler, prof_pop_);
       ev = queue_.pop();
     }
     observe(ev);
@@ -71,49 +73,52 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
     ++processed_;
     ++n;
     {
-      telemetry::ProfScope ps(prof_, profiler_component_node(ev.comp));
+      telemetry::ProfScope ps(obs_.profiler, profiler_component_node(ev.comp));
       components_[ev.comp]->handle(*this, ev);
     }
   }
-  prof_->stat_max(prof_max_depth_, queue_.max_depth());
+  obs_.profiler->stat_max(prof_max_depth_, queue_.max_depth());
   flush_queue_metrics();
   return !queue_.empty() && !stopped_;
 }
 
-void Simulation::bind_profiler(telemetry::Profiler& prof,
-                               std::uint32_t parent) {
-  prof_ = &prof;
-  const auto queue = prof.node(parent, "queue");
-  prof_push_ = prof.node(queue, "push");
-  prof_pop_ = prof.node(queue, "pop");
-  prof_max_depth_ = prof.node(queue, "max_depth");
-
-  prof_handle_ = prof.node(parent, "handle");
+void Simulation::bind(const telemetry::Observers& obs) {
+  obs_ = obs;
+  telemetry::MetricRegistry* reg = obs_.metrics;
+  m_events_ = reg != nullptr ? &reg->counter("sim/events") : nullptr;
+  m_advance_ = reg != nullptr ? &reg->histogram("sim/advance_ps") : nullptr;
+  m_q_max_depth_ = reg != nullptr ? &reg->gauge("sim/queue/max_depth") : nullptr;
+  if (obs_.profiler != nullptr) {
+    telemetry::Profiler& prof = *obs_.profiler;
+    const auto queue = prof.node(obs_.profile_parent, "queue");
+    prof_push_ = prof.node(queue, "push");
+    prof_pop_ = prof.node(queue, "pop");
+    prof_max_depth_ = prof.node(queue, "max_depth");
+    prof_handle_ = prof.node(obs_.profile_parent, "handle");
+  }
+  comp_events_.clear();
+  comp_gap_.clear();
+  comp_last_.clear();
   prof_comp_node_.clear();
-  prof_comp_node_.reserve(components_.size());
-  for (Component* c : components_) {
+  for (std::uint32_t i = 0; i < components_.size(); ++i) cover(i);
+}
+
+void Simulation::cover(std::uint32_t i) {
+  if (obs_.metrics != nullptr) {
+    telemetry::MetricRegistry& reg = *obs_.metrics;
+    const std::string base = "sim/c" + std::to_string(i) + "_" +
+                             components_[i]->telemetry_label();
+    comp_events_.push_back(&reg.counter(telemetry::path_join(base, "events")));
+    comp_gap_.push_back(&reg.histogram(telemetry::path_join(base, "gap_ps")));
+    comp_last_.push_back(0);
+  }
+  if (obs_.profiler != nullptr) {
     // Keyed by type label, so replicated components (16 worker cores, N
     // TGUs) aggregate into one node each — the profile answers "where do
     // the cycles go per *kind* of unit", which is what partitioning needs.
-    prof_comp_node_.push_back(prof.node(prof_handle_, c->telemetry_label()));
+    prof_comp_node_.push_back(
+        obs_.profiler->node(prof_handle_, components_[i]->telemetry_label()));
   }
-}
-
-void Simulation::bind_telemetry(telemetry::MetricRegistry& reg,
-                                std::string_view prefix) {
-  m_events_ = &reg.counter(telemetry::path_join(prefix, "events"));
-  m_advance_ = &reg.histogram(telemetry::path_join(prefix, "advance_ps"));
-  comp_events_.clear();
-  comp_gap_.clear();
-  comp_last_.assign(components_.size(), 0);
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    const std::string comp = "c" + std::to_string(i) + "_" +
-                             components_[i]->telemetry_label();
-    const std::string base = telemetry::path_join(prefix, comp);
-    comp_events_.push_back(&reg.counter(telemetry::path_join(base, "events")));
-    comp_gap_.push_back(&reg.histogram(telemetry::path_join(base, "gap_ps")));
-  }
-  m_q_max_depth_ = &reg.gauge(telemetry::path_join(prefix, "queue/max_depth"));
 }
 
 void Simulation::flush_queue_metrics() {

@@ -9,6 +9,7 @@
 #include "nexus/sim/event.hpp"
 #include "nexus/sim/event_queue.hpp"
 #include "nexus/telemetry/fwd.hpp"
+#include "nexus/telemetry/observers.hpp"
 
 namespace nexus {
 
@@ -40,32 +41,28 @@ class Simulation {
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Register kernel metrics under `prefix`: total events, a histogram of
-  /// time advances, per-component event counts plus inter-event sim-time
-  /// histograms ("<prefix>/c<i>_<label>/..."), and the deepest pending
-  /// population ("<prefix>/queue/max_depth", flushed at the end of each
-  /// run()/run_some() call). Call after every component has been added
-  /// (attach time); later components are not covered.
-  void bind_telemetry(telemetry::MetricRegistry& reg,
-                      std::string_view prefix = "sim");
-
-  /// Attach the host-side self-profiler (not owned). Creates a stable node
-  /// layout under `parent`: "queue" with push/pop timers and the max-depth
+  /// Bind the run's observers (not owned). Metrics: total events, a
+  /// histogram of time advances, per-component event counts plus
+  /// inter-event sim-time histograms ("sim/c<i>_<label>/..."), and the
+  /// deepest pending population ("sim/queue/max_depth", flushed at the end
+  /// of each run()/run_some() call). Profiler: a stable node layout under
+  /// `profile_parent` — "queue" with push/pop timers and the max-depth
   /// stat, and "handle" with one child per component *type*
-  /// (telemetry_label(), so replicated components aggregate). Call after
-  /// every component has been added, like
-  /// bind_telemetry. Detached (never called), the hot loop pays a single
-  /// branch per run call and schedules stay bit-identical.
-  void bind_profiler(telemetry::Profiler& prof, std::uint32_t parent = 0);
+  /// (telemetry_label(), so replicated components aggregate). Covers the
+  /// components already added and every one added later; components pick
+  /// up the same observers in their attach() via observers(). Unbound, the
+  /// hot loop pays a single branch per run call and schedules stay
+  /// bit-identical.
+  void bind(const telemetry::Observers& obs);
+
+  [[nodiscard]] const telemetry::Observers& observers() const { return obs_; }
 
   /// The profile node a component's handle() time accumulates into
-  /// (valid after bind_profiler; used by components that want op-level
-  /// children of their own node, e.g. noc::Network and the driver).
+  /// (used by components that want op-level children of their own node,
+  /// e.g. noc::Network and the driver).
   [[nodiscard]] std::uint32_t profiler_component_node(std::uint32_t comp) const {
     return comp < prof_comp_node_.size() ? prof_comp_node_[comp] : prof_handle_;
   }
-
-  [[nodiscard]] telemetry::Profiler* profiler() const { return prof_; }
 
   /// Attach a periodic metric sampler (not owned; may be null to detach).
   /// Before each event is dispatched, the recorder is advanced to the event's
@@ -86,6 +83,9 @@ class Simulation {
   void observe_slow(const Event& ev);
   void sample_to(Tick t);
 
+  /// Register component `i`'s per-component metrics and profile node.
+  void cover(std::uint32_t i);
+
   /// The instrumented twin of the run loops (only entered when a profiler
   /// is bound, so the detached loops stay untouched).
   bool run_profiled(std::uint64_t max_events);
@@ -100,7 +100,7 @@ class Simulation {
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 
-  telemetry::Profiler* prof_ = nullptr;
+  telemetry::Observers obs_;
   std::uint32_t prof_push_ = 0;
   std::uint32_t prof_pop_ = 0;
   std::uint32_t prof_handle_ = 0;
@@ -113,7 +113,7 @@ class Simulation {
   std::vector<telemetry::Counter*> comp_events_;
   std::vector<telemetry::Histogram*> comp_gap_;  ///< per-component event gaps
   std::vector<Tick> comp_last_;
-  telemetry::Gauge* m_q_max_depth_ = nullptr;  ///< null until bind_telemetry
+  telemetry::Gauge* m_q_max_depth_ = nullptr;  ///< null without a registry
 };
 
 }  // namespace nexus

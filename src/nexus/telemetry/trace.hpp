@@ -1,10 +1,11 @@
 // Causal task-lifecycle tracing.
 //
-// A TraceRecorder, when attached through RuntimeConfig/NexusSharpConfig,
-// collects one span chain per task (submit -> accepted -> resolved ->
-// ready -> dispatch -> exec -> freed) plus the causal edges that explain
-// the gaps: dependency-release kicks, NoC message flights with per-link
-// flit timing, manager unit service spans, and occupancy counter samples.
+// A TraceRecorder, when attached through RuntimeConfig::trace (or a
+// Simulation's telemetry::Observers), collects one span chain per task
+// (submit -> accepted -> resolved -> ready -> dispatch -> exec -> freed)
+// plus the causal edges that explain the gaps: dependency-release kicks,
+// NoC message flights with per-link flit timing, manager unit service
+// spans, and occupancy counter samples.
 // Like the metric primitives, every hook site holds a *pointer* that stays
 // null until a recorder is bound, so an untraced run pays one predictable
 // branch and produces bit-identical schedules (a tested contract).

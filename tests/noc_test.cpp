@@ -475,8 +475,8 @@ TEST(Network, TelemetryMatchesStats) {
   Sink sink;
   const std::uint32_t dst = sim.add_component(&sink);
   Network net(cfg_kind(TopologyKind::kRing), 2, 100.0, 0);
+  sim.bind({.metrics = &reg});
   net.attach(sim);
-  net.bind_telemetry(reg, "noc");
   for (std::uint64_t i = 0; i < 3; ++i) net.send(sim, 0, 0, 1, dst, 0, i);
   sim.run();
   const telemetry::Snapshot snap = reg.snapshot();

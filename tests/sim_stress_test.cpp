@@ -72,7 +72,7 @@ StormOutcome run_storm(std::uint64_t n_events,
   for (std::uint32_t i = 0; i < kComps; ++i)
     cores.emplace_back(0x5EED0000 + i, kComps, &checksum);
   for (auto& c : cores) sim.add_component(&c);
-  if (reg != nullptr) sim.bind_telemetry(*reg);
+  if (reg != nullptr) sim.bind({.metrics = reg});
 
   Xoshiro256 prime(99);
   for (std::uint64_t i = 0; i < inflight; ++i) {

@@ -6,6 +6,8 @@
 #include "nexus/sim/server.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/sim/time.hpp"
+#include "nexus/telemetry/profiler.hpp"
+#include "nexus/telemetry/registry.hpp"
 
 namespace nexus {
 namespace {
@@ -108,6 +110,46 @@ TEST(Simulation, RunSomeResumable) {
   EXPECT_EQ(c.count, 5);
   EXPECT_FALSE(sim.run_some(1000));
   EXPECT_EQ(c.count, 11);
+}
+
+// ---------- observers ----------
+
+/// A component with its own telemetry label.
+class Late final : public Component {
+ public:
+  void handle(Simulation&, const Event&) override {}
+  [[nodiscard]] const char* telemetry_label() const override { return "late"; }
+};
+
+TEST(Simulation, ObserversCoverComponentsAddedAfterBind) {
+  // Observers are bound once, before or between add_component calls; the
+  // kernel covers every component either way, so a block added after the
+  // bind cannot silently drop out of the metrics or the profile.
+  telemetry::MetricRegistry reg;
+  telemetry::Profiler prof;
+  Simulation sim;
+  Recorder early;
+  const auto e = sim.add_component(&early);
+  sim.bind({.metrics = &reg, .profiler = &prof});
+  Late late;
+  const auto l = sim.add_component(&late);
+  sim.schedule(ns(10), l, 0);
+  sim.schedule(ns(20), e, 0);
+  sim.schedule(ns(30), l, 0);
+  sim.run();
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_at("sim/events"), 3u);
+  EXPECT_EQ(snap.counter_at("sim/c0_comp/events"), 1u);
+  EXPECT_EQ(snap.counter_at("sim/c1_late/events"), 2u);
+  const telemetry::MetricValue* gap = snap.find("sim/c1_late/gap_ps");
+  ASSERT_NE(gap, nullptr);
+  EXPECT_EQ(gap->hist.count, 2u);
+  EXPECT_EQ(gap->hist.sum, static_cast<std::uint64_t>(ns(30)));
+  const telemetry::ProfileData d = prof.freeze();
+  ASSERT_NE(d.find("handle;comp"), nullptr);
+  const telemetry::ProfileNode* node = d.find("handle;late");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->count, 2u);
 }
 
 // ---------- server ----------

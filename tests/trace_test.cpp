@@ -173,36 +173,29 @@ TEST(TraceConservation, IdealManager) {
   check_conservation(tr, r);
 }
 
-TEST(TraceConservation, NexusSharpConfigFieldAttachMatchesBindTrace) {
-  // The NexusSharpConfig::trace field is construction-time sugar for
-  // bind_trace: both attach paths must produce the identical span graph.
-  const Trace tr = small_gaussian();
-  TraceRecorder via_cfg;
-  {
-    NexusSharpConfig cfg = sharp_cfg(noc::TopologyKind::kIdeal);
-    cfg.trace = &via_cfg;
-    NexusSharp mgr(cfg);
-    RuntimeConfig rc;
-    rc.workers = 8;
-    rc.trace = &via_cfg;
-    run_trace(tr, mgr, rc);
-  }
-  NexusSharp mgr(sharp_cfg(noc::TopologyKind::kIdeal));
-  const TracedRun r = run_traced(tr, mgr);
-  const TraceData a = via_cfg.freeze();
-  ASSERT_EQ(a.tasks.size(), r.trace.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    EXPECT_EQ(a.tasks[i].task, r.trace.tasks[i].task);
-    EXPECT_EQ(a.tasks[i].resolved, r.trace.tasks[i].resolved);
-    EXPECT_EQ(a.tasks[i].exec_end, r.trace.tasks[i].exec_end);
-  }
-  EXPECT_EQ(a.messages.size(), r.trace.messages.size());
-  EXPECT_EQ(a.deps.size(), r.trace.deps.size());
-}
-
 // ---------------------------------------------------------------------------
 // NoC flow events vs the Network's own conservation ledger.
 // ---------------------------------------------------------------------------
+
+TEST(TraceNoc, HostMeshMessagesAreNamedWithoutAProfiler) {
+  // The host NoC spells its op codes at construction, so a trace-only run
+  // names its messages exactly like a traced and profiled one.
+  const Trace tr = small_gaussian();
+  NexusSharp mgr(sharp_cfg(noc::TopologyKind::kIdeal));
+  TraceRecorder rec;
+  RuntimeConfig rc;
+  rc.workers = 8;
+  rc.trace = &rec;
+  rc.noc.kind = noc::TopologyKind::kMesh;
+  run_trace(tr, mgr, rc);
+  const TraceData d = rec.freeze();
+  std::map<std::string, std::uint64_t> ops;
+  for (const NocMessage& m : d.messages)
+    if (d.str(m.net) == "runtime/noc") ++ops[d.str(m.op)];
+  const std::uint64_t n = tr.num_tasks();
+  EXPECT_EQ(ops, (std::map<std::string, std::uint64_t>{{"dispatch", n},
+                                                        {"notify", n}}));
+}
 
 TEST(TraceNoc, DeliveredFlitsMatchNetworkStats) {
   const Trace tr = small_gaussian();
