@@ -39,10 +39,6 @@ struct TenancyConfig {
   /// (the default — bit-identical to the pre-tenancy model).
   std::uint32_t tenants = 0;
   TenantQuota quota{};
-  /// Global admission high-water mark on the Task Pool: submissions block
-  /// (not NACK) once occupancy reaches this, leaving headroom below
-  /// pool_capacity. 0 = pool capacity (no extra headroom).
-  std::size_t global_high_water = 0;
   /// Per-tenant weighted-round-robin weights for the root arbiter's ready
   /// queues; empty = all 1. Ignored when `weighted` is false.
   std::vector<std::uint32_t> weights;

@@ -93,7 +93,6 @@ void NexusSharp::attach(Simulation& sim, RuntimeHost* host) {
   if (cfg_.tenancy.enabled()) {
     pool_.tenant_ledger().bind(obs, "nexus#/pool");
     m_nacks_ = &reg.counter("nexus#/admission/nacks");
-    m_hw_blocks_ = &reg.counter("nexus#/admission/high_water_blocks");
     m_tenant_nacks_.assign(cfg_.tenancy.tenants, nullptr);
     for (std::uint32_t t = 0; t < cfg_.tenancy.tenants; ++t)
       m_tenant_nacks_[t] = &reg.counter(telemetry::path_join(
@@ -133,14 +132,6 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
   if (cfg_.tenancy.enabled()) {
     NEXUS_ASSERT_MSG(task.tenant < cfg_.tenancy.tenants,
                      "task tenant out of range");
-    // Global high-water: shared backpressure for everyone, leaving pool
-    // headroom so quota-compliant tenants are never starved of slots.
-    if (cfg_.tenancy.global_high_water > 0 &&
-        pool_.size() >= cfg_.tenancy.global_high_water) {
-      master_blocked_ = true;
-      telemetry::inc(m_hw_blocks_);
-      return kSubmitBlocked;
-    }
     if (over_quota(task.tenant)) {
       // Per-tenant backpressure: only this tenant is held; the structures
       // still have room for others. The single-stream driver degrades this

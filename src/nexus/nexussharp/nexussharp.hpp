@@ -110,7 +110,6 @@ class NexusSharp final : public TaskManagerModel, public Component {
   telemetry::Counter* m_tasks_in_ = nullptr;
   telemetry::Counter* m_finishes_ = nullptr;
   telemetry::Counter* m_nacks_ = nullptr;      ///< quota rejections (tenancy)
-  telemetry::Counter* m_hw_blocks_ = nullptr;  ///< high-water submit blocks
   std::vector<telemetry::Counter*> m_tenant_nacks_;
   std::vector<telemetry::Counter*> m_route_;  ///< params routed per graph
 };

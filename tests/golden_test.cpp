@@ -357,7 +357,7 @@ TEST(GoldenSurface, NexusSharpClusteredTenantsOnMeshes) {
   Surface s;
   run_tenants(set.streams, m, s.observed(rc));
   EXPECT_GT(m.stats().nacks, 0u);
-  EXPECT_EQ(s.metrics_digest(), 0xbc5b20c6a424f4beULL) << "metrics";
+  EXPECT_EQ(s.metrics_digest(), 0xd663864a5e0b2d9fULL) << "metrics";
   EXPECT_EQ(s.trace_digest(), 0x7877d0b2e84696dcULL) << "trace";
   EXPECT_EQ(s.profile_digest(), 0x2779067224782905ULL) << "profile";
 }
