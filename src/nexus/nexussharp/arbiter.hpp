@@ -48,8 +48,7 @@ class SharpArbiter final : public Component {
   /// conflict and queue metrics (and the dep-counts table's) under
   /// `prefix`; resolution stamps at write-back entry, grant occupancy spans
   /// and dep-count depth counters on the trace.
-  void attach(Simulation& sim, RuntimeHost* host,
-              std::string_view prefix = "nexus#/arbiter");
+  void attach(Simulation& sim, RuntimeHost* host, std::string_view prefix);
 
   /// Component id for event addressing (valid after attach).
   [[nodiscard]] std::uint32_t component_id() const { return self_; }

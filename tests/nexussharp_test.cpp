@@ -371,7 +371,7 @@ std::vector<TaskId> run_arbiter_schedule(
   detail::SharpArbiter arb(cfg, ArbiterPolicy::kReadyFirst, &net);
   Simulation sim;
   RecordingHost host;
-  arb.attach(sim, &host);
+  arb.attach(sim, &host, "nexus#/arbiter");
   net.attach(sim);
   for (const auto& [cycle, op, a, b] : events)
     sim.schedule(static_cast<Tick>(cycle) * kCycle, arb.component_id(), op, a,
