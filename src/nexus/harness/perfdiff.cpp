@@ -206,6 +206,11 @@ std::vector<WatchedRate> default_watched_rates() {
       {"retry_rate", "**/arbiter/retries", false, 0.0},
       {"park_rate", "**/dep_counts/parked", false, 0.0},
       {"table_stall_rate", "**/table/stalls", false, 0.0},
+      // NoC link contention per task, every network (nexus#/noc,
+      // nexus++/noc, runtime/noc); 0 on the ideal crossbar. Deterministic
+      // counters on the default band, so more contention must be stated.
+      {"noc_stall_rate", "**/noc/stall_ps", false, 0.0},
+      {"noc_blocked_rate", "**/noc/blocked_flits", false, 0.0},
       // Kernel throughput (simspeed's kernel-heap rows) is
       // wall-clock-derived: deterministic in *what* it simulates (the
       // makespan field gates that tightly) but not in how fast the host ran

@@ -107,7 +107,8 @@ struct WatchedRate {
 };
 
 /// The default watch list: arbiter conflict/retry rates, dep-count park
-/// rate, and task-graph-table stall rate (per task, both managers), plus
+/// rate, task-graph-table stall rate (per task, both managers), NoC link
+/// stall time and blocked reservations (per task, every network), plus
 /// the DES kernel throughput gauge (simspeed events/sec, higher-is-better
 /// at a generous wall-clock tolerance), plus the tail-latency gates —
 /// sojourn and serving-latency p50/p99/p999 and the serving knee gauge,

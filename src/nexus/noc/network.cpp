@@ -1,6 +1,7 @@
 #include "nexus/noc/network.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -104,115 +105,107 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
     tmsg = trace_->noc_send(name_, src, dst, op_label(op), flits,
                             static_cast<telemetry::TraceTick>(depart));
   }
-  if (cfg_.ideal() || src == dst) {
-    // Direct delivery: scheduling here — from the same call site, with the
-    // same timestamp arithmetic as the legacy fixed-latency FIFOs — keeps
-    // event issue order (and therefore tie-breaking) bit-identical. The
-    // crossbar has no links, so the flit train occupies nothing: payload
-    // size is accounted (flit counters) but never charged.
-    const std::uint32_t h = src == dst ? 0 : 1;
-    total_hops_ += h;
-    ++delivered_;
-    delivered_flits_ += flits;
-    telemetry::record(m_hops_, h);
-    telemetry::inc(m_delivered_);
-    telemetry::inc(m_delivered_flits_, flits);
-    const Tick deliver = depart + (src == dst ? 0 : ideal_latency_);
-    if (trace_ != nullptr)
-      trace_->noc_deliver(tmsg, static_cast<telemetry::TraceTick>(deliver));
-    sim.schedule(deliver, comp, op, a, b);
-    return;
-  }
+  // Ideal crossbar or a local send: direct delivery, scheduled from the
+  // same call site with the same timestamp arithmetic as the legacy
+  // fixed-latency FIFOs, so event issue order (and therefore tie-breaking)
+  // stays bit-identical. The crossbar has no links, so the flit train
+  // occupies nothing: payload size is accounted but never charged. A
+  // routed send reserves its route instead and is delivered at its end.
+  std::uint32_t hops = src == dst ? 0 : 1;
+  Tick deliver = depart + (src == dst ? 0 : ideal_latency_);
+  if (!cfg_.ideal() && src != dst)
+    deliver = route(sim.now(), depart, tile_of(src), tile_of(dst), flits, tmsg, &hops);
+  total_hops_ += hops;
+  ++delivered_;
+  delivered_flits_ += flits;
+  telemetry::record(m_hops_, hops);
+  telemetry::inc(m_delivered_);
+  telemetry::inc(m_delivered_flits_, flits);
+  if (trace_ != nullptr)
+    trace_->noc_deliver(tmsg, static_cast<telemetry::TraceTick>(deliver));
+  sim.schedule(deliver, comp, op, a, b);
+}
 
-  std::uint32_t slot = 0;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    msgs_[slot] = Msg{};
+Tick Network::route(Tick now, Tick depart, NodeId at, NodeId to,
+                    std::uint32_t flits, std::uint32_t tmsg, std::uint32_t* hops) {
+  // Each link takes the whole flit train in the earliest gap at or after
+  // the head's arrival there; the tail clears the next router hop latency
+  // + the train's serialization beyond the head flit after it starts.
+  const Tick ser = cycles(cfg_.link_cycles * flits);
+  const Tick hop = cycles(cfg_.hop_cycles + cfg_.link_cycles * (flits - 1));
+  Tick arrive = depart;
+  for (*hops = 0; at != to; ++*hops) {
+    const LinkId l = topo_.next_link(at, to);
+    LinkState& link = links_[l];
+    const Tick start = reserve(link, now, arrive, ser);
+    if (start > arrive) {
+      ++blocked_flits_;
+      stall_ticks_ += start - arrive;
+      telemetry::inc(m_blocked_);
+      telemetry::inc(m_stall_ticks_, static_cast<std::uint64_t>(start - arrive));
+    }
+    if (trace_ != nullptr) {
+      trace_->noc_link(tmsg, trace_links_[l],
+                       static_cast<telemetry::TraceTick>(start),
+                       static_cast<telemetry::TraceTick>(ser));
+    }
+    link.busy += ser;
+    link.flits += flits;
+    if (link.m_flits != nullptr) {
+      link.m_flits->inc(flits);
+      link.m_busy->inc(static_cast<std::uint64_t>(ser));
+    }
+    arrive = start + hop;
+    at = topo_.link_dst(l);
+  }
+  // In flight: routed messages whose delivery tick is still ahead of now.
+  const auto later = std::greater<>();
+  while (!in_flight_.empty() && in_flight_.front() <= now) {
+    std::pop_heap(in_flight_.begin(), in_flight_.end(), later);
+    in_flight_.pop_back();
+  }
+  in_flight_.push_back(arrive);
+  std::push_heap(in_flight_.begin(), in_flight_.end(), later);
+  max_in_flight_ = std::max<std::uint64_t>(max_in_flight_, in_flight_.size());
+  telemetry::record(m_in_flight_, in_flight_.size());
+  return arrive;
+}
+
+Tick Network::reserve(LinkState& link, Tick now, Tick arrive, Tick ser) {
+  std::vector<Interval>& iv = link.reserved;
+  auto live = iv.begin();
+  while (live != iv.end() && live->end <= now) ++live;
+  iv.erase(iv.begin(), live);
+  // Skip every reservation the train would overlap, starting from the
+  // first one that ends after the arrival; at or past the horizon that is
+  // none, and the train appends without a search.
+  auto next = iv.end();
+  Tick start = arrive;
+  if (!iv.empty() && arrive < iv.back().end) {
+    next = std::partition_point(iv.begin(), iv.end(), [arrive](const Interval& r) {
+      return r.end <= arrive;
+    });
+    for (; next != iv.end() && next->start < start + ser; ++next)
+      start = next->end;
+  }
+  // Insert [start, end), merging with a reservation it touches.
+  const Tick end = start + ser;
+  const bool join_prev = next != iv.begin() && std::prev(next)->end == start;
+  const bool join_next = next != iv.end() && next->start == end;
+  if (join_prev) {
+    std::prev(next)->end = join_next ? next->end : end;
+    if (join_next) iv.erase(next);
+  } else if (join_next) {
+    next->start = start;
   } else {
-    slot = static_cast<std::uint32_t>(msgs_.size());
-    msgs_.emplace_back();
+    iv.insert(next, Interval{start, end});
   }
-  Msg& m = msgs_[slot];
-  m.at = tile_of(src);
-  m.dst = tile_of(dst);
-  m.comp = comp;
-  m.op = op;
-  m.a = a;
-  m.b = b;
-  m.flits = flits;
-  m.tmsg = tmsg;
-  ++in_flight_;
-  max_in_flight_ = std::max(max_in_flight_, in_flight_);
-  telemetry::record(m_in_flight_, in_flight_);
-  sim.schedule(depart, self_, kHop, slot);
+  max_link_intervals_ = std::max<std::uint64_t>(max_link_intervals_, iv.size());
+  return start;
 }
 
-void Network::handle(Simulation& sim, const Event& ev) {
-  switch (ev.op) {
-    case kHop:
-      hop(sim, static_cast<std::uint32_t>(ev.a));
-      break;
-    default:
-      NEXUS_ASSERT_MSG(false, "unknown Network op");
-  }
-}
-
-void Network::hop(Simulation& sim, std::uint32_t slot) {
-  Msg& m = msgs_[slot];
-  const Tick now = sim.now();
-  if (m.at == m.dst) {
-    // Arrived: hand the payload to its endpoint component at this time (a
-    // same-time event keeps delivery in deterministic issue order).
-    ++delivered_;
-    total_hops_ += m.hops;
-    delivered_flits_ += m.flits;
-    telemetry::inc(m_delivered_);
-    telemetry::inc(m_delivered_flits_, m.flits);
-    telemetry::record(m_hops_, m.hops);
-    if (trace_ != nullptr)
-      trace_->noc_deliver(m.tmsg, static_cast<telemetry::TraceTick>(now));
-    sim.schedule(now, m.comp, m.op, m.a, m.b);
-    NEXUS_DCHECK(in_flight_ > 0);
-    --in_flight_;
-    free_slots_.push_back(slot);
-    return;
-  }
-
-  // One flit per link per `link_cycles`: wait for the output link, occupy
-  // it for the whole flit train, and emerge at the next router once the
-  // tail has crossed (hop latency + the train's serialization beyond the
-  // head flit). Later messages queue behind earlier ones (FIFO in
-  // deterministic event order), which is exactly the serialization and
-  // backpressure an overloaded link produces — and a large-payload message
-  // now really owns each link `flits` times longer than a bare record.
-  const LinkId l = topo_.next_link(m.at, m.dst);
-  LinkState& link = links_[l];
-  const Tick start = std::max(now, link.free_at);
-  if (start > now) {
-    ++blocked_flits_;
-    stall_ticks_ += start - now;
-    telemetry::inc(m_blocked_);
-    telemetry::inc(m_stall_ticks_, static_cast<std::uint64_t>(start - now));
-  }
-  const Tick ser = cycles(cfg_.link_cycles * m.flits);
-  if (trace_ != nullptr) {
-    trace_->noc_link(m.tmsg, trace_links_[l],
-                     static_cast<telemetry::TraceTick>(start),
-                     static_cast<telemetry::TraceTick>(ser));
-  }
-  link.free_at = start + ser;
-  link.busy += ser;
-  link.flits += m.flits;
-  if (link.m_flits != nullptr) {
-    link.m_flits->inc(m.flits);
-    link.m_busy->inc(static_cast<std::uint64_t>(ser));
-  }
-  ++m.hops;
-  m.at = topo_.link_dst(l);
-  sim.schedule(start + cycles(cfg_.hop_cycles + cfg_.link_cycles *
-                                                    (m.flits - 1)),
-               self_, kHop, slot);
+void Network::handle(Simulation& /*sim*/, const Event& /*ev*/) {
+  NEXUS_ASSERT_MSG(false, "Network schedules no events of its own");
 }
 
 Network::Stats Network::stats() const {
@@ -225,6 +218,7 @@ Network::Stats Network::stats() const {
   s.blocked_flits = blocked_flits_;
   s.stall_ticks = stall_ticks_;
   s.max_in_flight = max_in_flight_;
+  s.max_link_intervals = max_link_intervals_;
   s.link_flits.reserve(links_.size());
   s.link_busy.reserve(links_.size());
   for (const LinkState& l : links_) {

@@ -2,21 +2,22 @@
 //
 // A Network carries (component, op, a, b) payloads between logical
 // endpoints; a placement (NocConfig::placement) maps each endpoint to its
-// router tile, so the same traffic can be laid out differently on the same
-// fabric. Under the ideal topology every send is delivered directly after
-// the uniform latency — no intermediate events, so wiring a Network into a
-// block is provably perturbation-free (the legacy fixed-latency FIFO
-// behaviour, bit-identical, is a tested contract). Under ring/mesh/torus
-// each message hops link by link as a worm of `1 + ceil(payload_bytes /
-// flit_bytes)` flits: a link accepts one flit every `link_cycles`
-// (serialization => real contention and queuing; a saturated link backs
-// later flits up behind it, and a long message occupies each link for its
-// whole flit train), and each hop adds `hop_cycles` of router+wire latency
-// before the tail clears the next router. Per-link utilization, hop
-// histograms, flit counts, in-flight depth and contention stalls are
-// exported through the telemetry registry and are timeline-samplable like
-// every other component's metrics; a per-endpoint-pair traffic matrix feeds
-// the placement search (noc/placement.hpp).
+// router tile. Under the ideal topology every send is delivered directly
+// after the uniform latency, bit-identical to the legacy fixed-latency
+// FIFOs (a tested contract). Under ring/mesh/torus a message is a worm of
+// `1 + ceil(payload_bytes / flit_bytes)` flits, modelled per transaction:
+// send() walks the route once, puts the whole flit train (`link_cycles`
+// per flit) in each link's earliest free gap at or after the head's
+// arrival there, and schedules the one delivery event at the final
+// arrival. The tail clears each router `hop_cycles` + the train's
+// serialization beyond the head flit after its start, so later traffic
+// queues behind earlier reservations (contention, backpressure). A
+// later-sent train that reaches a link first but does not fit the gap
+// ahead of an earlier reservation waits behind it: the one departure from
+// per-hop arbitration in arrival order (tests/noc_reference.hpp keeps that
+// model as the oracle; docs/METRICS.md has the envelope). Link use, hops,
+// flits, in-flight depth and stalls go to the telemetry registry; a
+// per-endpoint-pair traffic matrix feeds the placement search.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +47,13 @@ class Network final : public Component {
   /// Register with the simulation and pick up its observers. Metrics under
   /// the network's name: messages/delivered counters, hop + in-flight
   /// histograms, contention stalls, and per-link flit counts and busy time.
-  /// Trace: every send becomes a message, delivered ones get an arrival
-  /// stamp, and routed topologies add one link-occupancy span per hop.
-  /// Profile: send() time accumulates into per-op-kind "send:<label>"
-  /// children of this component's node, separating injection cost by
-  /// message kind from the hop/delivery time handled under the node itself.
-  /// Call after the owning block's own components so their ids (and
-  /// telemetry labels) keep their positions.
+  /// Trace: every send becomes a message with its arrival stamp, and
+  /// routed topologies add one link-occupancy span per hop — all recorded
+  /// at send, when the route is reserved. Profile: send() time accumulates
+  /// into per-op-kind "send:<label>" children of this component's node.
+  /// The Network schedules no events of its own, but it stays a registered
+  /// component: call attach() after the owning block's own components so
+  /// their ids (and telemetry labels) keep their positions.
   void attach(Simulation& sim);
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -74,10 +75,10 @@ class Network final : public Component {
   /// Deliver (comp, op, a, b) after traversing endpoint src -> dst,
   /// departing at `depart` (>= sim.now()). Ideal: one event at depart +
   /// ideal_latency (depart exactly, when src == dst). Ring/mesh/torus: the
-  /// message hops tile to tile with per-link serialization — every link on
-  /// the route is occupied for the message's whole flit train, so
-  /// `payload_bytes` (a parameter list, a descriptor) directly stretches
-  /// link occupancy and queuing behind it.
+  /// route is reserved link by link now and one event is scheduled at the
+  /// final arrival — every link is occupied for the message's whole flit
+  /// train, so `payload_bytes` (a parameter list, a descriptor) directly
+  /// stretches link occupancy and queuing behind it.
   void send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
             std::uint32_t comp, std::uint32_t op, std::uint64_t a = 0,
             std::uint64_t b = 0, std::uint32_t payload_bytes = 0);
@@ -96,20 +97,21 @@ class Network final : public Component {
     }
   }
 
-  // Component
+  // Component (never called: deliveries go straight to their endpoint)
   void handle(Simulation& sim, const Event& ev) override;
   [[nodiscard]] const char* telemetry_label() const override { return "noc"; }
 
   // --- introspection for tests and reports ---
   struct Stats {
     std::uint64_t messages = 0;   ///< send() calls
-    std::uint64_t delivered = 0;  ///< messages that reached their endpoint
+    std::uint64_t delivered = 0;  ///< deliveries scheduled (at send)
     std::uint64_t total_hops = 0;
     std::uint64_t injected_flits = 0;   ///< summed per-message flit counts
     std::uint64_t delivered_flits = 0;  ///< flits of delivered messages
-    std::uint64_t blocked_flits = 0;  ///< hop acquisitions that had to wait
+    std::uint64_t blocked_flits = 0;  ///< link reservations past arrival
     Tick stall_ticks = 0;             ///< summed link-wait time
-    std::uint64_t max_in_flight = 0;
+    std::uint64_t max_in_flight = 0;  ///< peak undelivered, at injects
+    std::uint64_t max_link_intervals = 0;  ///< peak reservations on a link
     std::vector<std::uint64_t> link_flits;  ///< per link
     std::vector<Tick> link_busy;            ///< per link, serialization time
     /// Flit-weighted traffic between logical endpoints, row-major
@@ -120,39 +122,34 @@ class Network final : public Component {
   [[nodiscard]] Stats stats() const;
 
  private:
-  enum Op : std::uint32_t {
-    kHop = 0,  ///< a = message slot
-  };
-
-  struct Msg {
-    NodeId at = 0;
-    NodeId dst = 0;
-    std::uint32_t comp = 0;
-    std::uint32_t op = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint32_t hops = 0;
-    std::uint32_t flits = 1;
-    std::uint32_t tmsg = 0;  ///< TraceRecorder message handle (trace_ set)
-  };
-
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
-  void hop(Simulation& sim, std::uint32_t slot);
   [[nodiscard]] std::string_view op_label(std::uint32_t op);
   [[nodiscard]] std::uint32_t prof_send_node(std::uint32_t op);
 
-  /// Everything a hop touches about one link, in one cache line: the
-  /// serialization horizon, the stats mirrors, and the telemetry pointers.
-  /// The old layout spread these over five parallel vectors, so a single
-  /// link acquisition paid up to five cache misses — this bookkeeping
-  /// dominates large-fabric runs, where hops outnumber messages ~6:1.
+  struct Interval {
+    Tick start;
+    Tick end;
+  };
+
+  /// Everything a reservation touches about one link, kept together.
   struct LinkState {
-    Tick free_at = 0;           ///< serialization horizon
+    /// Sorted, disjoint, non-touching [start, end) reservations; each
+    /// reservation first prunes those ending at or before now() (no future
+    /// arrival can precede now()).
+    std::vector<Interval> reserved;
     Tick busy = 0;              ///< accumulated serialization time
     std::uint64_t flits = 0;    ///< flits that crossed this link
     telemetry::Counter* m_flits = nullptr;
     telemetry::Counter* m_busy = nullptr;  ///< picoseconds
   };
+
+  /// Reserve tile `at` -> `to` for a train departing at `depart`; returns
+  /// the delivery tick and sets `*hops`.
+  Tick route(Tick now, Tick depart, NodeId at, NodeId to, std::uint32_t flits,
+             std::uint32_t tmsg, std::uint32_t* hops);
+  /// Reserve `ser` ticks on `link` in the earliest gap at or after
+  /// `arrive`; returns the start.
+  Tick reserve(LinkState& link, Tick now, Tick arrive, Tick ser);
 
   NocConfig cfg_;
   Topology topo_;
@@ -160,10 +157,9 @@ class Network final : public Component {
   Tick ideal_latency_;
   std::uint32_t self_ = 0;
 
-  std::vector<Msg> msgs_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t in_flight_ = 0;
-  std::vector<LinkState> links_;  ///< per-link horizon + mirrors, hot
+  std::vector<LinkState> links_;  ///< per-link reservations + mirrors, hot
+  /// Min-heap of routed delivery ticks not yet known to be past.
+  std::vector<Tick> in_flight_;
 
   // --- stats mirrors (always on; cheap integer updates) ---
   std::uint64_t messages_ = 0;
@@ -174,6 +170,7 @@ class Network final : public Component {
   std::uint64_t blocked_flits_ = 0;
   Tick stall_ticks_ = 0;
   std::uint64_t max_in_flight_ = 0;
+  std::uint64_t max_link_intervals_ = 0;
   std::vector<std::uint64_t> traffic_;  ///< endpoints x endpoints, flits
 
   telemetry::Profiler* prof_ = nullptr;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,36 @@ TEST(Perfdiff, DefaultWatchedGlobsReachBothManagerLayouts) {
   EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("table_stall_rate")), 28.0);
   EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("conflict_rate")), 32.0);
   EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("retry_rate")), 64.0);
+}
+
+TEST(Perfdiff, NocContentionRatesAreGatedPerTask) {
+  // Link contention on every network (manager and host NoCs alike) is a
+  // watched per-task rate: more stall time or more blocked reservations
+  // past the default band fail even when the makespan holds.
+  const auto noc_fixture = [](double stall_ps, double blocked) {
+    BenchRecord r = fixture(1000, 40);
+    r.metrics.push_back({"nexus#/noc/stall_ps", stall_ps});
+    r.metrics.push_back({"runtime/noc/stall_ps", stall_ps});
+    r.metrics.push_back({"nexus#/noc/blocked_flits", blocked});
+    return r;
+  };
+  const std::vector<BenchRecord> base{noc_fixture(5e6, 200)};
+  EXPECT_TRUE(harness::perfdiff_compare(base, {noc_fixture(5.2e6, 208)}).ok());
+  const PerfdiffResult stall =
+      harness::perfdiff_compare(base, {noc_fixture(6e6, 200)});
+  EXPECT_FALSE(stall.ok());
+  EXPECT_NE(stall.report.find("noc_stall_rate"), std::string::npos);
+  EXPECT_EQ(stall.report.find("noc_blocked_rate"), std::string::npos);
+  const PerfdiffResult blocked =
+      harness::perfdiff_compare(base, {noc_fixture(5e6, 240)});
+  EXPECT_FALSE(blocked.ok());
+  EXPECT_NE(blocked.report.find("noc_blocked_rate"), std::string::npos);
+  // Both globs sum every network's counter.
+  std::map<std::string, double> sums;
+  for (const auto& w : harness::default_watched_rates())
+    sums[w.name] = base[0].metric_sum(w.numerator);
+  EXPECT_DOUBLE_EQ(sums["noc_stall_rate"], 1e7);
+  EXPECT_DOUBLE_EQ(sums["noc_blocked_rate"], 200.0);
 }
 
 BenchRecord simspeed_fixture(double events_per_sec) {
