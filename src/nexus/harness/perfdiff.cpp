@@ -211,6 +211,17 @@ std::vector<WatchedRate> default_watched_rates() {
       // counters on the default band, so more contention must be stated.
       {"noc_stall_rate", "**/noc/stall_ps", false, 0.0},
       {"noc_blocked_rate", "**/noc/blocked_flits", false, 0.0},
+      // DES events per task, per component kind (the kernel's per-component
+      // sim/c<i>_<kind>/events counters, summed over instances). Every
+      // event is deterministic, so a hot-path change that adds or drops
+      // events on any layer must state it.
+      {"driver_event_rate", "sim/c*_driver/events", false, 0.0},
+      {"io_event_rate", "sim/c*_io/events", false, 0.0},
+      {"tg_event_rate", "sim/c*_tg/events", false, 0.0},
+      {"arbiter_event_rate", "sim/c*_arbiter/events", false, 0.0},
+      {"root_event_rate", "sim/c*_root/events", false, 0.0},
+      {"npp_event_rate", "sim/c*_npp/events", false, 0.0},
+      {"noc_event_rate", "sim/c*_noc/events", false, 0.0},
       // Kernel throughput (simspeed's kernel-heap rows) is
       // wall-clock-derived: deterministic in *what* it simulates (the
       // makespan field gates that tightly) but not in how fast the host ran

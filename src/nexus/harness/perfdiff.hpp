@@ -108,11 +108,13 @@ struct WatchedRate {
 
 /// The default watch list: arbiter conflict/retry rates, dep-count park
 /// rate, task-graph-table stall rate (per task, both managers), NoC link
-/// stall time and blocked reservations (per task, every network), plus
-/// the DES kernel throughput gauge (simspeed events/sec, higher-is-better
-/// at a generous wall-clock tolerance), plus the tail-latency gates —
-/// sojourn and serving-latency p50/p99/p999 and the serving knee gauge,
-/// all require_both so pre-quantile baselines are skipped, not failed.
+/// stall time and blocked reservations (per task, every network), DES
+/// events per task per component kind (driver, io, tg, arbiter, root, npp,
+/// noc), plus the DES kernel throughput gauge (simspeed events/sec,
+/// higher-is-better at a generous wall-clock tolerance), plus the
+/// tail-latency gates — sojourn and serving-latency p50/p99/p999 and the
+/// serving knee gauge, all require_both so pre-quantile baselines are
+/// skipped, not failed.
 std::vector<WatchedRate> default_watched_rates();
 
 struct PerfdiffOptions {

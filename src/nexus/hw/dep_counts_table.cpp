@@ -10,7 +10,7 @@ namespace nexus::hw {
 void DepCountsTable::set(TaskId id, std::uint32_t count,
                          telemetry::TraceTick at, std::uint16_t tenant) {
   NEXUS_ASSERT(count >= 1);
-  const bool fresh = counts_.emplace(id, Parked{count, tenant}).second;
+  const bool fresh = counts_.try_emplace(id, Parked{count, tenant}).second;
   NEXUS_ASSERT_MSG(fresh, "dep count already present");
   if (tenants_.enabled()) tenants_.add(tenant);
   peak_ = std::max<std::uint64_t>(peak_, counts_.size());
@@ -21,13 +21,13 @@ void DepCountsTable::set(TaskId id, std::uint32_t count,
 }
 
 bool DepCountsTable::decrement(TaskId id, telemetry::TraceTick at) {
-  const auto it = counts_.find(id);
-  NEXUS_ASSERT_MSG(it != counts_.end(), "decrement of unknown task");
-  NEXUS_ASSERT(it->second.count > 0);
+  Parked* p = counts_.find(id);
+  NEXUS_ASSERT_MSG(p != nullptr, "decrement of unknown task");
+  NEXUS_ASSERT(p->count > 0);
   telemetry::inc(m_hits_);
-  if (--it->second.count == 0) {
-    if (tenants_.enabled()) tenants_.sub(it->second.tenant);
-    counts_.erase(it);
+  if (--p->count == 0) {
+    if (tenants_.enabled()) tenants_.sub(p->tenant);
+    counts_.erase(id);
     telemetry::inc(m_released_);
     if (trace_ != nullptr)
       trace_->counter(track_, at, static_cast<std::int64_t>(counts_.size()));

@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "nexus/common/id_map.hpp"
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
 #include "nexus/telemetry/observers.hpp"
@@ -28,7 +28,7 @@ class DepCountsTable {
   /// entry is then removed).
   bool decrement(TaskId id, telemetry::TraceTick at = 0);
 
-  [[nodiscard]] bool contains(TaskId id) const { return counts_.count(id) > 0; }
+  [[nodiscard]] bool contains(TaskId id) const { return counts_.contains(id); }
   [[nodiscard]] std::size_t size() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t peak() const { return peak_; }
 
@@ -47,7 +47,7 @@ class DepCountsTable {
     std::uint32_t count = 0;
     std::uint16_t tenant = 0;
   };
-  std::unordered_map<TaskId, Parked> counts_;
+  IdMap<Parked> counts_;
   TenantLedger tenants_;
   std::uint64_t peak_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;

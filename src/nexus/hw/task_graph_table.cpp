@@ -11,6 +11,7 @@ TaskGraphTable::TaskGraphTable(const TableConfig& cfg) : cfg_(cfg) {
   NEXUS_ASSERT_MSG(is_pow2(cfg.sets), "set count must be a power of two");
   NEXUS_ASSERT(cfg.ways >= 1 && cfg.kol_entries >= 1);
   slots_.resize(static_cast<std::size_t>(cfg.sets) * cfg.ways);
+  tags_.resize(slots_.size(), 0);
 }
 
 std::uint32_t TaskGraphTable::set_of(Addr addr) const {
@@ -21,27 +22,35 @@ std::uint32_t TaskGraphTable::set_of(Addr addr) const {
 
 TaskGraphTable::Entry* TaskGraphTable::find(Addr addr) {
   const std::uint32_t base = set_of(addr) * cfg_.ways;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = slots_[base + w];
-    if (e.valid && !e.is_chain && e.addr == addr) return &e;
-  }
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+    if (tags_[base + w] == addr + 1) return &slots_[base + w];
   return nullptr;
+}
+
+TaskGraphTable::Entry& TaskGraphTable::claim(std::uint32_t i,
+                                             std::uint16_t tenant,
+                                             bool is_chain) {
+  Entry& e = slots_[i];
+  e.valid = true;
+  e.is_chain = is_chain;
+  e.cur_is_writer = false;
+  e.tenant = tenant;
+  e.cur_unfinished = 0;
+  e.kol.clear();
+  e.chain_idx.clear();
+  if (tenants_.enabled()) tenants_.add(tenant);
+  ++used_slots_;
+  peak_used_ = std::max<std::uint64_t>(peak_used_, used_slots_);
+  return e;
 }
 
 TaskGraphTable::Entry* TaskGraphTable::allocate(Addr addr,
                                                 std::uint16_t tenant) {
   const std::uint32_t base = set_of(addr) * cfg_.ways;
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = slots_[base + w];
-    if (!e.valid) {
-      e = Entry{};
-      e.valid = true;
-      e.addr = addr;
-      e.tenant = tenant;
-      if (tenants_.enabled()) tenants_.add(tenant);
-      ++used_slots_;
-      peak_used_ = std::max<std::uint64_t>(peak_used_, used_slots_);
-      return &e;
+    if (!slots_[base + w].valid) {
+      tags_[base + w] = addr + 1;
+      return &claim(base + w, tenant, false);
     }
   }
   return nullptr;
@@ -54,16 +63,8 @@ bool TaskGraphTable::grow_chain(Entry& e, Addr addr) {
     const std::uint32_t s = (home + k * 0x9E37u) & (cfg_.sets - 1);
     const std::uint32_t base = s * cfg_.ways;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-      Entry& c = slots_[base + w];
-      if (!c.valid) {
-        c = Entry{};
-        c.valid = true;
-        c.is_chain = true;
-        c.addr = addr;
-        c.tenant = e.tenant;
-        if (tenants_.enabled()) tenants_.add(e.tenant);
-        ++used_slots_;
-        peak_used_ = std::max<std::uint64_t>(peak_used_, used_slots_);
+      if (!slots_[base + w].valid) {
+        claim(base + w, e.tenant, true);
         e.chain_idx.push_back(base + w);
         return true;
       }
@@ -94,6 +95,7 @@ void TaskGraphTable::release_entry(Entry& e) {
   shrink_chain(e);
   NEXUS_DCHECK(e.chain_idx.empty());
   e.valid = false;
+  tags_[static_cast<std::size_t>(&e - slots_.data())] = 0;
   if (tenants_.enabled()) tenants_.sub(e.tenant);
   NEXUS_ASSERT(used_slots_ > 0);
   --used_slots_;
@@ -135,7 +137,7 @@ TaskGraphTable::InsertResult TaskGraphTable::insert(Addr addr, TaskId task,
       return {InsertKind::kNoSpace, static_cast<std::uint32_t>(e->chain_idx.size())};
     }
   }
-  e->kol.push_back(Waiter{task, is_writer});
+  e->kol.push(Waiter{task, is_writer});
   telemetry::inc(m_inserts_);
   telemetry::inc(m_queued_);
   telemetry::inc(m_chain_hops_, e->chain_idx.size());
@@ -162,16 +164,14 @@ TaskGraphTable::FinishResult TaskGraphTable::finish(Addr addr, TaskId /*task*/,
   r.chain_hops = static_cast<std::uint32_t>(e->chain_idx.size());
   telemetry::inc(m_chain_hops_, r.chain_hops);
   if (e->kol.front().is_writer) {
-    kicked->push_back(e->kol.front());
-    e->kol.pop_front();
+    kicked->push_back(e->kol.pop());
     e->cur_is_writer = true;
     e->cur_unfinished = 1;
   } else {
     e->cur_is_writer = false;
     e->cur_unfinished = 0;
     while (!e->kol.empty() && !e->kol.front().is_writer) {
-      kicked->push_back(e->kol.front());
-      e->kol.pop_front();
+      kicked->push_back(e->kol.pop());
       ++e->cur_unfinished;
     }
   }

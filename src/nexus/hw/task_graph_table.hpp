@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
 #include "nexus/telemetry/observers.hpp"
@@ -90,20 +90,23 @@ class TaskGraphTable {
   void bind(const telemetry::Observers& obs, std::string_view prefix);
 
  private:
+  // A slot is reset in place when (re)allocated: its kick-off list and
+  // chain index keep their storage, so a reused slot allocates nothing.
   struct Entry {
-    Addr addr = 0;
     bool valid = false;
     bool is_chain = false;         ///< dummy/extension slot
     bool cur_is_writer = false;
     std::uint16_t tenant = 0;  ///< owner of this slot (tenancy accounting)
     std::uint32_t cur_unfinished = 0;
-    std::deque<Waiter> kol;                ///< logical kick-off list (FIFO)
+    FixedRing<Waiter> kol;                 ///< logical kick-off list (FIFO)
     std::vector<std::uint32_t> chain_idx;  ///< slots of dummy entries backing kol
   };
 
   [[nodiscard]] std::uint32_t set_of(Addr addr) const;
   Entry* find(Addr addr);
   Entry* allocate(Addr addr, std::uint16_t tenant);
+  /// Claim free slot `i` in place (chain slots keep a zero tag).
+  Entry& claim(std::uint32_t i, std::uint16_t tenant, bool is_chain);
   /// Allocate/free physical dummy slots to cover a kick-off list of `len`.
   bool grow_chain(Entry& e, Addr addr);
   void shrink_chain(Entry& e);
@@ -111,6 +114,9 @@ class TaskGraphTable {
 
   TableConfig cfg_;
   std::vector<Entry> slots_;  ///< sets*ways, row-major by set
+  /// Per slot: addr + 1 for a valid non-chain slot, else 0. find() probes a
+  /// set's ways in these packed words instead of the wide entries.
+  std::vector<std::uint64_t> tags_;
   TenantLedger tenants_;
   std::uint32_t used_slots_ = 0;
   std::uint64_t stalls_ = 0;

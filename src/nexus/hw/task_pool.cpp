@@ -9,7 +9,7 @@ namespace nexus::hw {
 
 void TaskPool::insert(const TaskDescriptor& t, telemetry::TraceTick at) {
   NEXUS_ASSERT_MSG(!full(), "task pool overflow");
-  const bool fresh = slots_.emplace(t.id, t).second;
+  const bool fresh = slots_.try_emplace(t.id, t).second;
   NEXUS_ASSERT_MSG(fresh, "task already pooled");
   if (tenants_.enabled()) tenants_.add(t.tenant);
   peak_ = std::max<std::uint64_t>(peak_, slots_.size());
@@ -21,19 +21,19 @@ void TaskPool::insert(const TaskDescriptor& t, telemetry::TraceTick at) {
 }
 
 const TaskDescriptor& TaskPool::get(TaskId id) const {
-  const auto it = slots_.find(id);
-  NEXUS_ASSERT_MSG(it != slots_.end(), "task not in pool");
-  return it->second;
+  const TaskDescriptor* t = slots_.find(id);
+  NEXUS_ASSERT_MSG(t != nullptr, "task not in pool");
+  return *t;
 }
 
 void TaskPool::erase(TaskId id, telemetry::TraceTick at) {
   if (tenants_.enabled()) {
-    const auto it = slots_.find(id);
-    NEXUS_ASSERT_MSG(it != slots_.end(), "erase of task not in pool");
-    tenants_.sub(it->second.tenant);
+    const TaskDescriptor* t = slots_.find(id);
+    NEXUS_ASSERT_MSG(t != nullptr, "erase of task not in pool");
+    tenants_.sub(t->tenant);
   }
-  const auto n = slots_.erase(id);
-  NEXUS_ASSERT_MSG(n == 1, "erase of task not in pool");
+  const bool erased = slots_.erase(id);
+  NEXUS_ASSERT_MSG(erased, "erase of task not in pool");
   telemetry::inc(m_retired_);
   if (trace_ != nullptr)
     trace_->counter(track_, at, static_cast<std::int64_t>(slots_.size()));

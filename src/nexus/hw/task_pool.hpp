@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "nexus/common/id_map.hpp"
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/task/task.hpp"
 #include "nexus/telemetry/observers.hpp"
@@ -20,9 +20,9 @@ namespace nexus::hw {
 
 class TaskPool {
  public:
-  explicit TaskPool(std::size_t capacity) : capacity_(capacity) {
+  explicit TaskPool(std::size_t capacity)
+      : capacity_(capacity), slots_(capacity) {
     NEXUS_ASSERT(capacity > 0);
-    slots_.reserve(capacity);
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -34,6 +34,8 @@ class TaskPool {
   /// irrelevant unless a TraceRecorder is bound.
   void insert(const TaskDescriptor& t, telemetry::TraceTick at = 0);
 
+  /// The pooled descriptor; the reference stays valid until the next erase
+  /// (the map is sized for the capacity, so an insert never moves it).
   [[nodiscard]] const TaskDescriptor& get(TaskId id) const;
 
   void erase(TaskId id, telemetry::TraceTick at = 0);
@@ -53,7 +55,7 @@ class TaskPool {
 
  private:
   std::size_t capacity_;
-  std::unordered_map<TaskId, TaskDescriptor> slots_;
+  IdMap<TaskDescriptor> slots_;
   TenantLedger tenants_;
   std::uint64_t peak_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;

@@ -63,11 +63,11 @@ Tick NexusPP::notify_finished(Simulation& sim, TaskId id) {
 void NexusPP::handle(Simulation& sim, const Event& ev) {
   switch (ev.op) {
     case kInsertArrived:
-      insert_queue_.push_back(static_cast<TaskId>(ev.a));
+      insert_queue_.push(static_cast<TaskId>(ev.a));
       pump(sim);
       break;
     case kFinishArrived:
-      finish_queue_.push_back(static_cast<TaskId>(ev.a));
+      finish_queue_.push(static_cast<TaskId>(ev.a));
       pump(sim);
       break;
     case kPump:
@@ -105,8 +105,7 @@ void NexusPP::pump(Simulation& sim) {
   }
 
   if (!finish_queue_.empty()) {
-    const TaskId id = finish_queue_.front();
-    finish_queue_.pop_front();
+    const TaskId id = finish_queue_.pop();
     process_finish(sim, id);
     if (!pump_pending_ && port_free_ > now &&
         (!finish_queue_.empty() || active_insert_ || !insert_queue_.empty())) {
@@ -119,8 +118,7 @@ void NexusPP::pump(Simulation& sim) {
   if (active_insert_ && insert_stalled_) return;  // wait for a finish
 
   if (!active_insert_ && !insert_queue_.empty()) {
-    active_insert_ = InsertJob{insert_queue_.front(), 0, 0, now};
-    insert_queue_.pop_front();
+    active_insert_ = InsertJob{insert_queue_.pop(), 0, 0, now};
     port_free_ = now + cycles(cfg_.insert_base);
     insert_busy_ += cycles(cfg_.insert_base);
   }

@@ -10,11 +10,11 @@
 // cannot speed up h264dec); the driver falls back to a full barrier.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
 #include "nexus/hw/dep_counts_table.hpp"
 #include "nexus/hw/task_graph_table.hpp"
 #include "nexus/hw/task_pool.hpp"
@@ -129,8 +129,8 @@ class NexusPP final : public TaskManagerModel, public Component {
   hw::TaskGraphTable table_;
   hw::DepCountsTable depcounts_;
 
-  std::deque<TaskId> insert_queue_;
-  std::deque<TaskId> finish_queue_;
+  FixedRing<TaskId> insert_queue_;
+  FixedRing<TaskId> finish_queue_;
   std::optional<InsertJob> active_insert_;
   bool insert_stalled_ = false;
   bool master_blocked_ = false;

@@ -64,7 +64,7 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
       SimTask& st = sim_tasks_[id];
       if (st.meta_arrived) {
         // A single-param ready record supersedes any gathering state.
-        ready_q_.push_back(id);
+        ready_q_.push(id);
         sim_tasks_.erase(id);
         telemetry::record(m_ready_depth_, ready_q_.size());
       } else {
@@ -81,13 +81,13 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
       break;
     }
     case kWait:
-      wait_q_.push_back(static_cast<TaskId>(ev.a));
+      wait_q_.push(static_cast<TaskId>(ev.a));
       telemetry::record(m_wait_depth_, wait_q_.size());
       pump(sim);
       break;
     case kDep:
       NEXUS_DCHECK(ev.b < dep_q_.size());
-      dep_q_[ev.b].push_back(ev.a);
+      dep_q_[ev.b].push(ev.a);
       pump(sim);
       break;
     case kMeta: {
@@ -102,7 +102,7 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
         // Release the ready record that overtook this descriptor: the task
         // bypasses gathering (single-param short-circuit) now that the
         // write-back path can resolve it.
-        ready_q_.push_back(id);
+        ready_q_.push(id);
         sim_tasks_.erase(id);
         telemetry::record(m_ready_depth_, ready_q_.size());
       } else {
@@ -172,8 +172,7 @@ void SharpArbiter::pump(Simulation& sim) {
   Tick cost = 0;
   switch (pick) {
     case kClsReady: {
-      const TaskId id = ready_q_.front();
-      ready_q_.pop_front();
+      const TaskId id = ready_q_.pop();
       cost = cycles(cfg_.arb_ready_cycles);
       telemetry::inc(m_grants_ready_);
       if (trace_ != nullptr)
@@ -184,18 +183,16 @@ void SharpArbiter::pump(Simulation& sim) {
     case kClsWait: {
       // "Decrements the dependence counts of those waiting tasks one by
       // one" (Section IV-C).
-      const TaskId id = wait_q_.front();
-      wait_q_.pop_front();
+      const TaskId id = wait_q_.pop();
       cost = cycles(cfg_.arb_wait_cycles);
       telemetry::inc(m_grants_wait_);
       if (trace_ != nullptr)
         trace_->unit_span("sharp/arbiter", "wait", id, now, cost);
-      const auto it = sim_tasks_.find(id);
-      if (it != sim_tasks_.end()) {
+      if (SimTask* st = sim_tasks_.find(id)) {
         // Kick raced ahead of (or into) the gathering phase: absorb it in
         // the Sim Tasks buffer (Section IV-C's "simultaneous" case).
-        ++it->second.pending_dec;
-        conclude_if_complete(sim, id, it->second, now + cost);
+        ++st->pending_dec;
+        conclude_if_complete(sim, id, *st, now + cost);
       } else if (depcounts_.decrement(id, now + cost)) {
         to_writeback(sim, now + cost, id);
       }
@@ -211,8 +208,7 @@ void SharpArbiter::pump(Simulation& sim) {
         trace_->unit_span("sharp/arbiter", "gather", 0, now, cost);
       for (auto& q : dep_q_) {
         if (q.empty()) continue;
-        const std::uint64_t rec = q.front();
-        q.pop_front();
+        const std::uint64_t rec = q.pop();
         const auto id = static_cast<TaskId>(rec & 0xFFFFFFFF);
         const auto contributes = static_cast<std::uint32_t>(rec >> 32);
         SimTask& st = sim_tasks_[id];

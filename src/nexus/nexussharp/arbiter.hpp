@@ -17,11 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
+#include "nexus/common/id_map.hpp"
 #include "nexus/hw/dep_counts_table.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/nexussharp/config.hpp"
@@ -113,15 +113,15 @@ class SharpArbiter final : public Component {
 
   [[nodiscard]] bool dep_pending() const;
 
-  std::deque<TaskId> ready_q_;
-  std::deque<TaskId> wait_q_;
+  FixedRing<TaskId> ready_q_;
+  FixedRing<TaskId> wait_q_;
   /// Per-task-graph Dep. Counts buffers: one gather grant (2 cycles) reads
   /// one record from EVERY nonempty buffer in parallel — the paper's
   /// best-case "two cycles to collect the results of all the task graphs".
-  std::vector<std::deque<std::uint64_t>> dep_q_;
+  std::vector<FixedRing<std::uint64_t>> dep_q_;
   std::uint32_t rr_next_ = 0;  ///< for the round-robin ablation policy
 
-  std::unordered_map<TaskId, SimTask> sim_tasks_;
+  IdMap<SimTask> sim_tasks_;
   hw::DepCountsTable depcounts_;
   Server wb_;
   Tick port_free_ = 0;

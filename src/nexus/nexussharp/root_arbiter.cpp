@@ -87,7 +87,7 @@ void RootArbiter::enqueue_ready(Simulation& sim, TaskId id,
                                 std::uint16_t tenant) {
   const std::size_t q = queues_.size() > 1 ? tenant : 0;
   NEXUS_ASSERT(q < queues_.size());
-  queues_[q].push_back(id);
+  queues_[q].push(id);
   ++queued_;
   telemetry::record(m_ready_depth_, queued_);
   pump(sim);
@@ -121,8 +121,7 @@ void RootArbiter::pump(Simulation& sim) {
     --credits_;
   }
 
-  const TaskId id = queues_[t].front();
-  queues_[t].pop_front();
+  const TaskId id = queues_[t].pop();
   --queued_;
   const Tick cost = cycles(cfg_.root_grant_cycles);
   telemetry::inc(m_grants_);

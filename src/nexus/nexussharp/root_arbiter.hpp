@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
+#include "nexus/common/id_map.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/nexussharp/config.hpp"
 #include "nexus/runtime/manager.hpp"
@@ -77,10 +77,10 @@ class RootArbiter final : public Component {
   RuntimeHost* host_ = nullptr;
   std::uint32_t self_ = 0;
 
-  std::unordered_map<TaskId, SimTask> sim_tasks_;
+  IdMap<SimTask> sim_tasks_;
   /// One ready queue per tenant (a single queue when tenancy is disabled
   /// or the FIFO baseline is selected).
-  std::vector<std::deque<TaskId>> queues_;
+  std::vector<FixedRing<TaskId>> queues_;
   std::size_t queued_ = 0;
   std::uint32_t cur_tenant_ = 0;   ///< WRR pointer
   std::uint32_t credits_ = 0;      ///< grants left for cur_tenant_'s burst

@@ -53,13 +53,13 @@ TaskGraphUnit::Arg TaskGraphUnit::unpack(std::uint64_t meta, Addr addr) {
 void TaskGraphUnit::handle(Simulation& sim, const Event& ev) {
   switch (ev.op) {
     case kNewArg:
-      new_q_.push_back(unpack(ev.a, ev.b));
+      new_q_.push(unpack(ev.a, ev.b));
       peak_queue_ = std::max<std::uint64_t>(peak_queue_, new_q_.size());
       telemetry::record(m_new_depth_, new_q_.size());
       pump(sim);
       break;
     case kFinishedArg:
-      fin_q_.push_back(unpack(ev.a, ev.b));
+      fin_q_.push(unpack(ev.a, ev.b));
       telemetry::record(m_fin_depth_, fin_q_.size());
       pump(sim);
       break;
@@ -86,8 +86,7 @@ void TaskGraphUnit::pump(Simulation& sim) {
   if (!fin_q_.empty()) {
     // Finished args first: they release table space (deadlock freedom) and
     // have "potential ready tasks" behind them (Section IV-D priorities).
-    const Arg a = fin_q_.front();
-    fin_q_.pop_front();
+    const Arg a = fin_q_.pop();
     cost = serve_finished(sim, a);
   } else if (!new_q_.empty()) {
     if (!serve_new(sim, &cost)) return;  // stalled: wait for a finish
@@ -143,7 +142,7 @@ bool TaskGraphUnit::serve_new(Simulation& sim, Tick* cost) {
     return false;
   }
   stalled_ = false;
-  new_q_.pop_front();
+  new_q_.pop();
   *cost =
       cycles(cfg_.tg_insert_per_param +
              cfg_.chain_hop_cycles * static_cast<std::int64_t>(res.chain_hops));

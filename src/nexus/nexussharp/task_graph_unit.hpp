@@ -10,11 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
 #include "nexus/hw/task_graph_table.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/nexussharp/arbiter.hpp"
@@ -89,8 +89,8 @@ class TaskGraphUnit final : public Component {
   std::uint32_t self_ = 0;
 
   hw::TaskGraphTable table_;
-  std::deque<Arg> new_q_;
-  std::deque<Arg> fin_q_;
+  FixedRing<Arg> new_q_;
+  FixedRing<Arg> fin_q_;
   bool stalled_ = false;  ///< head new-arg is waiting for table space
   Tick port_free_ = 0;
   bool pump_pending_ = false;

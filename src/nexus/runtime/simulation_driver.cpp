@@ -331,7 +331,7 @@ const TaskDescriptor& Driver::descriptor(const Feed& f, TaskId local) {
 
 void Driver::task_ready(Simulation& sim, TaskId id) {
   NEXUS_DCHECK(id < finished_.size());
-  ready_queue_.push_back(id);
+  ready_queue_.push(id);
   telemetry::record(m_ready_depth_, ready_queue_.size());
   if (config_.metrics != nullptr) ready_t_[id] = sim.now();
   if (config_.trace != nullptr) {
@@ -360,8 +360,7 @@ void Driver::master_resume(Simulation& sim) {
 void Driver::try_dispatch(Simulation& sim) {
   telemetry::ProfScope prof_scope(prof_, prof_dispatch_);
   while (!free_workers_.empty() && !ready_queue_.empty()) {
-    const TaskId id = ready_queue_.front();
-    ready_queue_.pop_front();
+    const TaskId id = ready_queue_.pop();
     const std::uint32_t w = free_workers_.back();
     free_workers_.pop_back();
     // dispatch_time models the scheduler critical section (software) or the

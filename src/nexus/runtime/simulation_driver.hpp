@@ -5,12 +5,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "nexus/common/fixed_ring.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/runtime/manager.hpp"
 #include "nexus/sim/simulation.hpp"
@@ -256,7 +256,7 @@ class Driver final : public Component, public RuntimeHost {
   /// (deterministic dispatch order).
   std::vector<std::uint32_t> free_workers_;
   std::vector<Tick> core_busy_;  ///< execution time per worker core
-  std::deque<TaskId> ready_queue_;
+  FixedRing<TaskId> ready_queue_;
   std::vector<bool> finished_;
   std::uint64_t outstanding_ = 0;  ///< submitted but not finished
   std::uint64_t finished_count_ = 0;

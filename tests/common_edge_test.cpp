@@ -23,27 +23,41 @@ using NexusAssertDeathTest = ::testing::Test;
 // ---------------------------------------------------------------------------
 
 TEST(FixedRingEdge, WrapAroundKeepsFifoOrder) {
-  FixedRing<int> ring(3);
-  ring.push(1);
-  ring.push(2);
-  ring.push(3);
-  EXPECT_TRUE(ring.full());
+  FixedRing<int> ring(3);  // rounded up to 4
+  ASSERT_EQ(ring.capacity(), 4u);
+  for (int i = 1; i <= 4; ++i) ring.push(i);
   EXPECT_EQ(ring.pop(), 1);
-  ring.push(4);  // head has advanced; this write wraps
-  EXPECT_EQ(ring.pop(), 2);
-  EXPECT_EQ(ring.pop(), 3);
-  EXPECT_EQ(ring.pop(), 4);
+  ring.push(5);  // head has advanced; this write wraps
+  EXPECT_EQ(ring.capacity(), 4u);
+  for (int i = 2; i <= 5; ++i) EXPECT_EQ(ring.pop(), i);
   EXPECT_TRUE(ring.empty());
 }
 
-TEST(FixedRingEdge, TryPushOnFullLeavesRingUnchanged) {
-  FixedRing<int> ring(2);
-  ASSERT_TRUE(ring.try_push(10));
-  ASSERT_TRUE(ring.try_push(20));
-  EXPECT_FALSE(ring.try_push(30));
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.at(0), 10);
-  EXPECT_EQ(ring.at(1), 20);
+TEST(FixedRingEdge, GrowsWhileWrappedKeepingFifoOrder) {
+  FixedRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) ring.push(i);
+  EXPECT_EQ(ring.pop(), 0);
+  EXPECT_EQ(ring.pop(), 1);
+  ring.push(4);
+  ring.push(5);  // full again, and the live range wraps the storage end
+  ring.push(6);  // doubles the storage mid-wrap
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(ring.size(), 5u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring.at(i), static_cast<int>(i) + 2);
+  for (int i = 7; i < 10; ++i) ring.push(i);  // fills the grown ring
+  EXPECT_EQ(ring.capacity(), 8u);
+  for (int i = 2; i < 10; ++i) EXPECT_EQ(ring.pop(), i);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(FixedRingEdge, DefaultConstructedAllocatesOnFirstPush) {
+  FixedRing<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push(1);
+  EXPECT_EQ(ring.capacity(), FixedRing<int>::kFirstCapacity);
+  EXPECT_EQ(ring.pop(), 1);
+  EXPECT_TRUE(ring.empty());
 }
 
 TEST(FixedRingEdge, ClearResetsToEmpty) {
@@ -53,6 +67,7 @@ TEST(FixedRingEdge, ClearResetsToEmpty) {
   ring.clear();
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), 4u);  // storage kept for reuse
   ring.push("c");  // usable again after clear
   EXPECT_EQ(ring.front(), "c");
 }
@@ -61,19 +76,9 @@ TEST(FixedRingEdge, CapacityOneCyclesIndefinitely) {
   FixedRing<int> ring(1);
   for (int i = 0; i < 10; ++i) {
     ring.push(i);
-    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.capacity(), 1u);  // never grows
     EXPECT_EQ(ring.pop(), i);
   }
-}
-
-TEST(FixedRingDeathTest, ZeroCapacityAborts) {
-  EXPECT_DEATH({ FixedRing<int> ring(0); }, "capacity must be positive");
-}
-
-TEST(FixedRingDeathTest, PushOnFullAborts) {
-  FixedRing<int> ring(1);
-  ring.push(1);
-  EXPECT_DEATH(ring.push(2), "push on full FixedRing");
 }
 
 TEST(FixedRingDeathTest, PopOnEmptyAborts) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "nexus/common/bit_ops.hpp"
 #include "nexus/common/fixed_ring.hpp"
 #include "nexus/common/flags.hpp"
+#include "nexus/common/id_map.hpp"
 #include "nexus/common/inline_vec.hpp"
 #include "nexus/common/rng.hpp"
 #include "nexus/common/stats.hpp"
@@ -55,19 +58,18 @@ TEST(BitOps, Pow2Helpers) {
 // ---------- FixedRing ----------
 
 TEST(FixedRing, FifoOrderAndWraparound) {
-  FixedRing<int> r(3);
+  FixedRing<int> r(2);
   EXPECT_TRUE(r.empty());
   r.push(1);
   r.push(2);
-  r.push(3);
-  EXPECT_TRUE(r.full());
-  EXPECT_FALSE(r.try_push(4));
   EXPECT_EQ(r.pop(), 1);
-  EXPECT_TRUE(r.try_push(4));
+  r.push(3);  // wraps
   EXPECT_EQ(r.pop(), 2);
+  r.push(4);
   EXPECT_EQ(r.pop(), 3);
   EXPECT_EQ(r.pop(), 4);
   EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 2u);
 }
 
 TEST(FixedRing, AtInspectsWithoutPopping) {
@@ -80,16 +82,172 @@ TEST(FixedRing, AtInspectsWithoutPopping) {
 }
 
 TEST(FixedRing, StressWraparound) {
-  FixedRing<std::size_t> r(7);
+  FixedRing<std::size_t> r(7);  // rounded up to 8
   std::size_t next_in = 0;
   std::size_t next_out = 0;
   for (int round = 0; round < 1000; ++round) {
-    while (!r.full()) r.push(next_in++);
+    while (r.size() < r.capacity()) r.push(next_in++);
     const std::size_t drain = 1 + static_cast<std::size_t>(round % 7);
     for (std::size_t i = 0; i < drain && !r.empty(); ++i) {
       EXPECT_EQ(r.pop(), next_out++);
     }
   }
+  EXPECT_EQ(r.capacity(), 8u);
+}
+
+// ---------- IdMap ----------
+
+/// Applies every operation to an IdMap and to std::unordered_map, and
+/// after each one checks that both agree on size() and on every key used.
+class IdMapOracle {
+ public:
+  explicit IdMapOracle(std::size_t expected = 0) : map_(expected) {}
+
+  void insert(std::uint32_t k, std::uint64_t v) {
+    const auto [value, fresh] = map_.try_emplace(k, v);
+    EXPECT_EQ(fresh, ref_.try_emplace(k, v).second) << "key " << k;
+    EXPECT_EQ(*value, ref_.at(k)) << "key " << k;
+    keys_.push_back(k);
+    check();
+  }
+  void bump(std::uint32_t k) {  // operator[] inserts a zero when absent
+    ++map_[k];
+    ++ref_[k];
+    keys_.push_back(k);
+    check();
+  }
+  void erase(std::uint32_t k) {
+    EXPECT_EQ(map_.erase(k), ref_.erase(k) == 1) << "key " << k;
+    check();
+  }
+  void check() {
+    ASSERT_EQ(map_.size(), ref_.size());
+    for (const std::uint32_t k : keys_) {
+      const std::uint64_t* v = map_.find(k);
+      const auto it = ref_.find(k);
+      if (it == ref_.end()) {
+        EXPECT_EQ(v, nullptr) << "erased key " << k << " still found";
+      } else {
+        ASSERT_NE(v, nullptr) << "key " << k << " lost";
+        EXPECT_EQ(*v, it->second) << "key " << k;
+      }
+    }
+  }
+  [[nodiscard]] std::size_t capacity() const { return map_.capacity(); }
+  /// The first `n` keys whose probe starts at `slot` at the current size.
+  [[nodiscard]] std::vector<std::uint32_t> keys_homed_at(std::size_t slot,
+                                                         std::size_t n) const {
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t k = 0; keys.size() < n; ++k)
+      if (map_.home(k) == slot) keys.push_back(k);
+    return keys;
+  }
+
+ private:
+  IdMap<std::uint64_t> map_;
+  std::unordered_map<std::uint32_t, std::uint64_t> ref_;
+  std::vector<std::uint32_t> keys_;
+};
+
+TEST(IdMap, DenseIdsInASlidingWindow) {
+  // The driver issues consecutive task ids and retires them roughly in
+  // order: a window of live ids slides across the slot array.
+  IdMapOracle m(64);
+  Xoshiro256 rng(11);
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t id = 0; id < 600; ++id) {
+    m.insert(id, id * 3ULL);
+    live.push_back(id);
+    if (live.size() > 40) {
+      const std::size_t pick = rng.below(8);  // mostly the oldest ids
+      m.erase(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  }
+  EXPECT_EQ(m.capacity(), 128u);  // sized once, never grew
+}
+
+TEST(IdMap, KeysCollidingOnOneHomeSlot) {
+  IdMapOracle m;
+  const std::size_t c = m.capacity();
+  const auto k = m.keys_homed_at(3, 4);
+  for (std::size_t i = 0; i < 3; ++i) m.insert(k[i], i);
+  m.erase(k[1]);  // the middle of the cluster: the tail shifts back
+  m.insert(k[3], 9);
+  m.erase(k[0]);  // the cluster head
+  m.bump(k[2]);
+  m.erase(k[2]);
+  m.erase(k[3]);
+  EXPECT_EQ(m.capacity(), c);
+}
+
+TEST(IdMap, ClusterWrappingTheTableEnd) {
+  IdMapOracle m;
+  const std::size_t c = m.capacity();
+  const auto a = m.keys_homed_at(c - 2, 2);
+  const auto b = m.keys_homed_at(c - 1, 2);
+  m.insert(a[0], 1);  // slot c-2
+  m.insert(a[1], 2);  // probes to c-1
+  m.insert(b[0], 3);  // home c-1, wraps to slot 0
+  m.erase(a[0]);      // both successors shift back across the end
+  m.insert(b[1], 4);  // home c-1, wraps again
+  m.erase(a[1]);
+  m.erase(b[0]);
+  m.erase(b[1]);
+  EXPECT_EQ(m.capacity(), c);
+}
+
+TEST(IdMap, GrowthInTheMiddleOfACluster) {
+  IdMapOracle m;
+  const std::size_t c = m.capacity();
+  // Half the slots form one cluster of colliding keys; the next insert
+  // grows the map while that cluster is in place.
+  const auto k = m.keys_homed_at(1, c / 2 + 1);
+  for (std::size_t i = 0; i < c / 2; ++i) m.insert(k[i], i);
+  EXPECT_EQ(m.capacity(), c);
+  m.insert(k[c / 2], 99);
+  EXPECT_EQ(m.capacity(), 2 * c);
+  for (std::size_t i = 0; i <= c / 2; i += 2) m.erase(k[i]);
+}
+
+TEST(IdMap, EraseInInsertionReverseAndRandomOrder) {
+  for (const int order : {0, 1, 2}) {
+    SCOPED_TRACE(order == 0 ? "insertion" : order == 1 ? "reverse" : "random");
+    IdMapOracle m;
+    Xoshiro256 rng(200 + static_cast<std::uint64_t>(order));
+    std::vector<std::uint32_t> keys;
+    while (keys.size() < 200) {
+      // A narrow key range forces collisions and long clusters.
+      const auto k = static_cast<std::uint32_t>(rng.below(1024));
+      if (std::find(keys.begin(), keys.end(), k) != keys.end()) continue;
+      keys.push_back(k);
+      m.insert(k, rng());
+    }
+    if (order == 1) std::reverse(keys.begin(), keys.end());
+    if (order == 2) std::shuffle(keys.begin(), keys.end(), rng);
+    for (const std::uint32_t k : keys) m.erase(k);
+  }
+}
+
+TEST(IdMap, RandomOperationsMatchUnorderedMap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    IdMapOracle m;
+    Xoshiro256 rng(seed);
+    for (int op = 0; op < 1500; ++op) {
+      const auto k = static_cast<std::uint32_t>(rng.below(96));
+      switch (rng.below(3)) {
+        case 0: m.insert(k, static_cast<std::uint64_t>(op)); break;
+        case 1: m.bump(k); break;
+        default: m.erase(k); break;
+      }
+    }
+  }
+}
+
+TEST(IdMapDeathTest, EmptyMarkerKeyAborts) {
+  IdMap<int> m;
+  EXPECT_DEATH((void)m.try_emplace(IdMap<int>::kEmpty, 1), "empty marker");
 }
 
 // ---------- InlineVec ----------

@@ -174,6 +174,49 @@ TEST(TaskGraphTable, ChainShrinksAsListDrains) {
   EXPECT_EQ(t.entries_in_use(), 0u);
 }
 
+TEST(TaskGraphTable, ReusedSlotStartsClean) {
+  // A slot is reset in place when it is reallocated. Its last occupant
+  // here chained its kick-off list over two dummy entries; the next
+  // occupant must still see an empty FIFO, no chain and no stale waiters.
+  TaskGraphTable t{small_table()};
+  std::vector<Waiter> kicked;
+  (void)t.insert(0x40, 1, true);
+  for (TaskId id = 2; id <= 7; ++id) (void)t.insert(0x40, id, true);
+  ASSERT_EQ(t.entries_in_use(), 3u);
+  TaskId running = 1;
+  for (int i = 0; i < 6; ++i) {
+    kicked.clear();
+    (void)t.finish(0x40, running, &kicked);
+    ASSERT_EQ(kicked.size(), 1u);
+    running = kicked[0].task;
+  }
+  kicked.clear();
+  ASSERT_TRUE(t.finish(0x40, running, &kicked).entry_freed);
+  ASSERT_EQ(t.entries_in_use(), 0u);
+  EXPECT_FALSE(t.tracks(0x40));
+
+  // 0x140 maps to the same set, so it takes the freed head slot.
+  EXPECT_EQ(t.insert(0x140, 10, true).kind, InsertKind::kRunsNow);
+  EXPECT_FALSE(t.tracks(0x40));
+  EXPECT_TRUE(t.tracks(0x140));
+  for (TaskId id = 11; id <= 12; ++id) {
+    const auto r = t.insert(0x140, id, false);
+    EXPECT_EQ(r.kind, InsertKind::kQueued);
+    EXPECT_EQ(r.chain_hops, 0u);
+  }
+  EXPECT_EQ(t.entries_in_use(), 1u);
+  kicked.clear();
+  EXPECT_EQ(t.finish(0x140, 10, &kicked).chain_hops, 0u);
+  ASSERT_EQ(kicked.size(), 2u);
+  EXPECT_EQ(kicked[0].task, 11u);
+  EXPECT_EQ(kicked[1].task, 12u);
+  kicked.clear();
+  (void)t.finish(0x140, 11, &kicked);
+  EXPECT_TRUE(t.finish(0x140, 12, &kicked).entry_freed);
+  EXPECT_TRUE(kicked.empty());
+  EXPECT_EQ(t.entries_in_use(), 0u);
+}
+
 TEST(TaskGraphTable, GaussianScaleFanout) {
   // 249 waiters on one pivot row (the Section VI scenario) with default
   // table geometry: chaining must absorb all of them and kick them at once.

@@ -268,6 +268,39 @@ TEST(Perfdiff, NocContentionRatesAreGatedPerTask) {
   EXPECT_DOUBLE_EQ(sums["noc_blocked_rate"], 200.0);
 }
 
+TEST(Perfdiff, EventsPerTaskAreGatedPerComponentKind) {
+  // The kernel counts events per component instance (sim/c<i>_<kind>/
+  // events); the gate sums each kind over its instances, per task.
+  const auto events_fixture = [](double tg_events) {
+    BenchRecord r = fixture(1000, 40);
+    r.metrics.push_back({"sim/c0_driver/events", 3000});
+    r.metrics.push_back({"sim/c1_io/events", 2000});
+    r.metrics.push_back({"sim/c2_arbiter/events", 5000});
+    r.metrics.push_back({"sim/c3_tg/events", tg_events / 2});
+    r.metrics.push_back({"sim/c12_tg/events", tg_events / 2});
+    r.metrics.push_back({"sim/c13_noc/events", 700});
+    return r;
+  };
+  const std::vector<BenchRecord> base{events_fixture(8000)};
+  std::map<std::string, double> sums;
+  for (const auto& w : harness::default_watched_rates())
+    sums[w.name] = base[0].metric_sum(w.numerator);
+  EXPECT_DOUBLE_EQ(sums["driver_event_rate"], 3000.0);
+  EXPECT_DOUBLE_EQ(sums["io_event_rate"], 2000.0);
+  EXPECT_DOUBLE_EQ(sums["arbiter_event_rate"], 5000.0);
+  EXPECT_DOUBLE_EQ(sums["tg_event_rate"], 8000.0);
+  EXPECT_DOUBLE_EQ(sums["noc_event_rate"], 700.0);
+  EXPECT_DOUBLE_EQ(sums["root_event_rate"], 0.0);
+  EXPECT_DOUBLE_EQ(sums["npp_event_rate"], 0.0);
+
+  EXPECT_TRUE(harness::perfdiff_compare(base, {events_fixture(8000)}).ok());
+  const PerfdiffResult more =
+      harness::perfdiff_compare(base, {events_fixture(9600)});
+  EXPECT_FALSE(more.ok());
+  EXPECT_NE(more.report.find("tg_event_rate"), std::string::npos);
+  EXPECT_EQ(more.report.find("io_event_rate"), std::string::npos);
+}
+
 BenchRecord simspeed_fixture(double events_per_sec) {
   BenchRecord r;
   r.schema = 2;

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "nexus/sim/latency_fifo.hpp"
 #include "nexus/sim/server.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/sim/time.hpp"
@@ -171,37 +170,6 @@ TEST(Server, IdleQuery) {
   s.acquire(0, ns(10));
   EXPECT_FALSE(s.idle_at(ns(5)));
   EXPECT_TRUE(s.idle_at(ns(10)));
-}
-
-// ---------- latency fifo ----------
-
-TEST(LatencyFifo, VisibilityDelay) {
-  LatencyFifo<int> f(4, ns(30));  // e.g. 3 cycles at 100 MHz
-  f.push(ns(0), 7);
-  EXPECT_FALSE(f.front_ready(ns(29)));
-  EXPECT_TRUE(f.front_ready(ns(30)));
-  EXPECT_EQ(f.front_ready_at(), ns(30));
-  EXPECT_EQ(f.pop(), 7);
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.front_ready_at(), kTickInfinity);
-}
-
-TEST(LatencyFifo, DepthBackpressure) {
-  LatencyFifo<int> f(2, ns(10));
-  f.push(0, 1);
-  f.push(0, 2);
-  EXPECT_TRUE(f.full());
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_FALSE(f.full());
-}
-
-TEST(LatencyFifo, OrderPreserved) {
-  LatencyFifo<int> f(8, ns(5));
-  for (int i = 0; i < 8; ++i) f.push(ns(i), i);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(f.front_ready_at(), ns(i) + ns(5));
-    EXPECT_EQ(f.pop(), i);
-  }
 }
 
 }  // namespace

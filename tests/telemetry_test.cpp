@@ -10,7 +10,6 @@
 #include "nexus/harness/experiment.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
-#include "nexus/sim/latency_fifo.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/writers.hpp"
 #include "nexus/workloads/workloads.hpp"
@@ -310,28 +309,6 @@ TEST(MetricsReportJson, AppendsTimelineWhenGiven) {
                      "{\"m\":{\"kind\":\"counter\",\"v\":[0,4,5]}}}"),
             std::string::npos)
       << doc;
-}
-
-// ---------- sim-layer hooks ----------
-
-TEST(LatencyFifoTelemetry, RecordsDepthOnPushAndPop) {
-  Histogram depth;
-  LatencyFifo<int> f(4, ns(30));
-  f.bind_depth_telemetry(&depth);
-  f.push(0, 1);
-  f.push(0, 2);
-  (void)f.pop();
-  f.push(ns(100), 3);
-  // Depths seen: push->1, push->2, pop->1, push->2. Recording the drain
-  // side too is what lets the histogram show a queue emptying, not only
-  // filling.
-  EXPECT_EQ(depth.count(), 4u);
-  EXPECT_EQ(depth.max(), 2u);
-  EXPECT_EQ(depth.sum(), 6u);
-  (void)f.pop();
-  (void)f.pop();
-  EXPECT_EQ(depth.count(), 6u);
-  EXPECT_EQ(depth.sum(), 7u);  // drain records depths 1 then 0
 }
 
 // ---------- whole-stack integration ----------
