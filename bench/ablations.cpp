@@ -1,0 +1,419 @@
+// Ablations of the paper's unstated choices (arbiter priority, distribution
+// function, Task Pool window), the NoC experiments (topology, placement)
+// and the beyond-paper co-management and energy studies.
+#include <cstdio>
+
+#include "bench.hpp"
+#include "nexus/common/stats.hpp"
+#include "nexus/cost/power_model.hpp"
+#include "nexus/noc/placement.hpp"
+#include "nexus/runtime/multi_app.hpp"
+
+namespace nexus::bench {
+namespace {
+
+std::string speedup_at(std::uint32_t cores) {
+  return "speedup@" + std::to_string(cores) + "c";
+}
+
+double speedup(Tick base, Tick makespan) {
+  return static_cast<double>(base) / static_cast<double>(makespan);
+}
+
+// Section IV-D argues for Ready > Waiting > DepCounts: ready tasks only need
+// forwarding, and serving waiting tasks first "gives time for the different
+// task graphs to finish what they do".
+Grid arbiter_grid(const Flags& f) {
+  const bool quick = f.get_bool("quick", false);
+  Grid g{.workloads = {quick ? "h264dec-4x4-10f" : "h264dec-1x1-10f"},
+         .cores = {32, 256}};
+  for (const auto policy : {ArbiterPolicy::kReadyFirst, ArbiterPolicy::kDepFirst,
+                            ArbiterPolicy::kRoundRobin}) {
+    g.managers.push_back(manager("nexus#-6TG"));
+    g.managers.back().arbiter_policy = policy;
+  }
+  return g;
+}
+
+int arbiter(Run& run) {
+  for (const std::string& w : run.grid.workloads) {
+    std::printf("Ablation: arbiter priority policy (%s, Nexus# 6 TG @ 55.56 MHz)\n\n",
+                w.c_str());
+    std::vector<std::string> head{"policy"};
+    for (const std::uint32_t c : run.grid.cores) head.push_back(speedup_at(c));
+    TextTable t(head);
+    const std::vector<harness::Series> series = run.sweep(w);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      std::vector<std::string> row{to_string(run.grid.managers[i].arbiter_policy)};
+      for (const harness::SweepPoint& p : series[i].points)
+        row.push_back(TextTable::num(p.speedup, 2));
+      t.add_row(row);
+    }
+    run.print(t);
+  }
+  std::printf("\nReading: the paper's ready-first policy keeps the forwarding path\n"
+              "short; the alternatives defer write-backs behind bulk gathering.\n");
+  return 0;
+}
+
+// Section IV-B asks for a fast (1 cycle), fair function and picks an XOR
+// fold of the low 20 address bits; compared against low bits and modulo on
+// static balance and makespan (gaussian is Fig. 3(B)'s declared worst case).
+Grid distribution_grid(const Flags&) {
+  Grid g{.workloads = {"h264dec-2x2-10f", "gaussian-500"}, .cores = {64}};
+  for (const auto policy : {hw::DistributionPolicy::kXorFold,
+                            hw::DistributionPolicy::kLowBits,
+                            hw::DistributionPolicy::kModulo}) {
+    g.managers.push_back(manager("nexus#-6TG@100.00MHz"));
+    g.managers.back().sharp.distribution = policy;
+  }
+  return g;
+}
+
+int distribution(Run& run) {
+  std::printf("Ablation: distribution function (6 task graphs)\n\n");
+  for (const std::string& w : run.grid.workloads) {
+    const Trace& tr = run.trace(w);
+    const std::uint32_t cores = run.grid.cores.front();
+    TextTable t({"policy", "max/mean load", "cv", speedup_at(cores)});
+    for (const ManagerSpec& m : run.grid.managers) {
+      hw::Distributor d(m.sharp.distribution, m.sharp.num_task_graphs);
+      std::vector<std::uint64_t> bins(m.sharp.num_task_graphs, 0);
+      for (const auto& task : tr.tasks())
+        for (const auto& p : task.params) ++bins[d.target(p.addr)];
+      const BalanceReport b = balance_report(bins);
+      t.add_row({to_string(m.sharp.distribution), TextTable::num(b.max_over_mean, 2),
+                 TextTable::num(b.cv, 3),
+                 run.quick ? "-"
+                           : TextTable::num(speedup(run.baseline(w),
+                                                    harness::run_once(tr, m, cores)),
+                                            2)});
+    }
+    std::printf("-- %s --\n", w.c_str());
+    run.print(t);
+    std::printf("\n");
+  }
+  std::printf("Reading: the XOR fold keeps per-graph load near-uniform on real\n"
+              "address streams at 1-cycle cost; low-bits degenerates on strided\n"
+              "layouts. Gaussian is the paper's declared worst case regardless\n"
+              "of policy (serial pivot-row waves, Fig. 3(B)).\n");
+  return 0;
+}
+
+// The paper does not publish the Task Pool size. On the finest h264 decode a
+// 256-task window covers only ~2 macroblock rows of lookahead and caps every
+// manager near 4x; from ~1024 the designs separate the way Figs. 7/8 show,
+// which is why both managers default to 1024.
+Grid pool_window_grid(const Flags& f) {
+  Grid g{.workloads = {"h264dec-1x1-10f"}, .cores = {64}};
+  for (const std::size_t pool : f.get_bool("quick", false)
+                                    ? std::vector<std::size_t>{256, 1024}
+                                    : std::vector<std::size_t>{128, 256, 512, 1024,
+                                                               2048, 4096}) {
+    g.managers.push_back(manager("nexus#-6TG"));
+    g.managers.back().sharp.pool_capacity = pool;
+    g.managers.push_back(manager("nexus++"));
+    g.managers.back().npp.pool_capacity = pool;
+  }
+  return g;
+}
+
+int pool_window(Run& run) {
+  const std::uint32_t cores = run.grid.cores.front();
+  for (const std::string& w : run.grid.workloads) {
+    const Trace& tr = run.trace(w);
+    const Tick base = run.baseline(w);
+    std::printf("Ablation: task-pool window on %s, %u cores "
+                "(no-overhead bound: %.2fx)\n\n",
+                w.c_str(), cores,
+                speedup(base, harness::run_once(tr, ManagerSpec::ideal(), cores)));
+    TextTable t({"pool", "nexus# 6TG@55.56", "nexus++@100"});
+    const std::vector<ManagerSpec>& ms = run.grid.managers;
+    for (std::size_t i = 0; i + 1 < ms.size(); i += 2) {
+      const Tick sharp = harness::run_once(tr, ms[i], cores);
+      const Tick npp = harness::run_once(tr, ms[i + 1], cores);
+      t.add_row({TextTable::integer(static_cast<long long>(ms[i].sharp.pool_capacity)),
+                 TextTable::num(speedup(base, sharp), 2),
+                 TextTable::num(speedup(base, npp), 2)});
+    }
+    run.print(t);
+  }
+  std::printf("\nReading: below ~512 the lookahead window (not the manager) is\n"
+              "the binding constraint; the designs differentiate above it.\n");
+  return 0;
+}
+
+// Ideal crossbar, ring, 2D mesh and 2D torus on both the manager NoC and the
+// host NoC: distance and multi-flit link contention make the non-ideal
+// makespans an upper bound on the crossbar, and the gap is the tax that
+// physically distributing the task graph units pays.
+Grid topology_grid(const Flags& f) {
+  const bool quick = f.get_bool("quick", false);
+  return {.workloads = {quick ? "h264dec-8x8-10f" : "h264dec-4x4-10f"},
+          .fabrics = {noc::TopologyKind::kIdeal, noc::TopologyKind::kRing,
+                      noc::TopologyKind::kMesh, noc::TopologyKind::kTorus},
+          .managers = managers({"nexus#-6TG"}),
+          .cores = quick ? std::vector<std::uint32_t>{8, 32}
+                         : std::vector<std::uint32_t>{8, 32, 128}};
+}
+
+int topology(Run& run) {
+  for (const std::string& w : run.grid.workloads) {
+    std::printf("Ablation: interconnect topology (%s, Nexus# 6 TG, NoC on "
+                "manager + host)\n\n",
+                w.c_str());
+  }
+  std::vector<harness::Series> series;
+  TextTable contention(
+      {"topology", "cores", "noc msgs", "mean hops", "blocked", "stall (us)"});
+  run.each([&](const Cell& c, const RunReport& rep, double speedup) {
+    if (series.empty() || series.back().label != rep.topology)
+      series.push_back({rep.topology, {}});
+    harness::SweepPoint& p = series.back().points.emplace_back();
+    p.cores = c.cores;
+    p.makespan = rep.result.makespan;
+    p.speedup = speedup;
+    // Every column sums the manager NoC and the host NoC (the latter only
+    // registers under a real topology).
+    const telemetry::Snapshot& snap = *rep.metrics;
+    const auto both = [&snap](const std::string& m) {
+      return snap.counter_at("nexus#/noc/" + m) + snap.counter_at("runtime/noc/" + m);
+    };
+    std::uint64_t hop_sum = 0;
+    std::uint64_t hop_count = 0;
+    for (const char* net : {"nexus#/noc/hops", "runtime/noc/hops"}) {
+      if (const telemetry::MetricValue* hops = snap.find(net)) {
+        hop_sum += hops->hist.sum;
+        hop_count += hops->hist.count;
+      }
+    }
+    contention.add_row(
+        {rep.topology, std::to_string(c.cores),
+         TextTable::integer(static_cast<long long>(both("messages"))),
+         TextTable::num(hop_count > 0 ? static_cast<double>(hop_sum) /
+                                            static_cast<double>(hop_count)
+                                      : 0.0,
+                        2),
+         TextTable::integer(static_cast<long long>(both("blocked_flits"))),
+         TextTable::num(static_cast<double>(both("stall_ps")) * 1e-6, 1)});
+  });
+  harness::print_series("speedup vs ideal-crossbar baseline", run.grid.cores, series,
+                        run.csv);
+  std::printf("\nInterconnect pressure (manager + host NoCs):\n");
+  run.print(contention);
+  std::printf("\nReading: the ideal crossbar is the paper's implicit model; ring, mesh\n"
+              "and torus charge the same traffic per-hop distance and multi-flit\n"
+              "per-link serialization, so in the critical-path-bound regime their\n"
+              "makespans bound it from above — the gap is what physical distribution\n"
+              "of the task graph units would cost. (At worker-bound core counts a\n"
+              "delayed record can reorder dispatches into a luckier schedule — a\n"
+              "standard scheduling anomaly, so single rows may dip below ideal.)\n");
+  return 0;
+}
+
+// Where the IO tile, the task graph units and the arbiter sit on a mesh or
+// torus: a default-layout probe run measures the traffic matrix, the
+// placement search (noc/placement.hpp) optimizes the tile assignment, and
+// both layouts are rerun. The wire-dominated fabric (8 router+wire cycles a
+// hop, 2 a flit) makes placement matter; 16 and 32 cores sit at the
+// workload's saturation knee, where the makespan is critical-path-bound.
+Grid placement_grid(const Flags& f) {
+  const bool quick = f.get_bool("quick", false);
+  Grid g{.workloads = {quick ? "h264dec-8x8-10f" : "h264dec-4x4-10f"},
+         .fabrics = {noc::TopologyKind::kMesh, noc::TopologyKind::kTorus},
+         .managers = managers({"nexus#-8TG"}),
+         .cores = {16, 32},
+         .host_fabric = false};
+  g.managers.front().sharp.noc.hop_cycles = 8;
+  g.managers.front().sharp.noc.link_cycles = 2;
+  return g;
+}
+
+/// Each cell writes its default-layout row, then its optimized-layout row.
+std::vector<RowKey> placement_rows(const Grid& g, const Flags&) {
+  std::vector<RowKey> rows;
+  for (Cell c : g.cells()) {
+    rows.push_back(key_of(c));
+    c.spec.sharp.noc.placement_name = "optimized";
+    rows.push_back(key_of(c));
+  }
+  return rows;
+}
+
+int placement(Run& run) {
+  const Grid& g = run.grid;
+  TextTable table({"topology", "cores", "default (ms)", "optimized (ms)",
+                   "gain", "hop-cost", "opt hop-cost"});
+  for (const std::string& w : g.workloads) {
+    const Trace& tr = run.trace(w);
+    std::printf("Ablation: NoC tile placement (%s, Nexus# %u TG, manager NoC "
+                "mesh/torus, host ideal)\n\n",
+                w.c_str(), g.managers.front().sharp.num_task_graphs);
+    for (const noc::TopologyKind kind : g.fabrics) {
+      for (const ManagerSpec& m : g.managers) {
+        // The traffic matrix of one default-layout run at the largest core
+        // count; it is recorded before the tile mapping, so the measurement
+        // layout cannot bias it.
+        const Cell probe_cell = g.at(w, kind, m, g.cores.back());
+        NexusSharp probe(probe_cell.spec.sharp);
+        run_trace(tr, probe, RuntimeConfig{.workers = probe_cell.cores});
+        const std::uint32_t endpoints = sharp_noc_endpoints(m.sharp.num_task_graphs);
+        const noc::PlacementResult placed = noc::optimize_placement(
+            noc::Topology(kind, endpoints),
+            noc::TrafficMatrix::from_network(endpoints, probe.network().stats().traffic));
+        for (const std::uint32_t n : g.cores) {
+          Cell layouts[2] = {g.at(w, kind, m, n), g.at(w, kind, m, n)};
+          layouts[1].spec.sharp.noc.placement = placed.assignment;
+          layouts[1].spec.sharp.noc.placement_name = "optimized";
+          Tick makespans[2] = {0, 0};
+          for (int v = 0; v < 2; ++v) {
+            const RunReport rep = harness::run_once_report(
+                tr, layouts[v].spec, n, layouts[v].rc, true, run.timeline());
+            makespans[v] = rep.result.makespan;
+            run.record(key_of(layouts[v]), rep.result.makespan,
+                       rep.result.speedup_vs(run.baseline(w)), rep.metrics.get(),
+                       rep.timeline.get());
+          }
+          run.gate(makespans[1] < makespans[0]);
+          table.add_row({noc::to_string(kind), std::to_string(n),
+                         TextTable::num(to_ms(makespans[0]), 2),
+                         TextTable::num(to_ms(makespans[1]), 2),
+                         TextTable::num((1.0 - static_cast<double>(makespans[1]) /
+                                                   static_cast<double>(makespans[0])) *
+                                            100.0,
+                                        2) +
+                             "%",
+                         TextTable::integer(static_cast<long long>(placed.initial_cost)),
+                         TextTable::integer(static_cast<long long>(placed.cost))});
+        }
+      }
+    }
+  }
+  std::printf("Default (identity) vs optimized tile placement:\n");
+  run.print(table);
+  std::printf("\nReading: the identity layout puts the IO tile and the arbiter —\n"
+              "the two hottest endpoints of the gather traffic — far apart on the\n"
+              "grid; the search pulls them together and centers them among the\n"
+              "task graph tiles, so every record pays fewer hops. The residual\n"
+              "gap between mesh and torus rows is the wraparound advantage.\n");
+  return 0;
+}
+
+// Section VI: "Since multiple applications use different memory spaces
+// inherently, Nexus# can manage them at the same time" — two applications
+// share one Nexus# and one worker pool, against running them back to back.
+Grid multiapp_grid(const Flags& f) {
+  const bool quick = f.get_bool("quick", false);
+  return {.workloads = {quick ? "h264dec-8x8-10f" : "h264dec-2x2-10f",
+                        quick ? "gaussian-250" : "rot-cc"},
+          .managers = managers({"nexus#-6TG"}),
+          .cores = {64}};
+}
+
+int multiapp(Run& run) {
+  const Grid& g = run.grid;
+  if (g.workloads.size() != 2) {
+    std::fprintf(stderr, "multiapp co-runs exactly two workloads\n");
+    return 2;
+  }
+  const Trace a = run.trace(g.workloads[0]);  // a copy: b replaces the cache
+  const Trace& b = run.trace(g.workloads[1]);
+  const ManagerSpec& spec = g.managers.front();
+  const std::uint32_t cores = g.cores.front();
+  std::printf("Co-managing two applications on one Nexus# (6 TG @ 55.56 MHz), "
+              "%u cores\n\n", cores);
+  // Back to back: each app gets the full machine, one after the other.
+  const Tick t_a = harness::run_once(a, spec, cores);
+  const Tick t_b = harness::run_once(b, spec, cores);
+  const Tick serial = t_a + t_b;
+  // Co-run: shared manager, shared workers, disjoint address windows.
+  NexusSharp co(spec.sharp);
+  const MultiAppResult r = run_multi_app({&a, &b}, co, RuntimeConfig{.workers = cores});
+  const bool drained = co.stats().sim_tasks_live == 0;
+  run.gate(drained);
+
+  TextTable t({"schedule", "makespan ms", "throughput gain"});
+  t.add_row({a.name() + " alone", TextTable::num(to_ms(t_a), 1), ""});
+  t.add_row({b.name() + " alone", TextTable::num(to_ms(t_b), 1), ""});
+  t.add_row({"back-to-back", TextTable::num(to_ms(serial), 1), "1.00x"});
+  t.add_row({"co-managed", TextTable::num(to_ms(r.makespan), 1),
+             TextTable::num(speedup(serial, r.makespan), 2) + "x"});
+  run.print(t);
+  std::printf("\nper-app completion under co-management: %s %.1f ms, %s %.1f ms\n",
+              a.name().c_str(), to_ms(r.app_completion[0]), b.name().c_str(),
+              to_ms(r.app_completion[1]));
+  std::printf("utilization: %.0f%%; gather state drained: %s\n",
+              100.0 * r.utilization, drained ? "yes" : "NO");
+  return 0;
+}
+
+// The paper's future work (Sections VI/VII): activity-based management
+// energy per configuration and the leakage that power-gating idle task
+// graphs reclaims (the dark-silicon estimate).
+Grid power_grid(const Flags&) {
+  return {.workloads = {"h264dec-2x2-10f"},
+          .managers = managers({"nexus#-1TG", "nexus#-2TG", "nexus#-4TG", "nexus#-6TG",
+                                "nexus#-8TG", "nexus++"}),
+          .cores = {64}};
+}
+
+int power(Run& run) {
+  const std::uint32_t cores = run.grid.cores.front();
+  for (const std::string& w : run.grid.workloads) {
+    const Trace& tr = run.trace(w);
+    std::printf("Management energy for %s on %u cores (synthetic coefficients —\n"
+                "the framework, not absolute claims; see power_model.hpp)\n\n",
+                w.c_str(), cores);
+    TextTable t({"config", "makespan ms", "dynamic mJ", "leak mJ", "gated leak mJ",
+                 "saved", "uJ/task"});
+    for (const ManagerSpec& m : run.grid.managers) {
+      const bool sharp = m.kind == ManagerSpec::Kind::kNexusSharp;
+      const std::unique_ptr<TaskManagerModel> mgr = harness::make_manager(m);
+      const RunResult r = run_trace(tr, *mgr, RuntimeConfig{.workers = cores});
+      const cost::EnergyReport e =
+          sharp ? cost::estimate_energy(static_cast<NexusSharp&>(*mgr).stats(), m.sharp,
+                                        r.makespan)
+                : cost::estimate_energy(static_cast<NexusPP&>(*mgr).stats(), m.npp,
+                                        r.makespan);
+      t.add_row({sharp ? "nexus# " + std::to_string(m.sharp.num_task_graphs) + " TG"
+                       : m.label,
+                 TextTable::num(to_ms(r.makespan), 1), TextTable::num(e.dynamic_mj, 2),
+                 TextTable::num(e.leakage_mj, 2), TextTable::num(e.gated_leakage_mj, 2),
+                 TextTable::num(e.gated_savings_pct, 0) + "%",
+                 TextTable::num(e.uj_per_task, 2)});
+    }
+    run.print(t);
+  }
+  std::printf("\nReading: management energy is leakage-dominated when task graphs\n"
+              "idle; dark-silicon gating reclaims most per-graph leakage at high\n"
+              "TG counts — the paper's \"turn it off\" proposal quantified.\n");
+  return 0;
+}
+
+}  // namespace
+
+std::vector<Experiment> ablation_experiments() {
+  return {
+      {.name = "arbiter", .artefact = "ablation: arbiter service priority",
+       .grid = arbiter_grid, .body = arbiter},
+      {.name = "distribution", .artefact = "ablation: distribution function",
+       .grid = distribution_grid, .body = distribution},
+      {.name = "pool_window", .artefact = "ablation: Task Pool window",
+       .grid = pool_window_grid, .body = pool_window},
+      {.name = "topology", .artefact = "ablation: NoC topology",
+       .grid = topology_grid, .body = topology, .bench = "ablation_topology",
+       .record_flags = "--quick --timeline"},
+      {.name = "placement", .artefact = "ablation: NoC tile placement",
+       .grid = placement_grid, .body = placement,
+       .gate = "the optimized layout beats the default on every row",
+       .bench = "ablation_placement", .record_flags = "--quick --timeline",
+       .rows = placement_rows},
+      {.name = "multiapp", .artefact = "Section VI: two co-managed applications",
+       .grid = multiapp_grid, .body = multiapp,
+       .gate = "the co-run drains the gather state"},
+      {.name = "power", .artefact = "Sections VI/VII: management energy",
+       .grid = power_grid, .body = power},
+  };
+}
+
+}  // namespace nexus::bench

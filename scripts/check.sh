@@ -5,15 +5,15 @@
 #   scripts/check.sh                 # plain RelWithDebInfo build + all tests
 #   scripts/check.sh --sanitize      # additional ASan/UBSan build + all tests
 #   scripts/check.sh --label unit    # run only suites with the given CTest label
-#   scripts/check.sh --bench         # additionally smoke-run every bench binary
-#                                    # (quick traces) and regenerate the
-#                                    # BENCH_*.json trajectory records
+#   scripts/check.sh --bench         # additionally smoke-run every nexus-bench
+#                                    # experiment (quick traces) and regenerate
+#                                    # the BENCH_*.json trajectory records
 #   scripts/check.sh --diff          # --bench, then nexus-perfdiff each
 #                                    # regenerated BENCH_*.json against the
 #                                    # pre-run copy (nonzero on regression)
-#   scripts/check.sh --trace         # additionally export a fig9 Chrome
-#                                    # trace and validate it with
-#                                    # scripts/validate_trace.py
+#   scripts/check.sh --trace         # additionally export the fig9
+#                                    # experiment's Chrome trace and validate
+#                                    # it with scripts/validate_trace.py
 #   scripts/check.sh --prof          # additionally run nexus-prof on the
 #                                    # fig9 workload, validate the profile
 #                                    # with scripts/validate_profile.py, and
@@ -44,9 +44,7 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-BENCH_RECORDS=(BENCH_table2.json BENCH_fig7.json BENCH_fig8.json BENCH_fig9.json
-               BENCH_topology.json BENCH_placement.json BENCH_simspeed.json
-               BENCH_serving.json BENCH_tenancy.json)
+NEXUS_BENCH=build/bench/nexus-bench
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 CTEST_ARGS=(--output-on-failure --no-tests=error -j "${JOBS}")
@@ -76,6 +74,20 @@ if [[ "${SANITIZE}" -eq 1 ]]; then
 fi
 
 if [[ "${BENCH}" -eq 1 ]]; then
+  # The experiment table as nexus-bench lists it, one tab-separated line per
+  # experiment: name, record file, record flags ("-" for none) and the
+  # artefact it reproduces.
+  mapfile -t EXPERIMENTS < <("${NEXUS_BENCH}" | grep $'\t')
+  if [[ "${#EXPERIMENTS[@]}" -eq 0 ]]; then
+    echo "nexus-bench listed no experiments" >&2
+    exit 1
+  fi
+  BENCH_RECORDS=()
+  for line in "${EXPERIMENTS[@]}"; do
+    IFS=$'\t' read -r _ record _ <<<"${line}"
+    if [[ "${record}" != "-" ]]; then BENCH_RECORDS+=("${record}"); fi
+  done
+
   # With --diff, stash the pre-run (normally: committed) record files so the
   # regenerated ones can be compared against them afterwards.
   BASE_DIR=build/perfdiff-baseline
@@ -89,41 +101,24 @@ if [[ "${BENCH}" -eq 1 ]]; then
     done
   fi
 
-  # Smoke-run every bench/example binary on its quickest configuration so
+  # Smoke-run every experiment on its reduced (--quick) configuration so
   # bench bit-rot fails here instead of lingering until someone reproduces a
-  # paper figure. Output is discarded; a nonzero exit fails the check.
+  # paper figure. Output is discarded; a nonzero exit (a self-gate included)
+  # fails the check. Then regenerate the machine-readable trajectory records.
   echo "==> bench smoke (quick traces)"
-  B=build/bench
-  E=build/examples
   smoke() { echo "--> $*"; "$@" >/dev/null; }
-  smoke "${B}/micro_5tasks"
-  smoke "${B}/table1_utilization"
-  smoke "${B}/table3_gaussian" --skip-3000
-  smoke "${B}/table4_max_speedup" --quick
-  smoke "${B}/fig7_h264_tg_scaling" --quick
-  smoke "${B}/fig8_starbench" --quick
-  smoke "${B}/fig9_gaussian_speedup" --quick
-  smoke "${B}/ablation_arbiter" --quick
-  smoke "${B}/ablation_distribution" --quick
-  smoke "${B}/ablation_placement" --quick
-  smoke "${B}/ablation_pool_window" --quick
-  smoke "${B}/ablation_serving" --quick
-  smoke "${B}/ablation_tenancy" --quick
-  smoke "${B}/ablation_topology" --quick
-  smoke "${B}/multiapp" --quick
-  smoke "${B}/power_energy"
-  smoke "${E}/metrics_report" --workload gaussian-250 --cores 8
-  # The machine-readable trajectory records: Table II plus the fig7/8/9
-  # speedup benches with sampled sim-time timelines attached.
-  smoke "${B}/table2_workloads" --json BENCH_table2.json
-  smoke "${B}/fig7_h264_tg_scaling" --quick --json BENCH_fig7.json --timeline
-  smoke "${B}/fig8_starbench" --quick --json BENCH_fig8.json --timeline
-  smoke "${B}/fig9_gaussian_speedup" --quick --json BENCH_fig9.json --timeline
-  smoke "${B}/ablation_topology" --quick --json BENCH_topology.json --timeline
-  smoke "${B}/ablation_placement" --quick --json BENCH_placement.json --timeline
-  smoke "${B}/simspeed" --prof --json BENCH_simspeed.json
-  smoke "${B}/ablation_serving" --quick --json BENCH_serving.json
-  smoke "${B}/ablation_tenancy" --quick --json BENCH_tenancy.json
+  for line in "${EXPERIMENTS[@]}"; do
+    IFS=$'\t' read -r name _ <<<"${line}"
+    smoke "${NEXUS_BENCH}" "${name}" --quick
+  done
+  smoke build/examples/metrics_report --workload gaussian-250 --cores 8
+  for line in "${EXPERIMENTS[@]}"; do
+    IFS=$'\t' read -r name record record_flags _ <<<"${line}"
+    if [[ "${record}" == "-" ]]; then continue; fi
+    if [[ "${record_flags}" == "-" ]]; then record_flags=""; fi
+    # shellcheck disable=SC2086  # the flag list splits into words on purpose
+    smoke "${NEXUS_BENCH}" "${name}" ${record_flags} --json "${record}"
+  done
   echo "==> wrote ${BENCH_RECORDS[*]}"
 
   if [[ "${DIFF}" -eq 1 ]]; then
@@ -144,7 +139,7 @@ if [[ "${TRACE}" -eq 1 ]]; then
   # well-formed, events sorted, async phases balanced, and the embedded
   # critical-path attribution tiling [0, makespan] exactly.
   echo "==> trace smoke (fig9 Chrome trace export + validation)"
-  build/bench/fig9_gaussian_speedup --trace build/trace_fig9.json
+  "${NEXUS_BENCH}" fig9 --trace build/trace_fig9.json
   python3 scripts/validate_trace.py build/trace_fig9.json
 fi
 
@@ -165,9 +160,8 @@ if [[ "${PROF}" -eq 1 ]]; then
   # allocation sneaking onto the hot path), not to pretend attribution is
   # free. Detached overhead is the contract that must stay at zero, and
   # that one is gated bit-exactly by profiler_test.
-  echo "==> profiler attached-overhead smoke (simspeed --prof)"
-  build/bench/simspeed --events=200000 --inflight=100000 --workloads=none \
-    --prof --max-overhead-pct=400 >/dev/null
+  echo "==> profiler attached-overhead smoke (nexus-bench simspeed --prof)"
+  "${NEXUS_BENCH}" simspeed --quick --prof --max-overhead-pct=400 >/dev/null
 fi
 
 echo "==> all checks passed"

@@ -64,16 +64,25 @@ bool Flags::get_bool(const std::string& key, bool dflt) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-std::vector<std::int64_t> Flags::get_int_list(
-    const std::string& key, const std::vector<std::int64_t>& dflt) const {
+std::vector<std::string> Flags::get_list(
+    const std::string& key, const std::vector<std::string>& dflt) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return dflt;
-  std::vector<std::int64_t> out;
+  std::vector<std::string> out;
   std::stringstream ss(it->second);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtoll(item.c_str(), nullptr, 10));
+    if (!item.empty()) out.push_back(item);
   }
+  return out;
+}
+
+std::vector<std::int64_t> Flags::get_int_list(
+    const std::string& key, const std::vector<std::int64_t>& dflt) const {
+  if (!has(key)) return dflt;
+  std::vector<std::int64_t> out;
+  for (const std::string& item : get_list(key, {}))
+    out.push_back(std::strtoll(item.c_str(), nullptr, 10));
   return out;
 }
 

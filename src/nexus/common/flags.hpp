@@ -24,6 +24,10 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& key, double dflt) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt) const;
 
+  /// Comma-separated list, empty items dropped, e.g. --workloads=a,b.
+  [[nodiscard]] std::vector<std::string> get_list(
+      const std::string& key, const std::vector<std::string>& dflt) const;
+
   /// Comma-separated integer list, e.g. --cores=1,2,4,8.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& key, const std::vector<std::int64_t>& dflt) const;

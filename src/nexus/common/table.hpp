@@ -1,6 +1,6 @@
 // Aligned text tables and CSV output for the benchmark harnesses.
 //
-// Every bench binary prints the same rows/series the paper reports; this
+// Every nexus-bench experiment prints the rows/series the paper reports; this
 // helper keeps the formatting consistent and optionally mirrors rows to CSV.
 #pragma once
 

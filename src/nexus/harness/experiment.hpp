@@ -1,6 +1,6 @@
 // Experiment harness: core-count sweeps of a trace against a task manager,
 // speedup series, and paper-style table output — the machinery every
-// bench/figure binary shares.
+// nexus-bench experiment shares.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,12 @@ struct ManagerSpec {
   /// `mhz_override` > 0, e.g. the Fig. 7(a) fixed-100MHz runs).
   static ManagerSpec nexussharp(std::uint32_t tgs, double mhz_override = 0.0);
 };
+
+/// Parse a manager label back into its spec: "ideal", "nanos", "nexus++",
+/// or "nexus#-<N>TG" at its Table I test frequency. An "@<F>MHz" suffix (as
+/// in the labels ManagerSpec::nexussharp writes) clocks it at F MHz and
+/// becomes the spec's label verbatim. Returns false on anything else.
+bool parse_manager(const std::string& name, ManagerSpec* out);
 
 struct SweepPoint {
   std::uint32_t cores = 0;
@@ -95,6 +101,11 @@ std::string topology_label(const ManagerSpec& spec, const RuntimeConfig& base);
 /// with different tile layouts must not collide in the perfdiff join.
 std::string placement_label(const ManagerSpec& spec, const RuntimeConfig& base);
 
+/// Build a fresh manager instance for `spec` (the factory run_once_report
+/// uses internally). For harnesses that need to own the manager across a
+/// run — e.g. to read back its stats or drive several masters against it.
+std::unique_ptr<TaskManagerModel> make_manager(const ManagerSpec& spec);
+
 /// One measurement with full result + telemetry (fresh manager and registry
 /// per call; the ideal manager runs through the DES so runtime metrics
 /// exist for it too). A non-null `timeline` config attaches a
@@ -105,11 +116,6 @@ std::string placement_label(const ManagerSpec& spec, const RuntimeConfig& base);
 /// makes the run record into the caller's registry instead of a fresh local
 /// one — the serving harness uses this to preset context gauges (offered
 /// rate, knee) that land in the same snapshot as the run's metrics.
-/// Build a fresh manager instance for `spec` (the factory run_once_report
-/// uses internally). For harnesses that need to own the manager across a
-/// run — e.g. to read back its stats or drive several masters against it.
-std::unique_ptr<TaskManagerModel> make_manager(const ManagerSpec& spec);
-
 RunReport run_once_report(const Trace& trace, const ManagerSpec& spec,
                           std::uint32_t cores, const RuntimeConfig& base = {},
                           bool collect_metrics = true,
@@ -121,7 +127,7 @@ RunReport run_once_report(const Trace& trace, const ManagerSpec& spec,
 /// as a Chrome trace-event JSON to `path` (see telemetry/trace_export.hpp;
 /// the critical-path attribution rides along under otherData). Prints a
 /// one-line summary on success or an error to stderr on IO failure — the
-/// shared implementation of the bench binaries' --trace flag.
+/// shared implementation of nexus-bench's --trace flag.
 bool write_chrome_trace(const Trace& trace, const ManagerSpec& spec,
                         std::uint32_t cores, const RuntimeConfig& base,
                         const std::string& path);
@@ -134,7 +140,7 @@ Series sweep(const Trace& trace, const ManagerSpec& spec,
              const RuntimeConfig& base = {}, bool collect_metrics = false,
              const telemetry::TimelineConfig* timeline = nullptr);
 
-/// The timeline configuration shared by the bench binaries' --timeline
+/// The timeline configuration of nexus-bench's --timeline
 /// mode: the load-bearing queue/conflict/throughput paths at 100 us initial
 /// resolution, capped at 192 rows (auto-coarsening keeps long runs covered).
 telemetry::TimelineConfig bench_timeline_config();
@@ -158,7 +164,7 @@ std::string metrics_report_json(std::string_view bench, std::string_view workloa
                                 std::string_view placement = "default");
 
 /// Accumulates metrics_report_json records into one BENCH_*.json array
-/// document — the shared bookkeeping of every bench binary's --json mode.
+/// document — the bookkeeping behind nexus-bench's --json mode.
 class BenchRecordWriter {
  public:
   /// Append one record (a complete JSON object from metrics_report_json).

@@ -5,7 +5,7 @@
 // latency explodes". `run_serving` measures one offered rate and extracts
 // the serving-latency quantiles; `find_knee` brackets and bisects for the
 // saturation knee — the highest rate whose p99 serving latency stays under
-// a budget — which is the headline number of bench/ablation_serving.
+// a budget — which is the headline number of `nexus-bench serving`.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // `profile_collapsed` is the speedscope/FlameGraph collapsed-stack dialect
 // ("a;b;c self_ns" per line — https://www.speedscope.app imports it
 // directly), and `profile_top` ranks nodes by self time for terminal
-// tables (nexus-prof, simspeed --prof).
+// tables (nexus-prof, nexus-bench simspeed --prof).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 //
 // JsonWriter is a small streaming JSON builder (objects/arrays/scalars with
 // automatic comma placement) used both for snapshot export and for the
-// bench binaries' BENCH_*.json reports; CsvWriter mirrors the TextTable CSV
+// nexus-bench BENCH_*.json reports; CsvWriter mirrors the TextTable CSV
 // dialect. Serialization is deterministic: snapshot values are already
 // path-sorted and doubles print with a fixed format.
 #pragma once

@@ -12,8 +12,8 @@
 //   - Table III's task counts and FLOP model for Gaussian elimination.
 //
 // Durations are seeded lognormal samples rescaled so the trace total matches
-// Table II exactly; the variance parameter per benchmark is the one degree
-// of freedom the paper does not publish (see DESIGN.md §5).
+// Table II exactly; the variance parameter per benchmark (each config's
+// `sigma`) is the one degree of freedom the paper does not publish.
 #pragma once
 
 #include <cstdint>

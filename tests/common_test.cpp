@@ -359,6 +359,18 @@ TEST(Flags, ParsesIntList) {
   EXPECT_EQ(v[3], 8);
 }
 
+TEST(Flags, ListGetterSplitsOnCommasAndDropsEmptyItems) {
+  const char* argv[] = {"prog", "--workloads=sparselu,,gaussian-250:mesh,"};
+  Flags f(2, argv, {{"workloads", ""}, {"managers", ""}});
+  EXPECT_EQ(f.get_list("workloads", {}),
+            (std::vector<std::string>{"sparselu", "gaussian-250:mesh"}));
+  // An absent flag yields the default; a present one replaces it.
+  EXPECT_EQ(f.get_list("managers", {"nexus#-2TG"}),
+            (std::vector<std::string>{"nexus#-2TG"}));
+  const char* empty[] = {"prog", "--managers="};
+  EXPECT_TRUE(Flags(2, empty, {{"managers", ""}}).get_list("managers", {"x"}).empty());
+}
+
 // ---------- TextTable ----------
 
 TEST(TextTable, AlignsAndCsv) {

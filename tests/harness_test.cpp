@@ -58,6 +58,35 @@ TEST(Harness, SharpSpecUsesTableIFrequency) {
   EXPECT_DOUBLE_EQ(fixed.sharp.freq_mhz, 100.0);
 }
 
+TEST(Harness, ParseManagerRoundTripsEveryLabel) {
+  // The labels the bench experiment table uses: the canonical ones
+  // ManagerSpec writes, plus the 100 MHz spellings of the Fig. 9 records.
+  for (const std::string label :
+       {"ideal", "nanos", "nexus++", "nexus#-1TG@100.00MHz", "nexus#-2TG@100.00MHz",
+        "nexus#-4TG@83.33MHz", "nexus#-4TG@100.00MHz", "nexus#-6TG@55.56MHz",
+        "nexus#-6TG@100.00MHz", "nexus#-8TG@41.66MHz", "nexus#-8TG@100.00MHz",
+        "nexus#-1TG@100MHz", "nexus#-2TG@100MHz"}) {
+    ManagerSpec spec;
+    ASSERT_TRUE(parse_manager(label, &spec)) << label;
+    EXPECT_EQ(spec.label, label);
+    ManagerSpec again;
+    ASSERT_TRUE(parse_manager(spec.label, &again));
+    EXPECT_EQ(again.kind, spec.kind);
+    EXPECT_EQ(again.sharp.num_task_graphs, spec.sharp.num_task_graphs);
+    EXPECT_EQ(again.sharp.freq_mhz, spec.sharp.freq_mhz);
+  }
+  // A bare TG count clocks at Table I's test frequency, as nexus-prof's
+  // --managers spells it.
+  ManagerSpec six;
+  ASSERT_TRUE(parse_manager("nexus#-6TG", &six));
+  EXPECT_EQ(six.label, ManagerSpec::nexussharp(6).label);
+  EXPECT_EQ(six.sharp.freq_mhz, ManagerSpec::nexussharp(6).sharp.freq_mhz);
+  ManagerSpec unused;
+  for (const char* bad : {"", "nexus#", "nexus#-0TG", "nexus#-6XY", "nexus#-6TG@",
+                          "nexus#-6TG@fastMHz", "nexus#-6TG@-5MHz", "kernel-heap"})
+    EXPECT_FALSE(parse_manager(bad, &unused)) << bad;
+}
+
 TEST(Harness, TopologyAndPlacementLabelsJoinBothAxes) {
   ManagerSpec spec = ManagerSpec::nexussharp(6);
   RuntimeConfig rc;

@@ -135,8 +135,8 @@ TEST(NexusSharpTiming, MicroFiveTasksTwoParams) {
   // graph) consumes 78 cycles compared to 172 cycles consumed in [19]."
   // Our model measures 68 cycles end-to-end (submission of the first packet
   // to the last ready write-back): the same order, ~13% below the paper's
-  // VHDL count (see EXPERIMENTS.md). Pin the value as a regression anchor
-  // and keep it decisively under Task Superscalar's 172.
+  // VHDL count (docs/BENCHMARKS.md, "Known deviations"). Pin the value as a
+  // regression anchor and keep it decisively under Task Superscalar's 172.
   Trace tr("t");
   for (int i = 0; i < 5; ++i)
     tr.submit(0, us(1), params_n(2, 0x1000 + 0x100 * static_cast<Addr>(i)));

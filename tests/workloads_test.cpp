@@ -246,7 +246,7 @@ TEST(Gaussian, AnalyticFormulasMatchTableIII) {
   EXPECT_NEAR(static_cast<double>(gaussian_total_flops(500)) / 125249.0, 334.0, 0.5);
   EXPECT_NEAR(static_cast<double>(gaussian_total_flops(1000)) / 500499.0, 667.0, 0.5);
   // n=3000: the paper reports 2012; the closed form gives 2000.3 (0.6% off),
-  // see EXPERIMENTS.md.
+  // see docs/BENCHMARKS.md, "Known deviations".
   EXPECT_NEAR(static_cast<double>(gaussian_total_flops(3000)) / 4501499.0, 2000.3, 0.5);
 }
 

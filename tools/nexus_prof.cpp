@@ -35,49 +35,6 @@ using namespace nexus::harness;
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > start) out.push_back(s.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// Parse a manager label: "ideal", "nanos", "nexus++", or "nexus#-<N>TG".
-bool parse_manager(const std::string& name, ManagerSpec* out) {
-  if (name == "ideal") {
-    *out = ManagerSpec::ideal();
-    return true;
-  }
-  if (name == "nanos") {
-    *out = ManagerSpec::nanos_default();
-    return true;
-  }
-  if (name == "nexus++") {
-    *out = ManagerSpec::nexuspp_default();
-    return true;
-  }
-  const std::string prefix = "nexus#-";
-  if (name.rfind(prefix, 0) == 0) {
-    std::size_t pos = prefix.size();
-    std::uint32_t tgs = 0;
-    while (pos < name.size() && name[pos] >= '0' && name[pos] <= '9') {
-      tgs = tgs * 10 + static_cast<std::uint32_t>(name[pos] - '0');
-      ++pos;
-    }
-    if (tgs > 0 && (pos == name.size() || name.substr(pos) == "TG")) {
-      *out = ManagerSpec::nexussharp(tgs);
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One profiled run: fresh profiler and registry per cell, the topology
 /// applied to both the manager-side and host-side fabrics (like the
 /// ablation benches), wall time measured independently of the profiler so
@@ -137,11 +94,11 @@ int main(int argc, char** argv) {
   const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 8));
   const auto top_n = static_cast<std::size_t>(flags.get_int("top", 12));
   const std::vector<std::string> wl_names =
-      split_csv(flags.get("workloads", "gaussian-250"));
+      flags.get_list("workloads", {"gaussian-250"});
   const std::vector<std::string> mgr_names =
-      split_csv(flags.get("managers", "nexus#-2TG"));
+      flags.get_list("managers", {"nexus#-2TG"});
   const std::vector<std::string> topo_names =
-      split_csv(flags.get("topologies", "ideal"));
+      flags.get_list("topologies", {"ideal"});
 
   std::vector<ManagerSpec> specs;
   for (const auto& m : mgr_names) {
