@@ -10,7 +10,8 @@
 #                                    # the BENCH_*.json trajectory records
 #   scripts/check.sh --diff          # --bench, then nexus-perfdiff each
 #                                    # regenerated BENCH_*.json against the
-#                                    # pre-run copy (nonzero on regression)
+#                                    # pre-run copy (nonzero unless every
+#                                    # deterministic field reproduces)
 #   scripts/check.sh --trace         # additionally export the fig9
 #                                    # experiment's Chrome trace and validate
 #                                    # it with scripts/validate_trace.py
@@ -126,7 +127,7 @@ if [[ "${BENCH}" -eq 1 ]]; then
     for f in "${BENCH_RECORDS[@]}"; do
       if [[ -f "${BASE_DIR}/${f}" ]]; then
         echo "--> nexus-perfdiff ${f}"
-        build/tools/nexus-perfdiff --quiet "${BASE_DIR}/${f}" "${f}"
+        build/tools/nexus-perfdiff "${BASE_DIR}/${f}" "${f}"
       else
         echo "--> ${f}: no baseline to diff against (new record file)"
       fi

@@ -42,26 +42,6 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact percentile computation over a retained sample vector. Used in tests
-/// and ablation benches where sample counts are modest.
-class Percentiles {
- public:
-  void add(double x) { samples_.push_back(x); }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  /// q in [0, 1]; nearest-rank method.
-  [[nodiscard]] double quantile(double q) {
-    if (samples_.empty()) return 0.0;
-    std::sort(samples_.begin(), samples_.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples_.size() - 1) + 0.5);
-    return samples_[std::min(idx, samples_.size() - 1)];
-  }
-
- private:
-  std::vector<double> samples_;
-};
-
 /// Load-balance metrics over per-bin counts (used for the distribution
 /// function ablation: how evenly does the XOR-fold spread addresses?).
 struct BalanceReport {

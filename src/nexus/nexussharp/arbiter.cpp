@@ -19,13 +19,10 @@ const char* to_string(ArbiterPolicy p) {
 namespace detail {
 
 SharpArbiter::SharpArbiter(const NexusSharpConfig& cfg, ArbiterPolicy policy,
-                           noc::Network* net, std::int64_t self_node,
-                           std::int64_t dst_node)
-    : cfg_(cfg), policy_(policy), net_(net),
-      self_node_(self_node < 0 ? sharp_arbiter_node(cfg.num_task_graphs)
-                               : static_cast<noc::NodeId>(self_node)),
-      dst_node_(dst_node < 0 ? sharp_io_node()
-                             : static_cast<noc::NodeId>(dst_node)),
+                           noc::Network* net, noc::NodeId self_node,
+                           noc::NodeId dst_node)
+    : cfg_(cfg), policy_(policy), net_(net), self_node_(self_node),
+      dst_node_(dst_node),
       clk_(cfg.freq_mhz), dep_q_(cfg.num_task_graphs) {
   NEXUS_ASSERT(net != nullptr);
   if (cfg.tenancy.enabled()) depcounts_.configure_tenancy(cfg.tenancy.tenants);

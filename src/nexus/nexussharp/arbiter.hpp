@@ -34,15 +34,14 @@ namespace nexus::detail {
 class SharpArbiter final : public Component {
  public:
   /// `self_node`/`dst_node` place the arbiter on the on-manager NoC and
-  /// pick where its write-back records go. The defaults (-1) are the flat
-  /// single-arbiter placement: arbiter tile -> IO tile. Clustered mode
-  /// reuses this class as a *leaf* arbiter — self is the cluster's leaf
-  /// tile and records go to the root arbiter tile instead; the attached
-  /// RuntimeHost is then a relay that converts task_ready into a
-  /// cluster-ready report.
+  /// pick where its write-back records go. The flat single-arbiter
+  /// placement is arbiter tile -> IO tile. Clustered mode uses this class
+  /// as a *leaf* arbiter — self is the cluster's leaf tile and records go
+  /// to the root arbiter tile instead; the attached RuntimeHost is then a
+  /// relay that converts task_ready into a cluster-ready report.
   SharpArbiter(const NexusSharpConfig& cfg, ArbiterPolicy policy,
-               noc::Network* net, std::int64_t self_node = -1,
-               std::int64_t dst_node = -1);
+               noc::Network* net, noc::NodeId self_node,
+               noc::NodeId dst_node);
 
   /// Register with the simulation and pick up its observers: grant,
   /// conflict and queue metrics (and the dep-counts table's) under

@@ -1,11 +1,24 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
 
 namespace nexus {
+
+namespace {
+
+/// A kMeta descriptor word: task id | count<<32 | tenant<<48 (tenant 0
+/// outside multi-tenant runs).
+std::uint64_t meta_word(TaskId id, std::uint32_t count, std::uint16_t tenant) {
+  return static_cast<std::uint64_t>(id) |
+         (static_cast<std::uint64_t>(count & 0xFFFF) << 32) |
+         (static_cast<std::uint64_t>(tenant) << 48);
+}
+
+}  // namespace
 
 NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy)
     : cfg_(cfg),
@@ -35,27 +48,23 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
       cfg.freq_mhz, clk_.cycles(cfg.fifo_latency), "nexus#/noc",
       std::vector<std::string>{"new_arg|ready", "fin_arg|wait", "dep", "meta",
                                "wb"});
-  if (clustered) {
+  // Flat mode is the one-cluster case: its single arbiter sits on the
+  // cluster-0 leaf tile and writes back to the IO tile.
+  static_assert(sharp_arbiter_node(8) == sharp_leaf_node(8, 0));
+  if (clustered)
     root_ = std::make_unique<detail::RootArbiter>(cfg_, net_.get());
-    cluster_params_.resize(clusters);
-    for (std::uint32_t c = 0; c < clusters; ++c)
-      arbiters_.push_back(std::make_unique<detail::SharpArbiter>(
-          cfg_, arbiter_policy, net_.get(),
-          sharp_leaf_node(cfg.num_task_graphs, c),
-          sharp_root_node(cfg.num_task_graphs, clusters)));
-  } else {
-    // Flat single-arbiter pipeline: the legacy tile placement, bit-identical
-    // to the pre-cluster model.
+  cluster_params_.resize(std::max(1U, clusters));
+  for (std::uint32_t c = 0; c < cluster_params_.size(); ++c)
     arbiters_.push_back(std::make_unique<detail::SharpArbiter>(
-        cfg_, arbiter_policy, net_.get()));
-  }
+        cfg_, arbiter_policy, net_.get(),
+        sharp_leaf_node(cfg.num_task_graphs, c),
+        clustered ? sharp_root_node(cfg.num_task_graphs, clusters)
+                  : sharp_io_node()));
   for (std::uint32_t i = 0; i < cfg.num_task_graphs; ++i) {
     const std::uint32_t c = cluster_of(i);
     tgs_.push_back(std::make_unique<detail::TaskGraphUnit>(
-        cfg_, i, arbiters_[clustered ? c : 0].get(), net_.get(),
-        clustered
-            ? static_cast<std::int64_t>(sharp_leaf_node(cfg.num_task_graphs, c))
-            : -1));
+        cfg_, i, arbiters_[c].get(), net_.get(),
+        sharp_leaf_node(cfg.num_task_graphs, c)));
   }
 }
 
@@ -160,8 +169,7 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
   // two-packet address transfers; it reaches its task graph's New Args
   // buffer after the FIFO visibility latency.
   const bool single = task.num_params() == 1;
-  if (clustered())
-    cluster_params_.assign(cluster_params_.size(), 0);
+  cluster_params_.assign(cluster_params_.size(), 0);
   for (std::size_t i = 0; i < task.num_params(); ++i) {
     const Param& p = task.params[i];
     const Tick arrival =
@@ -174,7 +182,7 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
     arg.single_param = single;
     arg.tenant = task.tenant;
     const std::uint32_t tgt = distributor_.target(p.addr);
-    if (clustered()) ++cluster_params_[cluster_of(tgt)];
+    ++cluster_params_[cluster_of(tgt)];
     if (!m_route_.empty()) m_route_[tgt]->inc();
     net_->send(sim, arrival, sharp_io_node(), sharp_tg_node(tgt),
                tgs_[tgt]->component_id(), detail::TaskGraphUnit::kNewArg,
@@ -183,50 +191,32 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
 
   // IPf: descriptor committed to the Task Pool one cycle after the last
   // parameter; the arbiter(s) can conclude the task's gather from then on.
-  // The tenant field is 0 outside multi-tenant runs, keeping the packing
-  // bit-identical to the legacy id|nparams encoding.
-  if (!clustered()) {
-    const std::uint64_t meta =
-        static_cast<std::uint64_t>(task.id) |
-        (static_cast<std::uint64_t>(task.num_params() & 0xFFFF) << 32) |
-        (static_cast<std::uint64_t>(task.tenant) << 48);
-    // The ideal crossbar commits the descriptor on a free side-band. On a
-    // real topology it is a parameter-list-sized message from the IO tile
-    // to the arbiter tile, and may arrive after the task's ready record;
-    // the arbiter parks that record until the descriptor lands (meta_parks
-    // metric).
-    net_->send_sideband(
-        sim, recv_done, sharp_io_node(), sharp_arbiter_node(cfg_.num_task_graphs),
-        arbiters_[0]->component_id(), detail::SharpArbiter::kMeta, meta,
-        noc::kParamBytes * static_cast<std::uint32_t>(task.num_params()));
-  } else {
-    // Clustered: each participating leaf gets a descriptor carrying its
-    // cluster-local parameter count; the root gets the participating-cluster
-    // count so it can AND the leaves' cluster-ready reports.
-    std::uint32_t participating = 0;
-    for (std::uint32_t c = 0; c < cluster_params_.size(); ++c) {
-      if (cluster_params_[c] == 0) continue;
-      ++participating;
-      const std::uint64_t meta =
-          static_cast<std::uint64_t>(task.id) |
-          (static_cast<std::uint64_t>(cluster_params_[c] & 0xFFFF) << 32) |
-          (static_cast<std::uint64_t>(task.tenant) << 48);
-      net_->send_sideband(sim, recv_done, sharp_io_node(),
-                          sharp_leaf_node(cfg_.num_task_graphs, c),
-                          arbiters_[c]->component_id(),
-                          detail::SharpArbiter::kMeta, meta,
-                          noc::kParamBytes * cluster_params_[c]);
-    }
-    const std::uint64_t root_meta =
-        static_cast<std::uint64_t>(task.id) |
-        (static_cast<std::uint64_t>(participating) << 32) |
-        (static_cast<std::uint64_t>(task.tenant) << 48);
+  // Each participating leaf gets a descriptor carrying its cluster-local
+  // parameter count; the flat arbiter (the one leaf) gets one even for a
+  // parameterless task. The ideal crossbar commits the descriptor on a free
+  // side-band. On a real topology it is a parameter-list-sized message from
+  // the IO tile to the leaf tile, and may arrive after the task's ready
+  // record; the arbiter parks that record until the descriptor lands
+  // (meta_parks metric).
+  std::uint32_t participating = 0;
+  for (std::uint32_t c = 0; c < cluster_params_.size(); ++c) {
+    if (cluster_params_[c] == 0 && root_ != nullptr) continue;
+    ++participating;
+    net_->send_sideband(sim, recv_done, sharp_io_node(),
+                        sharp_leaf_node(cfg_.num_task_graphs, c),
+                        arbiters_[c]->component_id(),
+                        detail::SharpArbiter::kMeta,
+                        meta_word(task.id, cluster_params_[c], task.tenant),
+                        noc::kParamBytes * cluster_params_[c]);
+  }
+  // The root gets the participating-cluster count so it can AND the
+  // leaves' cluster-ready reports.
+  if (root_ != nullptr)
     net_->send_sideband(
         sim, recv_done, sharp_io_node(),
         sharp_root_node(cfg_.num_task_graphs, cfg_.arbiter_clusters),
-        root_->component_id(), detail::RootArbiter::kMeta, root_meta,
-        noc::kParamBytes);
-  }
+        root_->component_id(), detail::RootArbiter::kMeta,
+        meta_word(task.id, participating, task.tenant), noc::kParamBytes);
   return recv_done;
 }
 

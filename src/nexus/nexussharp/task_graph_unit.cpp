@@ -9,10 +9,9 @@ namespace nexus::detail {
 
 TaskGraphUnit::TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
                              SharpArbiter* arbiter, noc::Network* net,
-                             std::int64_t arb_node)
+                             noc::NodeId arb_node)
     : cfg_(cfg), index_(index), arbiter_(arbiter), net_(net),
-      arb_node_(arb_node < 0 ? sharp_arbiter_node(cfg.num_task_graphs)
-                             : static_cast<noc::NodeId>(arb_node)),
+      arb_node_(arb_node),
       clk_(cfg.freq_mhz), table_(cfg.table) {
   NEXUS_ASSERT(arbiter != nullptr && net != nullptr);
   if (cfg.tenancy.enabled()) table_.configure_tenancy(cfg.tenancy.tenants);

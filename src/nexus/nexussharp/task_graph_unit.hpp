@@ -25,12 +25,12 @@ namespace nexus::detail {
 
 class TaskGraphUnit final : public Component {
  public:
-  /// `arb_node` places the unit's result-record destination on the NoC;
-  /// the default (-1) is the flat single-arbiter tile. Clustered mode
-  /// points it at the cluster's leaf-arbiter tile instead.
+  /// `arb_node` places the unit's result-record destination on the NoC:
+  /// the arbiter tile of the unit's cluster (the flat arbiter's tile is
+  /// cluster 0's).
   TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
                 SharpArbiter* arbiter, noc::Network* net,
-                std::int64_t arb_node = -1);
+                noc::NodeId arb_node);
 
   /// Register with the simulation and pick up its observers: queue-depth
   /// and service metrics (and the table's) under "nexus#/tg<i>"; dependency

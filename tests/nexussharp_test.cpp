@@ -368,7 +368,9 @@ std::vector<TaskId> run_arbiter_schedule(
     std::uint64_t* meta_parks = nullptr) {
   noc::Network net(cfg.noc, sharp_noc_endpoints(cfg.num_task_graphs),
                    cfg.freq_mhz, 0);
-  detail::SharpArbiter arb(cfg, ArbiterPolicy::kReadyFirst, &net);
+  detail::SharpArbiter arb(cfg, ArbiterPolicy::kReadyFirst, &net,
+                           sharp_arbiter_node(cfg.num_task_graphs),
+                           sharp_io_node());
   Simulation sim;
   RecordingHost host;
   arb.attach(sim, &host, "nexus#/arbiter");

@@ -1,23 +1,33 @@
 // nexus-perfdiff library tests: the strict JSON reader, BENCH record
-// parsing (schema 1 and 2, malformed inputs rejected), and the comparator
-// on fixture records — identical records pass, a doctored makespan or
-// conflict burst regresses, an improvement passes.
+// parsing, and the exact comparator over the nine committed BENCH_*.json
+// files. Each file must diff clean against itself; each one-field
+// perturbation (a makespan, a histogram quantile, a timeline point, a
+// per-layer counter, a dropped or swapped row, an older schema) must fail
+// and name its field. Host wall-clock fields pass with an [info] line,
+// except an events/sec collapse below a quarter of the baseline.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "nexus/harness/experiment.hpp"
 #include "nexus/harness/perfdiff.hpp"
 #include "nexus/telemetry/json.hpp"
+#include "nexus/telemetry/registry.hpp"
+#include "nexus/telemetry/timeline.hpp"
 
 namespace nexus {
 namespace {
 
 using harness::BenchRecord;
 using harness::parse_bench_records;
-using harness::PerfdiffOptions;
+using harness::perfdiff_compare;
 using harness::PerfdiffResult;
 using telemetry::JsonValue;
 
@@ -85,11 +95,20 @@ TEST(JsonParse, RejectsOverDeepNesting) {
 
 // ---------- record parsing ----------
 
+/// The value of the field named `path`; NaN when the record has none.
+long double value(const BenchRecord& r, std::string_view path) {
+  for (const auto& [p, v] : r.fields)
+    if (p == path) return v;
+  return std::nanl("");
+}
+
 const char* kRecord = R"([
 {"schema":2,"bench":"table2","workload":"c-ray","manager":"nexus#","cores":32,
  "makespan":1000000,"speedup":31.4,
  "metrics":{"nexus#/arbiter/conflicts":40,"runtime/tasks":100,
-            "nexus#/pool/occupancy":{"count":10,"sum":50,"min":1,"max":9,"mean":5.0}},
+            "nexus#/pool/occupancy":{"count":10,"sum":50,"min":1,"max":9,
+                                     "mean":5.0,"p50":4.5,
+                                     "buckets":{"1":2,"8":8}}},
  "timeline":{"interval_ps":10,"points":1,"encoding":"delta","t":[0],
              "series":{"m":{"kind":"counter","v":[1]}}}}
 ])";
@@ -101,23 +120,29 @@ TEST(BenchRecords, ParsesSchema2WithFlattenedHistograms) {
   ASSERT_EQ(recs.size(), 1u);
   const BenchRecord& r = recs[0];
   EXPECT_EQ(r.schema, 2);
-  // No "topology" field => ideal, so pre-NoC baselines join against ideal
-  // candidates.
+  // No "topology" field => ideal, as the writer omits it on the crossbar.
   EXPECT_EQ(r.topology, "ideal");
   EXPECT_EQ(r.key(), "table2|c-ray|nexus#|ideal|32");
-  EXPECT_EQ(r.makespan, 1000000);
-  EXPECT_DOUBLE_EQ(r.speedup, 31.4);
-  EXPECT_DOUBLE_EQ(r.metric_sum("*/arbiter/conflicts"), 40.0);
-  EXPECT_DOUBLE_EQ(r.metric_sum("nexus#/pool/occupancy:count"), 10.0);
-  EXPECT_DOUBLE_EQ(r.metric_sum("nexus#/pool/occupancy:mean"), 5.0);
-  EXPECT_DOUBLE_EQ(r.tasks(), 100.0);
+  EXPECT_EQ(value(r, "makespan"), 1000000);
+  EXPECT_EQ(value(r, "speedup"), static_cast<long double>(31.4));
+  EXPECT_EQ(value(r, "nexus#/arbiter/conflicts"), 40);
+  EXPECT_EQ(value(r, "nexus#/pool/occupancy:count"), 10);
+  EXPECT_EQ(value(r, "nexus#/pool/occupancy:mean"), 5);
+  EXPECT_EQ(value(r, "nexus#/pool/occupancy:p50"), 4.5);
+  EXPECT_EQ(value(r, "nexus#/pool/occupancy:buckets/8"), 8);
+  EXPECT_EQ(value(r, "timeline/m@0ps"), 1);
+  // An older schema parses, but only the current one is gated.
+  const PerfdiffResult res = perfdiff_compare(recs, recs);
+  EXPECT_FALSE(res.ok());
+  EXPECT_NE(res.report.find("schema: 2 -> 2"), std::string::npos)
+      << res.report;
 }
 
 TEST(BenchRecords, TopologyFieldJoinsSeparately) {
   std::vector<BenchRecord> recs;
   std::string error;
   ASSERT_TRUE(parse_bench_records(
-      R"([{"schema":2,"bench":"ablation_topology","workload":"h264dec-8x8-10f",
+      R"([{"schema":4,"bench":"ablation_topology","workload":"h264dec-8x8-10f",
            "manager":"nexus#-6TG@55.56MHz","topology":"mesh","cores":8,
            "makespan":5,"speedup":1.0,"metrics":{}}])",
       &recs, &error))
@@ -138,7 +163,7 @@ TEST(BenchRecords, SchemalessRecordsAreSchema1) {
       << error;
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].schema, 1);
-  EXPECT_DOUBLE_EQ(recs[0].tasks(), 1.0);  // no runtime/tasks -> unit divisor
+  EXPECT_FALSE(perfdiff_compare(recs, recs).ok());
 }
 
 TEST(BenchRecords, RejectsUnknownSchemaAndMalformedInput) {
@@ -155,237 +180,211 @@ TEST(BenchRecords, RejectsUnknownSchemaAndMalformedInput) {
   EXPECT_FALSE(parse_bench_records(
       R"([{"bench":"b","workload":"w","manager":"m","cores":1}])", &recs,
       &error));  // missing makespan
+  EXPECT_FALSE(parse_bench_records(
+      R"([{"schema":4,"bench":"b","makespan":1,
+           "timeline":{"interval_ps":10,"t":[0,10],
+                       "series":{"m":{"kind":"counter","v":[1]}}}}])",
+      &recs, &error));  // a series shorter than the t axis
+  EXPECT_NE(error.find("\"m\""), std::string::npos) << error;
 }
 
-// ---------- comparator ----------
+// ---------- the comparator over the committed records ----------
 
-BenchRecord fixture(std::int64_t makespan, double conflicts,
-                    const std::string& workload = "w") {
-  BenchRecord r;
-  r.schema = 2;
-  r.bench = "table2";
-  r.workload = workload;
-  r.manager = "nexus#";
-  r.cores = 32;
-  r.makespan = makespan;
-  r.speedup = 1.0;
-  r.metrics = {{"nexus#/arbiter/conflicts", conflicts},
-               {"runtime/tasks", 100.0}};
-  return r;
+const char* const kRecordFiles[] = {
+    "BENCH_fig7.json",      "BENCH_fig8.json",     "BENCH_fig9.json",
+    "BENCH_placement.json", "BENCH_serving.json",  "BENCH_simspeed.json",
+    "BENCH_table2.json",    "BENCH_tenancy.json",  "BENCH_topology.json",
+};
+
+/// A committed record file, read once the way bench_test reads it.
+const std::vector<BenchRecord>& committed(const std::string& file) {
+  static std::map<std::string, std::vector<BenchRecord>> cache;
+  auto it = cache.find(file);
+  if (it == cache.end()) {
+    std::ifstream in(std::string(NEXUS_SOURCE_DIR) + "/" + file);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::vector<BenchRecord> records;
+    std::string error;
+    EXPECT_TRUE(parse_bench_records(text.str(), &records, &error))
+        << file << ": " << error;
+    it = cache.emplace(file, std::move(records)).first;
+  }
+  return it->second;
+}
+
+/// Indices of the fields of `r` whose path matches `glob`.
+std::vector<std::size_t> matching(const BenchRecord& r, std::string_view glob) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < r.fields.size(); ++i)
+    if (telemetry::path_glob_match(glob, r.fields[i].first)) out.push_back(i);
+  return out;
+}
+
+/// Diff one record against another.
+PerfdiffResult diff(const BenchRecord& base, const BenchRecord& cand) {
+  return perfdiff_compare({&base, 1}, {&cand, 1});
+}
+
+/// Diff `base` against `*work` — an equal copy of it — with field `i` set
+/// to `v`; `*work` is left as it was.
+PerfdiffResult perturbed(const BenchRecord& base, BenchRecord* work,
+                         std::size_t i, long double v) {
+  const long double was = work->fields[i].second;
+  work->fields[i].second = v;
+  PerfdiffResult res = diff(base, *work);
+  work->fields[i].second = was;
+  return res;
+}
+
+/// Expect `res` to fail on exactly one record and name `what`.
+void expect_names(const PerfdiffResult& res, const std::string& what) {
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.differing, 1);
+  EXPECT_NE(res.report.find(what), std::string::npos) << res.report;
 }
 
 TEST(Perfdiff, IdenticalRecordsPass) {
-  const std::vector<BenchRecord> recs{fixture(1000, 40), fixture(2000, 0, "x")};
-  const PerfdiffResult res = harness::perfdiff_compare(recs, recs);
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.compared, 2);
-  EXPECT_EQ(res.regressions, 0);
-  EXPECT_NE(res.report.find("0 regression(s)"), std::string::npos);
+  for (const char* file : kRecordFiles) {
+    const std::vector<BenchRecord>& recs = committed(file);
+    ASSERT_FALSE(recs.empty()) << file;
+    for (const BenchRecord& r : recs)
+      EXPECT_EQ(r.schema, harness::kBenchRecordSchema) << file;
+    const PerfdiffResult res = perfdiff_compare(recs, recs);
+    EXPECT_TRUE(res.ok()) << file << "\n" << res.report;
+    EXPECT_EQ(res.report.find('['), std::string::npos) << res.report;
+    EXPECT_NE(res.report.find(", 0 differ"), std::string::npos);
+  }
 }
 
 TEST(Perfdiff, MakespanRegressionDetected) {
-  const std::vector<BenchRecord> base{fixture(1000, 40)};
-  const std::vector<BenchRecord> cand{fixture(1100, 40)};  // +10% > 2% limit
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_FALSE(res.ok());
-  EXPECT_EQ(res.regressions, 1);
-  EXPECT_NE(res.report.find("REGRESS"), std::string::npos);
-  EXPECT_NE(res.report.find("makespan"), std::string::npos);
-}
-
-TEST(Perfdiff, ImprovementPassesAndIsCounted) {
-  const std::vector<BenchRecord> base{fixture(1000, 40)};
-  const std::vector<BenchRecord> cand{fixture(900, 40)};  // -10%
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.improvements, 1);
-  EXPECT_NE(res.report.find("faster"), std::string::npos);
-  // One line per record: an improved record must not also print [ok].
-  EXPECT_EQ(res.report.find("[ok]"), std::string::npos);
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      const long double ms = value(r, "makespan");
+      ASSERT_EQ(r.fields[0].first, "makespan");
+      expect_names(perturbed(r, &work, 0, ms + 1),
+                   r.key() + ": makespan: " + std::to_string(
+                       static_cast<long long>(ms)));
+      // Faster is a difference too: the committed record must be redone.
+      EXPECT_FALSE(perturbed(r, &work, 0, ms - 1).ok()) << file;
+    }
+  }
+  // A +1.5% makespan on fig9's first row.
+  const BenchRecord& fig9 = committed("BENCH_fig9.json")[0];
+  BenchRecord work = fig9;
+  expect_names(perturbed(fig9, &work, 0, value(fig9, "makespan") * 1.015L),
+               "makespan");
 }
 
 TEST(Perfdiff, MetricRateRegressionDetectedEvenWithEqualMakespan) {
-  const std::vector<BenchRecord> base{fixture(1000, 40)};
-  const std::vector<BenchRecord> cand{fixture(1000, 80)};  // conflict rate x2
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("conflict_rate"), std::string::npos);
-
-  // Within tolerance passes: +5% < 10% limit.
-  const std::vector<BenchRecord> mild{fixture(1000, 42)};
-  EXPECT_TRUE(harness::perfdiff_compare(base, mild).ok());
-}
-
-TEST(Perfdiff, DefaultWatchedGlobsReachBothManagerLayouts) {
-  // Nexus++ nests the watched counters one level deep, Nexus# two or three;
-  // the default globs must reach every layout or the gate is silently dead.
-  BenchRecord r;
-  r.metrics = {{"nexus++/dep_counts/parked", 1.0},
-               {"nexus#/arbiter/dep_counts/parked", 2.0},
-               {"nexus++/table/stalls", 4.0},
-               {"nexus#/tg0/table/stalls", 8.0},
-               {"nexus#/tg11/table/stalls", 16.0},
-               {"nexus#/arbiter/conflicts", 32.0},
-               {"nexus#/arbiter/retries", 64.0}};
-  auto rate_glob = [](const std::string& name) {
-    for (const auto& w : harness::default_watched_rates())
-      if (w.name == name) return w.numerator;
-    return std::string();
-  };
-  EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("park_rate")), 3.0);
-  EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("table_stall_rate")), 28.0);
-  EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("conflict_rate")), 32.0);
-  EXPECT_DOUBLE_EQ(r.metric_sum(rate_glob("retry_rate")), 64.0);
+  // One per-layer counter per record: NoC hops (both managers and the host
+  // fabric), or simspeed's event count. The makespan stays put.
+  for (const char* file : kRecordFiles) {
+    int checked = 0;
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      for (const char* glob : {"**/noc/hops:sum", "simspeed/events"}) {
+        for (std::size_t i : matching(r, glob)) {
+          ++checked;
+          expect_names(perturbed(r, &work, i, r.fields[i].second + 1),
+                       r.fields[i].first + ": ");
+        }
+      }
+    }
+    EXPECT_GT(checked, 0) << file;
+  }
 }
 
 TEST(Perfdiff, NocContentionRatesAreGatedPerTask) {
-  // Link contention on every network (manager and host NoCs alike) is a
-  // watched per-task rate: more stall time or more blocked reservations
-  // past the default band fail even when the makespan holds.
-  const auto noc_fixture = [](double stall_ps, double blocked) {
-    BenchRecord r = fixture(1000, 40);
-    r.metrics.push_back({"nexus#/noc/stall_ps", stall_ps});
-    r.metrics.push_back({"runtime/noc/stall_ps", stall_ps});
-    r.metrics.push_back({"nexus#/noc/blocked_flits", blocked});
-    return r;
-  };
-  const std::vector<BenchRecord> base{noc_fixture(5e6, 200)};
-  EXPECT_TRUE(harness::perfdiff_compare(base, {noc_fixture(5.2e6, 208)}).ok());
-  const PerfdiffResult stall =
-      harness::perfdiff_compare(base, {noc_fixture(6e6, 200)});
-  EXPECT_FALSE(stall.ok());
-  EXPECT_NE(stall.report.find("noc_stall_rate"), std::string::npos);
-  EXPECT_EQ(stall.report.find("noc_blocked_rate"), std::string::npos);
-  const PerfdiffResult blocked =
-      harness::perfdiff_compare(base, {noc_fixture(5e6, 240)});
-  EXPECT_FALSE(blocked.ok());
-  EXPECT_NE(blocked.report.find("noc_blocked_rate"), std::string::npos);
-  // Both globs sum every network's counter.
-  std::map<std::string, double> sums;
-  for (const auto& w : harness::default_watched_rates())
-    sums[w.name] = base[0].metric_sum(w.numerator);
-  EXPECT_DOUBLE_EQ(sums["noc_stall_rate"], 1e7);
-  EXPECT_DOUBLE_EQ(sums["noc_blocked_rate"], 200.0);
+  int checked = 0;
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      for (const char* field : {"stall_ps", "blocked_flits"}) {
+        for (std::size_t i : matching(r, std::string("**/noc/") + field)) {
+          ++checked;
+          expect_names(perturbed(r, &work, i, r.fields[i].second + 1), field);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 50);
 }
 
 TEST(Perfdiff, EventsPerTaskAreGatedPerComponentKind) {
-  // The kernel counts events per component instance (sim/c<i>_<kind>/
-  // events); the gate sums each kind over its instances, per task.
-  const auto events_fixture = [](double tg_events) {
-    BenchRecord r = fixture(1000, 40);
-    r.metrics.push_back({"sim/c0_driver/events", 3000});
-    r.metrics.push_back({"sim/c1_io/events", 2000});
-    r.metrics.push_back({"sim/c2_arbiter/events", 5000});
-    r.metrics.push_back({"sim/c3_tg/events", tg_events / 2});
-    r.metrics.push_back({"sim/c12_tg/events", tg_events / 2});
-    r.metrics.push_back({"sim/c13_noc/events", 700});
-    return r;
-  };
-  const std::vector<BenchRecord> base{events_fixture(8000)};
-  std::map<std::string, double> sums;
-  for (const auto& w : harness::default_watched_rates())
-    sums[w.name] = base[0].metric_sum(w.numerator);
-  EXPECT_DOUBLE_EQ(sums["driver_event_rate"], 3000.0);
-  EXPECT_DOUBLE_EQ(sums["io_event_rate"], 2000.0);
-  EXPECT_DOUBLE_EQ(sums["arbiter_event_rate"], 5000.0);
-  EXPECT_DOUBLE_EQ(sums["tg_event_rate"], 8000.0);
-  EXPECT_DOUBLE_EQ(sums["noc_event_rate"], 700.0);
-  EXPECT_DOUBLE_EQ(sums["root_event_rate"], 0.0);
-  EXPECT_DOUBLE_EQ(sums["npp_event_rate"], 0.0);
-
-  EXPECT_TRUE(harness::perfdiff_compare(base, {events_fixture(8000)}).ok());
-  const PerfdiffResult more =
-      harness::perfdiff_compare(base, {events_fixture(9600)});
-  EXPECT_FALSE(more.ok());
-  EXPECT_NE(more.report.find("tg_event_rate"), std::string::npos);
-  EXPECT_EQ(more.report.find("io_event_rate"), std::string::npos);
-}
-
-BenchRecord simspeed_fixture(double events_per_sec) {
-  BenchRecord r;
-  r.schema = 2;
-  r.bench = "simspeed";
-  r.workload = "storm-1000000";
-  r.manager = "kernel-heap";
-  r.cores = 1;
-  r.makespan = 25970;
-  r.speedup = 1.0;
-  r.metrics = {{"simspeed/events_per_sec", events_per_sec},
-               {"simspeed/wall_us", 1e6}};
-  return r;
-}
-
-TEST(Perfdiff, HigherIsBetterRateRegressesOnCollapseOnly) {
-  // Throughput gauges gate in the opposite direction: shrinking past the
-  // (generous, wall-clock) tolerance fails, growth never does, and a
-  // machine-noise slowdown within the band passes.
-  const std::vector<BenchRecord> base{simspeed_fixture(4e6)};
-  // -50%: inside the 75% band — machines differ, not a regression.
-  EXPECT_TRUE(harness::perfdiff_compare(base, {simspeed_fixture(2e6)}).ok());
-  // +300%: faster is always fine.
-  EXPECT_TRUE(harness::perfdiff_compare(base, {simspeed_fixture(16e6)}).ok());
-  // -95%: the kernel collapsed to below a quarter of the baseline.
-  const PerfdiffResult res =
-      harness::perfdiff_compare(base, {simspeed_fixture(2e5)});
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("sim_events_per_sec"), std::string::npos);
-  EXPECT_NE(res.report.find("limit -75.0%"), std::string::npos);
-}
-
-TEST(Perfdiff, PerRateToleranceOverridesTheGlobalDefault) {
-  // The same -50% shrink fails once the per-rate band is tightened; an
-  // overhead-direction rate with a wide override tolerates what the global
-  // 10% default would flag.
-  const std::vector<BenchRecord> base{simspeed_fixture(4e6)};
-  PerfdiffOptions opts;
-  opts.watched = {{"sim_events_per_sec", "simspeed/events_per_sec", true, 25.0}};
-  EXPECT_FALSE(harness::perfdiff_compare(base, {simspeed_fixture(2e6)}, opts).ok());
-
-  const std::vector<BenchRecord> cbase{fixture(1000, 40)};
-  const std::vector<BenchRecord> ccand{fixture(1000, 55)};  // +37.5%
-  EXPECT_FALSE(harness::perfdiff_compare(cbase, ccand).ok());
-  PerfdiffOptions wide;
-  wide.watched = {{"conflict_rate", "**/arbiter/conflicts", false, 50.0}};
-  EXPECT_TRUE(harness::perfdiff_compare(cbase, ccand, wide).ok());
+  std::map<std::string, int> kinds;
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      for (std::size_t i : matching(r, "sim/c*/events")) {
+        const std::string& path = r.fields[i].first;
+        ++kinds[path.substr(path.find('_') + 1)];
+        expect_names(perturbed(r, &work, i, r.fields[i].second + 1), path);
+      }
+    }
+  }
+  for (const char* kind : {"driver/events", "io/events", "tg/events",
+                           "arbiter/events", "root/events", "npp/events",
+                           "noc/events"})
+    EXPECT_GT(kinds[kind], 0) << kind;
 }
 
 TEST(Perfdiff, ZeroBaselineRateFlagsNewConflicts) {
-  const std::vector<BenchRecord> base{fixture(1000, 0)};
-  const std::vector<BenchRecord> cand{fixture(1000, 3)};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("was zero"), std::string::npos);
+  int checked = 0;
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      for (std::size_t i : matching(r, "**/arbiter/conflicts")) {
+        if (r.fields[i].second != 0) continue;
+        ++checked;
+        expect_names(perturbed(r, &work, i, 1), "conflicts: 0 -> 1");
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
-TEST(Perfdiff, AddedAndRemovedRecordsAreReportedNotFailed) {
-  const std::vector<BenchRecord> base{fixture(1000, 40, "only-in-base")};
-  const std::vector<BenchRecord> cand{fixture(1000, 40, "only-in-cand")};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.compared, 0);
-  EXPECT_EQ(res.added, 1);
-  EXPECT_EQ(res.removed, 1);
+TEST(Perfdiff, HigherIsBetterRateRegressesOnCollapseOnly) {
+  for (const BenchRecord& r : committed("BENCH_simspeed.json")) {
+    const std::vector<std::size_t> eps =
+        matching(r, "simspeed/events_per_sec");
+    ASSERT_EQ(eps.size(), 1u) << r.key();
+    const std::size_t i = eps[0];
+    const long double base = r.fields[i].second;
+    BenchRecord work = r;
+    // A collapse below a quarter of the baseline fails...
+    expect_names(perturbed(r, &work, i, std::floor(base * 0.24L)),
+                 "[DIFF] " + r.key() + ": simspeed/events_per_sec: ");
+    // ...anything above it, or any speed-up, is wall-clock noise.
+    for (long double v : {std::ceil(base * 0.26L), base * 2}) {
+      const PerfdiffResult res = perturbed(r, &work, i, v);
+      EXPECT_TRUE(res.ok()) << res.report;
+      EXPECT_NE(res.report.find("[info] " + r.key() +
+                                ": simspeed/events_per_sec: "),
+                std::string::npos)
+          << res.report;
+    }
+  }
 }
 
 TEST(Perfdiff, PlacementIsPartOfTheJoinKey) {
-  // A default-layout baseline must not be compared against an optimized
-  // candidate of the same bench/workload/manager/topology/cores — they are
-  // different configurations, so the optimized row is "new", never a
-  // regression even when slower.
-  BenchRecord def = fixture(1000, 40);
-  BenchRecord opt = fixture(5000, 40);
-  opt.placement = "optimized";
-  const PerfdiffResult res =
-      harness::perfdiff_compare({def}, {def, opt});
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.compared, 1);
-  EXPECT_EQ(res.added, 1);
-  EXPECT_NE(res.report.find("not a regression"), std::string::npos);
-
-  // Same placement on both sides joins (and here regresses on makespan).
-  BenchRecord opt_base = opt;
-  opt_base.makespan = 1000;
-  EXPECT_FALSE(harness::perfdiff_compare({opt_base}, {opt}).ok());
+  // Rows are compared by position, and the key is one of their fields: a
+  // row whose placement (or topology) changed is a different row.
+  const std::vector<BenchRecord>& placed = committed("BENCH_placement.json");
+  int checked = 0;
+  for (const BenchRecord& r : placed) {
+    if (r.placement == "default") continue;
+    ++checked;
+    BenchRecord cand = r;
+    cand.placement = "default";
+    expect_names(diff(r, cand), "key: " + r.key() + " -> ");
+  }
+  EXPECT_GT(checked, 0);
+  BenchRecord cand = committed("BENCH_topology.json").back();
+  cand.topology = "ring";
+  expect_names(diff(committed("BENCH_topology.json").back(), cand),
+               "|ring|");
 }
 
 TEST(Perfdiff, PlacementFieldRoundTripsAndDefaultsWhenAbsent) {
@@ -394,9 +393,9 @@ TEST(Perfdiff, PlacementFieldRoundTripsAndDefaultsWhenAbsent) {
   const std::string doc =
       "[" +
       std::string(
-          R"({"schema":2,"bench":"ablation_placement","workload":"h264dec-8x8-10f","manager":"nexus#-8TG","topology":"torus","placement":"optimized","cores":16,"makespan":7000,"speedup":1.0,"metrics":{}},)") +
+          R"({"schema":4,"bench":"ablation_placement","workload":"h264dec-8x8-10f","manager":"nexus#-8TG","topology":"torus","placement":"optimized","cores":16,"makespan":7000,"speedup":1.0,"metrics":{}},)") +
       std::string(
-          R"({"schema":2,"bench":"ablation_placement","workload":"h264dec-8x8-10f","manager":"nexus#-8TG","topology":"torus","cores":16,"makespan":7000,"speedup":1.0,"metrics":{}})") +
+          R"({"schema":4,"bench":"ablation_placement","workload":"h264dec-8x8-10f","manager":"nexus#-8TG","topology":"torus","cores":16,"makespan":7000,"speedup":1.0,"metrics":{}})") +
       "]";
   ASSERT_TRUE(parse_bench_records(doc, &recs, &error)) << error;
   ASSERT_EQ(recs.size(), 2u);
@@ -405,61 +404,122 @@ TEST(Perfdiff, PlacementFieldRoundTripsAndDefaultsWhenAbsent) {
   EXPECT_NE(recs[0].key(), recs[1].key());
 }
 
-TEST(Perfdiff, ThresholdsAreConfigurable) {
-  const std::vector<BenchRecord> base{fixture(1000, 40)};
-  const std::vector<BenchRecord> cand{fixture(1100, 40)};
-  PerfdiffOptions loose;
-  loose.makespan_tolerance_pct = 15.0;
-  EXPECT_TRUE(harness::perfdiff_compare(base, cand, loose).ok());
-  PerfdiffOptions tight;
-  tight.makespan_tolerance_pct = 0.5;
-  EXPECT_FALSE(harness::perfdiff_compare(base, cand, tight).ok());
-}
-
-TEST(Perfdiff, QuietSuppressesOkLinesButKeepsSummary) {
-  const std::vector<BenchRecord> recs{fixture(1000, 40)};
-  PerfdiffOptions quiet;
-  quiet.quiet = true;
-  const PerfdiffResult res = harness::perfdiff_compare(recs, recs, quiet);
-  EXPECT_EQ(res.report.find("[ok]"), std::string::npos);
-  EXPECT_NE(res.report.find("perfdiff:"), std::string::npos);
-}
-
 // End-to-end over the real serializer: a record written by
-// metrics_report_json must round-trip through parse_bench_records.
+// metrics_report_json round-trips through parse_bench_records, every value
+// it wrote reappears as a field, and it diffs clean against itself.
 TEST(Perfdiff, RoundTripsRealReportRecords) {
-  std::vector<BenchRecord> recs;
-  std::string error;
+  telemetry::MetricRegistry reg;
+  reg.counter("nexus#/arbiter/conflicts").inc(3);
+  reg.gauge("nexus#/pool/live").set(-2);
+  for (std::uint64_t v : {1, 5, 9})
+    reg.histogram("runtime/sojourn_ps").record(v);
+  const telemetry::Snapshot snap = reg.snapshot();
+  telemetry::Timeline tl;
+  tl.interval = 10;
+  tl.t = {0, 10, 20};
+  tl.series.push_back({"runtime/finished", telemetry::MetricKind::kCounter,
+                       {1, 4, 9}});
+  tl.series.push_back({"runtime/ready", telemetry::MetricKind::kGauge,
+                       {5, -2, 7}});
   const std::string doc =
       "[" +
-      std::string(
-          R"({"schema":2,"bench":"fig9","workload":"gaussian-250","manager":"nexus#-2TG@100MHz","cores":8,"makespan":70761000000,"speedup":1.1,"metrics":{"runtime/tasks":31374}})") +
+      harness::metrics_report_json("fig9", "gaussian-250", "nexus#-2TG@100MHz",
+                                   8, 70761000000, 1.1, &snap, &tl, "mesh",
+                                   "optimized") +
       "]";
+  std::vector<BenchRecord> recs;
+  std::string error;
   ASSERT_TRUE(parse_bench_records(doc, &recs, &error)) << error;
   ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].makespan, 70761000000LL);
-  const PerfdiffResult res = harness::perfdiff_compare(recs, recs);
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.compared, 1);
+  const BenchRecord& r = recs[0];
+  EXPECT_EQ(r.schema, harness::kBenchRecordSchema);
+  EXPECT_EQ(r.key(), "fig9|gaussian-250|nexus#-2TG@100MHz|mesh|optimized|8");
+  EXPECT_EQ(value(r, "makespan"), 70761000000LL);
+  EXPECT_EQ(value(r, "nexus#/arbiter/conflicts"), 3);
+  EXPECT_EQ(value(r, "nexus#/pool/live"), -2);
+  EXPECT_EQ(value(r, "runtime/sojourn_ps:count"), 3);
+  EXPECT_EQ(value(r, "runtime/sojourn_ps:sum"), 15);
+  EXPECT_EQ(value(r, "timeline/interval_ps"), 10);
+  EXPECT_EQ(value(r, "timeline/runtime/finished@20ps"), 9);
+  EXPECT_EQ(value(r, "timeline/runtime/ready@10ps"), -2);
+  EXPECT_TRUE(perfdiff_compare(recs, recs).ok());
 }
 
-// ---------- --timelines mode ----------
-
-/// Fixture with an attached two-series timeline (a counter and a gauge).
-BenchRecord timeline_fixture(std::vector<std::int64_t> counter_v,
-                             std::vector<std::int64_t> gauge_v) {
-  BenchRecord r = fixture(1000, 40);
-  r.has_timeline = true;
-  r.timeline.interval = 10;
-  r.timeline.t = {0, 10, 20, 30};
-  r.timeline.series.push_back(
-      {"nexus#/finishes", telemetry::MetricKind::kCounter,
-       std::move(counter_v)});
-  r.timeline.series.push_back(
-      {"nexus#/pool/occupancy", telemetry::MetricKind::kGauge,
-       std::move(gauge_v)});
-  return r;
+TEST(Perfdiff, DroppedOrSwappedRowsFail) {
+  for (const char* file : kRecordFiles) {
+    const std::vector<BenchRecord>& base = committed(file);
+    std::vector<BenchRecord> cand = base;
+    cand.pop_back();
+    expect_names(perfdiff_compare(base, cand),
+                 base.back().key() + " missing from candidate");
+    expect_names(perfdiff_compare(cand, base),
+                 base.back().key() + " only in candidate");
+    if (base.size() < 2) continue;
+    cand = base;
+    std::swap(cand[0], cand[1]);
+    const PerfdiffResult res = perfdiff_compare(base, cand);
+    EXPECT_EQ(res.differing, 2) << file;
+    EXPECT_NE(res.report.find("key: " + base[0].key() + " -> " +
+                              base[1].key()),
+              std::string::npos)
+        << res.report;
+  }
 }
+
+TEST(Perfdiff, SchemaOtherThanCurrentFails) {
+  for (const char* file : kRecordFiles) {
+    const BenchRecord& r = committed(file).front();
+    BenchRecord cand = r;
+    cand.schema = 3;
+    expect_names(diff(r, cand), "schema: 4 -> 3");
+  }
+}
+
+TEST(PerfdiffQuantiles, P99OnlyRegressionFails) {
+  // One tail quantile moves by one picosecond; nothing else does.
+  int checked = 0;
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      BenchRecord work = r;
+      for (std::size_t i : matching(r, "**:p99")) {
+        ++checked;
+        expect_names(perturbed(r, &work, i, r.fields[i].second + 1),
+                     r.fields[i].first + ": ");
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+TEST(PerfdiffQuantiles, EveryQuantileIsExact) {
+  for (const char* file : kRecordFiles) {
+    const BenchRecord& r = committed(file).front();
+    BenchRecord work = r;
+    for (const char* q : {"**:p50", "**:p95", "**:p999"})
+      for (std::size_t i : matching(r, q))
+        expect_names(perturbed(r, &work, i, r.fields[i].second + 1),
+                     r.fields[i].first);
+  }
+  // An 8% shift of serving row 0's p50 and p99 latencies.
+  const BenchRecord& serving = committed("BENCH_serving.json")[0];
+  BenchRecord cand = serving;
+  int shifted = 0;
+  for (const char* glob :
+       {"runtime/sojourn_ps:p50", "runtime/sojourn_ps:p99",
+        "runtime/serving_latency_ps:p50", "runtime/serving_latency_ps:p99"}) {
+    for (std::size_t i : matching(cand, glob)) {
+      cand.fields[i].second *= 1.08L;
+      ++shifted;
+    }
+  }
+  ASSERT_EQ(shifted, 4);
+  const PerfdiffResult res = diff(serving, cand);
+  expect_names(res, "runtime/sojourn_ps:p99");
+  EXPECT_NE(res.report.find("runtime/serving_latency_ps:p50"),
+            std::string::npos);
+}
+
+// ---------- timelines ----------
 
 TEST(PerfdiffTimelines, ParsesDeltaEncodedTimelineFromRecord) {
   // The on-disk form delta-encodes the t axis and counter-kind series;
@@ -467,7 +527,7 @@ TEST(PerfdiffTimelines, ParsesDeltaEncodedTimelineFromRecord) {
   std::vector<BenchRecord> recs;
   std::string error;
   ASSERT_TRUE(parse_bench_records(
-      R"([{"schema":3,"bench":"b","workload":"w","manager":"m","cores":1,
+      R"([{"schema":4,"bench":"b","workload":"w","manager":"m","cores":1,
            "makespan":5,"speedup":1.0,"metrics":{},
            "timeline":{"interval_ps":10,"points":3,"encoding":"delta",
                        "t":[0,10,10],
@@ -476,246 +536,99 @@ TEST(PerfdiffTimelines, ParsesDeltaEncodedTimelineFromRecord) {
       &recs, &error))
       << error;
   ASSERT_EQ(recs.size(), 1u);
-  ASSERT_TRUE(recs[0].has_timeline);
-  const telemetry::Timeline& tl = recs[0].timeline;
-  EXPECT_EQ(tl.interval, 10);
-  EXPECT_EQ(tl.t, (std::vector<telemetry::TimeTick>{0, 10, 20}));
-  const telemetry::TimelineSeries* cnt = tl.find("cnt");
-  ASSERT_NE(cnt, nullptr);
-  EXPECT_EQ(cnt->v, (std::vector<std::int64_t>{1, 3, 6}));  // decoded
-  const telemetry::TimelineSeries* gau = tl.find("gau");
-  ASSERT_NE(gau, nullptr);
-  EXPECT_EQ(gau->v, (std::vector<std::int64_t>{5, -2, 7}));  // raw
-}
-
-TEST(PerfdiffTimelines, SkippedByDefaultComparedWhenEnabled) {
-  const std::vector<BenchRecord> base{timeline_fixture({0, 1, 2, 3},
-                                                       {4, 4, 4, 4})};
-  const std::vector<BenchRecord> cand{timeline_fixture({0, 1, 2, 9},
-                                                       {4, 4, 4, 4})};
-  // Default: timelines describe *when*, not *how much* — no gate.
-  EXPECT_TRUE(harness::perfdiff_compare(base, cand).ok());
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand, opts);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("nexus#/finishes"), std::string::npos);
-  EXPECT_NE(res.report.find("first diverges at t="), std::string::npos);
+  const BenchRecord& r = recs[0];
+  EXPECT_EQ(value(r, "timeline/interval_ps"), 10);
+  EXPECT_EQ(value(r, "timeline/cnt:gauge"), 0);
+  EXPECT_EQ(value(r, "timeline/cnt@0ps"), 1);  // decoded
+  EXPECT_EQ(value(r, "timeline/cnt@10ps"), 3);
+  EXPECT_EQ(value(r, "timeline/cnt@20ps"), 6);
+  EXPECT_EQ(value(r, "timeline/gau:gauge"), 1);
+  EXPECT_EQ(value(r, "timeline/gau@10ps"), -2);  // raw
+  EXPECT_EQ(value(r, "timeline/gau@20ps"), 7);
 }
 
 TEST(PerfdiffTimelines, IdenticalTimelinesPassExactly) {
-  const std::vector<BenchRecord> recs{timeline_fixture({0, 1, 2, 3},
-                                                       {4, 5, 6, 7})};
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;  // default tolerance: exact
-  EXPECT_TRUE(harness::perfdiff_compare(recs, recs, opts).ok());
+  int with_timeline = 0;
+  for (const char* file : kRecordFiles) {
+    for (const BenchRecord& r : committed(file)) {
+      if (matching(r, "timeline/**").empty()) continue;
+      ++with_timeline;
+      EXPECT_GT(matching(r, "timeline/**@*ps").size(), 100u) << r.key();
+      EXPECT_TRUE(diff(r, r).ok()) << r.key();
+    }
+  }
+  EXPECT_GT(with_timeline, 40);
 }
 
 TEST(PerfdiffTimelines, ReportsFirstDivergenceSimTime) {
-  // Divergence at rows 2 and 3; only the first (t=20 ps) is reported.
-  const std::vector<BenchRecord> base{timeline_fixture({0, 1, 2, 3},
-                                                       {4, 4, 4, 4})};
-  const std::vector<BenchRecord> cand{timeline_fixture({0, 1, 5, 9},
-                                                       {4, 4, 4, 4})};
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand, opts);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("2 -> 5"), std::string::npos) << res.report;
-  EXPECT_EQ(res.report.find("3 -> 9"), std::string::npos) << res.report;
-}
-
-TEST(PerfdiffTimelines, PerSeriesToleranceFirstGlobWins) {
-  const std::vector<BenchRecord> base{timeline_fixture({0, 100, 200, 300},
-                                                       {4, 4, 4, 4})};
-  const std::vector<BenchRecord> cand{timeline_fixture({0, 104, 208, 312},
-                                                       {4, 4, 4, 4})};
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;
-  // Global default stays exact, but the finish-flow series tolerates 5%.
-  opts.timeline_tolerances = {{"nexus#/finishes", 5.0}};
-  EXPECT_TRUE(harness::perfdiff_compare(base, cand, opts).ok());
-  // First match wins: a preceding stricter glob overrides the loose one.
-  opts.timeline_tolerances = {{"nexus#/*", 0.0}, {"nexus#/finishes", 5.0}};
-  EXPECT_FALSE(harness::perfdiff_compare(base, cand, opts).ok());
+  // Two points of one series move; only the first is reported, with the
+  // sim-time it happened at.
+  for (const char* file : kRecordFiles) {
+    const BenchRecord& r = committed(file).front();
+    const std::vector<std::size_t> points = matching(r, "timeline/**@*ps");
+    if (points.empty()) continue;
+    BenchRecord cand = r;
+    cand.fields[points[5]].second += 1;
+    cand.fields[points[7]].second += 1;
+    const PerfdiffResult res = diff(r, cand);
+    expect_names(res, r.fields[points[5]].first + ": ");
+    EXPECT_EQ(res.report.find(r.fields[points[7]].first), std::string::npos)
+        << res.report;
+  }
 }
 
 TEST(PerfdiffTimelines, LostTimelineOrSeriesIsARegression) {
-  const BenchRecord with = timeline_fixture({0, 1, 2, 3}, {4, 4, 4, 4});
-  BenchRecord without = fixture(1000, 40);
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;
-  // Candidate lost the whole timeline.
-  const PerfdiffResult lost =
-      harness::perfdiff_compare({with}, {without}, opts);
-  EXPECT_FALSE(lost.ok());
-  EXPECT_NE(lost.report.find("missing from candidate"), std::string::npos);
-  // A candidate *gaining* a timeline is fine (new instrumentation).
-  EXPECT_TRUE(harness::perfdiff_compare({without}, {with}, opts).ok());
-  // Candidate lost one series.
-  BenchRecord fewer = with;
-  fewer.timeline.series.pop_back();
-  const PerfdiffResult series =
-      harness::perfdiff_compare({with}, {fewer}, opts);
-  EXPECT_FALSE(series.ok());
-  EXPECT_NE(series.report.find("nexus#/pool/occupancy"), std::string::npos);
-}
-
-// ---------- quantile gates ----------
-
-/// A schema-3 serving-style record carrying the histogram quantile fields
-/// the tail-latency gates watch, plus the knee gauge.
-BenchRecord quantile_fixture(double p50, double p99, double p999,
-                             double knee_hz = 50000.0) {
-  BenchRecord r;
-  r.schema = 3;
-  r.bench = "ablation_serving";
-  r.workload = "serving-poisson-k@knee";
-  r.manager = "nexus#";
-  r.cores = 32;
-  r.makespan = 1000000;
-  r.speedup = 1.0;
-  r.metrics = {{"runtime/tasks", 100.0},
-               {"runtime/sojourn_ps:p50", p50},
-               {"runtime/sojourn_ps:p99", p99},
-               {"runtime/sojourn_ps:p999", p999},
-               {"runtime/serving_latency_ps:p50", p50},
-               {"runtime/serving_latency_ps:p99", p99},
-               {"runtime/serving_latency_ps:p999", p999},
-               {"serving/knee_hz", knee_hz}};
-  return r;
-}
-
-TEST(PerfdiffQuantiles, P99OnlyRegressionFails) {
-  // The makespan and p50 are untouched — only the tail moved. This is
-  // exactly the regression shape the quantile gates exist to catch.
-  const std::vector<BenchRecord> base{quantile_fixture(1e6, 5e6, 9e6)};
-  const std::vector<BenchRecord> cand{quantile_fixture(1e6, 7e6, 9e6)};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("serving_p99"), std::string::npos);
-  EXPECT_NE(res.report.find("sojourn_p99"), std::string::npos);
-}
-
-TEST(PerfdiffQuantiles, P50NoiseWithinTolerancePasses) {
-  // +5% on the median is inside the 10% default band; nothing else moved.
-  const std::vector<BenchRecord> base{quantile_fixture(1e6, 5e6, 9e6)};
-  const std::vector<BenchRecord> cand{quantile_fixture(1.05e6, 5e6, 9e6)};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok()) << res.report;
-}
-
-TEST(PerfdiffQuantiles, P999GetsTheWiderBand) {
-  // +12% on p999 is inside its 15% band but would fail p99's 10% band —
-  // the extreme tail is allowed more interpolation slack.
-  const std::vector<BenchRecord> base{quantile_fixture(1e6, 5e6, 9e6)};
-  const std::vector<BenchRecord> cand{quantile_fixture(1e6, 5e6, 10.1e6)};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok()) << res.report;
-}
-
-TEST(PerfdiffQuantiles, KneeCollapseFailsGrowthPasses) {
-  const std::vector<BenchRecord> base{quantile_fixture(1e6, 5e6, 9e6, 50000)};
-  // Knee shrank 20% (> 10% band): a capacity regression.
-  std::vector<BenchRecord> cand{quantile_fixture(1e6, 5e6, 9e6, 40000)};
-  EXPECT_FALSE(harness::perfdiff_compare(base, cand).ok());
-  // Knee grew 20%: higher-is-better, never a failure.
-  cand = {quantile_fixture(1e6, 5e6, 9e6, 60000)};
-  EXPECT_TRUE(harness::perfdiff_compare(base, cand).ok());
-}
-
-TEST(PerfdiffQuantiles, MissingQuantilesOnOldRecordsAreSkippedNotFailed) {
-  // A schema-2 baseline has no quantile fields and no knee gauge. Against a
-  // schema-3 candidate that carries them, every require_both gate must
-  // disengage — not crash, not read absent metrics as zero and flag a
-  // was-zero regression.
-  const std::vector<BenchRecord> old_base{fixture(1000000, 40)};
-  BenchRecord cand3 = fixture(1000000, 40);
-  cand3.schema = 3;
-  cand3.metrics.emplace_back("runtime/sojourn_ps:p99", 5e6);
-  cand3.metrics.emplace_back("runtime/serving_latency_ps:p99", 6e6);
-  cand3.metrics.emplace_back("serving/knee_hz", 50000.0);
-  const PerfdiffResult res = harness::perfdiff_compare(old_base, {cand3});
-  EXPECT_TRUE(res.ok()) << res.report;
-  EXPECT_EQ(res.compared, 1);
-  // And the reverse direction (quantile baseline, stripped candidate).
-  const PerfdiffResult rev = harness::perfdiff_compare({cand3}, old_base);
-  EXPECT_TRUE(rev.ok()) << rev.report;
-}
-
-TEST(PerfdiffQuantiles, HasMetricDistinguishesAbsentFromZero) {
-  const BenchRecord with = quantile_fixture(0.0, 0.0, 0.0, 0.0);
-  EXPECT_TRUE(with.has_metric("serving/knee_hz"));
-  EXPECT_TRUE(with.has_metric("runtime/sojourn_ps:p99"));
-  const BenchRecord without = fixture(1000, 0);
-  EXPECT_FALSE(without.has_metric("serving/knee_hz"));
-  EXPECT_FALSE(without.has_metric("runtime/*_ps:p99"));
-}
-
-// ---------- schema-4 host-time fields (report-only watches) ----------
-
-BenchRecord host_time_fixture(double scale) {
-  BenchRecord r = fixture(1000000, 40);
-  r.schema = 4;
-  r.metrics.emplace_back("prof/push_ns", 1.0e6 * scale);
-  r.metrics.emplace_back("prof/pop_ns", 2.0e6 * scale);
-  r.metrics.emplace_back("prof/handle_ns", 4.0e6 * scale);
-  r.metrics.emplace_back("prof/total_ns", 9.0e6 * scale);
-  return r;
-}
-
-TEST(PerfdiffHostTime, ReportOnlyFieldsEchoButNeverRegress) {
-  // Host wall-clock attribution tracks the machine, not the code under
-  // test: a 10x swing must be echoed as an [info] line, never counted as a
-  // regression at any tolerance.
-  const std::vector<BenchRecord> base{host_time_fixture(1.0)};
-  const std::vector<BenchRecord> cand{host_time_fixture(10.0)};
-  const PerfdiffResult res = harness::perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok()) << res.report;
-  EXPECT_EQ(res.regressions, 0);
-  EXPECT_NE(res.report.find("[info]"), std::string::npos);
-  EXPECT_NE(res.report.find("host_pop_ns"), std::string::npos);
-  EXPECT_NE(res.report.find("report-only"), std::string::npos);
-  // Shrinkage is equally informational in the other direction.
-  const PerfdiffResult rev = harness::perfdiff_compare(cand, base);
-  EXPECT_TRUE(rev.ok()) << rev.report;
-}
-
-TEST(PerfdiffHostTime, MissingHostFieldsOnOldRecordsAreSkippedNotFailed) {
-  // A schema-3 baseline carries no prof/* gauges. Against a schema-4
-  // candidate that does, the require_both gate must disengage in both
-  // directions — no [info] noise, no was-zero misread.
-  std::vector<BenchRecord> old_base{fixture(1000000, 40)};
-  old_base[0].schema = 3;
-  const std::vector<BenchRecord> cand{host_time_fixture(1.0)};
-  const PerfdiffResult res = harness::perfdiff_compare(old_base, cand);
-  EXPECT_TRUE(res.ok()) << res.report;
-  EXPECT_EQ(res.compared, 1);
-  EXPECT_EQ(res.report.find("host_pop_ns"), std::string::npos);
-  const PerfdiffResult rev = harness::perfdiff_compare(cand, old_base);
-  EXPECT_TRUE(rev.ok()) << rev.report;
-  EXPECT_EQ(rev.report.find("host_pop_ns"), std::string::npos);
-}
-
-TEST(PerfdiffHostTime, QuietSuppressesInfoLines) {
-  PerfdiffOptions opts;
-  opts.quiet = true;
-  const PerfdiffResult res = harness::perfdiff_compare(
-      {host_time_fixture(1.0)}, {host_time_fixture(10.0)}, opts);
-  EXPECT_TRUE(res.ok()) << res.report;
-  EXPECT_EQ(res.report.find("[info]"), std::string::npos);
+  const BenchRecord& r = committed("BENCH_fig9.json").front();
+  const std::vector<std::size_t> tl = matching(r, "timeline/**");
+  ASSERT_FALSE(tl.empty());
+  BenchRecord without = r;
+  without.fields.resize(tl.front());
+  expect_names(diff(r, without), "-> (end)");
+  // Gaining one is a difference as well: the committed record must be redone.
+  expect_names(diff(without, r), "(end) -> timeline/");
+  // Lose the last series (its kind flag and its points).
+  const std::vector<std::size_t> kinds = matching(r, "timeline/**:gauge");
+  BenchRecord fewer = r;
+  fewer.fields.resize(kinds.back());
+  expect_names(diff(r, fewer), r.fields[kinds.back()].first);
 }
 
 TEST(PerfdiffTimelines, AxisMismatchDetected) {
-  const BenchRecord base = timeline_fixture({0, 1, 2, 3}, {4, 4, 4, 4});
-  BenchRecord cand = base;
-  cand.timeline.interval = 20;  // coarsening diverged
-  cand.timeline.t = {0, 20, 40, 60};
-  PerfdiffOptions opts;
-  opts.compare_timelines = true;
-  const PerfdiffResult res = harness::perfdiff_compare({base}, {cand}, opts);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.report.find("interval"), std::string::npos);
+  const BenchRecord& r = committed("BENCH_fig7.json").front();
+  const std::vector<std::size_t> interval = matching(r, "timeline/interval_ps");
+  ASSERT_EQ(interval.size(), 1u);
+  BenchRecord work = r;
+  const std::size_t i = interval[0];
+  expect_names(perturbed(r, &work, i, r.fields[i].second * 2),
+               "timeline/interval_ps: ");
+  // A shifted sample time renames the point: the field lists part ways.
+  const std::vector<std::size_t> points = matching(r, "timeline/**@*ps");
+  BenchRecord cand = r;
+  cand.fields[points[3]].first += "0";
+  expect_names(diff(r, cand), r.fields[points[3]].first);
+}
+
+// ---------- host time ----------
+
+TEST(PerfdiffHostTime, ReportOnlyFieldsEchoButNeverRegress) {
+  const std::vector<BenchRecord>& base = committed("BENCH_simspeed.json");
+  std::vector<BenchRecord> cand = base;
+  int moved = 0;
+  for (BenchRecord& r : cand) {
+    for (const char* glob : {"prof/*", "simspeed/wall_us"}) {
+      for (std::size_t i : matching(r, glob)) {
+        r.fields[i].second = r.fields[i].second * 10 + 1;
+        ++moved;
+      }
+    }
+  }
+  EXPECT_EQ(moved, 5 * static_cast<int>(base.size()));
+  const PerfdiffResult res = perfdiff_compare(base, cand);
+  EXPECT_TRUE(res.ok()) << res.report;
+  EXPECT_NE(res.report.find("[info] " + base[0].key() + ": prof/pop_ns: "),
+            std::string::npos)
+      << res.report;
+  EXPECT_NE(res.report.find(": simspeed/wall_us: "), std::string::npos);
 }
 
 }  // namespace

@@ -1,35 +1,20 @@
-// nexus-perfdiff: compare two BENCH_*.json trajectory records and flag
-// makespan/metric regressions, so CI gates on the bench trajectory instead
-// of a human eyeballing numbers. The default watch list includes the
-// tail-latency quantile gates (runtime/sojourn_ps and
-// runtime/serving_latency_ps p50/p99/p999, plus the serving/knee_hz
-// throughput gauge): a p99 regression fails CI even when the makespan is
-// unchanged. Quantile gates only engage when both records carry the fields,
-// so schema<3 baselines are skipped, never failed.
+// nexus-perfdiff: compare two BENCH_*.json trajectory records exactly.
 //
-//   nexus-perfdiff [options] <baseline.json> <candidate.json>
+//   nexus-perfdiff <baseline.json> <candidate.json>
 //
-//   --max-makespan-pct=P   makespan growth tolerance in percent (default 2)
-//   --max-metric-pct=P     watched-rate growth tolerance in percent (default 10)
-//   --metrics=G1,G2,...    replace the watched-rate globs (each glob is
-//                          summed over flattened metric paths and divided by
-//                          the run's task count)
-//   --timelines            additionally diff the sampled sim-time timelines
-//                          point by point, reporting the sim-time of each
-//                          series' first divergence
-//   --max-timeline-pct=P   per-point timeline tolerance in percent of the
-//                          baseline value (default 0 = exact); GLOB=P entries
-//                          set per-series overrides, first match wins, e.g.
-//                          --max-timeline-pct=sim/events=5,**/noc/*=1,0
-//   --report-only          print the full report but always exit 0 on a
-//                          clean parse (CI burn-in mode)
-//   --quiet                suppress per-record [ok] lines
+// The simulator is deterministic, so every candidate record must equal the
+// baseline record at the same position in every field: join key, makespan,
+// speedup, every metric (scalars and each histogram field) and the sampled
+// timeline. Host wall-clock fields are the only exception: prof/* and
+// simspeed/wall_us are echoed as [info], and simspeed/events_per_sec fails
+// only below 25% of its baseline. Each differing record prints its key and
+// its first few differing fields as `path: base -> cand`; a timeline series
+// prints the sim-time of its first divergence.
 //
-// Exit status: 0 no regression (or --report-only), 1 regression found,
-// 2 usage/IO/parse error. Flags use the --key=value form only, so file
-// arguments can never be mistaken for flag values.
+// Exit status: 0 no difference, 1 any difference, 2 usage/IO/parse error.
 #include <cstdio>
-#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,56 +22,19 @@
 
 namespace {
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: nexus-perfdiff [options] <baseline.json> <candidate.json>\n"
-      "  --max-makespan-pct=P  makespan tolerance in percent (default 2)\n"
-      "  --max-metric-pct=P    watched-rate tolerance in percent (default 10)\n"
-      "  --metrics=G1,G2,...   override watched-rate metric globs\n"
-      "  --timelines           also diff sampled timelines point by point\n"
-      "  --max-timeline-pct=L  timeline tolerance: default pct and/or\n"
-      "                        comma-separated GLOB=P per-series overrides\n"
-      "  --report-only         report but exit 0 even on regressions\n"
-      "  --quiet               only regressions and the summary\n",
-      to);
-}
+constexpr const char* kUsage =
+    "usage: nexus-perfdiff <baseline.json> <candidate.json>\n"
+    "Exits 1 unless every deterministic field of every record reproduces.\n";
 
-/// Parse a percentage flag value strictly: a typo like "--max-metric-pct=2x"
-/// or an empty value must not silently become a 0.0 tolerance.
-bool parse_pct(const std::string& flag, const std::string& val, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(val.c_str(), &end);
-  if (val.empty() || end != val.c_str() + val.size() || *out < 0.0) {
-    std::fprintf(stderr,
-                 "nexus-perfdiff: %s needs a non-negative number, got \"%s\"\n",
-                 flag.c_str(), val.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool load_records(const std::string& path,
+bool load_records(const char* path,
                   std::vector<nexus::harness::BenchRecord>* out) {
-  std::string text;
-  if (!read_file(path, &text)) {
-    std::fprintf(stderr, "nexus-perfdiff: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::string error;
-  if (!nexus::harness::parse_bench_records(text, out, &error)) {
-    std::fprintf(stderr, "nexus-perfdiff: %s: %s\n", path.c_str(),
-                 error.c_str());
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string error = "cannot read the file";
+  if (!in.is_open() ||
+      !nexus::harness::parse_bench_records(text.str(), out, &error)) {
+    std::fprintf(stderr, "nexus-perfdiff: %s: %s\n", path, error.c_str());
     return false;
   }
   return true;
@@ -95,93 +43,21 @@ bool load_records(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  nexus::harness::PerfdiffOptions opts;
-  bool report_only = false;
-  std::vector<std::string> files;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      files.push_back(arg);
-      continue;
-    }
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string val =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--help") {
-      usage(stdout);
-      return 0;
-    } else if (key == "--report-only") {
-      report_only = true;
-    } else if (key == "--quiet") {
-      opts.quiet = true;
-    } else if (key == "--max-makespan-pct") {
-      if (!parse_pct(key, val, &opts.makespan_tolerance_pct)) return 2;
-    } else if (key == "--max-metric-pct") {
-      if (!parse_pct(key, val, &opts.metric_tolerance_pct)) return 2;
-    } else if (key == "--timelines") {
-      opts.compare_timelines = true;
-    } else if (key == "--max-timeline-pct") {
-      // Comma-separated list of bare percentages (set the default) and
-      // GLOB=P entries (per-series overrides; first matching glob wins).
-      opts.compare_timelines = true;
-      std::size_t start = 0;
-      while (start <= val.size()) {
-        const std::size_t comma = val.find(',', start);
-        const std::size_t end = comma == std::string::npos ? val.size() : comma;
-        if (end > start) {
-          const std::string item = val.substr(start, end - start);
-          const std::size_t eq2 = item.find('=');
-          double pct = 0.0;
-          if (eq2 == std::string::npos) {
-            if (!parse_pct(key, item, &pct)) return 2;
-            opts.timeline_tolerance_pct = pct;
-          } else {
-            if (!parse_pct(key, item.substr(eq2 + 1), &pct)) return 2;
-            opts.timeline_tolerances.emplace_back(item.substr(0, eq2), pct);
-          }
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (key == "--metrics") {
-      opts.watched.clear();
-      std::size_t start = 0;
-      while (start <= val.size()) {
-        const std::size_t comma = val.find(',', start);
-        const std::size_t end = comma == std::string::npos ? val.size() : comma;
-        if (end > start) {
-          const std::string glob = val.substr(start, end - start);
-          opts.watched.push_back({glob, glob});
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr, "nexus-perfdiff: unknown flag %s\n", key.c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
-
-  if (files.size() != 2) {
-    usage(stderr);
-    return 2;
-  }
-
-  std::vector<nexus::harness::BenchRecord> base;
-  std::vector<nexus::harness::BenchRecord> cand;
-  if (!load_records(files[0], &base) || !load_records(files[1], &cand)) return 2;
-
-  const nexus::harness::PerfdiffResult res =
-      nexus::harness::perfdiff_compare(base, cand, opts);
-  std::printf("comparing %s (baseline) vs %s (candidate)\n", files[0].c_str(),
-              files[1].c_str());
-  std::fputs(res.report.c_str(), stdout);
-  if (!res.ok() && report_only) {
-    std::puts("(report-only: regressions reported but not failing the run)");
+  if (argc == 2 && std::string(argv[1]) == "--help") {
+    std::fputs(kUsage, stdout);
     return 0;
   }
+  // Any other option, or a file count other than two, is a usage error.
+  if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  std::vector<nexus::harness::BenchRecord> base;
+  std::vector<nexus::harness::BenchRecord> cand;
+  if (!load_records(argv[1], &base) || !load_records(argv[2], &cand)) return 2;
+  const nexus::harness::PerfdiffResult res =
+      nexus::harness::perfdiff_compare(base, cand);
+  std::printf("comparing %s (baseline) vs %s (candidate)\n", argv[1], argv[2]);
+  std::fputs(res.report.c_str(), stdout);
   return res.ok() ? 0 : 1;
 }
