@@ -7,7 +7,8 @@
 // self-gate and, for the record-writing experiments, the committed
 // BENCH_<name>.json file and the flags that regenerate it. The driver
 // (Run) owns the flags, trace generation, baseline caching, the record
-// writer, timelines, Chrome traces and table output once for all of them.
+// writer, timelines, Chrome traces, host profiles and table output once for
+// all of them.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,8 @@ struct Experiment {
   /// The record rows of a grid, in order; null means one key_of per cell.
   /// The body records the same keys, and a run whose keys differ fails.
   std::vector<RowKey> (*rows)(const Grid&, const Flags&) = nullptr;
-  /// The one run --trace exports (--workloads/--cores override it).
+  /// The one run --trace exports; --workloads (with its :fabric) and
+  /// --cores override it.
   std::optional<Cell> trace{};
   /// Flags this experiment accepts beyond the shared ones: name -> help.
   std::map<std::string, std::string> flags{};
@@ -141,10 +143,16 @@ class Run {
   void print(const TextTable& t) const;
 
   /// Check the flags, run the body, then check the gate and the record
-  /// keys against the grid and write the record.
+  /// keys against the grid and write the record. --trace and --prof run
+  /// instead of the body.
   int finish();
 
  private:
+  /// --prof: run every grid cell once with a fresh profiler, print its
+  /// self-time ranking, and write the cells' profile trees to `path` and
+  /// their cell-keyed collapsed stacks beside it (extension .collapsed).
+  bool profile(const std::string& path);
+
   std::string trace_name_, base_name_;
   Trace trace_;
   Tick base_ = 0;

@@ -1,9 +1,14 @@
 // The driver machinery every experiment shares, and the experiment table
 // assembled from the parts each bench/*.cpp file declares.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 
 #include "bench.hpp"
+#include "nexus/telemetry/profile_export.hpp"
+#include "nexus/telemetry/profiler.hpp"
+#include "nexus/telemetry/writers.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus::bench {
@@ -15,6 +20,7 @@ std::map<std::string, std::string> flag_spec(const Experiment& e) {
       {"timeline", "attach sampled sim-time timelines to --json records"},
       {"csv", "also print every table as CSV"},
       {"trace", "write a Chrome trace of the experiment's trace run"},
+      {"prof", "write the host self-profile of every grid cell to this file"},
       {"workloads", "comma-separated workloads replacing the grid's"},
       {"cores", "comma-separated core counts replacing the grid's"}};
   spec.insert(e.flags.begin(), e.flags.end());
@@ -193,14 +199,26 @@ int Run::finish() {
       std::fprintf(stderr, "%s exports no trace\n", exp.name);
       return 2;
     }
-    Cell c = *exp.trace;
-    if (!grid.workloads.empty() && flags.has("workloads"))
-      c.workload = grid.workloads.front().substr(0, grid.workloads.front().find(':'));
-    if (flags.has("cores")) c.cores = grid.cores.front();
+    // The declared trace run, re-gridded so a --workloads override keeps
+    // its :fabric suffix.
+    Grid g = grid;
+    if (!flags.has("workloads") || g.workloads.empty())
+      g.workloads = {exp.trace->workload};
+    g.workloads.resize(1);
+    g.managers = {exp.trace->spec};
+    g.cores = {flags.has("cores") ? grid.cores.front() : exp.trace->cores};
+    const Cell c = g.cells().front();
     return harness::write_chrome_trace(trace(c.workload), c.spec, c.cores, c.rc,
                                        flags.get("trace", ""))
                ? 0
                : 2;
+  }
+  if (flags.has("prof")) {
+    if (exp.grid == nullptr) {
+      std::fprintf(stderr, "%s has no grid to profile\n", exp.name);
+      return 2;
+    }
+    return profile(flags.get("prof", "")) ? 0 : 2;
   }
   const int rc = exp.body(*this);
   if (rc != 0) return rc;
@@ -214,6 +232,63 @@ int Run::finish() {
     return 2;
   }
   return out_.write(flags.get("json", "")) ? 0 : 2;
+}
+
+bool Run::profile(const std::string& path) {
+  telemetry::JsonWriter json;
+  json.begin_array();
+  std::string collapsed;
+  const std::vector<Cell> cells = grid.cells();
+  for (const Cell& c : cells) {
+    // A fresh profiler per cell, and a second clock around the run for
+    // scripts/validate_profile.py to reconcile the root total against.
+    telemetry::Profiler prof;
+    RuntimeConfig rc = c.rc;
+    rc.profiler = &prof;
+    const Trace& tr = trace(c.workload);
+    const auto t0 = std::chrono::steady_clock::now();
+    const RunReport rep = harness::run_once_report(tr, c.spec, c.cores, rc, false);
+    const auto wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const telemetry::ProfileData d = prof.freeze();
+    const std::string cell_key = c.workload + "|" + c.spec.label + "|" + rep.topology +
+                                 "|c" + std::to_string(c.cores);
+    std::printf("=== %s: makespan %.3f ms, host wall %.3f ms ===\n%s\n",
+                cell_key.c_str(), to_ms(rep.result.makespan),
+                static_cast<double>(wall_ns) * 1e-6,
+                telemetry::profile_top_table(d, 12).c_str());
+    json.begin_object();
+    json.kv("workload", c.workload);
+    json.kv("manager", c.spec.label);
+    json.kv("topology", rep.topology);
+    json.kv("cores", c.cores);
+    json.kv("makespan", rep.result.makespan);
+    json.key("profile");
+    telemetry::append_profile(json, d, wall_ns);
+    json.end_object();
+    // Each stack gets the cell key as its root frame, so one file holds the
+    // whole grid without merging distinct cells' frames.
+    const std::string stacks = telemetry::profile_collapsed(d);
+    for (std::size_t at = 0; at < stacks.size();) {
+      const std::size_t nl = stacks.find('\n', at);
+      collapsed += cell_key + ";" + stacks.substr(at, nl + 1 - at);
+      at = nl + 1;
+    }
+  }
+  json.end_array();
+  const std::string stacks_path =
+      std::filesystem::path(path).replace_extension(".collapsed").string();
+  for (const auto& [file, text] : {std::pair{path, json.str()}, {stacks_path, collapsed}}) {
+    if (!telemetry::write_text_file(file, text)) {
+      std::fprintf(stderr, "cannot write %s\n", file.c_str());
+      return false;
+    }
+  }
+  std::printf("wrote %zu profiled cell(s) to %s and %s\n", cells.size(),
+              path.c_str(), stacks_path.c_str());
+  return true;
 }
 
 }  // namespace nexus::bench

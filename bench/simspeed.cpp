@@ -9,16 +9,15 @@
 // Every row runs twice and the self-gate checks that makespan, event count
 // and (storm) an order-sensitive checksum repeat, so a rate from a kernel
 // that stopped being deterministic is never reported. The records hold the
-// deterministic makespan plus wall-clock simspeed/* gauges (and, with
-// --prof, the prof/*_ns host-time totals of a profiled re-run). --quick is
-// the smoke run: a 200k-event storm over 100k in flight and no workloads.
+// deterministic makespan plus wall-clock simspeed/* gauges and the
+// prof/*_ns host-time totals of a profiled re-run. --quick is the smoke
+// run: a 200k-event storm over 100k in flight and no workloads.
 #include <chrono>
 #include <cstdio>
 
 #include "bench.hpp"
 #include "nexus/common/rng.hpp"
 #include "nexus/sim/simulation.hpp"
-#include "nexus/telemetry/profile_export.hpp"
 #include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
 
@@ -143,13 +142,12 @@ std::vector<RowKey> simspeed_rows(const Grid& g, const Flags& f) {
 int simspeed(Run& run) {
   const std::uint64_t n_events = storm_events(run.quick);
   const std::uint64_t inflight = run.quick ? 100000 : 1048576;
-  const bool prof = run.flags.get_bool("prof", false);
   std::printf("simspeed: DES kernel throughput\n\n");
   TextTable t({"workload", "events", "wall (ms)", "events/sec"});
 
-  // One row: two detached timed runs that must repeat, then with --prof a
-  // profiled re-run whose host-time totals become prof/* gauges (the
-  // measurement stays detached, so attribution never taxes events/sec).
+  // One row: two detached timed runs that must repeat, then a profiled
+  // re-run whose host-time totals become prof/* gauges (the measurement
+  // stays detached, so attribution never taxes events/sec).
   const auto row = [&](const RowKey& key,
                        const std::function<Timing(telemetry::Profiler*)>& go) {
     const std::string label = key.topology == "ideal"
@@ -166,21 +164,17 @@ int simspeed(Run& run) {
     reg.gauge("simspeed/events_per_sec")
         .set(static_cast<std::int64_t>(r.events_per_sec()));
     reg.gauge("simspeed/wall_us").set(static_cast<std::int64_t>(r.wall_us));
-    if (prof) {
-      telemetry::Profiler profiler;
-      go(&profiler);
-      const telemetry::ProfileData d = profiler.freeze();
-      for (const auto& [gauge, node] : {std::pair{"prof/push_ns", "queue;push"},
-                                        {"prof/pop_ns", "queue;pop"},
-                                        {"prof/handle_ns", "handle"}}) {
-        const telemetry::ProfileNode* n = d.find(node);
-        reg.gauge(gauge).set(static_cast<std::int64_t>(n != nullptr ? n->total_ns : 0));
-      }
-      reg.gauge("prof/total_ns")
-          .set(static_cast<std::int64_t>(d.nodes.empty() ? 0 : d.nodes[0].total_ns));
-      std::printf("--- %s self-time (profiled re-run) ---\n%s\n", label.c_str(),
-                  telemetry::profile_top_table(d, 10).c_str());
+    telemetry::Profiler profiler;
+    go(&profiler);
+    const telemetry::ProfileData d = profiler.freeze();
+    for (const auto& [gauge, node] : {std::pair{"prof/push_ns", "queue;push"},
+                                      {"prof/pop_ns", "queue;pop"},
+                                      {"prof/handle_ns", "handle"}}) {
+      const telemetry::ProfileNode* n = d.find(node);
+      reg.gauge(gauge).set(static_cast<std::int64_t>(n != nullptr ? n->total_ns : 0));
     }
+    reg.gauge("prof/total_ns")
+        .set(static_cast<std::int64_t>(d.nodes.empty() ? 0 : d.nodes[0].total_ns));
     const telemetry::Snapshot snap = reg.snapshot();
     run.record(key, r.makespan, 1.0, &snap);
     return std::pair{r, repeated};
@@ -201,7 +195,7 @@ int simspeed(Run& run) {
                 static_cast<unsigned long long>(storm.checksum),
                 static_cast<unsigned long long>(inflight));
   }
-  if (!prof) return 0;
+  if (!run.flags.has("max-overhead-pct")) return 0;
 
   // Attached-overhead smoke: min-of-3 walls per side on the fig9 workload
   // (gaussian-250, full Nexus# stack) filters scheduler noise — the minimum
@@ -224,7 +218,7 @@ int simspeed(Run& run) {
               "detached %.2f ms, attached %.2f ms, overhead %.1f%%\n",
               detached_us * 1e-3, attached_us * 1e-3, overhead_pct);
   const double max_overhead = run.flags.get_double("max-overhead-pct", 0.0);
-  if (max_overhead > 0.0 && overhead_pct > max_overhead) {
+  if (overhead_pct > max_overhead) {
     std::fprintf(stderr, "FAIL: profiler overhead %.1f%% > allowed %.1f%%\n",
                  overhead_pct, max_overhead);
     return 1;
@@ -239,9 +233,9 @@ std::vector<Experiment> simspeed_experiments() {
       {.name = "simspeed", .artefact = "DES kernel events per second",
        .grid = simspeed_grid, .body = simspeed,
        .gate = "every row repeats bit for bit", .bench = "simspeed",
-       .record_flags = "--prof", .rows = simspeed_rows,
-       .flags = {{"prof", "profiled re-runs fold prof/*_ns into the records"},
-                 {"max-overhead-pct", "fail above this profiler overhead"}}},
+       .record_flags = "", .rows = simspeed_rows,
+       .flags = {{"max-overhead-pct",
+                  "run the profiler overhead smoke; fail above this overhead"}}},
   };
 }
 

@@ -15,10 +15,11 @@
 #   scripts/check.sh --trace         # additionally export the fig9
 #                                    # experiment's Chrome trace and validate
 #                                    # it with scripts/validate_trace.py
-#   scripts/check.sh --prof          # additionally run nexus-prof on the
-#                                    # fig9 workload, validate the profile
-#                                    # with scripts/validate_profile.py, and
-#                                    # smoke the attached-overhead bound
+#   scripts/check.sh --prof          # additionally profile the fig9 grid on
+#                                    # gaussian-250 at 8 cores (nexus-bench
+#                                    # --prof), validate the profile with
+#                                    # scripts/validate_profile.py, and smoke
+#                                    # the attached-overhead bound
 #
 # Exit code is nonzero if any configure, build, test, smoke, or diff step
 # fails.
@@ -149,10 +150,9 @@ if [[ "${PROF}" -eq 1 ]]; then
   # validate the frozen tree's reconciliation invariants: self >= 0
   # everywhere, total == self + children exactly, and the root total within
   # tolerance of the independently measured wall time.
-  echo "==> profile smoke (nexus-prof on fig9 + validation)"
-  build/tools/nexus-prof --workloads=gaussian-250 --managers='nexus#-2TG' \
-    --topologies=ideal --cores=8 --json build/profile_fig9.json \
-    --collapsed build/profile_fig9.collapsed >/dev/null
+  echo "==> profile smoke (nexus-bench fig9 --prof + validation)"
+  "${NEXUS_BENCH}" fig9 --quick --workloads=gaussian-250 --cores=8 \
+    --prof=build/profile_fig9.json >/dev/null
   python3 scripts/validate_profile.py build/profile_fig9.json
   # Attached-overhead smoke. Per-scope instrumentation costs two clock
   # reads (~30 ns here) against ~50 ns/event of simulated work, so an
@@ -161,8 +161,8 @@ if [[ "${PROF}" -eq 1 ]]; then
   # allocation sneaking onto the hot path), not to pretend attribution is
   # free. Detached overhead is the contract that must stay at zero, and
   # that one is gated bit-exactly by profiler_test.
-  echo "==> profiler attached-overhead smoke (nexus-bench simspeed --prof)"
-  "${NEXUS_BENCH}" simspeed --quick --prof --max-overhead-pct=400 >/dev/null
+  echo "==> profiler attached-overhead smoke (nexus-bench simspeed)"
+  "${NEXUS_BENCH}" simspeed --quick --max-overhead-pct=400 >/dev/null
 fi
 
 echo "==> all checks passed"

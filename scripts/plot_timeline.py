@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Plot nexus timeline JSON/CSV as an SVG chart file.
+"""Plot nexus timeline JSON as an SVG chart file.
 
 Stdlib-only. Input is either a BENCH_*.json trajectory file (an array of
 records whose optional "timeline" object holds the sampled series — see
-docs/METRICS.md), a bare timeline JSON object, or a timeline CSV from
-`telemetry::timeline_csv`. Output is a self-contained SVG with one panel
-per unit class (queue-depth means, link/NoC utilization, event rates, raw
-gauges), so no panel ever mixes two y-scales.
+docs/METRICS.md) or a bare timeline JSON object. Output is a self-contained
+SVG with one panel per unit class (queue-depth means, link/NoC utilization,
+event rates, raw gauges), so no panel ever mixes two y-scales.
 
 Examples:
   scripts/plot_timeline.py BENCH_topology.json --list
@@ -76,27 +75,6 @@ def load_records(path):
             rec.get("topology", "ideal"), rec.get("cores", "?"))
         out.append((label, rec["timeline"], rec))
     return out
-
-
-def load_csv(path):
-    with open(path, "r", encoding="utf-8") as f:
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    if not rows or rows[0][0] != "t_ps":
-        fail("CSV input must start with a t_ps header column")
-    header = rows[0]
-    cols = list(zip(*[[int(c) for c in r] for r in rows[1:]]))
-    t = list(cols[0])
-    # CSV is raw/undecoded; kinds are unknown — infer counter-ness from
-    # monotonicity so rates are derived the same way as from JSON. A series
-    # that never moves carries a level, not activity: treat it as a gauge so
-    # it plots as its value rather than an all-zero rate.
-    series = []
-    for i, path in enumerate(header[1:], start=1):
-        v = list(cols[i])
-        monotone = all(b >= a for a, b in zip(v, v[1:]))
-        kind = "counter" if monotone and v and v[-1] > v[0] else "gauge"
-        series.append((path, kind, v))
-    return t, series
 
 
 def windowed(values):
@@ -251,7 +229,7 @@ def render_svg(title, panels, width):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("input", help="BENCH_*.json, timeline JSON, or timeline CSV")
+    ap.add_argument("input", help="BENCH_*.json or timeline JSON")
     ap.add_argument("-o", "--out", default="timeline.svg")
     ap.add_argument("--list", action="store_true",
                     help="list records with timelines and exit")
@@ -266,41 +244,37 @@ def main():
     ap.add_argument("--width", type=int, default=760)
     args = ap.parse_args()
 
-    if args.input.endswith(".csv"):
-        t, series = load_csv(args.input)
-        title = args.input
+    records = load_records(args.input)
+    if not records:
+        fail("no timeline found in " + args.input +
+             " (run the bench with --timeline)")
+    if args.list:
+        for i, rec in enumerate(records):
+            print("{:3d}  {}".format(i, rec[0]))
+        return
+    chosen = None
+    if args.record is not None:
+        if not 0 <= args.record < len(records):
+            fail("--record out of range (0..{})".format(len(records) - 1))
+        chosen = records[args.record]
     else:
-        records = load_records(args.input)
-        if not records:
-            fail("no timeline found in " + args.input +
-                 " (run the bench with --timeline)")
-        if args.list:
-            for i, rec in enumerate(records):
-                print("{:3d}  {}".format(i, rec[0]))
-            return
-        chosen = None
-        if args.record is not None:
-            if not 0 <= args.record < len(records):
-                fail("--record out of range (0..{})".format(len(records) - 1))
-            chosen = records[args.record]
-        else:
-            for rec in records:
-                meta = rec[2] if len(rec) > 2 else {}
-                if args.workload and meta.get("workload") != args.workload:
-                    continue
-                if args.manager and meta.get("manager") != args.manager:
-                    continue
-                if args.topology and \
-                        meta.get("topology", "ideal") != args.topology:
-                    continue
-                if args.cores is not None and meta.get("cores") != args.cores:
-                    continue
-                chosen = rec
-                break
-            if chosen is None:
-                fail("no record matches the given filters (try --list)")
-        title = chosen[0]
-        t, series = timeline_from_json(chosen[1])
+        for rec in records:
+            meta = rec[2] if len(rec) > 2 else {}
+            if args.workload and meta.get("workload") != args.workload:
+                continue
+            if args.manager and meta.get("manager") != args.manager:
+                continue
+            if args.topology and \
+                    meta.get("topology", "ideal") != args.topology:
+                continue
+            if args.cores is not None and meta.get("cores") != args.cores:
+                continue
+            chosen = rec
+            break
+        if chosen is None:
+            fail("no record matches the given filters (try --list)")
+    title = chosen[0]
+    t, series = timeline_from_json(chosen[1])
 
     if len(t) < 2:
         fail("timeline has fewer than two samples")

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Validate a host-side self-profile exported by nexus-prof / profile_json.
+"""Validate a host-side self-profile exported by nexus-bench --prof / profile_json.
 
 Stdlib-only, so CI can gate on profile well-formedness without extra deps:
 
   python3 scripts/validate_profile.py <profile.json> [--tolerance-pct P]
 
 Accepts either a single profile document ({"schema":1,...,"tree":...}) or
-the nexus-prof grid format (a JSON array of cells, each carrying a
-"profile" field with such a document).
+the `nexus-bench <experiment> --prof=PATH` grid format (a JSON array of
+cells in grid order, each carrying a "profile" field with such a
+document).
 
 Checks, per profile:
   1. The document is well-formed: schema 1, unit "ns", a "tree" object
@@ -127,7 +128,7 @@ def main():
         fail(f"{path} is not well-formed JSON: {e}")
 
     if isinstance(doc, list):
-        # nexus-prof grid: one cell per (workload, manager, topology, cores).
+        # nexus-bench --prof grid: one cell per (workload, manager, topology, cores).
         if not doc:
             fail("grid document is an empty array")
         for i, cell in enumerate(doc):

@@ -56,14 +56,27 @@ std::string TextTable::str() const {
 }
 
 std::string TextTable::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) os << (c == 0 ? "" : ",") << row[c];
-    os << '\n';
+  std::string out;
+  auto emit = [&out](const std::vector<std::string>& row) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (c > 0) out.push_back(',');
+      if (row[c].find_first_of(",\"\n") == std::string::npos) {
+        out.append(row[c]);
+        continue;
+      }
+      // RFC 4180: quote the cell and double its quotes.
+      out.push_back('"');
+      for (const char ch : row[c]) {
+        if (ch == '"') out.push_back('"');
+        out.push_back(ch);
+      }
+      out.push_back('"');
+    }
+    out.push_back('\n');
   };
   emit(header_);
   for (const auto& row : rows_) emit(row);
-  return os.str();
+  return out;
 }
 
 void TextTable::print() const { std::fputs(str().c_str(), stdout); }

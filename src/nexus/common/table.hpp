@@ -23,7 +23,8 @@ class TextTable {
   /// Render with column alignment and a header rule.
   [[nodiscard]] std::string str() const;
 
-  /// Render as CSV (header + rows).
+  /// Render as CSV (header + rows); a cell holding a comma, a quote or a
+  /// newline is quoted, its quotes doubled.
   [[nodiscard]] std::string csv() const;
 
   /// Print to stdout.

@@ -148,7 +148,7 @@ RunReport run_once_report(const Trace& trace, const ManagerSpec& spec,
     rc.trace = spans.get();
   }
   // Per-run profile node: everything the driver attributes nests under it,
-  // so a multi-run binary (a sweep, a grid) keeps each run's time separate.
+  // so a multi-run caller keeps each run's time separate.
   std::uint32_t run_node = 0;
   if (rc.profiler != nullptr) {
     run_node = rc.profiler->node(rc.profile_parent, "run");
@@ -190,40 +190,14 @@ bool write_chrome_trace(const Trace& trace, const ManagerSpec& spec,
 
 Series sweep(const Trace& trace, const ManagerSpec& spec,
              const std::vector<std::uint32_t>& cores, Tick baseline,
-             const RuntimeConfig& base, bool collect_metrics,
-             const telemetry::TimelineConfig* timeline) {
-  Series s;
-  s.label = spec.label;
-  // Per-sweep-point profile nodes: "sweep:<label>" / "c<cores>", so a
-  // profiled sweep separates its points (and the harness glue around each
-  // run lands in the point's self time).
-  std::uint32_t sweep_node = 0;
-  if (base.profiler != nullptr)
-    sweep_node = base.profiler->node(base.profile_parent, "sweep:" + s.label);
+             const RuntimeConfig& base) {
+  Series s{spec.label, {}};
   for (const std::uint32_t c : cores) {
-    RuntimeConfig pt = base;
-    std::uint32_t point_node = 0;
-    if (base.profiler != nullptr) {
-      point_node = base.profiler->node(sweep_node, "c" + std::to_string(c));
-      pt.profile_parent = point_node;
-    }
-    telemetry::ProfScope prof_scope(base.profiler, point_node);
-    SweepPoint p;
-    p.cores = c;
-    p.topology = topology_label(spec, base);
-    p.placement = placement_label(spec, base);
-    if (collect_metrics || timeline != nullptr) {
-      RunReport rep = run_once_report(trace, spec, c, pt, true, timeline);
-      p.makespan = rep.result.makespan;
-      p.metrics = std::move(rep.metrics);
-      p.timeline = std::move(rep.timeline);
-    } else {
-      p.makespan = run_once(trace, spec, c, pt);
-    }
-    p.speedup = p.makespan > 0 ? static_cast<double>(baseline) /
-                                     static_cast<double>(p.makespan)
-                               : 0.0;
-    s.points.push_back(p);
+    const Tick makespan = run_once(trace, spec, c, base);
+    s.points.push_back(
+        {c, makespan,
+         makespan > 0 ? static_cast<double>(baseline) / static_cast<double>(makespan)
+                      : 0.0});
   }
   return s;
 }

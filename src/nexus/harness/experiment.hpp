@@ -51,16 +51,7 @@ bool parse_manager(const std::string& name, ManagerSpec* out);
 struct SweepPoint {
   std::uint32_t cores = 0;
   Tick makespan = 0;
-  double speedup = 0.0;  ///< vs the ideal single-core baseline
-  /// Interconnect topology the run used ("ideal" unless a NoC was swept).
-  std::string topology = "ideal";
-  /// Tile placement the run used ("default" unless one was installed).
-  std::string placement = "default";
-  /// Telemetry snapshot of this point's run; null unless the sweep was
-  /// asked to collect metrics.
-  std::shared_ptr<const telemetry::Snapshot> metrics;
-  /// Sampled sim-time timeline; null unless a TimelineConfig was given.
-  std::shared_ptr<const telemetry::Timeline> timeline;
+  double speedup = 0.0;  ///< vs the sweep's baseline
 };
 
 struct Series {
@@ -132,13 +123,11 @@ bool write_chrome_trace(const Trace& trace, const ManagerSpec& spec,
                         std::uint32_t cores, const RuntimeConfig& base,
                         const std::string& path);
 
-/// Sweep a core-count axis. `base.workers` is overwritten per point; with
-/// `collect_metrics` every point carries a telemetry snapshot, and a
-/// non-null `timeline` config additionally attaches a per-point timeline.
+/// Sweep a core-count axis (one run_once per point; `base.workers` is
+/// overwritten per point).
 Series sweep(const Trace& trace, const ManagerSpec& spec,
              const std::vector<std::uint32_t>& cores, Tick baseline,
-             const RuntimeConfig& base = {}, bool collect_metrics = false,
-             const telemetry::TimelineConfig* timeline = nullptr);
+             const RuntimeConfig& base = {});
 
 /// The timeline configuration of nexus-bench's --timeline
 /// mode: the load-bearing queue/conflict/throughput paths at 100 us initial

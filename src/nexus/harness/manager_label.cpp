@@ -1,5 +1,5 @@
-// Manager labels back into ManagerSpecs: the one parser nexus-bench's
-// experiment table and nexus-prof's --managers share.
+// Manager labels back into ManagerSpecs: the one parser behind
+// nexus-bench's experiment table.
 #include <cstdlib>
 #include <string>
 

@@ -48,9 +48,12 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
   }
   finished_.assign(tasks, false);
 
+  NEXUS_ASSERT_MSG(config_.timeline == nullptr || config_.metrics != nullptr,
+                   "RuntimeConfig::timeline requires RuntimeConfig::metrics");
   sim_.bind({.metrics = config_.metrics,
              .trace = config_.trace,
              .profiler = config_.profiler,
+             .timeline = config_.timeline,
              .profile_parent = config_.profile_parent});
   self_ = sim_.add_component(this);
   manager_.attach(sim_, this);
@@ -99,11 +102,6 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
     const std::uint32_t me = sim_.profiler_component_node(self_);
     prof_dispatch_ = prof_->node(me, "dispatch");
     prof_notify_ = prof_->node(me, "notify");
-  }
-  if (config_.timeline != nullptr) {
-    NEXUS_ASSERT_MSG(config_.metrics != nullptr,
-                     "RuntimeConfig::timeline requires RuntimeConfig::metrics");
-    sim_.set_sampler(config_.timeline);
   }
 }
 

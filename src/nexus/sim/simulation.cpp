@@ -126,17 +126,7 @@ void Simulation::flush_queue_metrics() {
   m_q_max_depth_->set(static_cast<std::int64_t>(queue_.max_depth()));
 }
 
-void Simulation::set_sampler(telemetry::TimelineRecorder* sampler) {
-  sampler_ = sampler;
-  // A recorder attached mid-run has not observed anything yet: consume the
-  // grid points already behind now() as unobserved rows (exported as zeros)
-  // rather than letting the first sample back-date the attach-time metric
-  // values onto them. Pre-run (now() == 0) this is a no-op, keeping the
-  // attach-before-run path bit-identical to the pre-fix behavior.
-  if (sampler_ != nullptr && now_ > 0) sampler_->skip_until(now_);
-}
-
-void Simulation::sample_to(Tick t) { sampler_->sample_until(t); }
+void Simulation::sample_to(Tick t) { obs_.timeline->sample_until(t); }
 
 void Simulation::observe_slow(const Event& ev) {
   m_events_->inc();

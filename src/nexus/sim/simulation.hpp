@@ -45,7 +45,8 @@ class Simulation {
   /// histogram of time advances, per-component event counts plus
   /// inter-event sim-time histograms ("sim/c<i>_<label>/..."), and the
   /// deepest pending population ("sim/queue/max_depth", flushed at the end
-  /// of each run()/run_some() call). Profiler: a stable node layout under
+  /// of each run()/run_some() call). Timeline: sampled up to each event's
+  /// time before it is dispatched. Profiler: a stable node layout under
   /// `profile_parent` — "queue" with push/pop timers and the max-depth
   /// stat, and "handle" with one child per component *type*
   /// (telemetry_label(), so replicated components aggregate). Covers the
@@ -64,19 +65,10 @@ class Simulation {
     return comp < prof_comp_node_.size() ? prof_comp_node_[comp] : prof_handle_;
   }
 
-  /// Attach a periodic metric sampler (not owned; may be null to detach).
-  /// Before each event is dispatched, the recorder is advanced to the event's
-  /// timestamp, so timeline rows capture the state just *before* the sim
-  /// crosses each grid point. The sampler only reads metrics — it schedules
-  /// nothing and never changes simulated behavior. Attaching mid-run marks
-  /// the grid points already behind now() as unobserved (zero-padded on
-  /// export) instead of letting the first sample fabricate warm history.
-  void set_sampler(telemetry::TimelineRecorder* sampler);
-
  private:
   /// Per-event metric hook; a single null check when telemetry is unbound.
   void observe(const Event& ev) {
-    if (sampler_ != nullptr) sample_to(ev.t);
+    if (obs_.timeline != nullptr) sample_to(ev.t);
     if (m_events_ == nullptr) return;
     observe_slow(ev);
   }
@@ -107,7 +99,6 @@ class Simulation {
   std::vector<std::uint32_t> prof_comp_node_;  ///< per component id
   std::uint32_t prof_max_depth_ = 0;
 
-  telemetry::TimelineRecorder* sampler_ = nullptr;
   telemetry::Counter* m_events_ = nullptr;
   telemetry::Histogram* m_advance_ = nullptr;  ///< now() jumps, in ps
   std::vector<telemetry::Counter*> comp_events_;

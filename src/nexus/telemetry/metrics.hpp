@@ -8,30 +8,10 @@
 // `inc`/`set`/`record` helpers encode that contract.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 
 namespace nexus::telemetry {
-
-namespace detail {
-
-/// Shared interpolation core for pow2-bucket quantiles (used by both the
-/// live Histogram and the frozen HistogramData): `frac` in (0, 1] is the
-/// rank offset into `bucket`, whose value range is clipped against the
-/// recorded min/max so a single-valued histogram reports that exact value.
-inline double interpolate_pow2_bucket(std::uint32_t bucket, double frac,
-                                      std::uint64_t min, std::uint64_t max) {
-  if (bucket == 0) return 0.0;  // bucket 0 holds exact zeros
-  const double bucket_lo =
-      static_cast<double>(std::uint64_t{1} << (bucket - 1));
-  const double bucket_hi = bucket_lo * 2.0;  // exact in double through 2^64
-  const double lo = std::max(bucket_lo, static_cast<double>(min));
-  const double hi = std::min(bucket_hi, static_cast<double>(max));
-  return lo + frac * (hi - lo);
-}
-
-}  // namespace detail
 
 /// Monotonically increasing event count.
 class Counter {
@@ -91,33 +71,6 @@ class Histogram {
                       : 0.0;
   }
   [[nodiscard]] std::uint64_t bucket(std::uint32_t i) const { return buckets_[i]; }
-
-  /// Interpolated quantile (q in [0, 1]); 0 for an empty histogram. The
-  /// rank lands in a pow2 bucket and is interpolated linearly inside it,
-  /// clipped to the recorded [min, max] so degenerate histograms are exact.
-  [[nodiscard]] double quantile(double q) const {
-    if (count_ == 0) return 0.0;
-    if (q <= 0.0) return static_cast<double>(min());
-    if (q >= 1.0) return static_cast<double>(max_);
-    const double target = q * static_cast<double>(count_);
-    std::uint64_t below = 0;
-    for (std::uint32_t i = 0; i < kBuckets; ++i) {
-      const std::uint64_t n = buckets_[i];
-      if (n == 0) continue;
-      if (static_cast<double>(below + n) >= target) {
-        const double frac =
-            (target - static_cast<double>(below)) / static_cast<double>(n);
-        return detail::interpolate_pow2_bucket(i, frac, min_, max_);
-      }
-      below += n;
-    }
-    return static_cast<double>(max_);  // FP slack: the tail owns the rest
-  }
-
-  [[nodiscard]] double p50() const { return quantile(0.50); }
-  [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
-  [[nodiscard]] double p999() const { return quantile(0.999); }
 
  private:
   std::uint64_t buckets_[kBuckets] = {};

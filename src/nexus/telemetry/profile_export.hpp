@@ -5,7 +5,7 @@
 // `profile_collapsed` is the speedscope/FlameGraph collapsed-stack dialect
 // ("a;b;c self_ns" per line — https://www.speedscope.app imports it
 // directly), and `profile_top` ranks nodes by self time for terminal
-// tables (nexus-prof, nexus-bench simspeed --prof).
+// tables (nexus-bench --prof).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,8 @@ struct ProfileTopEntry {
 std::vector<ProfileTopEntry> profile_top(const ProfileData& data,
                                          std::size_t n);
 
-/// The ranking rendered as an aligned text table (nexus-prof's default
-/// output).
+/// The ranking rendered as an aligned text table (what nexus-bench --prof
+/// prints per grid cell).
 std::string profile_top_table(const ProfileData& data, std::size_t n);
 
 }  // namespace nexus::telemetry

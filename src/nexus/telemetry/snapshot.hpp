@@ -1,9 +1,10 @@
 // A Snapshot is the frozen, self-contained state of a MetricRegistry:
 // plain data sorted by path, safe to keep after the registry (and the run
-// that produced it) is gone. Sweeps attach one per point; exporters consume
-// it without touching live metrics.
+// that produced it) is gone. Run reports carry one; exporters consume it
+// without touching live metrics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,7 +27,9 @@ struct HistogramData {
   /// Nonzero buckets only: (bucket index, count), ascending by index.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
 
-  /// Interpolated quantile, identical semantics to Histogram::quantile.
+  /// Interpolated quantile (q in [0, 1]); 0 for an empty histogram. The
+  /// rank lands in a pow2 bucket and is interpolated linearly inside it,
+  /// clipped to the recorded [min, max] so degenerate histograms are exact.
   [[nodiscard]] double quantile(double q) const {
     if (count == 0) return 0.0;
     if (q <= 0.0) return static_cast<double>(min);
@@ -35,13 +38,18 @@ struct HistogramData {
     std::uint64_t below = 0;
     for (const auto& [index, n] : buckets) {
       if (static_cast<double>(below + n) >= target) {
+        if (index == 0) return 0.0;  // bucket 0 holds exact zeros
         const double frac =
             (target - static_cast<double>(below)) / static_cast<double>(n);
-        return detail::interpolate_pow2_bucket(index, frac, min, max);
+        const double bucket_lo = static_cast<double>(Histogram::bucket_floor(index));
+        // bucket_lo * 2 is exact in double through 2^64.
+        const double lo = std::max(bucket_lo, static_cast<double>(min));
+        const double hi = std::min(bucket_lo * 2.0, static_cast<double>(max));
+        return lo + frac * (hi - lo);
       }
       below += n;
     }
-    return static_cast<double>(max);
+    return static_cast<double>(max);  // FP slack: the tail owns the rest
   }
 
   [[nodiscard]] double p50() const { return quantile(0.50); }

@@ -71,16 +71,6 @@ void TimelineRecorder::sample_until(TimeTick t) {
   }
 }
 
-void TimelineRecorder::skip_until(TimeTick t) {
-  NEXUS_ASSERT_MSG(series_.empty(),
-                   "skip_until must precede the first recorded sample");
-  while (next_t_ <= t) {
-    times_.push_back(next_t_);
-    next_t_ += interval_;
-    if (times_.size() > cfg_.max_points) coarsen();
-  }
-}
-
 void TimelineRecorder::finish(TimeTick t) {
   if (!times_.empty() && t <= times_.back()) return;
   // Coarsen *before* appending: coarsen keeps even-indexed rows only, so
@@ -246,18 +236,6 @@ void append_timeline(JsonWriter& w, const Timeline& tl, bool delta) {
 std::string timeline_json(const Timeline& tl, bool delta) {
   JsonWriter w;
   append_timeline(w, tl, delta);
-  return w.str();
-}
-
-std::string timeline_csv(const Timeline& tl) {
-  std::vector<std::string> header{"t_ps"};
-  for (const auto& s : tl.series) header.push_back(s.path);
-  CsvWriter w(std::move(header));
-  for (std::size_t row = 0; row < tl.t.size(); ++row) {
-    std::vector<std::string> cells{std::to_string(tl.t[row])};
-    for (const auto& s : tl.series) cells.push_back(std::to_string(s.v[row]));
-    w.row(cells);
-  }
   return w.str();
 }
 

@@ -4,7 +4,7 @@
 // A TimelineRecorder re-scans its MetricRegistry on every sample, so metrics
 // registered lazily mid-run still show up (their series are zero-padded back
 // to the first sample row, keeping every series aligned with the shared time
-// axis). Sampling is driven by the DES kernel (Simulation::set_sampler):
+// axis). Sampling is driven by the DES kernel (Observers::timeline):
 // rows land on a fixed sim-time grid, recorded *before* the event that
 // crosses each grid point executes. The recorder never schedules events or
 // mutates metrics, so attaching a timeline cannot perturb a run — simulated
@@ -85,14 +85,6 @@ class TimelineRecorder {
   /// each event's timestamp before dispatching it.
   void sample_until(TimeTick t);
 
-  /// Mark every grid point <= t as unobserved (time rows with no values):
-  /// a recorder attached mid-run never saw the metric state at those
-  /// points, so they must export as zeros, not as fabricated history
-  /// copied from the attach-time values. Series appearing at the first
-  /// real sample are back-filled over the skipped rows by the usual
-  /// late-metric zero-padding. Only valid before the first recorded row.
-  void skip_until(TimeTick t);
-
   /// Record one final off-grid row at `t` (end of run), if `t` is past the
   /// last recorded row.
   void finish(TimeTick t);
@@ -133,9 +125,5 @@ void append_timeline(JsonWriter& w, const Timeline& tl, bool delta = true);
 
 /// The same object as a standalone JSON document.
 std::string timeline_json(const Timeline& tl, bool delta = true);
-
-/// Columnar CSV: header "t_ps,<path>,<path>,...", one row per sample (raw
-/// values, no delta encoding).
-std::string timeline_csv(const Timeline& tl);
 
 }  // namespace nexus::telemetry

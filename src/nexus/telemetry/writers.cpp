@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "nexus/common/assert.hpp"
+#include "nexus/common/table.hpp"
 #include "nexus/telemetry/metrics.hpp"
 
 namespace nexus::telemetry {
@@ -126,39 +127,6 @@ std::string JsonWriter::escape(std::string_view s) {
 }
 
 // ---------------------------------------------------------------------------
-// CsvWriter
-// ---------------------------------------------------------------------------
-
-CsvWriter::CsvWriter(std::vector<std::string> header) : arity_(header.size()) {
-  NEXUS_ASSERT_MSG(arity_ > 0, "CSV needs at least one column");
-  emit_row(header);
-}
-
-void CsvWriter::row(const std::vector<std::string>& cells) {
-  NEXUS_ASSERT_MSG(cells.size() == arity_, "CSV row arity mismatch");
-  emit_row(cells);
-}
-
-void CsvWriter::emit_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out_.push_back(',');
-    out_.append(escape(cells[i]));
-  }
-  out_.push_back('\n');
-}
-
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot serialization
 // ---------------------------------------------------------------------------
 
@@ -206,14 +174,14 @@ std::string snapshot_json(const Snapshot& snap) {
 }
 
 std::string snapshot_csv(const Snapshot& snap) {
-  CsvWriter w({"path", "kind", "value", "count", "sum", "min", "max", "mean"});
+  TextTable t({"path", "kind", "value", "count", "sum", "min", "max", "mean"});
   for (const auto& v : snap.values) {
     switch (v.kind) {
       case MetricKind::kCounter:
-        w.row({v.path, "counter", fmt_u64(v.counter), "", "", "", "", ""});
+        t.add_row({v.path, "counter", fmt_u64(v.counter), "", "", "", "", ""});
         break;
       case MetricKind::kGauge:
-        w.row({v.path, "gauge", std::to_string(v.gauge), "", "", "", "", ""});
+        t.add_row({v.path, "gauge", std::to_string(v.gauge), "", "", "", "", ""});
         break;
       case MetricKind::kHistogram: {
         const HistogramData& h = v.hist;
@@ -221,13 +189,13 @@ std::string snapshot_csv(const Snapshot& snap) {
             h.count > 0
                 ? static_cast<double>(h.sum) / static_cast<double>(h.count)
                 : 0.0;
-        w.row({v.path, "histogram", "", fmt_u64(h.count), fmt_u64(h.sum),
-               fmt_u64(h.min), fmt_u64(h.max), fmt_double(mean)});
+        t.add_row({v.path, "histogram", "", fmt_u64(h.count), fmt_u64(h.sum),
+                   fmt_u64(h.min), fmt_u64(h.max), fmt_double(mean)});
         break;
       }
     }
   }
-  return w.str();
+  return t.csv();
 }
 
 std::string format_tree(const Snapshot& snap) {

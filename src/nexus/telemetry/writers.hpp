@@ -2,9 +2,9 @@
 //
 // JsonWriter is a small streaming JSON builder (objects/arrays/scalars with
 // automatic comma placement) used both for snapshot export and for the
-// nexus-bench BENCH_*.json reports; CsvWriter mirrors the TextTable CSV
-// dialect. Serialization is deterministic: snapshot values are already
-// path-sorted and doubles print with a fixed format.
+// nexus-bench BENCH_*.json reports; CSV goes through TextTable::csv.
+// Serialization is deterministic: snapshot values are already path-sorted
+// and doubles print with a fixed format.
 #pragma once
 
 #include <cstdint>
@@ -54,24 +54,6 @@ class JsonWriter {
   std::string out_;
   std::vector<bool> needs_comma_;  ///< one level per open container
   bool after_key_ = false;         ///< suppress the comma after a key
-};
-
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-
-  /// Add one row; must have the same arity as the header.
-  void row(const std::vector<std::string>& cells);
-
-  [[nodiscard]] const std::string& str() const { return out_; }
-
-  static std::string escape(const std::string& cell);
-
- private:
-  void emit_row(const std::vector<std::string>& cells);
-
-  std::size_t arity_;
-  std::string out_;
 };
 
 /// Snapshot as a flat JSON object: path -> scalar (counter/gauge) or

@@ -7,8 +7,6 @@
 
 #include "nexus/common/assert.hpp"
 #include "nexus/common/rng.hpp"
-#include "nexus/telemetry/json.hpp"
-#include "nexus/telemetry/writers.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus::workloads {
@@ -40,18 +38,6 @@ const char* to_string(ArrivalProcess p) {
     case ArrivalProcess::kDiurnal: return "diurnal";
   }
   return "?";
-}
-
-bool arrival_process_from(std::string_view name, ArrivalProcess* out) {
-  for (const ArrivalProcess p :
-       {ArrivalProcess::kPoisson, ArrivalProcess::kBursty,
-        ArrivalProcess::kDiurnal}) {
-    if (name == to_string(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 ArrivalSchedule generate_arrivals(const ArrivalConfig& cfg) {
@@ -175,109 +161,6 @@ Trace make_serving_trace(const ArrivalSchedule& s) {
     ++seq[c];
   }
   return tr;
-}
-
-std::string arrivals_json(const ArrivalSchedule& s) {
-  const ArrivalConfig& cfg = s.config;
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", 1);
-  w.kv("kind", "nexus-arrivals");
-  w.kv("process", to_string(cfg.process));
-  w.kv("kernel", cfg.kernel);
-  w.kv("seed", cfg.seed);
-  w.kv("rate_hz", cfg.rate_hz);
-  w.kv("clients", cfg.clients);
-  w.kv("chain_fraction", cfg.chain_fraction);
-  w.kv("on_fraction", cfg.on_fraction);
-  w.kv("burst_cycle_ps", cfg.burst_cycle_ps);
-  w.kv("period_ps", cfg.period_ps);
-  w.kv("depth", cfg.depth);
-  w.kv("tasks", static_cast<std::uint64_t>(s.tasks()));
-  w.key("arrival_ps").begin_array();
-  for (const Tick t : s.submission.release) w.value(t);
-  w.end_array();
-  w.key("client").begin_array();
-  for (const std::uint32_t c : s.submission.client) w.value(c);
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-bool parse_arrivals(std::string_view text, ArrivalSchedule* out,
-                    std::string* error) {
-  telemetry::JsonValue doc;
-  if (!telemetry::json_parse(text, &doc, error)) return false;
-  auto fail = [error](const char* why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (!doc.is_object()) return fail("document is not a JSON object");
-  const telemetry::JsonValue* f = doc.find("kind");
-  if (f == nullptr || f->str_or("") != "nexus-arrivals")
-    return fail("not a nexus-arrivals document (missing/wrong \"kind\")");
-  if ((f = doc.find("schema")) != nullptr && f->int_or(1) != 1)
-    return fail("unknown arrivals schema version");
-
-  ArrivalSchedule s;
-  ArrivalConfig& cfg = s.config;
-  f = doc.find("process");
-  if (f == nullptr || !f->is_string() ||
-      !arrival_process_from(f->str, &cfg.process))
-    return fail("missing or unknown \"process\"");
-  cfg.kernel = (f = doc.find("kernel")) != nullptr ? f->str_or(cfg.kernel)
-                                                   : cfg.kernel;
-  if (!is_workload(cfg.kernel)) return fail("unknown donor kernel");
-  cfg.seed = static_cast<std::uint64_t>(
-      (f = doc.find("seed")) != nullptr
-          ? f->int_or(static_cast<std::int64_t>(cfg.seed))
-          : static_cast<std::int64_t>(cfg.seed));
-  cfg.rate_hz =
-      (f = doc.find("rate_hz")) != nullptr ? f->num_or(cfg.rate_hz)
-                                           : cfg.rate_hz;
-  cfg.clients = static_cast<std::uint32_t>(
-      (f = doc.find("clients")) != nullptr ? f->int_or(cfg.clients)
-                                           : cfg.clients);
-  if (cfg.clients == 0) return fail("\"clients\" must be positive");
-  cfg.chain_fraction = (f = doc.find("chain_fraction")) != nullptr
-                           ? f->num_or(cfg.chain_fraction)
-                           : cfg.chain_fraction;
-  cfg.on_fraction = (f = doc.find("on_fraction")) != nullptr
-                        ? f->num_or(cfg.on_fraction)
-                        : cfg.on_fraction;
-  cfg.burst_cycle_ps = (f = doc.find("burst_cycle_ps")) != nullptr
-                           ? f->int_or(cfg.burst_cycle_ps)
-                           : cfg.burst_cycle_ps;
-  cfg.period_ps = (f = doc.find("period_ps")) != nullptr
-                      ? f->int_or(cfg.period_ps)
-                      : cfg.period_ps;
-  cfg.depth =
-      (f = doc.find("depth")) != nullptr ? f->num_or(cfg.depth) : cfg.depth;
-
-  const telemetry::JsonValue* arr = doc.find("arrival_ps");
-  if (arr == nullptr || !arr->is_array() || arr->array.empty())
-    return fail("missing or empty \"arrival_ps\" array");
-  const telemetry::JsonValue* cli = doc.find("client");
-  if (cli == nullptr || !cli->is_array() ||
-      cli->array.size() != arr->array.size())
-    return fail("\"client\" array must match \"arrival_ps\" in size");
-  Tick prev = 0;
-  for (const telemetry::JsonValue& e : arr->array) {
-    const Tick t = e.int_or(-1);
-    if (t < prev) return fail("\"arrival_ps\" must be non-decreasing and >= 0");
-    s.submission.release.push_back(t);
-    prev = t;
-  }
-  for (const telemetry::JsonValue& e : cli->array) {
-    const std::int64_t c = e.int_or(-1);
-    if (c < 0 || c >= static_cast<std::int64_t>(cfg.clients))
-      return fail("\"client\" entry out of range");
-    s.submission.client.push_back(static_cast<std::uint32_t>(c));
-  }
-  s.submission.clients = cfg.clients;
-  cfg.tasks = s.tasks();
-  *out = std::move(s);
-  return true;
 }
 
 }  // namespace nexus::workloads

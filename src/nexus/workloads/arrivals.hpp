@@ -6,23 +6,18 @@
 // independent clients at an offered rate — and is judged on tail latency at
 // that rate. This layer generates deterministic seeded arrival schedules
 // (Poisson, bursty MMPP on-off, diurnal rate curve) over the existing
-// workload kernels, turns them into dependency-correct serving traces, and
-// round-trips the whole schedule through JSON so any generated workload can
-// be saved, diffed, and re-run bit-identically.
+// workload kernels, and turns them into dependency-correct serving traces.
 //
 // Determinism contract: `generate_arrivals` and `make_serving_trace` are
 // pure functions of their inputs — same config, same bytes, on every
 // platform (the RNG is the repo-wide xoshiro256**, time accumulates in
 // IEEE doubles with a fixed operation order). `make_serving_trace` reads
 // only the schedule (config + explicit arrival/client vectors), never the
-// generator's RNG position, so a schedule re-loaded from JSON rebuilds the
-// exact same trace the original produced. Config doubles should use short
-// decimal forms (0.25, not 1/3) so the %.12g JSON round trip is exact.
+// generator's RNG position.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "nexus/runtime/simulation_driver.hpp"
 #include "nexus/task/trace.hpp"
@@ -36,7 +31,6 @@ enum class ArrivalProcess : std::uint8_t {
 };
 
 const char* to_string(ArrivalProcess p);
-bool arrival_process_from(std::string_view name, ArrivalProcess* out);
 
 struct ArrivalConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
@@ -103,14 +97,5 @@ ArrivalSchedule generate_arrivals(const ArrivalConfig& cfg);
 /// No taskwaits: the trace is a pure open-loop submission stream. Task id i
 /// is arrival i, so the schedule's vectors index it directly.
 Trace make_serving_trace(const ArrivalSchedule& s);
-
-/// Serialize a schedule as a self-contained JSON document (telemetry
-/// JsonWriter dialect; exact int64 release times).
-std::string arrivals_json(const ArrivalSchedule& s);
-
-/// Parse a document written by arrivals_json. Returns false with a message
-/// on malformed input, unknown process names, or mismatched vector sizes.
-bool parse_arrivals(std::string_view text, ArrivalSchedule* out,
-                    std::string* error);
 
 }  // namespace nexus::workloads

@@ -28,8 +28,13 @@ Addr block_addr(int nb, int i, int j) {
 
 /// Simulate the factorization's task emission over a non-null mask
 /// (including bmod fill-in); optionally emit tasks into a trace.
-std::uint64_t run_factorization(int nb, std::vector<std::uint8_t> nonnull,
-                                Trace* trace, std::vector<double>* weights) {
+// Cache-line aligned so the speed of the mask search's counting loop does
+// not depend on how much code the linker places before it: on a 4-vCPU
+// Intel Xeon VM, starting the function 48 bytes past a 64-byte boundary made
+// sparselu generation ~28% slower than a 64-byte-aligned start.
+__attribute__((aligned(64))) std::uint64_t run_factorization(
+    int nb, std::vector<std::uint8_t> nonnull, Trace* trace,
+    std::vector<double>* weights) {
   auto at = [nb, &nonnull](int i, int j) -> std::uint8_t& {
     return nonnull[static_cast<std::size_t>(i * nb + j)];
   };

@@ -2,8 +2,7 @@
 // empirical mean rate within tolerance of the configured λ for every
 // process kind, interarrival CV ≈ 1 for Poisson and materially > 1 for the
 // bursty MMPP, diurnal arrivals concentrating in the rate curve's peak
-// half, exact generator→JSON→reload replay equality (schedule, trace, and
-// open-loop run), and an open-loop run that repeats bit for bit and never
+// half, and an open-loop run that repeats bit for bit and never
 // starts a task before its release. Tolerances are sized for the fixed seeds below — the
 // generators are deterministic, so these are exact regression checks, not
 // flaky statistical gates.
@@ -134,47 +133,6 @@ TEST(ArrivalStats, GeneratorIsAPureFunctionOfItsConfig) {
                workloads::generate_arrivals(cfg));
 }
 
-void expect_traces_equal(const Trace& a, const Trace& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (std::size_t i = 0; i < a.num_tasks(); ++i) {
-    const TaskDescriptor& x = a.task(static_cast<TaskId>(i));
-    const TaskDescriptor& y = b.task(static_cast<TaskId>(i));
-    EXPECT_EQ(x.fn, y.fn) << "task " << i;
-    EXPECT_EQ(x.duration, y.duration) << "task " << i;
-    ASSERT_EQ(x.num_params(), y.num_params()) << "task " << i;
-    for (std::size_t p = 0; p < x.num_params(); ++p)
-      EXPECT_TRUE(x.params[p] == y.params[p]) << "task " << i << " param " << p;
-  }
-  ASSERT_EQ(a.events().size(), b.events().size());
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_EQ(a.events()[i].op, b.events()[i].op) << "event " << i;
-    EXPECT_EQ(a.events()[i].task, b.events()[i].task) << "event " << i;
-  }
-}
-
-TEST(ArrivalReplay, JsonRoundTripIsExact) {
-  for (const ArrivalProcess p :
-       {ArrivalProcess::kPoisson, ArrivalProcess::kBursty,
-        ArrivalProcess::kDiurnal}) {
-    ArrivalConfig cfg;
-    cfg.process = p;
-    cfg.tasks = 500;
-    cfg.clients = 8;
-    const ArrivalSchedule s = workloads::generate_arrivals(cfg);
-    const std::string doc = workloads::arrivals_json(s);
-    ArrivalSchedule reloaded;
-    std::string err;
-    ASSERT_TRUE(workloads::parse_arrivals(doc, &reloaded, &err)) << err;
-    // Bit-exact replay: config, release times and client marks all survive.
-    EXPECT_TRUE(s == reloaded) << workloads::to_string(p);
-    // And the schedule alone rebuilds the identical serving trace.
-    expect_traces_equal(workloads::make_serving_trace(s),
-                        workloads::make_serving_trace(reloaded));
-    // Serializing the reload reproduces the document byte for byte.
-    EXPECT_EQ(doc, workloads::arrivals_json(reloaded));
-  }
-}
-
 TEST(ArrivalReplay, ServingTraceValidatesAndChains) {
   ArrivalConfig cfg;
   cfg.tasks = 400;
@@ -201,29 +159,6 @@ TEST(ArrivalReplay, ServingTraceValidatesAndChains) {
     chained += has_in ? 1 : 0;
   }
   EXPECT_GT(chained, cfg.tasks / 4);
-}
-
-TEST(ArrivalReplay, ParseRejectsMalformedDocuments) {
-  ArrivalConfig cfg;
-  cfg.tasks = 10;
-  const std::string good = workloads::arrivals_json(
-      workloads::generate_arrivals(cfg));
-  ArrivalSchedule out;
-  std::string err;
-  EXPECT_FALSE(workloads::parse_arrivals("{\"kind\":\"other\"}", &out, &err));
-  EXPECT_FALSE(workloads::parse_arrivals("not json", &out, &err));
-  // Unknown process name.
-  std::string doc = good;
-  const auto at = doc.find("\"poisson\"");
-  ASSERT_NE(at, std::string::npos);
-  doc.replace(at, 9, "\"weekly\"");
-  EXPECT_FALSE(workloads::parse_arrivals(doc, &out, &err));
-  // Client mark out of range.
-  doc = good;
-  const auto cl = doc.find("\"clients\":16");
-  ASSERT_NE(cl, std::string::npos);
-  doc.replace(cl, 12, "\"clients\":1");
-  EXPECT_FALSE(workloads::parse_arrivals(doc, &out, &err)) << err;
 }
 
 /// Open-loop run fingerprint: makespan plus the full executed schedule.

@@ -2,9 +2,12 @@
 // expanded without simulating anything, must name the committed
 // BENCH_<name>.json rows in file order, so a reordered or renamed row fails
 // here and not only in `scripts/check.sh --diff`. The driver's input checks
-// and its record-key check run here too, before anything is simulated.
+// and its record-key check run here too, before anything is simulated, and
+// so do small --trace and --prof runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,6 +16,8 @@
 
 #include "bench.hpp"
 #include "nexus/harness/perfdiff.hpp"
+#include "nexus/telemetry/json.hpp"
+#include "nexus/workloads/workloads.hpp"
 
 namespace nexus::bench {
 namespace {
@@ -126,18 +131,82 @@ TEST(BenchTable, UnknownWorkloadFabricOrCoreCountExitsTwoBeforeRunning) {
   // table3 has no grid for the overrides to replace.
   EXPECT_EQ(finish(experiment("table3"), "--workloads gaussian-250"), 2);
   EXPECT_EQ(finish(experiment("micro"), "--cores 8"), 2);
-  // No record or no trace run to write.
+  // No record, trace run or grid to write or profile.
   EXPECT_EQ(finish(experiment("arbiter"), "--json x.json"), 2);
   EXPECT_EQ(finish(experiment("table1"), "--trace x.json"), 2);
+  EXPECT_EQ(finish(experiment("micro"), "--prof x.json"), 2);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(BenchTable, TraceKeepsTheWorkloadsFabricSuffix) {
+  const std::string ideal = ::testing::TempDir() + "bench_test_ideal.json";
+  const std::string mesh = ::testing::TempDir() + "bench_test_mesh.json";
+  const Experiment& fig9 = experiment("fig9");
+  ASSERT_EQ(finish(fig9, "--cores 2 --workloads c-ray --trace " + ideal), 0);
+  ASSERT_EQ(finish(fig9, "--cores 2 --workloads c-ray:mesh --trace " + mesh), 0);
+  EXPECT_FALSE(slurp(ideal).empty());
+  EXPECT_NE(slurp(ideal), slurp(mesh));
+  std::remove(ideal.c_str());
+  std::remove(mesh.c_str());
+}
+
+/// Every node of a profile tree: total == self + the children's totals.
+void expect_exclusive_ledger(const telemetry::JsonValue& node) {
+  std::int64_t children = 0;
+  if (const telemetry::JsonValue* kids = node.find("children")) {
+    for (const telemetry::JsonValue& kid : kids->array) {
+      expect_exclusive_ledger(kid);
+      children += kid.find("total_ns")->int_or(-1);
+    }
+  }
+  EXPECT_EQ(node.find("total_ns")->int_or(-1),
+            node.find("self_ns")->int_or(-1) + children)
+      << node.find("name")->str_or("?");
+}
+
+TEST(BenchTable, ProfileWritesOneCellPerGridCellInOrder) {
+  const std::string out = ::testing::TempDir() + "bench_test_prof.json";
+  const Experiment& table2 = experiment("table2");
+  const std::string flags = "--workloads c-ray,rot-cc --cores 2 --prof " + out;
+  ASSERT_EQ(finish(table2, flags), 0);
+  telemetry::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::json_parse(slurp(out), &doc, &error)) << error;
+  const std::vector<Cell> cells = make_grid(table2, parse(table2, flags)).cells();
+  ASSERT_EQ(doc.array.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const telemetry::JsonValue& cell = doc.array[i];
+    const Cell& c = cells[i];
+    EXPECT_EQ(cell.find("workload")->str_or(""), c.workload);
+    EXPECT_EQ(cell.find("manager")->str_or(""), c.spec.label);
+    EXPECT_EQ(cell.find("topology")->str_or(""), key_of(c).topology);
+    EXPECT_EQ(cell.find("cores")->int_or(0), static_cast<std::int64_t>(c.cores));
+    EXPECT_EQ(cell.find("makespan")->int_or(0),
+              harness::run_once(workloads::make_workload(c.workload), c.spec,
+                                c.cores, c.rc));
+    expect_exclusive_ledger(*cell.find("profile")->find("tree"));
+  }
+  const std::string stacks = ::testing::TempDir() + "bench_test_prof.collapsed";
+  EXPECT_FALSE(slurp(stacks).empty());
+  std::remove(out.c_str());
+  std::remove(stacks.c_str());
 }
 
 TEST(BenchTable, AnotherExperimentsFlagExitsTwo) {
   EXPECT_EXIT(parse(experiment("fig7"), "--host-cost-us 30"),
               ::testing::ExitedWithCode(2), "unknown or malformed flag: --host-cost-us");
-  EXPECT_EXIT(parse(experiment("table1"), "--prof"), ::testing::ExitedWithCode(2),
-              "unknown or malformed flag: --prof");
+  EXPECT_EXIT(parse(experiment("table1"), "--max-overhead-pct 5"),
+              ::testing::ExitedWithCode(2),
+              "unknown or malformed flag: --max-overhead-pct");
   EXPECT_TRUE(parse(experiment("fig8"), "--host-cost-us 30").has("host-cost-us"));
-  EXPECT_TRUE(parse(experiment("simspeed"), "--prof").has("prof"));
+  EXPECT_TRUE(
+      parse(experiment("simspeed"), "--max-overhead-pct 5").has("max-overhead-pct"));
 }
 
 Grid two_cells(const Flags&) {

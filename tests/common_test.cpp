@@ -386,6 +386,13 @@ TEST(TextTable, AlignsAndCsv) {
   EXPECT_NE(csv.find("c-ray,1200,194.00"), std::string::npos);
 }
 
+TEST(TextTable, CsvQuotesCellsWithSeparators) {
+  TextTable t({"a", "b"});
+  t.add_row({"plain", "has,comma"});
+  t.add_row({"has\"quote", "two\nlines"});
+  EXPECT_EQ(t.csv(), "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",\"two\nlines\"\n");
+}
+
 TEST(TextTable, NumFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::integer(42), "42");

@@ -75,8 +75,8 @@ TEST(Harness, ParseManagerRoundTripsEveryLabel) {
     EXPECT_EQ(again.sharp.num_task_graphs, spec.sharp.num_task_graphs);
     EXPECT_EQ(again.sharp.freq_mhz, spec.sharp.freq_mhz);
   }
-  // A bare TG count clocks at Table I's test frequency, as nexus-prof's
-  // --managers spells it.
+  // A bare TG count clocks at Table I's test frequency, as the nexus-bench
+  // experiment table spells it.
   ManagerSpec six;
   ASSERT_TRUE(parse_manager("nexus#-6TG", &six));
   EXPECT_EQ(six.label, ManagerSpec::nexussharp(6).label);

@@ -8,9 +8,9 @@
 
 #include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
+#include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
 #include "nexus/workloads/workloads.hpp"
-#include "schedule_checker.hpp"
 
 namespace nexus {
 namespace {
@@ -152,7 +152,7 @@ TEST(NexusPP, TableStallsRecoveredUnderPressure) {
   (void)run_trace(tr, mgr, rc);
   EXPECT_GT(mgr.stats().table_stalls, 0u);
   std::string err;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &err)) << err;
+  EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
 
 // ---------- whole-workload schedule legality ----------
@@ -181,7 +181,7 @@ TEST_P(NexusPPWorkloadTest, ScheduleIsLegal) {
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
   std::string err;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &err)) << err;
+  EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, NexusPPWorkloadTest,

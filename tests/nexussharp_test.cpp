@@ -11,10 +11,10 @@
 #include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
+#include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/workloads/workloads.hpp"
-#include "schedule_checker.hpp"
 
 namespace nexus {
 namespace {
@@ -234,7 +234,7 @@ TEST(NexusSharp, TableStallRecovery) {
   (void)run_trace(tr, mgr, rc);
   EXPECT_GT(mgr.stats().table_stalls, 0u);
   std::string err;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &err)) << err;
+  EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
 
 TEST(NexusSharp, WorkSpreadsAcrossGraphs) {
@@ -332,7 +332,7 @@ TEST_P(NexusSharpWorkloadTest, ScheduleIsLegalAndDrains) {
   EXPECT_EQ(mgr.stats().ready_out, tr.num_tasks());
   EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
   std::string err;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &err)) << err;
+  EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -473,7 +473,7 @@ TEST(NexusSharp, TorusMetaOverNocKeepsSchedulesLegal) {
   EXPECT_EQ(r.tasks, tr.num_tasks());
   ASSERT_EQ(sched.size(), tr.num_tasks());
   std::string error;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &error)) << error;
+  EXPECT_TRUE(validate_schedule(tr, sched, &error)) << error;
   const NexusSharp::Stats s = mgr.stats();
   EXPECT_EQ(s.sim_tasks_live, 0u);
   EXPECT_EQ(s.ready_out, tr.num_tasks());

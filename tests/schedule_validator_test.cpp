@@ -5,15 +5,14 @@
 // is exercised constantly by the integration suites (every manager run is
 // validated); what was untested is that the oracle actually *fails* on bad
 // schedules, i.e. that those suites are capable of catching a buggy
-// manager. Tests go through the tests/schedule_checker.hpp shim so the
-// alias keeps compiling too.
+// manager.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/task/trace.hpp"
-#include "schedule_checker.hpp"
 
 namespace nexus {
 namespace {
@@ -41,14 +40,14 @@ std::vector<ScheduleEntry> good_schedule() {
 
 std::string why(const Trace& tr, const std::vector<ScheduleEntry>& sched) {
   std::string error;
-  EXPECT_FALSE(testing::validate_schedule(tr, sched, &error));
+  EXPECT_FALSE(validate_schedule(tr, sched, &error));
   EXPECT_FALSE(error.empty()) << "rejection must carry a diagnostic";
   return error;
 }
 
 TEST(ScheduleValidator, AcceptsALegalSchedule) {
   std::string error;
-  EXPECT_TRUE(testing::validate_schedule(diamond(), good_schedule(), &error))
+  EXPECT_TRUE(validate_schedule(diamond(), good_schedule(), &error))
       << error;
   EXPECT_TRUE(error.empty());
 }
@@ -56,7 +55,7 @@ TEST(ScheduleValidator, AcceptsALegalSchedule) {
 TEST(ScheduleValidator, NullErrorPointerIsAccepted) {
   auto sched = good_schedule();
   sched.pop_back();
-  EXPECT_FALSE(testing::validate_schedule(diamond(), sched));  // no *error out
+  EXPECT_FALSE(validate_schedule(diamond(), sched));  // no *error out
 }
 
 TEST(ScheduleValidator, RejectsMissingTask) {
@@ -116,7 +115,7 @@ TEST(ScheduleValidator, RejectsWarViolation) {
 
   const std::vector<ScheduleEntry> legal = {
       {0, 0, 0, 10}, {1, 1, 10, 30}, {2, 0, 30, 40}};
-  EXPECT_TRUE(testing::validate_schedule(tr, legal));
+  EXPECT_TRUE(validate_schedule(tr, legal));
 }
 
 TEST(ScheduleValidator, RejectsTaskwaitFenceViolation) {
@@ -129,7 +128,7 @@ TEST(ScheduleValidator, RejectsTaskwaitFenceViolation) {
   const std::vector<ScheduleEntry> bad = {{0, 0, 0, 10}, {1, 1, 5, 15}};
   EXPECT_NE(why(tr, bad).find("before its dependences"), std::string::npos);
   const std::vector<ScheduleEntry> legal = {{0, 0, 0, 10}, {1, 1, 10, 20}};
-  EXPECT_TRUE(testing::validate_schedule(tr, legal));
+  EXPECT_TRUE(validate_schedule(tr, legal));
 }
 
 TEST(ScheduleValidator, RejectsTaskwaitOnProducerFenceViolation) {
@@ -150,7 +149,7 @@ TEST(ScheduleValidator, RejectsTaskwaitOnProducerFenceViolation) {
   // is still running — the fence is per-producer, not a full barrier.
   const std::vector<ScheduleEntry> legal = {
       {0, 0, 0, 20}, {1, 1, 0, 50}, {2, 2, 20, 30}};
-  EXPECT_TRUE(testing::validate_schedule(tr, legal));
+  EXPECT_TRUE(validate_schedule(tr, legal));
 }
 
 TEST(ScheduleValidator, ReaderGroupMayOverlapItself) {
@@ -163,7 +162,7 @@ TEST(ScheduleValidator, ReaderGroupMayOverlapItself) {
   const std::vector<ScheduleEntry> sched = {
       {0, 0, 0, 10}, {1, 1, 10, 20}, {2, 2, 12, 22}};
   std::string error;
-  EXPECT_TRUE(testing::validate_schedule(tr, sched, &error)) << error;
+  EXPECT_TRUE(validate_schedule(tr, sched, &error)) << error;
 }
 
 }  // namespace

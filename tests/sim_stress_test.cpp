@@ -58,8 +58,8 @@ struct StormOutcome {
 };
 
 /// Run `n_events` of the storm. With `timeline` set, kernel telemetry is
-/// bound and the recorder is attached *mid-run* (after a third of the
-/// budget) — attaching a sampler must not perturb the schedule.
+/// bound and the recorder is bound *mid-run* (after a third of the
+/// budget) — binding a sampler must not perturb the schedule.
 StormOutcome run_storm(std::uint64_t n_events,
                        std::uint64_t inflight,
                        telemetry::TimelineRecorder* timeline = nullptr,
@@ -83,7 +83,7 @@ StormOutcome run_storm(std::uint64_t n_events,
 
   if (timeline != nullptr) {
     EXPECT_TRUE(sim.run_some(n_events / 3));
-    sim.set_sampler(timeline);  // mid-run attach
+    sim.bind({.metrics = reg, .timeline = timeline});  // mid-run bind
     EXPECT_TRUE(sim.run_some(n_events - n_events / 3));
     timeline->finish(sim.now());
   } else {
@@ -108,7 +108,7 @@ TEST(SimStress, MillionEventStormRepeatsWithMidRunTimeline) {
   EXPECT_EQ(sampled.events, kEvents);
   EXPECT_EQ(plain.makespan, sampled.makespan);
   EXPECT_EQ(plain.checksum, sampled.checksum)
-      << "attaching a sampler mid-run changed the pop order";
+      << "binding a sampler mid-run changed the pop order";
 
   // The mid-run recorder really sampled, and its event counter is monotone
   // and consistent with the kernel's own count.

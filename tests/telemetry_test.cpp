@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nexus/harness/experiment.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
@@ -91,8 +92,17 @@ TEST(Histogram, FullRangeIncludingMax) {
   EXPECT_EQ(h.max(), UINT64_MAX);
 }
 
+/// `samples` recorded into a registry histogram and frozen through the
+/// snapshot, the one quantile path.
+telemetry::HistogramData frozen(const std::vector<std::uint64_t>& samples) {
+  MetricRegistry reg;
+  Histogram& h = reg.histogram("h");
+  for (const std::uint64_t v : samples) h.record(v);
+  return reg.snapshot().find("h")->hist;
+}
+
 TEST(Histogram, QuantilesEmptyHistogramIsZero) {
-  const Histogram h;
+  const telemetry::HistogramData h = frozen({});
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(h.p50(), 0.0);
   EXPECT_DOUBLE_EQ(h.p95(), 0.0);
@@ -102,8 +112,7 @@ TEST(Histogram, QuantilesEmptyHistogramIsZero) {
 TEST(Histogram, QuantilesSingleValueReportExactly) {
   // All mass in one bucket: min/max clipping collapses the interpolation
   // range to the recorded value, whatever q asks for.
-  Histogram h;
-  for (int i = 0; i < 10; ++i) h.record(100);
+  const telemetry::HistogramData h = frozen(std::vector<std::uint64_t>(10, 100));
   EXPECT_DOUBLE_EQ(h.p50(), 100.0);
   EXPECT_DOUBLE_EQ(h.p95(), 100.0);
   EXPECT_DOUBLE_EQ(h.p99(), 100.0);
@@ -112,18 +121,18 @@ TEST(Histogram, QuantilesSingleValueReportExactly) {
 
 TEST(Histogram, QuantilesAllZerosStayZero) {
   // Bucket 0 holds exact zeros; no interpolation may invent mass above it.
-  Histogram h;
-  for (int i = 0; i < 5; ++i) h.record(0);
+  const telemetry::HistogramData h = frozen(std::vector<std::uint64_t>(5, 0));
   EXPECT_DOUBLE_EQ(h.p50(), 0.0);
   EXPECT_DOUBLE_EQ(h.p999(), 0.0);
 }
 
 TEST(Histogram, QuantilesInterpolateWithinBucketAndOrder) {
-  Histogram h;
   // 100 samples spread over [16, 32) — one bucket; quantiles interpolate
   // linearly between the clipped edges and stay monotone in q.
+  std::vector<std::uint64_t> samples;
   for (std::uint64_t v = 16; v < 32; ++v)
-    for (int i = 0; i < 100 / 16 + 1; ++i) h.record(v);
+    for (int i = 0; i < 100 / 16 + 1; ++i) samples.push_back(v);
+  const telemetry::HistogramData h = frozen(samples);
   const double p50 = h.p50();
   const double p95 = h.p95();
   const double p99 = h.p99();
@@ -138,9 +147,7 @@ TEST(Histogram, QuantilesMaxBucketClipsToRecordedMax) {
   // Samples in the open-topped final bucket [2^63, 2^64): the bucket's
   // nominal upper edge exceeds any representable sample, so the recorded
   // max must cap the interpolation.
-  Histogram h;
-  h.record(std::uint64_t{1} << 63);
-  h.record(UINT64_MAX);
+  const telemetry::HistogramData h = frozen({std::uint64_t{1} << 63, UINT64_MAX});
   EXPECT_GE(h.p50(), static_cast<double>(std::uint64_t{1} << 63));
   EXPECT_LE(h.p999(), static_cast<double>(UINT64_MAX));
   EXPECT_DOUBLE_EQ(h.quantile(1.0), static_cast<double>(UINT64_MAX));
@@ -149,11 +156,7 @@ TEST(Histogram, QuantilesMaxBucketClipsToRecordedMax) {
 TEST(Histogram, QuantilesTwoBucketSplit) {
   // 3 zeros + 1 large value: p50 must sit in the zero bucket, p95
   // interpolates inside the top bucket's clipped range [512, 1000].
-  Histogram h;
-  h.record(0);
-  h.record(0);
-  h.record(0);
-  h.record(1000);
+  const telemetry::HistogramData h = frozen({0, 0, 0, 1000});
   EXPECT_DOUBLE_EQ(h.p50(), 0.0);
   EXPECT_GT(h.p95(), 512.0);
   EXPECT_LE(h.p95(), 1000.0);
@@ -233,13 +236,6 @@ TEST(JsonWriterTest, BuildsNestedDocumentsWithEscaping) {
       .kv("n", std::int64_t{-4})
       .end_object();
   EXPECT_EQ(w.str(), "{\"a\\\"b\":\"x\\ny\",\"arr\":[1,true,2.5],\"n\":-4}");
-}
-
-TEST(CsvWriterTest, EscapesCellsWithSeparators) {
-  telemetry::CsvWriter w({"a", "b"});
-  w.row({"plain", "has,comma"});
-  w.row({"has\"quote", "x"});
-  EXPECT_EQ(w.str(), "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",x\n");
 }
 
 TEST(SnapshotExport, JsonGolden) {
@@ -388,24 +384,6 @@ TEST(TelemetryIntegration, RoutingBalanceCoversEveryGraph) {
   std::uint64_t total_params = 0;
   for (const auto& t : tr.tasks()) total_params += t.num_params();
   EXPECT_EQ(routed, 2 * total_params);
-}
-
-TEST(TelemetryIntegration, SweepAttachesSnapshotsOnRequest) {
-  const Trace tr = small_gaussian();
-  const auto spec = harness::ManagerSpec::nexussharp(2, 100.0);
-  const Tick baseline = harness::ideal_baseline(tr);
-  const harness::Series plain =
-      harness::sweep(tr, spec, {1, 4}, baseline);
-  for (const auto& p : plain.points) EXPECT_EQ(p.metrics, nullptr);
-  const harness::Series metered =
-      harness::sweep(tr, spec, {1, 4}, baseline, {}, /*collect_metrics=*/true);
-  ASSERT_EQ(metered.points.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(metered.points[i].makespan, plain.points[i].makespan)
-        << "telemetry must not change simulated time";
-    ASSERT_NE(metered.points[i].metrics, nullptr);
-    EXPECT_GT(metered.points[i].metrics->counter_at("nexus#/tasks_in"), 0u);
-  }
 }
 
 }  // namespace

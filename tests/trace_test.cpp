@@ -17,6 +17,7 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
+#include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
 #include "nexus/runtime/tenancy.hpp"
 #include "nexus/telemetry/critical_path.hpp"
@@ -26,7 +27,6 @@
 #include "nexus/telemetry/trace_export.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
-#include "schedule_checker.hpp"
 
 namespace nexus {
 namespace {
@@ -114,7 +114,7 @@ void check_conservation(const Trace& tr, const TracedRun& r) {
 
   // The schedule the spans mirror must itself be legal.
   std::string err;
-  EXPECT_TRUE(testing::validate_schedule(tr, r.schedule, &err)) << err;
+  EXPECT_TRUE(validate_schedule(tr, r.schedule, &err)) << err;
 
   // Dep edges: both endpoints traced; the kick happens no earlier than the
   // producer's finish and no later than the consumer's resolve stamp.
