@@ -1,11 +1,10 @@
 // Ablations of the paper's unstated choices (arbiter priority, distribution
 // function, Task Pool window), the NoC experiments (topology, placement)
-// and the beyond-paper co-management and energy studies.
+// and the beyond-paper co-management study.
 #include <cstdio>
 
 #include "bench.hpp"
 #include "nexus/common/stats.hpp"
-#include "nexus/cost/power_model.hpp"
 #include "nexus/noc/placement.hpp"
 #include "nexus/runtime/multi_app.hpp"
 
@@ -347,49 +346,6 @@ int multiapp(Run& run) {
   return 0;
 }
 
-// The paper's future work (Sections VI/VII): activity-based management
-// energy per configuration and the leakage that power-gating idle task
-// graphs reclaims (the dark-silicon estimate).
-Grid power_grid(const Flags&) {
-  return {.workloads = {"h264dec-2x2-10f"},
-          .managers = managers({"nexus#-1TG", "nexus#-2TG", "nexus#-4TG", "nexus#-6TG",
-                                "nexus#-8TG", "nexus++"}),
-          .cores = {64}};
-}
-
-int power(Run& run) {
-  const std::uint32_t cores = run.grid.cores.front();
-  for (const std::string& w : run.grid.workloads) {
-    const Trace& tr = run.trace(w);
-    std::printf("Management energy for %s on %u cores (synthetic coefficients —\n"
-                "the framework, not absolute claims; see power_model.hpp)\n\n",
-                w.c_str(), cores);
-    TextTable t({"config", "makespan ms", "dynamic mJ", "leak mJ", "gated leak mJ",
-                 "saved", "uJ/task"});
-    for (const ManagerSpec& m : run.grid.managers) {
-      const bool sharp = m.kind == ManagerSpec::Kind::kNexusSharp;
-      const std::unique_ptr<TaskManagerModel> mgr = harness::make_manager(m);
-      const RunResult r = run_trace(tr, *mgr, RuntimeConfig{.workers = cores});
-      const cost::EnergyReport e =
-          sharp ? cost::estimate_energy(static_cast<NexusSharp&>(*mgr).stats(), m.sharp,
-                                        r.makespan)
-                : cost::estimate_energy(static_cast<NexusPP&>(*mgr).stats(), m.npp,
-                                        r.makespan);
-      t.add_row({sharp ? "nexus# " + std::to_string(m.sharp.num_task_graphs) + " TG"
-                       : m.label,
-                 TextTable::num(to_ms(r.makespan), 1), TextTable::num(e.dynamic_mj, 2),
-                 TextTable::num(e.leakage_mj, 2), TextTable::num(e.gated_leakage_mj, 2),
-                 TextTable::num(e.gated_savings_pct, 0) + "%",
-                 TextTable::num(e.uj_per_task, 2)});
-    }
-    run.print(t);
-  }
-  std::printf("\nReading: management energy is leakage-dominated when task graphs\n"
-              "idle; dark-silicon gating reclaims most per-graph leakage at high\n"
-              "TG counts — the paper's \"turn it off\" proposal quantified.\n");
-  return 0;
-}
-
 }  // namespace
 
 std::vector<Experiment> ablation_experiments() {
@@ -411,8 +367,6 @@ std::vector<Experiment> ablation_experiments() {
       {.name = "multiapp", .artefact = "Section VI: two co-managed applications",
        .grid = multiapp_grid, .body = multiapp,
        .gate = "the co-run drains the gather state"},
-      {.name = "power", .artefact = "Sections VI/VII: management energy",
-       .grid = power_grid, .body = power},
   };
 }
 

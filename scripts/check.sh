@@ -107,10 +107,15 @@ if [[ "${BENCH}" -eq 1 ]]; then
   # bench bit-rot fails here instead of lingering until someone reproduces a
   # paper figure. Output is discarded; a nonzero exit (a self-gate included)
   # fails the check. Then regenerate the machine-readable trajectory records.
+  # An experiment whose record flags already hold --quick is left to its
+  # record run, which executes the same body and gates.
   echo "==> bench smoke (quick traces)"
   smoke() { echo "--> $*"; "$@" >/dev/null; }
   for line in "${EXPERIMENTS[@]}"; do
-    IFS=$'\t' read -r name _ <<<"${line}"
+    IFS=$'\t' read -r name record record_flags _ <<<"${line}"
+    if [[ "${record}" != "-" && " ${record_flags} " == *" --quick "* ]]; then
+      continue
+    fi
     smoke "${NEXUS_BENCH}" "${name}" --quick
   done
   smoke build/examples/metrics_report --workload gaussian-250 --cores 8

@@ -7,7 +7,6 @@ const char* to_string(DistributionPolicy p) {
     case DistributionPolicy::kXorFold: return "xor-fold";
     case DistributionPolicy::kLowBits: return "low-bits";
     case DistributionPolicy::kModulo: return "modulo";
-    case DistributionPolicy::kRoundRobin: return "round-robin";
   }
   return "?";
 }

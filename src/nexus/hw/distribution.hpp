@@ -2,9 +2,11 @@
 //
 // Incoming 48-bit addresses are steered to one of n task graphs in a single
 // cycle. The paper's function XOR-folds the low 20 address bits in 5-bit
-// blocks and reduces modulo the task-graph count; alternatives are provided
-// for the ablation bench (speed and fairness are the two properties the
-// paper demands of this function).
+// blocks and reduces modulo the task-graph count; the low-bits and modulo
+// alternatives exist for the distribution ablation (speed and fairness are
+// the two properties the paper demands of this function). Every policy maps
+// an address to one fixed graph: dependency tracking requires all accesses
+// to one address to meet in one task graph (Section IV-A).
 #pragma once
 
 #include <cstdint>
@@ -16,15 +18,13 @@
 namespace nexus::hw {
 
 enum class DistributionPolicy : std::uint8_t {
-  kXorFold = 0,    ///< the paper's function: xor of 5-bit blocks, mod n
-  kLowBits = 1,    ///< addr[4:0] mod n (no folding)
-  kModulo = 2,     ///< whole low-20-bit value mod n
-  kRoundRobin = 3, ///< ignore the address; rotate (breaks same-addr affinity!)
+  kXorFold = 0,  ///< the paper's function: xor of 5-bit blocks, mod n
+  kLowBits = 1,  ///< addr[4:0] mod n (no folding)
+  kModulo = 2,   ///< whole low-20-bit value mod n
 };
 
 const char* to_string(DistributionPolicy p);
 
-/// Stateful distributor (round-robin needs a counter; the others are pure).
 class Distributor {
  public:
   Distributor(DistributionPolicy policy, std::uint32_t num_targets)
@@ -37,7 +37,7 @@ class Distributor {
   [[nodiscard]] DistributionPolicy policy() const { return policy_; }
 
   /// Target task graph for this address.
-  std::uint32_t target(Addr addr) {
+  [[nodiscard]] std::uint32_t target(Addr addr) const {
     switch (policy_) {
       case DistributionPolicy::kXorFold:
         return xor_fold20_5(addr) % n_;
@@ -45,24 +45,13 @@ class Distributor {
         return static_cast<std::uint32_t>(addr & 0x1F) % n_;
       case DistributionPolicy::kModulo:
         return static_cast<std::uint32_t>(addr & 0xFFFFF) % n_;
-      case DistributionPolicy::kRoundRobin:
-        return rr_++ % n_;
     }
     return 0;
-  }
-
-  /// IMPORTANT: dependency tracking requires all accesses to one address to
-  /// meet in one task graph. Round-robin violates this; it exists only so
-  /// the ablation bench can show *why* the paper rejects whole-task or
-  /// stateless-rotation distribution (Section IV-A discussion).
-  [[nodiscard]] bool preserves_affinity() const {
-    return policy_ != DistributionPolicy::kRoundRobin;
   }
 
  private:
   DistributionPolicy policy_;
   std::uint32_t n_;
-  std::uint32_t rr_ = 0;
 };
 
 }  // namespace nexus::hw

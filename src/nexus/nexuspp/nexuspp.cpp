@@ -19,6 +19,7 @@ void NexusPP::attach(Simulation& sim, RuntimeHost* host) {
   NEXUS_ASSERT(host != nullptr);
   host_ = host;
   self_ = sim.add_component(this);
+  port_.bind(self_);
   net_->attach(sim);  // after self_, keeping the pre-NoC component id
   const telemetry::Observers& obs = sim.observers();
   pool_.bind(obs, "nexus++/pool");
@@ -71,7 +72,7 @@ void NexusPP::handle(Simulation& sim, const Event& ev) {
       pump(sim);
       break;
     case kPump:
-      pump_pending_ = false;
+      port_.woken();
       pump(sim);
       break;
     case kReadyDelivered:
@@ -95,43 +96,27 @@ void NexusPP::pump(Simulation& sim) {
   // Single-ported table: serve one work item at a time. Finished tasks have
   // priority (they free resources); a stalled insert parks until a finish
   // frees space in its set.
+  if (!port_.claim(sim)) return;
   const Tick now = sim.now();
-  if (now < port_free_) {
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-    return;
-  }
-
   if (!finish_queue_.empty()) {
-    const TaskId id = finish_queue_.pop();
-    process_finish(sim, id);
-    if (!pump_pending_ && port_free_ > now &&
-        (!finish_queue_.empty() || active_insert_ || !insert_queue_.empty())) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-    return;
-  }
-
-  if (active_insert_ && insert_stalled_) return;  // wait for a finish
-
-  if (!active_insert_ && !insert_queue_.empty()) {
-    active_insert_ = InsertJob{insert_queue_.pop(), 0, 0, now};
-    port_free_ = now + cycles(cfg_.insert_base);
-    insert_busy_ += cycles(cfg_.insert_base);
-  }
-  if (active_insert_) {
+    process_finish(sim, finish_queue_.pop());
+  } else if (active_insert_) {
+    if (insert_stalled_) return;  // wait for a finish
+    const std::size_t resumed_at = active_insert_->next_param;
     if (continue_insert(sim)) {
       active_insert_.reset();
+    } else if (active_insert_->next_param == resumed_at) {
+      return;  // stalled again before inserting a parameter: nothing served
     }
-    if (!pump_pending_ && port_free_ > sim.now() &&
-        (!insert_queue_.empty() || active_insert_ || !finish_queue_.empty())) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
+  } else if (!insert_queue_.empty()) {
+    active_insert_ = InsertJob{insert_queue_.pop(), 0, 0, now};
+    port_.occupy(now, cycles(cfg_.insert_base));
+    if (continue_insert(sim)) active_insert_.reset();
+  } else {
+    return;
   }
+  port_.rearm(sim, !finish_queue_.empty() || active_insert_ ||
+                       !insert_queue_.empty());
 }
 
 bool NexusPP::continue_insert(Simulation& sim) {
@@ -148,20 +133,18 @@ bool NexusPP::continue_insert(Simulation& sim) {
     const Tick step = cycles(cfg_.insert_per_param +
                              cfg_.chain_hop_cycles *
                                  static_cast<std::int64_t>(res.chain_hops));
-    port_free_ += step;
-    insert_busy_ += step;
+    port_.extend(step);
     if (res.kind == hw::TaskGraphTable::InsertKind::kQueued) ++job.deps;
     ++job.next_param;
   }
   insert_stalled_ = false;
-  if (trace_ != nullptr) {
-    trace_->unit_span("npp/table", "insert", job.id, job.started,
-                      port_free_ - job.started);
-  }
+  const Tick done = port_.free_at();
+  if (trace_ != nullptr)
+    trace_->unit_span("npp/table", "insert", job.id, job.started, done - job.started);
   if (job.deps == 0) {
-    deliver_ready(sim, port_free_, job.id);
+    deliver_ready(sim, done, job.id);
   } else {
-    depcounts_.set(job.id, job.deps, port_free_);
+    depcounts_.set(job.id, job.deps, done);
   }
   return true;
 }
@@ -180,11 +163,11 @@ void NexusPP::process_finish(Simulation& sim, TaskId id) {
       cycles(cfg_.finish_per_param * static_cast<std::int64_t>(task.num_params()) +
              cfg_.kick_cycles * static_cast<std::int64_t>(kicked_scratch_.size()) +
              cfg_.chain_hop_cycles * hop_cycles);
-  port_free_ = sim.now() + cost;
-  insert_busy_ += cost;
+  port_.occupy(sim.now(), cost);
+  const Tick done = port_.free_at();
   if (trace_ != nullptr) {
     trace_->unit_span("npp/table", "finish", id, sim.now(), cost);
-    for (const auto& w : kicked_scratch_) trace_->on_dep(id, w.task, port_free_);
+    for (const auto& w : kicked_scratch_) trace_->on_dep(id, w.task, done);
   }
 
   for (const auto& w : kicked_scratch_) {
@@ -197,8 +180,7 @@ void NexusPP::process_finish(Simulation& sim, TaskId id) {
       --active_insert_->deps;
       continue;
     }
-    if (depcounts_.decrement(w.task, port_free_))
-      deliver_ready(sim, port_free_, w.task);
+    if (depcounts_.decrement(w.task, done)) deliver_ready(sim, done, w.task);
   }
   pool_.erase(id, sim.now());
 
@@ -234,7 +216,6 @@ NexusPP::Stats NexusPP::stats() const {
   s.ready_out = ready_out_;
   s.table_stalls = table_.total_stalls();
   s.pool_peak = pool_.peak();
-  s.insert_busy = insert_busy_;
   return s;
 }
 

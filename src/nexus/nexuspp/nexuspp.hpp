@@ -85,7 +85,6 @@ class NexusPP final : public TaskManagerModel, public Component {
     std::uint64_t ready_out = 0;
     std::uint64_t table_stalls = 0;
     std::uint64_t pool_peak = 0;
-    Tick insert_busy = 0;  ///< table-port busy time
   };
   [[nodiscard]] Stats stats() const;
   /// The host<->manager interconnect (see NexusPPConfig::noc).
@@ -122,8 +121,7 @@ class NexusPP final : public TaskManagerModel, public Component {
 
   Server io_;  ///< host interface: submissions and finish notifications
   Server wb_;  ///< write-back stage
-  Tick port_free_ = 0;  ///< single-ported task-graph table
-  bool pump_pending_ = false;
+  BusyPort port_{kPump};  ///< single-ported task-graph table
 
   hw::TaskPool pool_;
   hw::TaskGraphTable table_;
@@ -138,7 +136,6 @@ class NexusPP final : public TaskManagerModel, public Component {
   std::vector<hw::Waiter> kicked_scratch_;
   std::uint64_t tasks_in_ = 0;
   std::uint64_t ready_out_ = 0;
-  Tick insert_busy_ = 0;
 
   telemetry::Counter* m_tasks_in_ = nullptr;
   telemetry::Counter* m_ready_out_ = nullptr;

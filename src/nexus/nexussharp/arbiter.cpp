@@ -38,6 +38,7 @@ void SharpArbiter::attach(Simulation& sim, RuntimeHost* host,
                           std::string_view prefix) {
   host_ = host;
   self_ = sim.add_component(this);
+  port_.bind(self_);
   const telemetry::Observers& obs = sim.observers();
   depcounts_.bind(obs, telemetry::path_join(prefix, "dep_counts"),
                   "nexus#/dep_counts");
@@ -113,7 +114,7 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
       host_->task_ready(sim, static_cast<TaskId>(ev.a));
       break;
     case kPump:
-      pump_pending_ = false;
+      port_.woken();
       pump(sim);
       break;
     default:
@@ -122,15 +123,11 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
 }
 
 void SharpArbiter::pump(Simulation& sim) {
-  const Tick now = sim.now();
-  if (now < port_free_) {
+  if (!port_.claim(sim)) {
     telemetry::inc(m_retries_);
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
     return;
   }
+  const Tick now = sim.now();
 
   // Grant one buffer class according to the configured priority policy.
   enum Class { kClsReady, kClsWait, kClsDep, kClsNone };
@@ -220,14 +217,8 @@ void SharpArbiter::pump(Simulation& sim) {
     case kClsNone:
       break;
   }
-  port_free_ = now + cost;
-  busy_ += cost;
-  if (!ready_q_.empty() || !wait_q_.empty() || dep_pending()) {
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-  }
+  port_.occupy(now, cost);
+  port_.rearm(sim, !ready_q_.empty() || !wait_q_.empty() || dep_pending());
 }
 
 void SharpArbiter::conclude_if_complete(Simulation& sim, TaskId id, SimTask& st,

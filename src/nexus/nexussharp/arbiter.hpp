@@ -76,7 +76,6 @@ class SharpArbiter final : public Component {
 
   // --- stats ---
   [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }
-  [[nodiscard]] Tick busy_time() const { return busy_; }
   [[nodiscard]] const hw::DepCountsTable& dep_counts() const { return depcounts_; }
   [[nodiscard]] hw::DepCountsTable& dep_counts() { return depcounts_; }
   [[nodiscard]] std::uint64_t peak_sim_tasks() const { return peak_sim_tasks_; }
@@ -123,11 +122,9 @@ class SharpArbiter final : public Component {
   IdMap<SimTask> sim_tasks_;
   hw::DepCountsTable depcounts_;
   Server wb_;
-  Tick port_free_ = 0;
-  bool pump_pending_ = false;
+  BusyPort port_{kPump};
 
   std::uint64_t delivered_ = 0;
-  Tick busy_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;
   std::uint64_t peak_sim_tasks_ = 0;
   std::uint64_t meta_parks_ = 0;

@@ -27,9 +27,6 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
       distributor_(cfg.distribution, cfg.num_task_graphs) {
   NEXUS_ASSERT_MSG(cfg.num_task_graphs >= 1 && cfg.num_task_graphs <= 32,
                    "Nexus# supports 1..32 task graphs");
-  NEXUS_ASSERT_MSG(distributor_.preserves_affinity(),
-                   "dependency tracking requires an affinity-preserving "
-                   "distribution function (Section IV-A)");
   const std::uint32_t clusters = cfg.arbiter_clusters;
   const bool clustered = clusters >= 2;
   if (clustered) {
@@ -276,21 +273,15 @@ NexusSharp::Stats NexusSharp::stats() const {
   s.tasks_in = tasks_in_;
   s.nacks = nacks_;
   s.pool_peak = pool_.peak();
-  s.io_busy = io_.busy_time();
-  for (const auto& arb : arbiters_) {
-    s.sim_tasks_live += arb->sim_tasks_live();
-    s.arbiter_busy += arb->busy_time();
-  }
+  for (const auto& arb : arbiters_) s.sim_tasks_live += arb->sim_tasks_live();
   if (root_ != nullptr) {
     s.ready_out = root_->ready_delivered();
     s.sim_tasks_live += root_->live();
-    s.arbiter_busy += root_->busy_time();
   } else {
     s.ready_out = arbiters_[0]->ready_delivered();
   }
   for (const auto& tg : tgs_) {
     s.table_stalls += tg->table().total_stalls();
-    s.tg_busy.push_back(tg->busy_time());
     s.tg_args.push_back(tg->args_processed());
   }
   return s;

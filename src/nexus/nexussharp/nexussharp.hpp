@@ -59,9 +59,6 @@ class NexusSharp final : public TaskManagerModel, public Component {
     std::uint64_t table_stalls = 0;      ///< summed over task graphs
     std::uint64_t sim_tasks_live = 0;    ///< leaves + root; 0 once drained
     std::uint64_t nacks = 0;             ///< per-tenant admission rejections
-    Tick io_busy = 0;
-    Tick arbiter_busy = 0;               ///< summed over leaves (+ root)
-    std::vector<Tick> tg_busy;           ///< per-task-graph busy time
     std::vector<std::uint64_t> tg_args;  ///< per-task-graph args processed
   };
   [[nodiscard]] Stats stats() const;

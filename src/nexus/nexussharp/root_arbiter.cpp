@@ -21,6 +21,7 @@ RootArbiter::RootArbiter(const NexusSharpConfig& cfg, noc::Network* net)
 void RootArbiter::attach(Simulation& sim, RuntimeHost* host) {
   host_ = host;
   self_ = sim.add_component(this);
+  port_.bind(self_);
   const telemetry::Observers& obs = sim.observers();
   trace_ = obs.trace;
   if (obs.metrics == nullptr) return;
@@ -62,7 +63,7 @@ void RootArbiter::handle(Simulation& sim, const Event& ev) {
       host_->task_ready(sim, static_cast<TaskId>(ev.a));
       break;
     case kPump:
-      pump_pending_ = false;
+      port_.woken();
       pump(sim);
       break;
     default:
@@ -94,15 +95,8 @@ void RootArbiter::enqueue_ready(Simulation& sim, TaskId id,
 }
 
 void RootArbiter::pump(Simulation& sim) {
+  if (!port_.claim(sim) || queued_ == 0) return;
   const Tick now = sim.now();
-  if (now < port_free_) {
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-    return;
-  }
-  if (queued_ == 0) return;
 
   std::uint32_t t = 0;
   if (queues_.size() > 1) {
@@ -130,12 +124,8 @@ void RootArbiter::pump(Simulation& sim) {
     trace_->unit_span("sharp/root", "grant", id, now, cost);
   to_writeback(sim, now + cost, id);
 
-  port_free_ = now + cost;
-  busy_ += cost;
-  if (queued_ > 0 && !pump_pending_) {
-    pump_pending_ = true;
-    sim.schedule(port_free_, self_, kPump);
-  }
+  port_.occupy(now, cost);
+  port_.rearm(sim, queued_ > 0);
 }
 
 void RootArbiter::to_writeback(Simulation& sim, Tick from, TaskId id) {

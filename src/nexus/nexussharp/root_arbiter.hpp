@@ -54,7 +54,6 @@ class RootArbiter final : public Component {
 
   // --- stats ---
   [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }
-  [[nodiscard]] Tick busy_time() const { return busy_; }
   /// Tasks mid-merge or queued for grant; must be 0 once a run drains.
   [[nodiscard]] std::size_t live() const { return sim_tasks_.size() + queued_; }
 
@@ -85,11 +84,9 @@ class RootArbiter final : public Component {
   std::uint32_t cur_tenant_ = 0;   ///< WRR pointer
   std::uint32_t credits_ = 0;      ///< grants left for cur_tenant_'s burst
   Server wb_;
-  Tick port_free_ = 0;
-  bool pump_pending_ = false;
+  BusyPort port_{kPump};
 
   std::uint64_t delivered_ = 0;
-  Tick busy_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;
 
   telemetry::Counter* m_grants_ = nullptr;        ///< ready tasks granted

@@ -1,7 +1,5 @@
 #include "nexus/nexussharp/task_graph_unit.hpp"
 
-#include <algorithm>
-
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
 
@@ -19,6 +17,7 @@ TaskGraphUnit::TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
 
 void TaskGraphUnit::attach(Simulation& sim) {
   self_ = sim.add_component(this);
+  port_.bind(self_);
   const telemetry::Observers& obs = sim.observers();
   const std::string prefix = "nexus#/tg" + std::to_string(index_);
   table_.bind(obs, telemetry::path_join(prefix, "table"));
@@ -53,7 +52,6 @@ void TaskGraphUnit::handle(Simulation& sim, const Event& ev) {
   switch (ev.op) {
     case kNewArg:
       new_q_.push(unpack(ev.a, ev.b));
-      peak_queue_ = std::max<std::uint64_t>(peak_queue_, new_q_.size());
       telemetry::record(m_new_depth_, new_q_.size());
       pump(sim);
       break;
@@ -63,7 +61,7 @@ void TaskGraphUnit::handle(Simulation& sim, const Event& ev) {
       pump(sim);
       break;
     case kPump:
-      pump_pending_ = false;
+      port_.woken();
       pump(sim);
       break;
     default:
@@ -72,14 +70,7 @@ void TaskGraphUnit::handle(Simulation& sim, const Event& ev) {
 }
 
 void TaskGraphUnit::pump(Simulation& sim) {
-  const Tick now = sim.now();
-  if (now < port_free_) {
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-    return;
-  }
+  if (!port_.claim(sim)) return;
 
   Tick cost = 0;
   if (!fin_q_.empty()) {
@@ -95,14 +86,8 @@ void TaskGraphUnit::pump(Simulation& sim) {
 
   ++processed_;
   telemetry::inc(m_args_);
-  port_free_ = now + cost;
-  busy_ += cost;
-  if (!fin_q_.empty() || !new_q_.empty()) {
-    if (!pump_pending_) {
-      pump_pending_ = true;
-      sim.schedule(port_free_, self_, kPump);
-    }
-  }
+  port_.occupy(sim.now(), cost);
+  port_.rearm(sim, !fin_q_.empty() || !new_q_.empty());
 }
 
 Tick TaskGraphUnit::serve_finished(Simulation& sim, const Arg& a) {

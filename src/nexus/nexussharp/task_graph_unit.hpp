@@ -19,6 +19,7 @@
 #include "nexus/noc/network.hpp"
 #include "nexus/nexussharp/arbiter.hpp"
 #include "nexus/nexussharp/config.hpp"
+#include "nexus/sim/server.hpp"
 #include "nexus/sim/simulation.hpp"
 
 namespace nexus::detail {
@@ -65,9 +66,7 @@ class TaskGraphUnit final : public Component {
 
   // --- stats ---
   [[nodiscard]] const hw::TaskGraphTable& table() const { return table_; }
-  [[nodiscard]] Tick busy_time() const { return busy_; }
   [[nodiscard]] std::uint64_t args_processed() const { return processed_; }
-  [[nodiscard]] std::uint64_t peak_queue() const { return peak_queue_; }
   [[nodiscard]] bool idle() const {
     return new_q_.empty() && fin_q_.empty() && !stalled_;
   }
@@ -92,15 +91,12 @@ class TaskGraphUnit final : public Component {
   FixedRing<Arg> new_q_;
   FixedRing<Arg> fin_q_;
   bool stalled_ = false;  ///< head new-arg is waiting for table space
-  Tick port_free_ = 0;
-  bool pump_pending_ = false;
+  BusyPort port_{kPump};
 
   std::vector<hw::Waiter> kicked_scratch_;
   telemetry::TraceRecorder* trace_ = nullptr;
   std::string trace_track_;  ///< "sharp/tg<i>"
-  Tick busy_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint64_t peak_queue_ = 0;
 
   telemetry::Histogram* m_new_depth_ = nullptr;  ///< New Args depth per push
   telemetry::Histogram* m_fin_depth_ = nullptr;  ///< Finished Args depth

@@ -88,7 +88,7 @@ TEST(BenchTable, NamesAreUniqueAndEveryExperimentHasABody) {
     EXPECT_NE(e.body, nullptr) << e.name;
     EXPECT_EQ(e.bench == nullptr, e.record_flags == nullptr) << e.name;
   }
-  EXPECT_EQ(names.size(), 18u);
+  EXPECT_EQ(names.size(), 17u);
 }
 
 TEST(BenchTable, EveryGridManagerLabelRoundTripsThroughParseManager) {

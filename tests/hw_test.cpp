@@ -31,14 +31,7 @@ TEST(Distribution, SameAddressSameTarget) {
     Distributor d(policy, 8);
     for (Addr a = 0x1000; a < 0x3000; a += 0x40)
       EXPECT_EQ(d.target(a), d.target(a)) << to_string(policy);
-    EXPECT_TRUE(d.preserves_affinity());
   }
-}
-
-TEST(Distribution, RoundRobinBreaksAffinity) {
-  Distributor d(DistributionPolicy::kRoundRobin, 4);
-  EXPECT_FALSE(d.preserves_affinity());
-  EXPECT_NE(d.target(0x40), d.target(0x40));  // rotates even for same address
 }
 
 TEST(Distribution, XorFoldBalancesStridedAddresses) {

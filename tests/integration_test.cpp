@@ -92,6 +92,32 @@ TEST_P(ManagerFuzzTest, AllManagersProduceLegalSchedules) {
     cfg.pool_capacity = 32;  // force pool backpressure too
     cases.push_back({"nexus#8-smallpool", std::make_unique<NexusSharp>(cfg)});
   }
+  {
+    // Hostile: every unit serves in zero cycles (Nexus# TGU, arbiters and
+    // root; the Nexus++ table port), on tables and a pool small enough that
+    // inserts stall. A serve that leaves work must still wake its port.
+    const hw::TableConfig small{.sets = 32, .ways = 2, .kol_entries = 2};
+    NexusPPConfig npp;
+    npp.table = small;
+    npp.pool_capacity = 24;
+    npp.insert_base = npp.insert_per_param = npp.finish_per_param = 0;
+    npp.kick_cycles = npp.chain_hop_cycles = 0;
+    cases.push_back({"nexus++-0cyc", std::make_unique<NexusPP>(npp)});
+    for (const std::uint32_t clusters : {0u, 2u}) {
+      NexusSharpConfig cfg;
+      cfg.num_task_graphs = 4;
+      cfg.freq_mhz = 100.0;
+      cfg.table = small;
+      cfg.pool_capacity = 24;
+      cfg.arbiter_clusters = clusters;
+      cfg.tg_insert_per_param = cfg.tg_finish_per_param = 0;
+      cfg.chain_hop_cycles = cfg.kick_enqueue_cycles = 0;
+      cfg.arb_ready_cycles = cfg.arb_wait_cycles = cfg.arb_dep_cycles = 0;
+      cfg.root_grant_cycles = 0;
+      cases.push_back({"nexus#4-" + std::to_string(clusters) + "cl-0cyc",
+                       std::make_unique<NexusSharp>(cfg)});
+    }
+  }
 
   // True lower bounds on any legal schedule. (The FIFO "ideal" makespan is
   // NOT a bound: delaying readiness can accidentally pack better — Graham's
@@ -107,6 +133,9 @@ TEST_P(ManagerFuzzTest, AllManagersProduceLegalSchedules) {
     std::string err;
     EXPECT_TRUE(validate_schedule(tr, sched, &err)) << c.label << ": " << err;
     EXPECT_EQ(r.tasks, tr.num_tasks()) << c.label;
+    if (const auto* sharp = dynamic_cast<const NexusSharp*>(c.mgr.get())) {
+      EXPECT_EQ(sharp->stats().sim_tasks_live, 0u) << c.label;
+    }
     if (c.label == "ideal") {
       EXPECT_EQ(r.makespan, list_schedule_makespan(tr, 8));
     }

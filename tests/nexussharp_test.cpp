@@ -288,12 +288,6 @@ TEST(NexusSharp, TelemetryDoesNotPerturbTiming) {
   EXPECT_EQ(t_plain, t_metered);
 }
 
-TEST(NexusSharp, RejectsRoundRobinDistribution) {
-  NexusSharpConfig cfg = cfg_at_100mhz(4);
-  cfg.distribution = hw::DistributionPolicy::kRoundRobin;
-  EXPECT_DEATH(NexusSharp{cfg}, "affinity");
-}
-
 // ---------- schedule legality across TG counts and workloads ----------
 
 struct SharpCase {

@@ -172,5 +172,93 @@ TEST(Server, IdleQuery) {
   EXPECT_TRUE(s.idle_at(ns(10)));
 }
 
+// ---------- busy port ----------
+
+constexpr std::uint32_t kWakeOp = 7;
+
+TEST(BusyPort, ClaimsWhileBusyArmOneWakeAtTheFreeTime) {
+  Simulation sim;
+  Recorder rec;
+  BusyPort port(kWakeOp);
+  port.bind(sim.add_component(&rec));
+  EXPECT_TRUE(port.claim(sim));  // a fresh port is free
+  port.occupy(sim.now(), ns(10));
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(port.claim(sim));
+  sim.run();
+  EXPECT_EQ(rec.order, (std::vector<std::uint32_t>{kWakeOp}));
+  EXPECT_EQ(rec.times, (std::vector<Tick>{ns(10)}));
+  port.woken();
+  EXPECT_TRUE(port.claim(sim));
+  EXPECT_EQ(rec.order.size(), 1u);  // a free claim arms nothing
+}
+
+TEST(BusyPort, RearmsOnceWhileWorkRemainsAndNotWhenDrained) {
+  Simulation sim;
+  Recorder rec;
+  BusyPort port(kWakeOp);
+  port.bind(sim.add_component(&rec));
+  port.occupy(sim.now(), ns(5));
+  port.rearm(sim, true);
+  port.rearm(sim, true);
+  sim.run();
+  EXPECT_EQ(rec.times, (std::vector<Tick>{ns(5)}));
+
+  port.woken();
+  port.occupy(sim.now(), ns(5));
+  port.rearm(sim, false);
+  sim.run();
+  EXPECT_EQ(rec.times.size(), 1u);
+}
+
+// A one-item-per-grant stage: op 0 buffers `a` items, every event pumps,
+// and each serve occupies the port for `cost`.
+class PortUnit final : public Component {
+ public:
+  explicit PortUnit(Tick cost) : cost_(cost) {}
+  void handle(Simulation& sim, const Event& ev) override {
+    if (ev.op == kWakeOp) {
+      ++wakes;
+      port.woken();
+    } else {
+      backlog += static_cast<std::uint32_t>(ev.a);
+    }
+    if (!port.claim(sim) || backlog == 0) return;
+    --backlog;
+    served.push_back(sim.now());
+    port.occupy(sim.now(), cost_);
+    port.rearm(sim, backlog > 0);
+  }
+  BusyPort port{kWakeOp};
+  std::uint32_t backlog = 0;
+  std::uint32_t wakes = 0;
+  std::vector<Tick> served;
+
+ private:
+  Tick cost_;
+};
+
+TEST(BusyPort, ServesABacklogOneItemPerGrant) {
+  Simulation sim;
+  PortUnit unit(ns(10));
+  const auto id = sim.add_component(&unit);
+  unit.port.bind(id);
+  sim.schedule(ns(0), id, 0, 3);
+  sim.schedule(ns(15), id, 0, 1);  // lands mid-serve: no second wake
+  sim.run();
+  EXPECT_EQ(unit.served, (std::vector<Tick>{ns(0), ns(10), ns(20), ns(30)}));
+  EXPECT_EQ(unit.wakes, 3u);
+}
+
+TEST(BusyPort, ZeroCostServeWithWorkLeftWakesAtNow) {
+  Simulation sim;
+  PortUnit unit(0);
+  const auto id = sim.add_component(&unit);
+  unit.port.bind(id);
+  sim.schedule(ns(7), id, 0, 3);
+  sim.run();
+  EXPECT_EQ(unit.served, (std::vector<Tick>{ns(7), ns(7), ns(7)}));
+  EXPECT_EQ(unit.wakes, 2u);
+}
+
 }  // namespace
 }  // namespace nexus
