@@ -110,7 +110,16 @@ if [[ "${BENCH}" -eq 1 ]]; then
   # An experiment whose record flags already hold --quick is left to its
   # record run, which executes the same body and gates.
   echo "==> bench smoke (quick traces)"
-  smoke() { echo "--> $*"; "$@" >/dev/null; }
+  # Each command's wall seconds are printed after it, and the section's
+  # total at its end, so a change can quote what the gate costs.
+  elapsed() { awk -v t0="$1" -v t1="${EPOCHREALTIME}" 'BEGIN { printf "%.2f", t1 - t0 }'; }
+  BENCH_T0="${EPOCHREALTIME}"
+  smoke() {
+    local t0="${EPOCHREALTIME}"
+    echo "--> $*"
+    "$@" >/dev/null
+    echo "    $(elapsed "${t0}") s"
+  }
   for line in "${EXPERIMENTS[@]}"; do
     IFS=$'\t' read -r name record record_flags _ <<<"${line}"
     if [[ "${record}" != "-" && " ${record_flags} " == *" --quick "* ]]; then
@@ -139,6 +148,7 @@ if [[ "${BENCH}" -eq 1 ]]; then
       fi
     done
   fi
+  echo "==> bench section: $(elapsed "${BENCH_T0}") s wall"
 fi
 
 if [[ "${TRACE}" -eq 1 ]]; then

@@ -69,7 +69,7 @@ double Series::speedup_at(std::uint32_t n) const {
   return v;
 }
 
-Tick ideal_baseline(const Trace& trace) { return list_schedule_makespan(trace, 1); }
+Tick ideal_baseline(const Trace& trace) { return trace.total_work(); }
 
 std::string topology_label(const ManagerSpec& spec, const RuntimeConfig& base) {
   noc::TopologyKind mgr = noc::TopologyKind::kIdeal;

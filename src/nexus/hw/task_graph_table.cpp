@@ -1,6 +1,7 @@
 #include "nexus/hw/task_graph_table.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "nexus/common/bit_ops.hpp"
 #include "nexus/telemetry/registry.hpp"
@@ -143,6 +144,27 @@ TaskGraphTable::InsertResult TaskGraphTable::insert(Addr addr, TaskId task,
   telemetry::inc(m_chain_hops_, e->chain_idx.size());
   telemetry::record(m_fill_, used_slots_);
   return {InsertKind::kQueued, static_cast<std::uint32_t>(e->chain_idx.size())};
+}
+
+void TaskGraphTable::check_self_stall(const char* unit,
+                                      const TaskDescriptor& task,
+                                      std::size_t index) const {
+  NEXUS_DCHECK(index < task.num_params());
+  const std::uint32_t set = set_of(task.params[index].addr);
+  const std::uint32_t base = set * cfg_.ways;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    // A free way or a dummy entry (tag 0) can still be reclaimed by a finish.
+    const std::uint64_t tag = tags_[base + w];
+    bool own = false;
+    for (std::size_t p = 0; p < index; ++p) own |= tag == task.params[p].addr + 1;
+    if (!own) return;
+  }
+  char msg[256];
+  std::snprintf(msg, sizeof msg,
+                "%s: task %u stalls forever on parameter %zu of %zu: all %u ways "
+                "of set %u hold the task's own earlier parameters",
+                unit, task.id, index, task.num_params(), cfg_.ways, set);
+  assert_fail("insert self-stall", __FILE__, __LINE__, msg);
 }
 
 TaskGraphTable::FinishResult TaskGraphTable::finish(Addr addr, TaskId /*task*/,

@@ -67,6 +67,15 @@ class TaskGraphTable {
     bool entry_freed = false;  ///< address fully drained, ways reclaimed
   };
 
+  /// Fail loudly when parameter `index` of `task`, just refused with
+  /// kNoSpace, can never be inserted: every way of its set holds the entry
+  /// of one of the task's earlier, already inserted parameters. Those
+  /// entries cannot drain before the task runs, and the task cannot run
+  /// before this insert, so the stall would never clear. `unit` names the
+  /// table's owner in the message. Returns when the stall can still clear.
+  void check_self_stall(const char* unit, const TaskDescriptor& task,
+                        std::size_t index) const;
+
   /// Retire `task`'s access to `addr`. If the running group drains, the
   /// next kick-off-list group starts running and its members are appended
   /// to *kicked (each represents one dependence satisfied).

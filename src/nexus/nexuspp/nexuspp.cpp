@@ -126,7 +126,9 @@ bool NexusPP::continue_insert(Simulation& sim) {
     const Param& p = task.params[job.next_param];
     const auto res = table_.insert(p.addr, job.id, is_write(p.dir));
     if (res.kind == hw::TaskGraphTable::InsertKind::kNoSpace) {
-      // "The task graph must then wait until one task finishes" (IV-D).
+      // "The task graph must then wait until one task finishes" (IV-D),
+      // unless the only tasks that could free the set are this one.
+      table_.check_self_stall("nexus++", task, job.next_param);
       insert_stalled_ = true;
       return false;
     }

@@ -78,6 +78,9 @@ class NexusPP final : public TaskManagerModel, public Component {
   // Component
   void handle(Simulation& sim, const Event& ev) override;
   [[nodiscard]] const char* telemetry_label() const override { return "npp"; }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
   // --- introspection for tests and analysis benches ---
   struct Stats {
@@ -97,7 +100,11 @@ class NexusPP final : public TaskManagerModel, public Component {
     kPump = 2,
     kReadyDelivered = 3,  ///< a = task id
     kWbArrived = 4,  ///< a = task id: ready record crossed the NoC to the WB
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {
+      "insert_arrived", "finish_arrived", "pump", "ready_delivered",
+      "wb_arrived"};
 
   struct InsertJob {
     TaskId id = kInvalidTask;

@@ -66,12 +66,18 @@ class SharpArbiter final : public Component {
                  ///  the Sim Tasks buffer until the descriptor lands.
     kWbDone = 4, ///< a = task: write-back completed -> host
     kPump = 5,
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {"ready", "wait",    "dep",
+                                             "meta",  "wb_done", "pump"};
 
   void handle(Simulation& sim, const Event& ev) override;
 
   [[nodiscard]] const char* telemetry_label() const override {
     return "arbiter";
+  }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
   }
 
   // --- stats ---

@@ -61,7 +61,7 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
     const std::uint32_t c = cluster_of(i);
     tgs_.push_back(std::make_unique<detail::TaskGraphUnit>(
         cfg_, i, arbiters_[c].get(), net_.get(),
-        sharp_leaf_node(cfg.num_task_graphs, c)));
+        sharp_leaf_node(cfg.num_task_graphs, c), pool_));
   }
 }
 

@@ -50,6 +50,9 @@ class NexusSharp final : public TaskManagerModel, public Component {
   // Component (front-end events)
   void handle(Simulation& sim, const Event& ev) override;
   [[nodiscard]] const char* telemetry_label() const override { return "io"; }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
   // --- introspection ---
   struct Stats {
@@ -73,7 +76,9 @@ class NexusSharp final : public TaskManagerModel, public Component {
  private:
   enum Op : std::uint32_t {
     kFinishDistributed = 0,  ///< a = task id: pool slot reclaimed
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {"finish_distributed"};
 
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
   [[nodiscard]] std::uint32_t cluster_of(std::uint32_t tg) const {

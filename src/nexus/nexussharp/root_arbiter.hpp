@@ -42,7 +42,9 @@ class RootArbiter final : public Component {
     kMeta = 0,    ///< a = task | nclusters<<32 | tenant<<48
     kWbDone = 1,  ///< a = task: write-back completed -> host
     kPump = 2,
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {"meta", "wb_done", "pump"};
 
   void handle(Simulation& sim, const Event& ev) override;
 
@@ -51,6 +53,9 @@ class RootArbiter final : public Component {
   void cluster_ready(Simulation& sim, TaskId id);
 
   [[nodiscard]] const char* telemetry_label() const override { return "root"; }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
   // --- stats ---
   [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }

@@ -7,9 +7,9 @@ namespace nexus::detail {
 
 TaskGraphUnit::TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
                              SharpArbiter* arbiter, noc::Network* net,
-                             noc::NodeId arb_node)
+                             noc::NodeId arb_node, const hw::TaskPool& pool)
     : cfg_(cfg), index_(index), arbiter_(arbiter), net_(net),
-      arb_node_(arb_node),
+      arb_node_(arb_node), pool_(pool),
       clk_(cfg.freq_mhz), table_(cfg.table) {
   NEXUS_ASSERT(arbiter != nullptr && net != nullptr);
   if (cfg.tenancy.enabled()) table_.configure_tenancy(cfg.tenancy.tenants);
@@ -121,7 +121,14 @@ bool TaskGraphUnit::serve_new(Simulation& sim, Tick* cost) {
   const auto res = table_.insert(a.addr, a.task, a.is_writer, a.tenant);
   if (res.kind == hw::TaskGraphTable::InsertKind::kNoSpace) {
     // "The task graph must then wait until one task finishes, which its
-    // parameters share the same line" (Section IV-D).
+    // parameters share the same line" (Section IV-D), unless the only task
+    // that could free the set is this one. The IO tile sends a task's
+    // parameters in list order and one route never reorders them, so its
+    // earlier parameters that map here are already inserted.
+    const TaskDescriptor& task = pool_.get(a.task);
+    std::size_t index = 0;
+    while (task.params[index].addr != a.addr) ++index;
+    table_.check_self_stall("nexus#", task, index);
     stalled_ = true;
     return false;
   }

@@ -16,6 +16,7 @@
 
 #include "nexus/common/fixed_ring.hpp"
 #include "nexus/hw/task_graph_table.hpp"
+#include "nexus/hw/task_pool.hpp"
 #include "nexus/noc/network.hpp"
 #include "nexus/nexussharp/arbiter.hpp"
 #include "nexus/nexussharp/config.hpp"
@@ -28,10 +29,11 @@ class TaskGraphUnit final : public Component {
  public:
   /// `arb_node` places the unit's result-record destination on the NoC:
   /// the arbiter tile of the unit's cluster (the flat arbiter's tile is
-  /// cluster 0's).
+  /// cluster 0's). `pool` is the manager's Task Pool, read only to name a
+  /// task that stalls on its own parameters.
   TaskGraphUnit(const NexusSharpConfig& cfg, std::uint32_t index,
                 SharpArbiter* arbiter, noc::Network* net,
-                noc::NodeId arb_node);
+                noc::NodeId arb_node, const hw::TaskPool& pool);
 
   /// Register with the simulation and pick up its observers: queue-depth
   /// and service metrics (and the table's) under "nexus#/tg<i>"; dependency
@@ -55,7 +57,10 @@ class TaskGraphUnit final : public Component {
     kNewArg = 0,       ///< a = packed arg meta, b = addr
     kFinishedArg = 1,  ///< a = packed arg meta, b = addr
     kPump = 2,
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {"new_arg", "finished_arg",
+                                             "pump"};
 
   static std::uint64_t pack(const Arg& a);
   static Arg unpack(std::uint64_t meta, Addr addr);
@@ -63,6 +68,9 @@ class TaskGraphUnit final : public Component {
   void handle(Simulation& sim, const Event& ev) override;
 
   [[nodiscard]] const char* telemetry_label() const override { return "tg"; }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
   // --- stats ---
   [[nodiscard]] const hw::TaskGraphTable& table() const { return table_; }
@@ -84,6 +92,7 @@ class TaskGraphUnit final : public Component {
   SharpArbiter* arbiter_;
   noc::Network* net_;  ///< result records travel tg-node -> arb_node_
   noc::NodeId arb_node_ = 0;
+  const hw::TaskPool& pool_;
   ClockDomain clk_;
   std::uint32_t self_ = 0;
 

@@ -75,12 +75,12 @@ std::uint32_t Network::prof_send_node(std::uint32_t op) {
   while (prof_send_.size() <= op) {
     const auto next = static_cast<std::uint32_t>(prof_send_.size());
     prof_send_.push_back(
-        prof_->node(prof_parent_, "send:" + std::string(op_label(next))));
+        prof_->node(prof_parent_, "send:" + std::string(op_name(next))));
   }
   return prof_send_[op];
 }
 
-std::string_view Network::op_label(std::uint32_t op) {
+std::string_view Network::op_name(std::uint32_t op) {
   // Fallback labels are grown on demand and kept, so the recorder's string
   // interner always sees a stable spelling for a given op code.
   while (ops_.size() <= op) ops_.push_back("op" + std::to_string(ops_.size()));
@@ -102,7 +102,7 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
   telemetry::inc(m_flits_, flits);
   std::uint32_t tmsg = 0;
   if (trace_ != nullptr) {
-    tmsg = trace_->noc_send(name_, src, dst, op_label(op), flits,
+    tmsg = trace_->noc_send(name_, src, dst, op_name(op), flits,
                             static_cast<telemetry::TraceTick>(depart));
   }
   // Ideal crossbar or a local send: direct delivery, scheduled from the

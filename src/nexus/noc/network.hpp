@@ -123,7 +123,7 @@ class Network final : public Component {
 
  private:
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
-  [[nodiscard]] std::string_view op_label(std::uint32_t op);
+  [[nodiscard]] std::string_view op_name(std::uint32_t op);
   [[nodiscard]] std::uint32_t prof_send_node(std::uint32_t op);
 
   struct Interval {

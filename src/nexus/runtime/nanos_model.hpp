@@ -52,12 +52,16 @@ class NanosModel final : public TaskManagerModel, public Component {
 
   // Component: deferred ready-task delivery at lock-release times.
   void handle(Simulation& sim, const Event& ev) override;
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
   /// Runtime-lock occupancy statistics (for tests and the contention bench).
   [[nodiscard]] const Server& lock() const { return lock_; }
 
  private:
-  enum Op : std::uint32_t { kDeliverReady = 0 };
+  enum Op : std::uint32_t { kDeliverReady = 0, kOpCount };
+  static constexpr const char* kOpNames[] = {"deliver_ready"};
 
   NanosConfig cfg_;
   RuntimeHost* host_ = nullptr;

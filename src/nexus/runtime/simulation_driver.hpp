@@ -190,6 +190,9 @@ class Driver final : public Component, public RuntimeHost {
   [[nodiscard]] const char* telemetry_label() const override {
     return "driver";
   }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<kOpCount>(kOpNames, op);
+  }
 
  private:
   enum Op : std::uint32_t {
@@ -198,7 +201,11 @@ class Driver final : public Component, public RuntimeHost {
     kWorkerFree = 2,       ///< a = worker
     kDispatchArrived = 3,  ///< a = worker, b = task (host NoC, non-ideal)
     kNotifyArrived = 4,    ///< a = worker, b = task (host NoC, non-ideal)
+    kOpCount
   };
+  static constexpr const char* kOpNames[] = {
+      "master_step", "task_done", "worker_free", "dispatch_arrived",
+      "notify_arrived"};
 
   enum class Wait : std::uint8_t { kNone, kBarrier, kTask };
 

@@ -73,13 +73,26 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
     ++processed_;
     ++n;
     {
-      telemetry::ProfScope ps(obs_.profiler, profiler_component_node(ev.comp));
+      obs_.profiler->add_count(profiler_component_node(ev.comp));
+      telemetry::ProfScope ps(obs_.profiler, profiler_op_node(ev.comp, ev.op));
       components_[ev.comp]->handle(*this, ev);
     }
   }
   obs_.profiler->stat_max(prof_max_depth_, queue_.max_depth());
   flush_queue_metrics();
   return !queue_.empty() && !stopped_;
+}
+
+std::uint32_t Simulation::profiler_op_node(std::uint32_t comp, std::uint32_t op) {
+  std::vector<std::uint32_t>& ops = prof_op_node_[comp];
+  if (op >= ops.size()) ops.resize(op + 1, 0);
+  if (ops[op] == 0) {
+    const char* label = components_[comp]->op_label(op);
+    ops[op] = obs_.profiler->node(prof_comp_node_[comp],
+                                  label != nullptr ? std::string(label)
+                                                   : "op" + std::to_string(op));
+  }
+  return ops[op];
 }
 
 void Simulation::bind(const telemetry::Observers& obs) {
@@ -100,6 +113,7 @@ void Simulation::bind(const telemetry::Observers& obs) {
   comp_gap_.clear();
   comp_last_.clear();
   prof_comp_node_.clear();
+  prof_op_node_.clear();
   for (std::uint32_t i = 0; i < components_.size(); ++i) cover(i);
 }
 
@@ -118,6 +132,7 @@ void Simulation::cover(std::uint32_t i) {
     // the cycles go per *kind* of unit", which is what partitioning needs.
     prof_comp_node_.push_back(
         obs_.profiler->node(prof_handle_, components_[i]->telemetry_label()));
+    prof_op_node_.emplace_back();
   }
 }
 

@@ -49,7 +49,10 @@ class Simulation {
   /// time before it is dispatched. Profiler: a stable node layout under
   /// `profile_parent` — "queue" with push/pop timers and the max-depth
   /// stat, and "handle" with one child per component *type*
-  /// (telemetry_label(), so replicated components aggregate). Covers the
+  /// (telemetry_label(), so replicated components aggregate), each with one
+  /// child per event op the type handles (Component::op_label(), created
+  /// when the op first runs): an event's handle() time lands in its op node
+  /// and the type node counts the events. Covers the
   /// components already added and every one added later; components pick
   /// up the same observers in their attach() via observers(). Unbound, the
   /// hot loop pays a single branch per run call and schedules stay
@@ -81,6 +84,8 @@ class Simulation {
   /// The instrumented twin of the run loops (only entered when a profiler
   /// is bound, so the detached loops stay untouched).
   bool run_profiled(std::uint64_t max_events);
+  /// The op child of component `comp`'s profile node (created on first use).
+  std::uint32_t profiler_op_node(std::uint32_t comp, std::uint32_t op);
   /// Publish the queue's max depth into the max_depth gauge (run epilogue;
   /// one null check).
   void flush_queue_metrics();
@@ -97,6 +102,8 @@ class Simulation {
   std::uint32_t prof_pop_ = 0;
   std::uint32_t prof_handle_ = 0;
   std::vector<std::uint32_t> prof_comp_node_;  ///< per component id
+  /// Per component id, per op: the op's node, or 0 until the op first runs.
+  std::vector<std::vector<std::uint32_t>> prof_op_node_;
   std::uint32_t prof_max_depth_ = 0;
 
   telemetry::Counter* m_events_ = nullptr;

@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <utility>
 
 #include "nexus/workloads/duration_model.hpp"
@@ -26,30 +26,22 @@ Addr block_addr(int nb, int i, int j) {
   return (kBlockBase + static_cast<Addr>(i * nb + j) * kBlockStride) & kAddrMask;
 }
 
-/// Simulate the factorization's task emission over a non-null mask
-/// (including bmod fill-in); optionally emit tasks into a trace.
-// Cache-line aligned so the speed of the mask search's counting loop does
-// not depend on how much code the linker places before it: on a 4-vCPU
-// Intel Xeon VM, starting the function 48 bytes past a 64-byte boundary made
-// sparselu generation ~28% slower than a 64-byte-aligned start.
-__attribute__((aligned(64))) std::uint64_t run_factorization(
-    int nb, std::vector<std::uint8_t> nonnull, Trace* trace,
-    std::vector<double>* weights) {
+/// Emit the factorization's tasks over a non-null mask (bmod fill-in
+/// included) into `trace`, with each task's relative FLOP weight appended to
+/// `weights` when given.
+void run_factorization(int nb, std::vector<std::uint8_t> nonnull, Trace& trace,
+                       std::vector<double>* weights) {
   auto at = [nb, &nonnull](int i, int j) -> std::uint8_t& {
     return nonnull[static_cast<std::size_t>(i * nb + j)];
   };
-  std::uint64_t count = 0;
   auto emit = [&](std::uint32_t fn, double weight,
                   std::initializer_list<Param> params) {
-    ++count;
-    if (trace != nullptr) {
-      ParamList pl;
-      for (const auto& p : params) pl.push_back(p);
-      // Duration placeholder 1; real durations are patched afterwards from
-      // the scaled weight vector (tasks are stored densely by id).
-      trace->submit(fn, 1, pl);
-      weights->push_back(weight);
-    }
+    ParamList pl;
+    for (const auto& p : params) pl.push_back(p);
+    // Duration placeholder 1; make_sparselu patches real durations from the
+    // scaled weight vector (tasks are stored densely by id).
+    trace.submit(fn, 1, pl);
+    if (weights != nullptr) weights->push_back(weight);
   };
 
   for (int k = 0; k < nb; ++k) {
@@ -78,7 +70,6 @@ __attribute__((aligned(64))) std::uint64_t run_factorization(
       }
     }
   }
-  return count;
 }
 
 std::vector<std::uint8_t> to_nonnull(const std::vector<std::uint8_t>& null_mask) {
@@ -90,19 +81,10 @@ std::vector<std::uint8_t> to_nonnull(const std::vector<std::uint8_t>& null_mask)
 /// Deterministic search: flip initially-null blocks until the task count
 /// matches the target exactly (or no flip fits). Deltas are estimated once
 /// per block ("stale"), then each accepted flip is verified against an exact
-/// recount, so overshoot is impossible. Results are memoized per (nb,target)
-/// because the same trace is generated by several benches.
-const std::vector<std::uint8_t>& searched_mask(int nb, std::uint64_t target,
-                                               std::uint64_t* final_count) {
-  static std::map<std::pair<int, std::uint64_t>,
-                  std::pair<std::vector<std::uint8_t>, std::uint64_t>>
-      cache;
-  const auto key = std::make_pair(nb, target);
-  if (const auto it = cache.find(key); it != cache.end()) {
-    *final_count = it->second.second;
-    return it->second.first;
-  }
-
+/// recount, so overshoot is impossible. Returns the null mask; `*final_count`
+/// receives its task count.
+std::vector<std::uint8_t> searched_mask(int nb, std::uint64_t target,
+                                        std::uint64_t* final_count) {
   auto null_mask = sparselu_structural_mask(nb);
   std::uint64_t count = sparselu_task_count(nb, null_mask);
   NEXUS_ASSERT_MSG(count <= target,
@@ -111,8 +93,7 @@ const std::vector<std::uint8_t>& searched_mask(int nb, std::uint64_t target,
   // One-time stale delta estimation. Candidates are restricted to the
   // bottom-right band of the matrix: flips there have small task-count
   // deltas (they join the factorization late), which is what a fine-grained
-  // search needs, and the restriction keeps the scan to a few hundred
-  // O(nb^3) recounts instead of nb^2 of them.
+  // search needs.
   constexpr int kBand = 10;
   struct Candidate {
     std::uint64_t stale_delta;
@@ -149,10 +130,8 @@ const std::vector<std::uint8_t>& searched_mask(int nb, std::uint64_t target,
     }
   }
 
-  auto& entry = cache[key];
-  entry = {std::move(null_mask), count};
   *final_count = count;
-  return entry.first;
+  return null_mask;
 }
 
 }  // namespace
@@ -179,18 +158,60 @@ std::vector<std::uint8_t> sparselu_structural_mask(int nb) {
 }
 
 std::uint64_t sparselu_task_count(int nb, const std::vector<std::uint8_t>& null_mask) {
-  return run_factorization(nb, to_nonnull(null_mask), nullptr, nullptr);
+  // Row i's non-null blocks as a bitset of `words` 64-bit words. Step k
+  // emits lu0, one fwd per non-null (k, j > k) (a of them), one bdiv per
+  // non-null (i > k, k) (b of them) and one bmod per such (i, j) pair; each
+  // bmod makes (i, j) non-null, i.e. ORs row k's tail into row i. Fill-in
+  // at step k touches only i, j > k, so it never changes that step's a or b.
+  const auto n = static_cast<std::size_t>(nb);
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> rows(n * words, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (null_mask[i * n + j] == 0)
+        rows[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  }
+
+  std::vector<std::uint64_t> tail(words);
+  std::uint64_t count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    // Row k restricted to columns > k.
+    const std::size_t first = (k + 1) / 64;
+    std::uint64_t a = 0;
+    for (std::size_t w = first; w < words; ++w) {
+      tail[w] = rows[k * words + w];
+      if (w == first) tail[w] &= ~std::uint64_t{0} << ((k + 1) % 64);
+      a += static_cast<std::uint64_t>(std::popcount(tail[w]));
+    }
+    std::uint64_t b = 0;
+    const std::uint64_t col = std::uint64_t{1} << (k % 64);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      std::uint64_t* row = &rows[i * words];
+      if ((row[k / 64] & col) == 0) continue;
+      ++b;
+      for (std::size_t w = first; w < words; ++w) row[w] |= tail[w];
+    }
+    count += 1 + a + b + a * b;
+  }
+  return count;
+}
+
+Trace sparselu_factorization(int nb, const std::vector<std::uint8_t>& null_mask) {
+  Trace tr("sparselu");
+  run_factorization(nb, to_nonnull(null_mask), tr, nullptr);
+  return tr;
 }
 
 Trace make_sparselu(const SparseLuConfig& cfg) {
   std::uint64_t count = 0;
-  const auto& null_mask = searched_mask(cfg.nb, cfg.target_tasks, &count);
+  const auto null_mask = searched_mask(cfg.nb, cfg.target_tasks, &count);
 
   Trace tr("sparselu");
   tr.reserve(count);
   std::vector<double> weights;
   weights.reserve(count);
-  run_factorization(cfg.nb, to_nonnull(null_mask), &tr, &weights);
+  run_factorization(cfg.nb, to_nonnull(null_mask), tr, &weights);
   tr.taskwait();
 
   // Patch durations: lognormal jitter on the per-kernel FLOP weights,

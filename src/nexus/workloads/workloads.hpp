@@ -67,8 +67,14 @@ struct SparseLuConfig {
 Trace make_sparselu(const SparseLuConfig& cfg = {});
 
 /// Number of tasks sparse LU factorization would create for the given
-/// structural-sparsity mask (exposed for the construction-search test).
+/// structural-sparsity mask, counted over per-row bitsets without emitting
+/// them (the construction search calls it once per candidate flip).
 std::uint64_t sparselu_task_count(int nb, const std::vector<std::uint8_t>& null_mask);
+
+/// The factorization's task stream over `null_mask` (bmod fill-in
+/// included, every duration 1): the structure make_sparselu emits before it
+/// sets durations. Exposed so tests can hold sparselu_task_count to it.
+Trace sparselu_factorization(int nb, const std::vector<std::uint8_t>& null_mask);
 
 /// The canonical structural init mask (true = block initially null).
 std::vector<std::uint8_t> sparselu_structural_mask(int nb);

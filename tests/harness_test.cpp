@@ -1,9 +1,14 @@
 // Harness tests: sweep mechanics, baseline definition, manager factories.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "fuzz_trace.hpp"
 #include "nexus/harness/experiment.hpp"
 #include "nexus/harness/serving.hpp"
+#include "nexus/runtime/list_scheduler.hpp"
 #include "nexus/telemetry/snapshot.hpp"
+#include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus::harness {
@@ -17,10 +22,38 @@ TEST(Harness, PaperCoreAxes) {
   EXPECT_EQ(nanos_cores_32().back(), 32u);
 }
 
+// ideal_baseline is the closed form total_work(); the one-worker list
+// schedule is the oracle it must equal, on every kernel at a quick size, on
+// the fuzz seeds (barriers, taskwait_on, dense conflicts) and on an
+// open-loop serving trace.
 TEST(Harness, BaselineIsSingleCoreIdeal) {
-  const Trace tr = workloads::make_gaussian({.n = 50});
-  // With one worker and no overhead, the makespan is the serial time.
-  EXPECT_EQ(ideal_baseline(tr), tr.total_work());
+  std::vector<Trace> traces;
+  traces.push_back(workloads::make_cray({.lines = 120}));
+  traces.push_back(workloads::make_rotcc({.lines = 300}));
+  traces.push_back(workloads::make_sparselu({.nb = 24, .target_tasks = 1500}));
+  traces.push_back(workloads::make_streamcluster(
+      {.total_tasks = 4000, .phases = 10, .total_work = ms(20)}));
+  for (const int group : {1, 2, 4, 8}) {
+    workloads::H264Config cfg = workloads::h264_config(group);
+    cfg.frames = 2;
+    cfg.total_tasks /= 5;
+    traces.push_back(workloads::make_h264dec(cfg));
+  }
+  traces.push_back(workloads::make_gaussian({.n = 60}));
+  for (const FuzzParams& p : fuzz_cases()) traces.push_back(fuzz_trace(p));
+  workloads::ArrivalConfig acfg;
+  acfg.process = workloads::ArrivalProcess::kBursty;
+  acfg.tasks = 300;
+  acfg.clients = 4;
+  acfg.kernel = "h264dec-8x8-10f";
+  acfg.rate_hz = 4e6;
+  traces.push_back(workloads::make_serving_trace(workloads::generate_arrivals(acfg)));
+
+  for (const Trace& tr : traces) {
+    ASSERT_GT(tr.num_tasks(), 0u) << tr.name();
+    EXPECT_EQ(ideal_baseline(tr), tr.total_work()) << tr.name();
+    EXPECT_EQ(ideal_baseline(tr), list_schedule_makespan(tr, 1)) << tr.name();
+  }
 }
 
 TEST(Harness, IdealSweepSpeedupsAreSane) {

@@ -155,6 +155,30 @@ TEST(NexusPP, TableStallsRecoveredUnderPressure) {
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
 
+TEST(NexusPPDeathTest, SelfStallFailsNamingTaskParameterAndSet) {
+  // Three addresses 16 lines apart share set 0 of a 16-set x 2-way table.
+  // The task's first two parameters fill the set and can only drain once
+  // the task runs, so its third can never be inserted: the run must stop
+  // there, naming the task, the parameter and the set, instead of ending
+  // in the driver's generic "master did not finish".
+  NexusPPConfig cfg;
+  cfg.table.sets = 16;
+  cfg.table.ways = 2;
+  Trace tr("t");
+  ParamList params;
+  params.push_back({0x1000, Dir::kOut});
+  params.push_back({0x1400, Dir::kIn});
+  params.push_back({0x1800, Dir::kInOut});
+  tr.submit(0, us(1), params);
+  tr.taskwait();
+  EXPECT_DEATH(
+      {
+        NexusPP mgr(cfg);
+        (void)run_trace(tr, mgr, RuntimeConfig{.workers = 1});
+      },
+      "nexus\\+\\+: task 0 stalls forever on parameter 2 of 3: all 2 ways of set 0");
+}
+
 // ---------- whole-workload schedule legality ----------
 
 class NexusPPWorkloadTest : public ::testing::TestWithParam<std::string> {};

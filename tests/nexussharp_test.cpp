@@ -150,6 +150,28 @@ TEST(NexusSharpTiming, MicroFiveTasksTwoParams) {
 
 // ---------- structural behaviour ----------
 
+TEST(NexusSharpDeathTest, SelfStallFailsNamingTaskParameterAndSet) {
+  // One task graph with a 16-set x 2-way table: the task's first two
+  // parameters fill set 0, which only this task can drain, so its third
+  // (same set) can never be inserted and the run must say so.
+  NexusSharpConfig cfg = cfg_at_100mhz(1);
+  cfg.table.sets = 16;
+  cfg.table.ways = 2;
+  Trace tr("t");
+  ParamList params;
+  params.push_back({0x1000, Dir::kOut});
+  params.push_back({0x1400, Dir::kIn});
+  params.push_back({0x1800, Dir::kInOut});
+  tr.submit(0, us(1), params);
+  tr.taskwait();
+  EXPECT_DEATH(
+      {
+        NexusSharp mgr(cfg);
+        (void)run_trace(tr, mgr, RuntimeConfig{.workers = 1});
+      },
+      "nexus#: task 0 stalls forever on parameter 2 of 3: all 2 ways of set 0");
+}
+
 TEST(NexusSharp, SupportsTaskwaitOnNatively) {
   NexusSharp mgr(cfg_at_100mhz(4));
   EXPECT_TRUE(mgr.supports_taskwait_on());

@@ -151,6 +151,49 @@ TEST(Simulation, ObserversCoverComponentsAddedAfterBind) {
   EXPECT_EQ(node->count, 2u);
 }
 
+/// A component that names its first two ops.
+class TwoOps final : public Component {
+ public:
+  void handle(Simulation&, const Event&) override {}
+  [[nodiscard]] const char* telemetry_label() const override { return "two"; }
+  [[nodiscard]] const char* op_label(std::uint32_t op) const override {
+    return op_label_in<2>(kOpNames, op);
+  }
+
+ private:
+  static constexpr const char* kOpNames[] = {"first", "second"};
+};
+
+TEST(Simulation, ProfileSplitsHandleTimeByOp) {
+  // Each op gets a child of its component type's node; an op without a
+  // name falls back to "op<N>". The type node counts every event and keeps
+  // no time of its own, and replicated components share the op nodes.
+  telemetry::Profiler prof;
+  Simulation sim;
+  sim.bind({.profiler = &prof});
+  TwoOps a;
+  TwoOps b;
+  const auto ia = sim.add_component(&a);
+  const auto ib = sim.add_component(&b);
+  sim.schedule(ns(1), ia, 0);
+  sim.schedule(ns(2), ib, 1);
+  sim.schedule(ns(3), ia, 1);
+  sim.schedule(ns(4), ib, 5);
+  sim.run();
+  const telemetry::ProfileData d = prof.freeze();
+  const telemetry::ProfileNode* type = d.find("handle;two");
+  ASSERT_NE(type, nullptr);
+  EXPECT_EQ(type->count, 4u);
+  EXPECT_EQ(type->self_ns, 0u);
+  EXPECT_EQ(type->children.size(), 3u);
+  ASSERT_NE(d.find("handle;two;first"), nullptr);
+  ASSERT_NE(d.find("handle;two;second"), nullptr);
+  ASSERT_NE(d.find("handle;two;op5"), nullptr);
+  EXPECT_EQ(d.find("handle;two;first")->count, 1u);
+  EXPECT_EQ(d.find("handle;two;second")->count, 2u);
+  EXPECT_EQ(d.find("handle;two;op5")->count, 1u);
+}
+
 // ---------- server ----------
 
 TEST(Server, SerializesFifo) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "nexus/common/rng.hpp"
 #include "nexus/depgraph/dependency_tracker.hpp"
 #include "nexus/task/trace_stats.hpp"
 #include "nexus/workloads/duration_model.hpp"
@@ -123,6 +124,29 @@ TEST(SparseLu, StructuralMaskMatchesKnownCounts) {
   // Regression anchor for the canonical structural-sparsity pattern.
   EXPECT_EQ(sparselu_task_count(50, sparselu_structural_mask(50)), 11725u);
   EXPECT_EQ(sparselu_task_count(84, sparselu_structural_mask(84)), 53018u);
+}
+
+TEST(SparseLu, BitsetCountMatchesEmittedTrace) {
+  // The bitset count must equal the task count of the trace the
+  // factorization emits, fill-in included, on random masks whose row
+  // widths straddle one and two 64-bit words.
+  for (const int nb : {1, 2, 3, 5, 17, 63, 64, 65, 127, 128, 129}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Xoshiro256 rng(seed * 1000 + static_cast<std::uint64_t>(nb));
+      // About 1, 2 or 4 non-null blocks per row, so fill-in stays partial.
+      const double nonnull = static_cast<double>(1 << (seed - 1)) / nb;
+      std::vector<std::uint8_t> mask(static_cast<std::size_t>(nb * nb));
+      for (auto& cell : mask) cell = rng.uniform() < nonnull ? 0 : 1;
+      EXPECT_EQ(sparselu_task_count(nb, mask),
+                sparselu_factorization(nb, mask).num_tasks())
+          << "nb " << nb << " seed " << seed;
+    }
+  }
+  for (const int nb : {50, 84}) {
+    const auto mask = sparselu_structural_mask(nb);
+    EXPECT_EQ(sparselu_task_count(nb, mask),
+              sparselu_factorization(nb, mask).num_tasks());
+  }
 }
 
 // ---------- Table II: streamcluster ----------
