@@ -1,145 +1,16 @@
-// Ablations of the paper's unstated choices (arbiter priority, distribution
-// function, Task Pool window), the NoC experiments (topology, placement)
-// and the beyond-paper co-management study.
+// The NoC experiments (topology, placement) and the beyond-paper
+// co-management study.
 #include <cstdio>
 
 #include "bench.hpp"
-#include "nexus/common/stats.hpp"
 #include "nexus/noc/placement.hpp"
 #include "nexus/runtime/multi_app.hpp"
 
 namespace nexus::bench {
 namespace {
 
-std::string speedup_at(std::uint32_t cores) {
-  return "speedup@" + std::to_string(cores) + "c";
-}
-
 double speedup(Tick base, Tick makespan) {
   return static_cast<double>(base) / static_cast<double>(makespan);
-}
-
-// Section IV-D argues for Ready > Waiting > DepCounts: ready tasks only need
-// forwarding, and serving waiting tasks first "gives time for the different
-// task graphs to finish what they do".
-Grid arbiter_grid(const Flags& f) {
-  const bool quick = f.get_bool("quick", false);
-  Grid g{.workloads = {quick ? "h264dec-4x4-10f" : "h264dec-1x1-10f"},
-         .cores = {32, 256}};
-  for (const auto policy : {ArbiterPolicy::kReadyFirst, ArbiterPolicy::kDepFirst,
-                            ArbiterPolicy::kRoundRobin}) {
-    g.managers.push_back(manager("nexus#-6TG"));
-    g.managers.back().arbiter_policy = policy;
-  }
-  return g;
-}
-
-int arbiter(Run& run) {
-  for (const std::string& w : run.grid.workloads) {
-    std::printf("Ablation: arbiter priority policy (%s, Nexus# 6 TG @ 55.56 MHz)\n\n",
-                w.c_str());
-    std::vector<std::string> head{"policy"};
-    for (const std::uint32_t c : run.grid.cores) head.push_back(speedup_at(c));
-    TextTable t(head);
-    const std::vector<harness::Series> series = run.sweep(w);
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      std::vector<std::string> row{to_string(run.grid.managers[i].arbiter_policy)};
-      for (const harness::SweepPoint& p : series[i].points)
-        row.push_back(TextTable::num(p.speedup, 2));
-      t.add_row(row);
-    }
-    run.print(t);
-  }
-  std::printf("\nReading: the paper's ready-first policy keeps the forwarding path\n"
-              "short; the alternatives defer write-backs behind bulk gathering.\n");
-  return 0;
-}
-
-// Section IV-B asks for a fast (1 cycle), fair function and picks an XOR
-// fold of the low 20 address bits; compared against low bits and modulo on
-// static balance and makespan (gaussian is Fig. 3(B)'s declared worst case).
-Grid distribution_grid(const Flags&) {
-  Grid g{.workloads = {"h264dec-2x2-10f", "gaussian-500"}, .cores = {64}};
-  for (const auto policy : {hw::DistributionPolicy::kXorFold,
-                            hw::DistributionPolicy::kLowBits,
-                            hw::DistributionPolicy::kModulo}) {
-    g.managers.push_back(manager("nexus#-6TG@100.00MHz"));
-    g.managers.back().sharp.distribution = policy;
-  }
-  return g;
-}
-
-int distribution(Run& run) {
-  std::printf("Ablation: distribution function (6 task graphs)\n\n");
-  for (const std::string& w : run.grid.workloads) {
-    const Trace& tr = run.trace(w);
-    const std::uint32_t cores = run.grid.cores.front();
-    TextTable t({"policy", "max/mean load", "cv", speedup_at(cores)});
-    for (const ManagerSpec& m : run.grid.managers) {
-      hw::Distributor d(m.sharp.distribution, m.sharp.num_task_graphs);
-      std::vector<std::uint64_t> bins(m.sharp.num_task_graphs, 0);
-      for (const auto& task : tr.tasks())
-        for (const auto& p : task.params) ++bins[d.target(p.addr)];
-      const BalanceReport b = balance_report(bins);
-      t.add_row({to_string(m.sharp.distribution), TextTable::num(b.max_over_mean, 2),
-                 TextTable::num(b.cv, 3),
-                 run.quick ? "-"
-                           : TextTable::num(speedup(run.baseline(w),
-                                                    harness::run_once(tr, m, cores)),
-                                            2)});
-    }
-    std::printf("-- %s --\n", w.c_str());
-    run.print(t);
-    std::printf("\n");
-  }
-  std::printf("Reading: the XOR fold keeps per-graph load near-uniform on real\n"
-              "address streams at 1-cycle cost; low-bits degenerates on strided\n"
-              "layouts. Gaussian is the paper's declared worst case regardless\n"
-              "of policy (serial pivot-row waves, Fig. 3(B)).\n");
-  return 0;
-}
-
-// The paper does not publish the Task Pool size. On the finest h264 decode a
-// 256-task window covers only ~2 macroblock rows of lookahead and caps every
-// manager near 4x; from ~1024 the designs separate the way Figs. 7/8 show,
-// which is why both managers default to 1024.
-Grid pool_window_grid(const Flags& f) {
-  Grid g{.workloads = {"h264dec-1x1-10f"}, .cores = {64}};
-  for (const std::size_t pool : f.get_bool("quick", false)
-                                    ? std::vector<std::size_t>{256, 1024}
-                                    : std::vector<std::size_t>{128, 256, 512, 1024,
-                                                               2048, 4096}) {
-    g.managers.push_back(manager("nexus#-6TG"));
-    g.managers.back().sharp.pool_capacity = pool;
-    g.managers.push_back(manager("nexus++"));
-    g.managers.back().npp.pool_capacity = pool;
-  }
-  return g;
-}
-
-int pool_window(Run& run) {
-  const std::uint32_t cores = run.grid.cores.front();
-  for (const std::string& w : run.grid.workloads) {
-    const Trace& tr = run.trace(w);
-    const Tick base = run.baseline(w);
-    std::printf("Ablation: task-pool window on %s, %u cores "
-                "(no-overhead bound: %.2fx)\n\n",
-                w.c_str(), cores,
-                speedup(base, harness::run_once(tr, ManagerSpec::ideal(), cores)));
-    TextTable t({"pool", "nexus# 6TG@55.56", "nexus++@100"});
-    const std::vector<ManagerSpec>& ms = run.grid.managers;
-    for (std::size_t i = 0; i + 1 < ms.size(); i += 2) {
-      const Tick sharp = harness::run_once(tr, ms[i], cores);
-      const Tick npp = harness::run_once(tr, ms[i + 1], cores);
-      t.add_row({TextTable::integer(static_cast<long long>(ms[i].sharp.pool_capacity)),
-                 TextTable::num(speedup(base, sharp), 2),
-                 TextTable::num(speedup(base, npp), 2)});
-    }
-    run.print(t);
-  }
-  std::printf("\nReading: below ~512 the lookahead window (not the manager) is\n"
-              "the binding constraint; the designs differentiate above it.\n");
-  return 0;
 }
 
 // Ideal crossbar, ring, 2D mesh and 2D torus on both the manager NoC and the
@@ -350,12 +221,6 @@ int multiapp(Run& run) {
 
 std::vector<Experiment> ablation_experiments() {
   return {
-      {.name = "arbiter", .artefact = "ablation: arbiter service priority",
-       .grid = arbiter_grid, .body = arbiter},
-      {.name = "distribution", .artefact = "ablation: distribution function",
-       .grid = distribution_grid, .body = distribution},
-      {.name = "pool_window", .artefact = "ablation: Task Pool window",
-       .grid = pool_window_grid, .body = pool_window},
       {.name = "topology", .artefact = "ablation: NoC topology",
        .grid = topology_grid, .body = topology, .bench = "ablation_topology",
        .record_flags = "--quick --timeline"},

@@ -42,8 +42,8 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Load-balance metrics over per-bin counts (used for the distribution
-/// function ablation: how evenly does the XOR-fold spread addresses?).
+/// Load-balance metrics over per-bin counts (how evenly does the XOR-fold
+/// distribution function spread addresses?).
 struct BalanceReport {
   double max_over_mean = 0.0;   ///< worst bin relative to perfect balance
   double cv = 0.0;              ///< coefficient of variation across bins

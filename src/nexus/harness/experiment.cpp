@@ -21,8 +21,6 @@ std::vector<std::uint32_t> paper_cores_256() {
 
 std::vector<std::uint32_t> paper_cores_64() { return {1, 2, 4, 8, 16, 32, 64}; }
 
-std::vector<std::uint32_t> nanos_cores_32() { return {1, 2, 4, 8, 16, 32}; }
-
 ManagerSpec ManagerSpec::ideal() {
   ManagerSpec s;
   s.kind = Kind::kIdeal;
@@ -60,13 +58,6 @@ double Series::max_speedup() const {
   double best = 0.0;
   for (const auto& p : points) best = std::max(best, p.speedup);
   return best;
-}
-
-double Series::speedup_at(std::uint32_t n) const {
-  double v = 0.0;
-  for (const auto& p : points)
-    if (p.cores <= n) v = p.speedup;
-  return v;
 }
 
 Tick ideal_baseline(const Trace& trace) { return trace.total_work(); }
@@ -107,7 +98,7 @@ std::unique_ptr<TaskManagerModel> make_manager(const ManagerSpec& spec) {
     case ManagerSpec::Kind::kNexusPP:
       return std::make_unique<NexusPP>(spec.npp);
     case ManagerSpec::Kind::kNexusSharp:
-      return std::make_unique<NexusSharp>(spec.sharp, spec.arbiter_policy);
+      return std::make_unique<NexusSharp>(spec.sharp);
   }
   NEXUS_ASSERT_MSG(false, "unknown manager kind");
   return nullptr;
@@ -119,8 +110,7 @@ Tick run_once(const Trace& trace, const ManagerSpec& spec, std::uint32_t cores,
   // the DES + IdealManager pair) without event overhead — unless host costs
   // or a host NoC are configured, which need the DES.
   if (spec.kind == ManagerSpec::Kind::kIdeal && base.host_message_cost == 0 &&
-      base.master_event_cost == 0 && base.noc.ideal() &&
-      base.open_loop == nullptr)
+      base.noc.ideal() && base.open_loop == nullptr)
     return list_schedule_makespan(trace, cores);
   return run_once_report(trace, spec, cores, base, /*collect_metrics=*/false)
       .result.makespan;

@@ -23,7 +23,6 @@ namespace nexus::harness {
 /// The paper's core-count axes.
 std::vector<std::uint32_t> paper_cores_256();  ///< 1,2,4,...,256 (Figs. 7/8)
 std::vector<std::uint32_t> paper_cores_64();   ///< 1,2,4,...,64 (Fig. 9)
-std::vector<std::uint32_t> nanos_cores_32();   ///< 1,...,32 (the test machine)
 
 /// Which dependency-resolution back-end a sweep uses.
 struct ManagerSpec {
@@ -32,7 +31,6 @@ struct ManagerSpec {
   NanosConfig nanos{};
   NexusPPConfig npp{};
   NexusSharpConfig sharp{};
-  ArbiterPolicy arbiter_policy = ArbiterPolicy::kReadyFirst;
 
   static ManagerSpec ideal();
   static ManagerSpec nanos_default();
@@ -59,8 +57,6 @@ struct Series {
   std::vector<SweepPoint> points;
 
   [[nodiscard]] double max_speedup() const;
-  /// Speedup at the largest cores <= n (0 if none).
-  [[nodiscard]] double speedup_at(std::uint32_t n) const;
 };
 
 /// The paper's speedup baseline: "single core execution time of the ideal

@@ -5,24 +5,11 @@
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
 
-namespace nexus {
+namespace nexus::detail {
 
-const char* to_string(ArbiterPolicy p) {
-  switch (p) {
-    case ArbiterPolicy::kReadyFirst: return "ready-first";
-    case ArbiterPolicy::kDepFirst: return "dep-first";
-    case ArbiterPolicy::kRoundRobin: return "round-robin";
-  }
-  return "?";
-}
-
-namespace detail {
-
-SharpArbiter::SharpArbiter(const NexusSharpConfig& cfg, ArbiterPolicy policy,
-                           noc::Network* net, noc::NodeId self_node,
-                           noc::NodeId dst_node)
-    : cfg_(cfg), policy_(policy), net_(net), self_node_(self_node),
-      dst_node_(dst_node),
+SharpArbiter::SharpArbiter(const NexusSharpConfig& cfg, noc::Network* net,
+                           noc::NodeId self_node, noc::NodeId dst_node)
+    : cfg_(cfg), net_(net), self_node_(self_node), dst_node_(dst_node),
       clk_(cfg.freq_mhz), dep_q_(cfg.num_task_graphs) {
   NEXUS_ASSERT(net != nullptr);
   if (cfg.tenancy.enabled()) depcounts_.configure_tenancy(cfg.tenancy.tenants);
@@ -129,36 +116,16 @@ void SharpArbiter::pump(Simulation& sim) {
   }
   const Tick now = sim.now();
 
-  // Grant one buffer class according to the configured priority policy.
+  // Grant one buffer class in the paper's priority order (Section IV-D).
   enum Class { kClsReady, kClsWait, kClsDep, kClsNone };
-  Class pick = kClsNone;
-  switch (policy_) {
-    case ArbiterPolicy::kReadyFirst:
-      pick = !ready_q_.empty()  ? kClsReady
-             : !wait_q_.empty() ? kClsWait
-             : dep_pending()    ? kClsDep
-                                : kClsNone;
-      break;
-    case ArbiterPolicy::kDepFirst:
-      pick = dep_pending()       ? kClsDep
-             : !wait_q_.empty()  ? kClsWait
-             : !ready_q_.empty() ? kClsReady
-                                 : kClsNone;
-      break;
-    case ArbiterPolicy::kRoundRobin:
-      for (std::uint32_t i = 0; i < 3 && pick == kClsNone; ++i) {
-        const std::uint32_t cls = (rr_next_ + i) % 3;
-        if (cls == 0 && !ready_q_.empty()) pick = kClsReady;
-        if (cls == 1 && !wait_q_.empty()) pick = kClsWait;
-        if (cls == 2 && dep_pending()) pick = kClsDep;
-      }
-      rr_next_ = (rr_next_ + 1) % 3;
-      break;
-  }
+  const Class pick = !ready_q_.empty()  ? kClsReady
+                     : !wait_q_.empty() ? kClsWait
+                     : dep_pending()    ? kClsDep
+                                        : kClsNone;
   if (pick == kClsNone) return;
 
   // A conflict: more than one buffer class competed for this grant — the
-  // contention the service-priority policy (and its ablation) is about.
+  // contention the service priority is about.
   const int pending = (ready_q_.empty() ? 0 : 1) + (wait_q_.empty() ? 0 : 1) +
                       (dep_pending() ? 1 : 0);
   if (pending > 1) telemetry::inc(m_conflicts_);
@@ -250,5 +217,4 @@ void SharpArbiter::to_writeback(Simulation& sim, Tick from, TaskId id) {
                       noc::kParamBytes);
 }
 
-}  // namespace detail
-}  // namespace nexus
+}  // namespace nexus::detail

@@ -39,9 +39,8 @@ class SharpArbiter final : public Component {
   /// as a *leaf* arbiter — self is the cluster's leaf tile and records go
   /// to the root arbiter tile instead; the attached RuntimeHost is then a
   /// relay that converts task_ready into a cluster-ready report.
-  SharpArbiter(const NexusSharpConfig& cfg, ArbiterPolicy policy,
-               noc::Network* net, noc::NodeId self_node,
-               noc::NodeId dst_node);
+  SharpArbiter(const NexusSharpConfig& cfg, noc::Network* net,
+               noc::NodeId self_node, noc::NodeId dst_node);
 
   /// Register with the simulation and pick up its observers: grant,
   /// conflict and queue metrics (and the dep-counts table's) under
@@ -107,7 +106,6 @@ class SharpArbiter final : public Component {
   void to_writeback(Simulation& sim, Tick from, TaskId id);
 
   const NexusSharpConfig& cfg_;
-  ArbiterPolicy policy_;
   noc::Network* net_;  ///< write-back returns self_node_ -> dst_node_
   noc::NodeId self_node_ = 0;
   noc::NodeId dst_node_ = 0;
@@ -123,7 +121,6 @@ class SharpArbiter final : public Component {
   /// one record from EVERY nonempty buffer in parallel — the paper's
   /// best-case "two cycles to collect the results of all the task graphs".
   std::vector<FixedRing<std::uint64_t>> dep_q_;
-  std::uint32_t rr_next_ = 0;  ///< for the round-robin ablation policy
 
   IdMap<SimTask> sim_tasks_;
   hw::DepCountsTable depcounts_;

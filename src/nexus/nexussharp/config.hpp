@@ -4,7 +4,6 @@
 
 #include <cstdint>
 
-#include "nexus/hw/distribution.hpp"
 #include "nexus/hw/task_graph_table.hpp"
 #include "nexus/hw/tenancy.hpp"
 #include "nexus/noc/topology.hpp"
@@ -17,7 +16,6 @@ struct NexusSharpConfig {
   hw::TableConfig table{};            ///< per-task-graph set-associative table
   /// In-flight task window; see NexusPPConfig::pool_capacity.
   std::size_t pool_capacity = 1024;
-  hw::DistributionPolicy distribution = hw::DistributionPolicy::kXorFold;
 
   /// Shard the task graphs into this many clusters, each with its own leaf
   /// Dependence Counts Arbiter, under a root arbiter that merges per-cluster
@@ -71,17 +69,6 @@ struct NexusSharpConfig {
   // --- host-visible pragma support ---
   std::int64_t taskwait_on_cycles = 5;  ///< query round trip through the IO unit
 };
-
-/// Arbiter service priority (Section IV-D): the paper's policy serves Ready
-/// Tasks first, then Waiting Tasks, then Dep Counts. Alternatives exist for
-/// the ablation bench.
-enum class ArbiterPolicy : std::uint8_t {
-  kReadyFirst = 0,  ///< paper: Ready > Waiting > DepCounts
-  kDepFirst = 1,    ///< reversed: DepCounts > Waiting > Ready
-  kRoundRobin = 2,  ///< rotate between the three buffer classes
-};
-
-const char* to_string(ArbiterPolicy p);
 
 /// Nexus# NoC placement (see NexusSharpConfig::noc): the IO/Input Parser
 /// tile, one tile per task graph, then the arbiter tile.

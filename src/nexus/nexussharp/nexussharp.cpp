@@ -20,11 +20,11 @@ std::uint64_t meta_word(TaskId id, std::uint32_t count, std::uint16_t tenant) {
 
 }  // namespace
 
-NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy)
+NexusSharp::NexusSharp(const NexusSharpConfig& cfg)
     : cfg_(cfg),
       clk_(cfg.freq_mhz),
       pool_(cfg.pool_capacity),
-      distributor_(cfg.distribution, cfg.num_task_graphs) {
+      distributor_(cfg.num_task_graphs) {
   NEXUS_ASSERT_MSG(cfg.num_task_graphs >= 1 && cfg.num_task_graphs <= 32,
                    "Nexus# supports 1..32 task graphs");
   const std::uint32_t clusters = cfg.arbiter_clusters;
@@ -53,8 +53,7 @@ NexusSharp::NexusSharp(const NexusSharpConfig& cfg, ArbiterPolicy arbiter_policy
   cluster_params_.resize(std::max(1U, clusters));
   for (std::uint32_t c = 0; c < cluster_params_.size(); ++c)
     arbiters_.push_back(std::make_unique<detail::SharpArbiter>(
-        cfg_, arbiter_policy, net_.get(),
-        sharp_leaf_node(cfg.num_task_graphs, c),
+        cfg_, net_.get(), sharp_leaf_node(cfg.num_task_graphs, c),
         clustered ? sharp_root_node(cfg.num_task_graphs, clusters)
                   : sharp_io_node()));
   for (std::uint32_t i = 0; i < cfg.num_task_graphs; ++i) {

@@ -31,8 +31,7 @@ namespace nexus {
 
 class NexusSharp final : public TaskManagerModel, public Component {
  public:
-  explicit NexusSharp(const NexusSharpConfig& cfg = {},
-                      ArbiterPolicy arbiter_policy = ArbiterPolicy::kReadyFirst);
+  explicit NexusSharp(const NexusSharpConfig& cfg = {});
 
   // TaskManagerModel
   /// Registers every unit and picks up the simulation's observers: metrics

@@ -288,7 +288,7 @@ bool Driver::submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local) {
     for (const Param& prm : f.s.trace->task(local).params)
       if (is_write(prm.dir)) f.last_writer[prm.addr] = id;
   }
-  const Tick cont = resume + config_.master_event_cost + config_.host_message_cost;
+  const Tick cont = resume + config_.host_message_cost;
   if (cont > sim.now()) {
     busy(sim, p, cont);
     return false;

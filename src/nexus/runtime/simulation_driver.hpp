@@ -60,10 +60,6 @@ struct RuntimeConfig {
   /// histograms. Null keeps the closed-loop replay bit-identical.
   const OpenLoopSubmission* open_loop = nullptr;
 
-  /// Fixed master-side cost per trace event outside the manager (models the
-  /// user code between pragmas; 0 = pure trace replay as in the paper).
-  Tick master_event_cost = 0;
-
   /// Host-interface sensitivity knob: extra cost added to every
   /// master<->manager message (submission, ready fetch, finish notify).
   /// 0 reproduces the paper's "Nexus# only" mode, where no communication

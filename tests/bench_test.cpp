@@ -88,7 +88,7 @@ TEST(BenchTable, NamesAreUniqueAndEveryExperimentHasABody) {
     EXPECT_NE(e.body, nullptr) << e.name;
     EXPECT_EQ(e.bench == nullptr, e.record_flags == nullptr) << e.name;
   }
-  EXPECT_EQ(names.size(), 17u);
+  EXPECT_EQ(names.size(), 14u);
 }
 
 TEST(BenchTable, EveryGridManagerLabelRoundTripsThroughParseManager) {
@@ -132,7 +132,7 @@ TEST(BenchTable, UnknownWorkloadFabricOrCoreCountExitsTwoBeforeRunning) {
   EXPECT_EQ(finish(experiment("table3"), "--workloads gaussian-250"), 2);
   EXPECT_EQ(finish(experiment("micro"), "--cores 8"), 2);
   // No record, trace run or grid to write or profile.
-  EXPECT_EQ(finish(experiment("arbiter"), "--json x.json"), 2);
+  EXPECT_EQ(finish(experiment("multiapp"), "--json x.json"), 2);
   EXPECT_EQ(finish(experiment("table1"), "--trace x.json"), 2);
   EXPECT_EQ(finish(experiment("micro"), "--prof x.json"), 2);
 }

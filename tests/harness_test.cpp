@@ -19,7 +19,6 @@ TEST(Harness, PaperCoreAxes) {
   EXPECT_EQ(paper_cores_256().front(), 1u);
   EXPECT_EQ(paper_cores_256().back(), 256u);
   EXPECT_EQ(paper_cores_64().back(), 64u);
-  EXPECT_EQ(nanos_cores_32().back(), 32u);
 }
 
 // ideal_baseline is the closed form total_work(); the one-worker list
@@ -66,21 +65,6 @@ TEST(Harness, IdealSweepSpeedupsAreSane) {
   EXPECT_LE(s.points[1].speedup, 2.0 + 1e-9);
   EXPECT_GT(s.points[2].speedup, 3.5);
   EXPECT_EQ(s.max_speedup(), s.points[2].speedup);
-}
-
-TEST(Harness, SpeedupAtFindsLargestCoveredPoint) {
-  Series s;
-  s.label = "x";
-  const auto point = [](std::uint32_t cores, double speedup) {
-    SweepPoint p;
-    p.cores = cores;
-    p.speedup = speedup;
-    return p;
-  };
-  s.points = {point(1, 1.0), point(8, 5.0), point(32, 9.0)};
-  EXPECT_DOUBLE_EQ(s.speedup_at(32), 9.0);
-  EXPECT_DOUBLE_EQ(s.speedup_at(16), 5.0);
-  EXPECT_DOUBLE_EQ(s.speedup_at(256), 9.0);
 }
 
 TEST(Harness, SharpSpecUsesTableIFrequency) {

@@ -19,19 +19,15 @@ using InsertKind = TaskGraphTable::InsertKind;
 // ---------- distribution ----------
 
 TEST(Distribution, XorFoldInRange) {
-  Distributor d(DistributionPolicy::kXorFold, 6);
+  Distributor d(6);
   for (Addr a = 0; a < 100000; a += 0x40) EXPECT_LT(d.target(a), 6u);
 }
 
 TEST(Distribution, SameAddressSameTarget) {
   // Affinity is the correctness requirement: every access to an address
   // must be tracked in one task graph.
-  for (const auto policy : {DistributionPolicy::kXorFold, DistributionPolicy::kLowBits,
-                            DistributionPolicy::kModulo}) {
-    Distributor d(policy, 8);
-    for (Addr a = 0x1000; a < 0x3000; a += 0x40)
-      EXPECT_EQ(d.target(a), d.target(a)) << to_string(policy);
-  }
+  Distributor d(8);
+  for (Addr a = 0x1000; a < 0x3000; a += 0x40) EXPECT_EQ(d.target(a), d.target(a));
 }
 
 TEST(Distribution, XorFoldBalancesStridedAddresses) {
@@ -39,7 +35,7 @@ TEST(Distribution, XorFoldBalancesStridedAddresses) {
   // data among the task graphs". Check with 0x40-strided addresses (our
   // workloads' layout) across every TG count used in the evaluation.
   for (const std::uint32_t n : {2u, 4u, 6u, 8u, 16u, 32u}) {
-    Distributor d(DistributionPolicy::kXorFold, n);
+    Distributor d(n);
     std::vector<std::uint64_t> bins(n, 0);
     for (Addr a = 0x0A100000; a < 0x0A100000 + 0x40 * 4096; a += 0x40)
       ++bins[d.target(a)];
@@ -49,12 +45,12 @@ TEST(Distribution, XorFoldBalancesStridedAddresses) {
 }
 
 TEST(Distribution, XorFoldUsesOnlyLow20Bits) {
-  Distributor d(DistributionPolicy::kXorFold, 8);
+  Distributor d(8);
   EXPECT_EQ(d.target(0x12345), d.target(0xFFFF00012345ULL));
 }
 
 TEST(Distribution, RejectsTooManyTargets) {
-  EXPECT_DEATH(Distributor(DistributionPolicy::kXorFold, 33), "32");
+  EXPECT_DEATH(Distributor(33), "32");
 }
 
 // ---------- task graph table ----------

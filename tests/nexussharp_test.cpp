@@ -384,8 +384,7 @@ std::vector<TaskId> run_arbiter_schedule(
     std::uint64_t* meta_parks = nullptr) {
   noc::Network net(cfg.noc, sharp_noc_endpoints(cfg.num_task_graphs),
                    cfg.freq_mhz, 0);
-  detail::SharpArbiter arb(cfg, ArbiterPolicy::kReadyFirst, &net,
-                           sharp_arbiter_node(cfg.num_task_graphs),
+  detail::SharpArbiter arb(cfg, &net, sharp_arbiter_node(cfg.num_task_graphs),
                            sharp_io_node());
   Simulation sim;
   RecordingHost host;
@@ -424,6 +423,28 @@ TEST(NexusSharpArbiter, MetaAfterReadyParksThenCommitsIdentically) {
   EXPECT_EQ(in_order, (std::vector<TaskId>{7}));
   EXPECT_EQ(reordered, in_order) << "commit set must not depend on order";
   EXPECT_EQ(parks, 1u);
+}
+
+TEST(NexusSharpArbiter, GrantsReadyThenWaitingThenDepCounts) {
+  // Section IV-D's service priority. Task 2 first parks in the Dep Counts
+  // Table with one blocked parameter. At cycle 10 task 4's ready record
+  // takes the port, and one record of each class queues behind it in the
+  // reverse of the priority order: a dep-count record that concludes
+  // task 3 ready, the kick that readies task 2, and task 1's ready record.
+  // The write-backs then follow the grants: Ready, then Waiting, then Dep.
+  const NexusSharpConfig cfg = cfg_at_100mhz(2);
+  using detail::SharpArbiter;
+  const std::vector<TaskId> committed = run_arbiter_schedule(
+      cfg, {{0, SharpArbiter::kMeta, meta_rec(1, 1), 0},
+            {0, SharpArbiter::kMeta, meta_rec(2, 1), 0},
+            {0, SharpArbiter::kMeta, meta_rec(3, 1), 0},
+            {0, SharpArbiter::kMeta, meta_rec(4, 1), 0},
+            {1, SharpArbiter::kDep, meta_rec(2, 1), 0},  // task 2 blocks
+            {10, SharpArbiter::kReady, 4, 0},            // holds the port
+            {10, SharpArbiter::kDep, meta_rec(3, 0), 1},
+            {10, SharpArbiter::kWait, 2, 0},
+            {10, SharpArbiter::kReady, 1, 0}});
+  EXPECT_EQ(committed, (std::vector<TaskId>{4, 1, 2, 3}));
 }
 
 TEST(NexusSharpArbiter, MetaAfterDepsAndKickCommitsIdentically) {

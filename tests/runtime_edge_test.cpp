@@ -80,7 +80,7 @@ TEST(RuntimeEdge, MoreWorkersThanTasks) {
   EXPECT_EQ(r.makespan, us(9));
 }
 
-TEST(RuntimeEdge, MasterEventCostSerializesSubmission) {
+TEST(RuntimeEdge, HostMessageCostSerializesSubmission) {
   Trace tr("t");
   for (int i = 0; i < 10; ++i) {
     ParamList p;
@@ -88,19 +88,21 @@ TEST(RuntimeEdge, MasterEventCostSerializesSubmission) {
     tr.submit(0, us(1), p);
   }
   tr.taskwait();
+  tr.taskwait_on(0x1000);
   IdealManager a;
   IdealManager b;
   const Tick fast =
       run_trace(tr, a, RuntimeConfig{.workers = 10}).makespan;
   RuntimeConfig rc;
   rc.workers = 10;
-  rc.master_event_cost = us(2);
+  rc.host_message_cost = us(2);
   const Tick slow = run_trace(tr, b, rc).makespan;
   EXPECT_EQ(fast, us(1));
-  // Submissions at t = 0,2,...,18 us; the last task ends at 19 us but the
-  // master itself reaches the final taskwait at 20 us — makespan includes
-  // the master thread's own progress.
-  EXPECT_EQ(slow, us(20));
+  // Submissions at t = 0,2,...,18 us, and each dispatch pays the message
+  // too, so the last task runs 20..21 us and the barrier clears at 21 us.
+  // The master's trailing taskwait_on query then costs one more message:
+  // the makespan includes the master thread's own progress.
+  EXPECT_EQ(slow, us(23));
 }
 
 TEST(RuntimeEdge, NexusSharpPoolOfOne) {
