@@ -130,7 +130,7 @@ int placement(Run& run) {
         const std::uint32_t endpoints = sharp_noc_endpoints(m.sharp.num_task_graphs);
         const noc::PlacementResult placed = noc::optimize_placement(
             noc::Topology(kind, endpoints),
-            noc::TrafficMatrix::from_network(endpoints, probe.network().stats().traffic));
+            noc::TrafficMatrix::from_network(endpoints, probe.network().traffic()));
         for (const std::uint32_t n : g.cores) {
           Cell layouts[2] = {g.at(w, kind, m, n), g.at(w, kind, m, n)};
           layouts[1].spec.sharp.noc.placement = placed.assignment;
@@ -199,7 +199,7 @@ int multiapp(Run& run) {
   // Co-run: shared manager, shared workers, disjoint address windows.
   NexusSharp co(spec.sharp);
   const MultiAppResult r = run_multi_app({&a, &b}, co, RuntimeConfig{.workers = cores});
-  const bool drained = co.stats().sim_tasks_live == 0;
+  const bool drained = co.sim_tasks_live() == 0;
   run.gate(drained);
 
   TextTable t({"schedule", "makespan ms", "throughput gain"});

@@ -128,9 +128,6 @@ class Run {
   /// record one row per cell and hand each to `row` with its speedup.
   void each(const std::function<void(const Cell&, const RunReport&, double)>& row =
                 {});
-  /// Core-count sweeps of one workload: a series per grid manager, against
-  /// the grid's baseline.
-  std::vector<harness::Series> sweep(const std::string& workload);
 
   /// Append the record row `key` (a no-op without --json).
   void record(const RowKey& key, Tick makespan, double speedup,

@@ -145,14 +145,6 @@ void Run::each(const std::function<void(const Cell&, const RunReport&, double)>&
   }
 }
 
-std::vector<harness::Series> Run::sweep(const std::string& workload) {
-  std::vector<harness::Series> out;
-  for (const ManagerSpec& m : grid.managers)
-    out.push_back(
-        harness::sweep(trace(workload), m, grid.cores, baseline(workload), grid.rc));
-  return out;
-}
-
 void Run::record(const RowKey& k, Tick makespan, double speedup,
                  const telemetry::Snapshot* metrics,
                  const telemetry::Timeline* timeline) {

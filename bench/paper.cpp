@@ -2,6 +2,8 @@
 // Figs. 7-9, each printed next to the paper's numbers where it has them.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "bench.hpp"
 #include "nexus/cost/fpga_model.hpp"
@@ -55,6 +57,24 @@ Series no_overhead(Run& run, const std::string& w) {
                             run.baseline(w));
   s.label = "no-overhead";
   return s;
+}
+
+/// Run the grid (recording each row under --json) and hand `figure` each
+/// workload's series, one per grid manager in grid order, once the
+/// workload's last cell has run: its trace and baseline are still cached.
+void each_figure(Run& run, const std::function<void(const std::string&,
+                                                    std::vector<Series>)>& figure) {
+  const Grid& g = run.grid;
+  std::vector<Series> series;
+  std::size_t rows = 0;
+  run.each([&](const Cell& c, const RunReport& rep, double speedup) {
+    if (series.empty())
+      for (const ManagerSpec& m : g.managers) series.push_back({m.label, {}});
+    const std::size_t m = rows / g.cores.size() % g.managers.size();
+    series[m].points.push_back({c.cores, rep.result.makespan, speedup});
+    if (++rows % (g.managers.size() * g.cores.size()) == 0)
+      figure(c.workload, std::exchange(series, {}));
+  });
 }
 
 int micro(Run& run) {
@@ -226,45 +246,46 @@ int table4(Run& run) {
 }
 
 Grid fig7_grid(const Flags& f) {
-  const bool quick = f.get_bool("quick", false);
-  Grid g{.workloads = {"h264dec-1x1-10f", "h264dec-2x2-10f", "h264dec-4x4-10f",
-                       "h264dec-8x8-10f"}};
-  if (quick) g.workloads = {"h264dec-1x1-10f", "h264dec-8x8-10f"};
-  if (f.has("json")) {
-    // The TG-scaling claim at its endpoints: 1 TG vs the paper's best 6.
-    g.managers = managers({"nexus#-1TG", "nexus#-6TG"});
-    g.cores = {8, 32};
-    return g;
+  if (f.get_bool("quick", false)) {
+    // The TG-scaling claim at its endpoints: 1 TG vs the paper's best 6, at
+    // their Table I test frequencies.
+    return {.workloads = {"h264dec-1x1-10f", "h264dec-8x8-10f"},
+            .managers = managers({"nexus#-1TG", "nexus#-6TG"}),
+            .cores = {8, 32}};
   }
-  // (a) every TG count at 100 MHz, (b) at its Table I test frequency.
-  g.managers = managers({"nexus#-1TG@100.00MHz", "nexus#-2TG@100.00MHz",
-                         "nexus#-4TG@100.00MHz", "nexus#-6TG@100.00MHz",
-                         "nexus#-8TG@100.00MHz", "nexus#-1TG", "nexus#-2TG",
-                         "nexus#-4TG", "nexus#-6TG", "nexus#-8TG"});
-  g.cores = quick ? std::vector<std::uint32_t>{1, 8, 64, 256}
-                  : harness::paper_cores_256();
-  return g;
+  // (a) every TG count at 100 MHz, (b) at its Table I test frequency: the
+  // 1 and 2 TG designs test at 100 MHz, so their runs serve both panels.
+  return {.workloads = {"h264dec-1x1-10f", "h264dec-2x2-10f", "h264dec-4x4-10f",
+                        "h264dec-8x8-10f"},
+          .managers = managers({"nexus#-1TG@100.00MHz", "nexus#-2TG@100.00MHz",
+                                "nexus#-4TG@100.00MHz", "nexus#-6TG@100.00MHz",
+                                "nexus#-8TG@100.00MHz", "nexus#-4TG", "nexus#-6TG",
+                                "nexus#-8TG"}),
+          .cores = harness::paper_cores_256()};
 }
 
 int fig7(Run& run) {
-  if (run.json()) {
-    run.each();
-    return 0;
-  }
-  for (const std::string& w : run.grid.workloads) {
-    const std::vector<Series> tgs = run.sweep(w);
-    const std::size_t half = tgs.size() / 2;
+  const std::vector<ManagerSpec>& ms = run.grid.managers;
+  const auto at_test_mhz = [](const ManagerSpec& m) {
+    return m.sharp.freq_mhz == cost::nexussharp_row(m.sharp.num_task_graphs).test_mhz;
+  };
+  // Panel (a) only shows something panel (b) lacks when a design is clocked
+  // off its test frequency.
+  const bool fixed_panel = !std::all_of(ms.begin(), ms.end(), at_test_mhz);
+  each_figure(run, [&](const std::string& w, std::vector<Series> tgs) {
     for (const bool fixed_100mhz : {true, false}) {
+      if (fixed_100mhz && !fixed_panel) continue;
       std::vector<Series> series{no_overhead(run, w)};
-      const auto first = tgs.begin() + (fixed_100mhz ? 0 : static_cast<long>(half));
-      series.insert(series.end(), first, first + static_cast<long>(half));
+      for (std::size_t i = 0; i < ms.size(); ++i)
+        if (fixed_100mhz ? ms[i].sharp.freq_mhz == 100.0 : at_test_mhz(ms[i]))
+          series.push_back(tgs[i]);
       char title[128];
       std::snprintf(title, sizeof title, "Fig. 7(%c): %s speedup, Nexus# %s",
                     fixed_100mhz ? 'a' : 'b', w.c_str(),
                     fixed_100mhz ? "at 100 MHz" : "at Table I test frequencies");
       harness::print_series(title, run.grid.cores, series, run.csv);
     }
-  }
+  });
   std::printf("\nPaper's reading: ~7x on the finest tasks with 6 TGs; 4/6/8 TGs "
               "nearly tie,\nand at test frequencies 6 TGs remains the best "
               "configuration (Section VI).\n");
@@ -275,37 +296,34 @@ Grid fig8_grid(const Flags& f) {
   const bool quick = f.get_bool("quick", false);
   Grid g{.workloads = {"c-ray", "rot-cc", "sparselu", "h264dec-1x1-10f",
                        "h264dec-8x8-10f"},
-         .managers = managers({"nexus++", "nexus#-6TG"})};
-  if (!quick) g.workloads = {"c-ray", "rot-cc", "sparselu", "streamcluster",
-                             "h264dec-1x1-10f", "h264dec-2x2-10f",
-                             "h264dec-4x4-10f", "h264dec-8x8-10f"};
-  g.cores = f.has("json") ? std::vector<std::uint32_t>{8, 32}
-            : quick       ? std::vector<std::uint32_t>{1, 8, 32, 256}
-                          : harness::paper_cores_256();
+         .managers = managers({"nexus++", "nexus#-6TG"}),
+         .cores = {8, 32}};
+  if (!quick) {
+    g.workloads = {"c-ray", "rot-cc", "sparselu", "streamcluster",
+                   "h264dec-1x1-10f", "h264dec-2x2-10f", "h264dec-4x4-10f",
+                   "h264dec-8x8-10f"};
+    g.cores = harness::paper_cores_256();
+  }
   // Sensitivity: a per-message host interface cost for the hw managers.
   g.rc.host_message_cost = us(f.get_double("host-cost-us", 0.0));
   return g;
 }
 
 int fig8(Run& run) {
-  if (run.json()) {
-    run.each();
-    return 0;
-  }
   std::vector<std::uint32_t> nanos_cores;
   for (const std::uint32_t c : run.grid.cores)
     if (c <= 32) nanos_cores.push_back(c);
-  for (const std::string& w : run.grid.workloads) {
+  each_figure(run, [&](const std::string& w, std::vector<Series> hw) {
     std::vector<Series> series{no_overhead(run, w),
                                harness::sweep(run.trace(w), ManagerSpec::nanos_default(),
                                               nanos_cores, run.baseline(w))};
-    for (Series& s : run.sweep(w)) series.push_back(std::move(s));
+    for (Series& s : hw) series.push_back(std::move(s));
     harness::print_series("Fig. 8: " + w, run.grid.cores, series, run.csv);
     std::printf("max speedups: ");
     for (const Series& s : series)
       std::printf("%s=%.1f  ", s.label.c_str(), s.max_speedup());
     std::printf("\n");
-  }
+  });
   return 0;
 }
 
@@ -314,23 +332,20 @@ Grid fig9_grid(const Flags& f) {
   Grid g{.managers = managers({"nexus++", "nexus#-1TG@100MHz", "nexus#-2TG@100MHz"}),
          .nexuspp_baseline = true};
   g.workloads = {"gaussian-250", "gaussian-500", "gaussian-1000", "gaussian-3000"};
-  if (quick) g.workloads = {"gaussian-250", "gaussian-1000"};
-  g.cores = f.has("json") ? std::vector<std::uint32_t>{8, 64}
-            : quick       ? std::vector<std::uint32_t>{1, 8, 64}
-                          : harness::paper_cores_64();
+  g.cores = harness::paper_cores_64();
+  if (quick) {
+    g.workloads = {"gaussian-250", "gaussian-1000"};
+    g.cores = {8, 64};
+  }
   return g;
 }
 
 int fig9(Run& run) {
-  if (run.json()) {
-    run.each();
-    return 0;
-  }
-  for (const std::string& w : run.grid.workloads) {
+  each_figure(run, [&run](const std::string& w, std::vector<Series> series) {
     const std::string title =
         "Fig. 9: gaussian elimination, matrix " + w.substr(w.find('-') + 1);
-    harness::print_series(title, run.grid.cores, run.sweep(w), run.csv);
-  }
+    harness::print_series(title, run.grid.cores, series, run.csv);
+  });
   std::printf("\nPaper's reading: Nexus# (2TG) improves ~19%% over Nexus++ on the\n"
               "finest tasks (matrix-250) and ~10%% as matrices grow; more TGs do\n"
               "not help because each wave's pivot row maps to one graph.\n");

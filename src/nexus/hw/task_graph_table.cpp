@@ -109,7 +109,6 @@ TaskGraphTable::InsertResult TaskGraphTable::insert(Addr addr, TaskId task,
   if (e == nullptr) {
     e = allocate(addr, tenant);
     if (e == nullptr) {
-      ++stalls_;
       telemetry::inc(m_stalls_);
       return {InsertKind::kNoSpace, 0};
     }
@@ -133,7 +132,6 @@ TaskGraphTable::InsertResult TaskGraphTable::insert(Addr addr, TaskId task,
       static_cast<std::size_t>(cfg_.kol_entries) * (1 + e->chain_idx.size());
   if (e->kol.size() == capacity) {
     if (!grow_chain(*e, addr)) {
-      ++stalls_;
       telemetry::inc(m_stalls_);
       return {InsertKind::kNoSpace, static_cast<std::uint32_t>(e->chain_idx.size())};
     }

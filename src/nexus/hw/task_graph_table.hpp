@@ -87,7 +87,6 @@ class TaskGraphTable {
     return cfg_.sets * cfg_.ways;
   }
   [[nodiscard]] bool tracks(Addr addr) const;
-  [[nodiscard]] std::uint64_t total_stalls() const { return stalls_; }
   [[nodiscard]] std::uint64_t peak_used() const { return peak_used_; }
 
   /// Enable per-tenant slot accounting (tenancy quotas).
@@ -128,7 +127,6 @@ class TaskGraphTable {
   std::vector<std::uint64_t> tags_;
   TenantLedger tenants_;
   std::uint32_t used_slots_ = 0;
-  std::uint64_t stalls_ = 0;
   std::uint64_t peak_used_ = 0;
 
   telemetry::Counter* m_inserts_ = nullptr;     ///< accesses recorded

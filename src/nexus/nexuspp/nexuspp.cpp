@@ -36,7 +36,6 @@ Tick NexusPP::submit(Simulation& sim, const TaskDescriptor& task) {
     master_blocked_ = true;
     return kSubmitBlocked;
   }
-  ++tasks_in_;
   telemetry::inc(m_tasks_in_);
   pool_.insert(task, sim.now());
   // Input Parser: the whole task must be received before the insert stage
@@ -76,7 +75,6 @@ void NexusPP::handle(Simulation& sim, const Event& ev) {
       pump(sim);
       break;
     case kReadyDelivered:
-      ++ready_out_;
       telemetry::inc(m_ready_out_);
       host_->task_ready(sim, static_cast<TaskId>(ev.a));
       break;
@@ -210,15 +208,6 @@ void NexusPP::deliver_ready(Simulation& sim, Tick not_before, TaskId id) {
   // stage serializes records in their arrival order (kWbArrived).
   net_->send(sim, not_before, npp_manager_node(), npp_io_node(), self_,
              kWbArrived, id, 0, noc::kParamBytes);
-}
-
-NexusPP::Stats NexusPP::stats() const {
-  Stats s;
-  s.tasks_in = tasks_in_;
-  s.ready_out = ready_out_;
-  s.table_stalls = table_.total_stalls();
-  s.pool_peak = pool_.peak();
-  return s;
 }
 
 }  // namespace nexus

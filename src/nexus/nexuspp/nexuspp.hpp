@@ -82,14 +82,6 @@ class NexusPP final : public TaskManagerModel, public Component {
     return op_label_in<kOpCount>(kOpNames, op);
   }
 
-  // --- introspection for tests and analysis benches ---
-  struct Stats {
-    std::uint64_t tasks_in = 0;
-    std::uint64_t ready_out = 0;
-    std::uint64_t table_stalls = 0;
-    std::uint64_t pool_peak = 0;
-  };
-  [[nodiscard]] Stats stats() const;
   /// The host<->manager interconnect (see NexusPPConfig::noc).
   [[nodiscard]] const noc::Network& network() const { return *net_; }
 
@@ -141,8 +133,6 @@ class NexusPP final : public TaskManagerModel, public Component {
   bool master_blocked_ = false;
 
   std::vector<hw::Waiter> kicked_scratch_;
-  std::uint64_t tasks_in_ = 0;
-  std::uint64_t ready_out_ = 0;
 
   telemetry::Counter* m_tasks_in_ = nullptr;
   telemetry::Counter* m_ready_out_ = nullptr;

@@ -57,10 +57,7 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
         // park it — forwarding now would let the host dispatch a task whose
         // Task Pool entry the write-back path cannot yet resolve.
         st.ready_parked = true;
-        ++meta_parks_;
         telemetry::inc(m_meta_parks_);
-        peak_sim_tasks_ =
-            std::max<std::uint64_t>(peak_sim_tasks_, sim_tasks_.size());
       }
       pump(sim);
       break;
@@ -82,7 +79,6 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
       st.nparams = nparams;
       st.tenant = static_cast<std::uint16_t>(ev.a >> 48);
       st.meta_arrived = true;
-      peak_sim_tasks_ = std::max<std::uint64_t>(peak_sim_tasks_, sim_tasks_.size());
       if (st.ready_parked) {
         // Release the ready record that overtook this descriptor: the task
         // bypasses gathering (single-param short-circuit) now that the
@@ -97,7 +93,6 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
       break;
     }
     case kWbDone:
-      ++delivered_;
       host_->task_ready(sim, static_cast<TaskId>(ev.a));
       break;
     case kPump:
@@ -175,8 +170,6 @@ void SharpArbiter::pump(Simulation& sim) {
         SimTask& st = sim_tasks_[id];
         ++st.seen;
         st.total += contributes;
-        peak_sim_tasks_ =
-            std::max<std::uint64_t>(peak_sim_tasks_, sim_tasks_.size());
         conclude_if_complete(sim, id, st, now + cost);
       }
       break;

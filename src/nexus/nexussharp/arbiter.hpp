@@ -79,15 +79,10 @@ class SharpArbiter final : public Component {
     return op_label_in<kOpCount>(kOpNames, op);
   }
 
-  // --- stats ---
-  [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }
   [[nodiscard]] const hw::DepCountsTable& dep_counts() const { return depcounts_; }
   [[nodiscard]] hw::DepCountsTable& dep_counts() { return depcounts_; }
-  [[nodiscard]] std::uint64_t peak_sim_tasks() const { return peak_sim_tasks_; }
   /// Tasks still gathering records; must be 0 once a run drains.
   [[nodiscard]] std::size_t sim_tasks_live() const { return sim_tasks_.size(); }
-  /// Ready records that arrived before their descriptor and had to park.
-  [[nodiscard]] std::uint64_t meta_parks() const { return meta_parks_; }
 
  private:
   struct SimTask {
@@ -127,10 +122,7 @@ class SharpArbiter final : public Component {
   Server wb_;
   BusyPort port_{kPump};
 
-  std::uint64_t delivered_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;
-  std::uint64_t peak_sim_tasks_ = 0;
-  std::uint64_t meta_parks_ = 0;
 
   telemetry::Counter* m_grants_ready_ = nullptr;  ///< Ready Tasks grants
   telemetry::Counter* m_grants_wait_ = nullptr;   ///< Waiting Tasks grants

@@ -142,13 +142,11 @@ Tick NexusSharp::submit(Simulation& sim, const TaskDescriptor& task) {
       // still have room for others. The single-stream driver degrades this
       // to a plain block (manager.hpp, kSubmitNacked).
       master_blocked_ = true;
-      ++nacks_;
       telemetry::inc(m_nacks_);
       if (!m_tenant_nacks_.empty()) telemetry::inc(m_tenant_nacks_[task.tenant]);
       return kSubmitNacked;
     }
   }
-  ++tasks_in_;
   telemetry::inc(m_tasks_in_);
   pool_.insert(task, sim.now());
 
@@ -267,23 +265,10 @@ void NexusSharp::handle(Simulation& sim, const Event& ev) {
   }
 }
 
-NexusSharp::Stats NexusSharp::stats() const {
-  Stats s;
-  s.tasks_in = tasks_in_;
-  s.nacks = nacks_;
-  s.pool_peak = pool_.peak();
-  for (const auto& arb : arbiters_) s.sim_tasks_live += arb->sim_tasks_live();
-  if (root_ != nullptr) {
-    s.ready_out = root_->ready_delivered();
-    s.sim_tasks_live += root_->live();
-  } else {
-    s.ready_out = arbiters_[0]->ready_delivered();
-  }
-  for (const auto& tg : tgs_) {
-    s.table_stalls += tg->table().total_stalls();
-    s.tg_args.push_back(tg->args_processed());
-  }
-  return s;
+std::uint64_t NexusSharp::sim_tasks_live() const {
+  std::uint64_t live = root_ != nullptr ? root_->live() : 0;
+  for (const auto& arb : arbiters_) live += arb->sim_tasks_live();
+  return live;
 }
 
 }  // namespace nexus

@@ -53,17 +53,10 @@ class NexusSharp final : public TaskManagerModel, public Component {
     return op_label_in<kOpCount>(kOpNames, op);
   }
 
-  // --- introspection ---
-  struct Stats {
-    std::uint64_t tasks_in = 0;
-    std::uint64_t ready_out = 0;
-    std::uint64_t pool_peak = 0;
-    std::uint64_t table_stalls = 0;      ///< summed over task graphs
-    std::uint64_t sim_tasks_live = 0;    ///< leaves + root; 0 once drained
-    std::uint64_t nacks = 0;             ///< per-tenant admission rejections
-    std::vector<std::uint64_t> tg_args;  ///< per-task-graph args processed
-  };
-  [[nodiscard]] Stats stats() const;
+  // --- introspection (counts live in the run's metric registry) ---
+  /// Tasks still gathering in the leaf arbiters or merging in the root;
+  /// 0 once a run drains.
+  [[nodiscard]] std::uint64_t sim_tasks_live() const;
   [[nodiscard]] const NexusSharpConfig& config() const { return cfg_; }
   /// The on-manager interconnect (placement in NexusSharpConfig::noc docs).
   [[nodiscard]] const noc::Network& network() const { return *net_; }
@@ -104,8 +97,6 @@ class NexusSharp final : public TaskManagerModel, public Component {
   std::uint32_t tgs_per_cluster_ = 0;  ///< num_task_graphs when flat
 
   bool master_blocked_ = false;
-  std::uint64_t tasks_in_ = 0;
-  std::uint64_t nacks_ = 0;
   std::vector<std::uint32_t> cluster_params_;  ///< scratch: params per cluster
 
   telemetry::Counter* m_tasks_in_ = nullptr;

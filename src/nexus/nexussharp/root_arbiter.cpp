@@ -59,7 +59,6 @@ void RootArbiter::handle(Simulation& sim, const Event& ev) {
       break;
     }
     case kWbDone:
-      ++delivered_;
       host_->task_ready(sim, static_cast<TaskId>(ev.a));
       break;
     case kPump:

@@ -57,8 +57,6 @@ class RootArbiter final : public Component {
     return op_label_in<kOpCount>(kOpNames, op);
   }
 
-  // --- stats ---
-  [[nodiscard]] std::uint64_t ready_delivered() const { return delivered_; }
   /// Tasks mid-merge or queued for grant; must be 0 once a run drains.
   [[nodiscard]] std::size_t live() const { return sim_tasks_.size() + queued_; }
 
@@ -91,7 +89,6 @@ class RootArbiter final : public Component {
   Server wb_;
   BusyPort port_{kPump};
 
-  std::uint64_t delivered_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;
 
   telemetry::Counter* m_grants_ = nullptr;        ///< ready tasks granted

@@ -84,7 +84,6 @@ void TaskGraphUnit::pump(Simulation& sim) {
     return;
   }
 
-  ++processed_;
   telemetry::inc(m_args_);
   port_.occupy(sim.now(), cost);
   port_.rearm(sim, !fin_q_.empty() || !new_q_.empty());

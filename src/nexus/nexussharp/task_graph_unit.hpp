@@ -72,9 +72,7 @@ class TaskGraphUnit final : public Component {
     return op_label_in<kOpCount>(kOpNames, op);
   }
 
-  // --- stats ---
   [[nodiscard]] const hw::TaskGraphTable& table() const { return table_; }
-  [[nodiscard]] std::uint64_t args_processed() const { return processed_; }
   [[nodiscard]] bool idle() const {
     return new_q_.empty() && fin_q_.empty() && !stalled_;
   }
@@ -105,7 +103,6 @@ class TaskGraphUnit final : public Component {
   std::vector<hw::Waiter> kicked_scratch_;
   telemetry::TraceRecorder* trace_ = nullptr;
   std::string trace_track_;  ///< "sharp/tg<i>"
-  std::uint64_t processed_ = 0;
 
   telemetry::Histogram* m_new_depth_ = nullptr;  ///< New Args depth per push
   telemetry::Histogram* m_fin_depth_ = nullptr;  ///< Finished Args depth

@@ -95,8 +95,6 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
   telemetry::ProfScope prof_scope(prof_,
                                   prof_ != nullptr ? prof_send_node(op) : 0);
   const std::uint32_t flits = flits_for(payload_bytes);
-  ++messages_;
-  injected_flits_ += flits;
   traffic_[static_cast<std::size_t>(src) * topo_.endpoints() + dst] += flits;
   telemetry::inc(m_messages_);
   telemetry::inc(m_flits_, flits);
@@ -115,9 +113,6 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
   Tick deliver = depart + (src == dst ? 0 : ideal_latency_);
   if (!cfg_.ideal() && src != dst)
     deliver = route(sim.now(), depart, tile_of(src), tile_of(dst), flits, tmsg, &hops);
-  total_hops_ += hops;
-  ++delivered_;
-  delivered_flits_ += flits;
   telemetry::record(m_hops_, hops);
   telemetry::inc(m_delivered_);
   telemetry::inc(m_delivered_flits_, flits);
@@ -139,8 +134,6 @@ Tick Network::route(Tick now, Tick depart, NodeId at, NodeId to,
     LinkState& link = links_[l];
     const Tick start = reserve(link, now, arrive, ser);
     if (start > arrive) {
-      ++blocked_flits_;
-      stall_ticks_ += start - arrive;
       telemetry::inc(m_blocked_);
       telemetry::inc(m_stall_ticks_, static_cast<std::uint64_t>(start - arrive));
     }
@@ -149,8 +142,6 @@ Tick Network::route(Tick now, Tick depart, NodeId at, NodeId to,
                        static_cast<telemetry::TraceTick>(start),
                        static_cast<telemetry::TraceTick>(ser));
     }
-    link.busy += ser;
-    link.flits += flits;
     if (link.m_flits != nullptr) {
       link.m_flits->inc(flits);
       link.m_busy->inc(static_cast<std::uint64_t>(ser));
@@ -159,15 +150,16 @@ Tick Network::route(Tick now, Tick depart, NodeId at, NodeId to,
     at = topo_.link_dst(l);
   }
   // In flight: routed messages whose delivery tick is still ahead of now.
-  const auto later = std::greater<>();
-  while (!in_flight_.empty() && in_flight_.front() <= now) {
-    std::pop_heap(in_flight_.begin(), in_flight_.end(), later);
-    in_flight_.pop_back();
+  if (m_in_flight_ != nullptr) {
+    const auto later = std::greater<>();
+    while (!in_flight_.empty() && in_flight_.front() <= now) {
+      std::pop_heap(in_flight_.begin(), in_flight_.end(), later);
+      in_flight_.pop_back();
+    }
+    in_flight_.push_back(arrive);
+    std::push_heap(in_flight_.begin(), in_flight_.end(), later);
+    m_in_flight_->record(in_flight_.size());
   }
-  in_flight_.push_back(arrive);
-  std::push_heap(in_flight_.begin(), in_flight_.end(), later);
-  max_in_flight_ = std::max<std::uint64_t>(max_in_flight_, in_flight_.size());
-  telemetry::record(m_in_flight_, in_flight_.size());
   return arrive;
 }
 
@@ -206,27 +198,6 @@ Tick Network::reserve(LinkState& link, Tick now, Tick arrive, Tick ser) {
 
 void Network::handle(Simulation& /*sim*/, const Event& /*ev*/) {
   NEXUS_ASSERT_MSG(false, "Network schedules no events of its own");
-}
-
-Network::Stats Network::stats() const {
-  Stats s;
-  s.messages = messages_;
-  s.delivered = delivered_;
-  s.total_hops = total_hops_;
-  s.injected_flits = injected_flits_;
-  s.delivered_flits = delivered_flits_;
-  s.blocked_flits = blocked_flits_;
-  s.stall_ticks = stall_ticks_;
-  s.max_in_flight = max_in_flight_;
-  s.max_link_intervals = max_link_intervals_;
-  s.link_flits.reserve(links_.size());
-  s.link_busy.reserve(links_.size());
-  for (const LinkState& l : links_) {
-    s.link_flits.push_back(l.flits);
-    s.link_busy.push_back(l.busy);
-  }
-  s.traffic = traffic_;
-  return s;
 }
 
 }  // namespace nexus::noc

@@ -16,8 +16,9 @@
 // ahead of an earlier reservation waits behind it: the one departure from
 // per-hop arbitration in arrival order (tests/noc_reference.hpp keeps that
 // model as the oracle; docs/METRICS.md has the envelope). Link use, hops,
-// flits, in-flight depth and stalls go to the telemetry registry; a
-// per-endpoint-pair traffic matrix feeds the placement search.
+// flits, in-flight depth and stalls are counted only in the telemetry
+// registry (a detached run counts nothing); a per-endpoint-pair traffic
+// matrix feeds the placement search.
 #pragma once
 
 #include <cstdint>
@@ -101,25 +102,17 @@ class Network final : public Component {
   void handle(Simulation& sim, const Event& ev) override;
   [[nodiscard]] const char* telemetry_label() const override { return "noc"; }
 
-  // --- introspection for tests and reports ---
-  struct Stats {
-    std::uint64_t messages = 0;   ///< send() calls
-    std::uint64_t delivered = 0;  ///< deliveries scheduled (at send)
-    std::uint64_t total_hops = 0;
-    std::uint64_t injected_flits = 0;   ///< summed per-message flit counts
-    std::uint64_t delivered_flits = 0;  ///< flits of delivered messages
-    std::uint64_t blocked_flits = 0;  ///< link reservations past arrival
-    Tick stall_ticks = 0;             ///< summed link-wait time
-    std::uint64_t max_in_flight = 0;  ///< peak undelivered, at injects
-    std::uint64_t max_link_intervals = 0;  ///< peak reservations on a link
-    std::vector<std::uint64_t> link_flits;  ///< per link
-    std::vector<Tick> link_busy;            ///< per link, serialization time
-    /// Flit-weighted traffic between logical endpoints, row-major
-    /// endpoints() x endpoints() — the measured input of the placement
-    /// search (placement-independent: recorded before the tile mapping).
-    std::vector<std::uint64_t> traffic;
-  };
-  [[nodiscard]] Stats stats() const;
+  /// Flit-weighted traffic between logical endpoints, row-major
+  /// endpoints() x endpoints(): the measured input of the placement search
+  /// (placement-independent: recorded before the tile mapping).
+  [[nodiscard]] const std::vector<std::uint64_t>& traffic() const {
+    return traffic_;
+  }
+  /// Peak reservations held on one link at once (bounded by the messages
+  /// in flight: reservation pruning keeps the interval lists short).
+  [[nodiscard]] std::uint64_t max_link_intervals() const {
+    return max_link_intervals_;
+  }
 
  private:
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
@@ -137,8 +130,6 @@ class Network final : public Component {
     /// reservation first prunes those ending at or before now() (no future
     /// arrival can precede now()).
     std::vector<Interval> reserved;
-    Tick busy = 0;              ///< accumulated serialization time
-    std::uint64_t flits = 0;    ///< flits that crossed this link
     telemetry::Counter* m_flits = nullptr;
     telemetry::Counter* m_busy = nullptr;  ///< picoseconds
   };
@@ -157,19 +148,10 @@ class Network final : public Component {
   Tick ideal_latency_;
   std::uint32_t self_ = 0;
 
-  std::vector<LinkState> links_;  ///< per-link reservations + mirrors, hot
-  /// Min-heap of routed delivery ticks not yet known to be past.
+  std::vector<LinkState> links_;  ///< per-link reservations + counters, hot
+  /// Min-heap of routed delivery ticks not yet known to be past; kept only
+  /// while the in_flight histogram is bound.
   std::vector<Tick> in_flight_;
-
-  // --- stats mirrors (always on; cheap integer updates) ---
-  std::uint64_t messages_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t total_hops_ = 0;
-  std::uint64_t injected_flits_ = 0;
-  std::uint64_t delivered_flits_ = 0;
-  std::uint64_t blocked_flits_ = 0;
-  Tick stall_ticks_ = 0;
-  std::uint64_t max_in_flight_ = 0;
   std::uint64_t max_link_intervals_ = 0;
   std::vector<std::uint64_t> traffic_;  ///< endpoints x endpoints, flits
 

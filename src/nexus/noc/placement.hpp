@@ -21,7 +21,7 @@
 namespace nexus::noc {
 
 /// Flit-weighted message volume between logical endpoints, row-major
-/// src x dst. Build one from Network::Stats::traffic or synthesize one.
+/// src x dst. Build one from Network::traffic() or synthesize one.
 struct TrafficMatrix {
   explicit TrafficMatrix(std::uint32_t endpoint_count)
       : endpoints(endpoint_count),

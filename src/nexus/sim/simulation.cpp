@@ -30,21 +30,6 @@ void Simulation::schedule(Tick t, std::uint32_t comp, std::uint32_t op,
   queue_.push(ev);
 }
 
-void Simulation::run() {
-  if (obs_.profiler != nullptr) {
-    run_profiled(~std::uint64_t{0});
-    return;
-  }
-  while (!queue_.empty() && !stopped_) {
-    const Event ev = queue_.pop();
-    observe(ev);
-    now_ = ev.t;
-    ++processed_;
-    components_[ev.comp]->handle(*this, ev);
-  }
-  flush_queue_metrics();
-}
-
 bool Simulation::run_some(std::uint64_t max_events) {
   if (obs_.profiler != nullptr) return run_profiled(max_events);
   std::uint64_t n = 0;

@@ -30,7 +30,7 @@ class Simulation {
   }
 
   /// Run until the event queue drains (or a component calls stop()).
-  void run();
+  void run() { run_some(~std::uint64_t{0}); }
 
   /// Run at most `max_events` more events; returns false if the queue drained.
   bool run_some(std::uint64_t max_events);

@@ -228,7 +228,7 @@ TEST(Golden, RunMultiAppWaitsAndPoolContention) {
   NexusSharp m(cfg);
   EXPECT_EQ(multi_digest({&waits, &h264, &gauss}, m, RuntimeConfig{.workers = 4}),
             0x2d1e3673d15be295ULL);
-  EXPECT_EQ(m.stats().pool_peak, 4u);  // the masters did contend for slots
+  EXPECT_EQ(m.pool().peak(), 4u);  // the masters did contend for slots
 }
 
 TEST(Golden, RunTenantsQuotaNacks) {
@@ -241,9 +241,11 @@ TEST(Golden, RunTenantsQuotaNacks) {
   cfg.tenancy.weighted = true;
   cfg.tenancy.weights = {4, 1, 1};
   NexusSharp m(cfg);
-  EXPECT_EQ(tenant_digest(set.streams, m, RuntimeConfig{.workers = 4}),
+  telemetry::MetricRegistry reg;
+  EXPECT_EQ(tenant_digest(set.streams, m,
+                          RuntimeConfig{.workers = 4, .metrics = &reg}),
             0x320ae4575da2a61ULL);
-  EXPECT_GT(m.stats().nacks, 0u);
+  EXPECT_GT(reg.snapshot().counter_at("nexus#/admission/nacks"), 0u);
 }
 
 TEST(Golden, RunTenantsPoolFullStall) {
@@ -252,10 +254,12 @@ TEST(Golden, RunTenantsPoolFullStall) {
   cfg.pool_capacity = 6;
   cfg.tenancy.tenants = 2;
   NexusSharp m(cfg);
-  EXPECT_EQ(tenant_digest(set.streams, m, RuntimeConfig{.workers = 4}),
+  telemetry::MetricRegistry reg;
+  EXPECT_EQ(tenant_digest(set.streams, m,
+                          RuntimeConfig{.workers = 4, .metrics = &reg}),
             0xd6b9af7eb88ee190ULL);
-  EXPECT_EQ(m.stats().nacks, 0u);
-  EXPECT_EQ(m.stats().pool_peak, 6u);  // a full pool stalls the whole port
+  EXPECT_EQ(reg.snapshot().counter_at("nexus#/admission/nacks"), 0u);
+  EXPECT_EQ(m.pool().peak(), 6u);  // a full pool stalls the whole port
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +364,7 @@ TEST(GoldenSurface, NexusSharpClusteredTenantsOnMeshes) {
   rc.noc.kind = noc::TopologyKind::kMesh;
   Surface s;
   run_tenants(set.streams, m, s.observed(rc));
-  EXPECT_GT(m.stats().nacks, 0u);
+  EXPECT_GT(s.reg.snapshot().counter_at("nexus#/admission/nacks"), 0u);
   // Metrics and trace re-pinned when the NoC moved to route reservation at
   // send: the NoC components process no events (sim/c<i>_noc/events), link
   // spans and arrivals are recorded at send, and deliveries scheduled at

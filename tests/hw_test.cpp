@@ -5,11 +5,13 @@
 
 #include <vector>
 
+#include "nexus/common/rng.hpp"
 #include "nexus/common/stats.hpp"
 #include "nexus/hw/dep_counts_table.hpp"
 #include "nexus/hw/distribution.hpp"
 #include "nexus/hw/task_graph_table.hpp"
 #include "nexus/hw/task_pool.hpp"
+#include "nexus/telemetry/registry.hpp"
 
 namespace nexus::hw {
 namespace {
@@ -25,9 +27,26 @@ TEST(Distribution, XorFoldInRange) {
 
 TEST(Distribution, SameAddressSameTarget) {
   // Affinity is the correctness requirement: every access to an address
-  // must be tracked in one task graph.
-  Distributor d(8);
-  for (Addr a = 0x1000; a < 0x3000; a += 0x40) EXPECT_EQ(d.target(a), d.target(a));
+  // must be tracked in one task graph. A task's parameters are routed at
+  // submit and again at finish, interleaved with other traffic, so the
+  // target may depend on nothing but the address: a second distributor
+  // queried in reverse order must agree, and both must give the paper's
+  // fold addr(19..15) ^ addr(14..10) ^ addr(9..5) ^ addr(4..0), computed
+  // here block by block, mod 8.
+  Xoshiro256 rng(24);
+  std::vector<Addr> addrs(512);
+  for (Addr& a : addrs) a = rng() & 0xFFFFFFFFFFFFULL;  // 48-bit addresses
+  Distributor fwd(8);
+  Distributor rev(8);
+  std::vector<std::uint32_t> first;
+  for (const Addr a : addrs) first.push_back(fwd.target(a));
+  for (std::size_t i = addrs.size(); i-- > 0;) {
+    std::uint64_t fold = 0;
+    for (unsigned shift = 0; shift < 20; shift += 5) fold ^= (addrs[i] >> shift) & 0x1F;
+    EXPECT_EQ(first[i], fold % 8) << std::hex << addrs[i];
+    EXPECT_EQ(rev.target(addrs[i]), first[i]) << std::hex << addrs[i];
+    EXPECT_EQ(fwd.target(addrs[i]), first[i]) << std::hex << addrs[i];
+  }
 }
 
 TEST(Distribution, XorFoldBalancesStridedAddresses) {
@@ -116,12 +135,14 @@ TEST(TaskGraphTable, SetConflictStalls) {
   // all be tracked.
   const TableConfig cfg = small_table();
   TaskGraphTable t{cfg};
+  telemetry::MetricRegistry reg;
+  t.bind({.metrics = &reg}, "table");
   // Set index uses bits [6+]: addresses 0x000, 0x100, 0x200 with sets=4
   // map to sets 0, 0, 0 (stride 0x100 = set stride 4 = wraps to 0 mod 4).
   EXPECT_EQ(t.insert(0x000, 1, true).kind, InsertKind::kRunsNow);
   EXPECT_EQ(t.insert(0x100, 2, true).kind, InsertKind::kRunsNow);
   EXPECT_EQ(t.insert(0x200, 3, true).kind, InsertKind::kNoSpace);
-  EXPECT_EQ(t.total_stalls(), 1u);
+  EXPECT_EQ(reg.snapshot().counter_at("table/stalls"), 1u);
   // Finishing one frees the way; the retry succeeds.
   std::vector<Waiter> kicked;
   (void)t.finish(0x000, 1, &kicked);
@@ -230,6 +251,8 @@ TEST(TaskGraphTable, ChainProbeExhaustionStalls) {
   cfg.kol_entries = 1;
   cfg.chain_probe_limit = 2;
   TaskGraphTable t{cfg};
+  telemetry::MetricRegistry reg;
+  t.bind({.metrics = &reg}, "table");
   (void)t.insert(0x40, 1, true);
   EXPECT_EQ(t.insert(0x40, 2, true).kind, InsertKind::kQueued);  // inline
   // Next waiter needs a dummy entry; the only other set may hold one...
@@ -240,7 +263,7 @@ TEST(TaskGraphTable, ChainProbeExhaustionStalls) {
   } else {
     EXPECT_EQ(r3.kind, InsertKind::kNoSpace);
   }
-  EXPECT_GE(t.total_stalls(), 1u);
+  EXPECT_GE(reg.snapshot().counter_at("table/stalls"), 1u);
 }
 
 TEST(TaskGraphTable, PeakOccupancyTracked) {

@@ -88,7 +88,7 @@ TEST_P(ManagerFuzzTest, AllManagersProduceLegalSchedules) {
     EXPECT_TRUE(validate_schedule(tr, sched, &err)) << c.label << ": " << err;
     EXPECT_EQ(r.tasks, tr.num_tasks()) << c.label;
     if (const auto* sharp = dynamic_cast<const NexusSharp*>(c.mgr.get())) {
-      EXPECT_EQ(sharp->stats().sim_tasks_live, 0u) << c.label;
+      EXPECT_EQ(sharp->sim_tasks_live(), 0u) << c.label;
     }
     if (c.label == "ideal") {
       EXPECT_EQ(r.makespan, list_schedule_makespan(tr, 8));
@@ -155,7 +155,7 @@ TEST(Integration, HostileHardwareConfigsStillDrain) {
     rc.schedule_out = &sched;
     const RunResult r = run_trace(tr, mgr, rc);
     EXPECT_EQ(r.tasks, tr.num_tasks());
-    EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+    EXPECT_EQ(mgr.sim_tasks_live(), 0u);
     std::string err;
     EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
   }

@@ -165,7 +165,7 @@ TEST(MultiApp, SharedNexusSharpDrains) {
   NexusSharp co(cfg);
   const MultiAppResult r = run_multi_app({&a, &b}, co, RuntimeConfig{.workers = 32});
   EXPECT_EQ(r.total_tasks, a.num_tasks() + b.num_tasks());
-  EXPECT_EQ(co.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(co.sim_tasks_live(), 0u);
 
   NexusSharp s1(cfg);
   NexusSharp s2(cfg);

@@ -10,6 +10,7 @@
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
+#include "nexus/telemetry/registry.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus {
@@ -122,9 +123,12 @@ TEST(NexusPP, PoolBackpressureBlocksMaster) {
   for (int i = 0; i < 6; ++i)
     tr.submit(0, us(10), params_n(1, 0x1000 + 0x400 * static_cast<Addr>(i)));
   tr.taskwait();
-  const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 1});
-  EXPECT_EQ(mgr.stats().pool_peak, 2u);
-  EXPECT_EQ(mgr.stats().tasks_in, 6u);
+  telemetry::MetricRegistry reg;
+  const RunResult r =
+      run_trace(tr, mgr, RuntimeConfig{.workers = 1, .metrics = &reg});
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.gauge_at("nexus++/pool/peak"), 2);
+  EXPECT_EQ(snap.counter_at("nexus++/tasks_in"), 6u);
   // One worker: tasks serialize; makespan at least 6x10us.
   EXPECT_GE(r.makespan, us(60));
 }
@@ -146,11 +150,13 @@ TEST(NexusPP, TableStallsRecoveredUnderPressure) {
     tr.submit(0, us(500), params_n(1, 0x1000 + 0x40 * static_cast<Addr>(i)));
   tr.taskwait();
   std::vector<ScheduleEntry> sched;
+  telemetry::MetricRegistry reg;
   RuntimeConfig rc;
   rc.workers = 1;
   rc.schedule_out = &sched;
+  rc.metrics = &reg;
   (void)run_trace(tr, mgr, rc);
-  EXPECT_GT(mgr.stats().table_stalls, 0u);
+  EXPECT_GT(reg.snapshot().counter_at("nexus++/table/stalls"), 0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }

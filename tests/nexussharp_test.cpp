@@ -203,9 +203,11 @@ TEST(NexusSharp, PoolBackpressureBlocksMaster) {
   for (int i = 0; i < 6; ++i)
     tr.submit(0, us(10), params_n(1, 0x1000 + 0x400 * static_cast<Addr>(i)));
   tr.taskwait();
-  const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 1});
-  EXPECT_EQ(mgr.stats().pool_peak, 2u);
-  EXPECT_EQ(mgr.stats().tasks_in, 6u);
+  telemetry::MetricRegistry reg;
+  const RunResult r =
+      run_trace(tr, mgr, RuntimeConfig{.workers = 1, .metrics = &reg});
+  EXPECT_EQ(mgr.pool().peak(), 2u);
+  EXPECT_EQ(reg.snapshot().counter_at("nexus#/tasks_in"), 6u);
   EXPECT_GE(r.makespan, us(60));
 }
 
@@ -231,10 +233,12 @@ TEST(NexusSharp, GaussianFanoutDrainsCleanly) {
   // the Waiting Tasks path; everything must drain with no gather leaks.
   const Trace tr = workloads::make_gaussian({.n = 250});
   NexusSharp mgr(cfg_at_100mhz(2));
-  const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 16});
+  telemetry::MetricRegistry reg;
+  const RunResult r =
+      run_trace(tr, mgr, RuntimeConfig{.workers = 16, .metrics = &reg});
   EXPECT_EQ(r.tasks, 31374u);
-  EXPECT_EQ(mgr.stats().ready_out, 31374u);
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(reg.snapshot().counter_at("runtime/dispatches"), 31374u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
 }
 
 TEST(NexusSharp, TableStallRecovery) {
@@ -250,11 +254,16 @@ TEST(NexusSharp, TableStallRecovery) {
     tr.submit(0, us(500), params_n(1, 0x1000 + 0x40 * static_cast<Addr>(i)));
   tr.taskwait();
   std::vector<ScheduleEntry> sched;
+  telemetry::MetricRegistry reg;
   RuntimeConfig rc;
   rc.workers = 1;
   rc.schedule_out = &sched;
+  rc.metrics = &reg;
   (void)run_trace(tr, mgr, rc);
-  EXPECT_GT(mgr.stats().table_stalls, 0u);
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_GT(snap.counter_at("nexus#/tg0/table/stalls") +
+                snap.counter_at("nexus#/tg1/table/stalls"),
+            0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
@@ -263,10 +272,12 @@ TEST(NexusSharp, WorkSpreadsAcrossGraphs) {
   // On h264 (hundreds of distinct addresses) every graph must see work.
   const Trace tr = workloads::make_h264dec(workloads::h264_config(8));
   NexusSharp mgr(cfg_at_100mhz(6));
-  (void)run_trace(tr, mgr, RuntimeConfig{.workers = 8});
-  const auto s = mgr.stats();
+  telemetry::MetricRegistry reg;
+  (void)run_trace(tr, mgr, RuntimeConfig{.workers = 8, .metrics = &reg});
+  const telemetry::Snapshot snap = reg.snapshot();
   for (std::uint32_t g = 0; g < 6; ++g)
-    EXPECT_GT(s.tg_args[g], 0u) << "task graph " << g << " idle";
+    EXPECT_GT(snap.counter_at("nexus#/tg" + std::to_string(g) + "/args"), 0u)
+        << "task graph " << g << " idle";
 }
 
 TEST(NexusSharp, ArbiterSeesContentionUnderLoad) {
@@ -340,13 +351,15 @@ TEST_P(NexusSharpWorkloadTest, ScheduleIsLegalAndDrains) {
   }
   NexusSharp mgr(cfg_at_100mhz(pc.tgs));
   std::vector<ScheduleEntry> sched;
+  telemetry::MetricRegistry reg;
   RuntimeConfig rc;
   rc.workers = 16;
   rc.schedule_out = &sched;
+  rc.metrics = &reg;
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
-  EXPECT_EQ(mgr.stats().ready_out, tr.num_tasks());
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(reg.snapshot().counter_at("runtime/dispatches"), tr.num_tasks());
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
@@ -387,6 +400,8 @@ std::vector<TaskId> run_arbiter_schedule(
   detail::SharpArbiter arb(cfg, &net, sharp_arbiter_node(cfg.num_task_graphs),
                            sharp_io_node());
   Simulation sim;
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   RecordingHost host;
   arb.attach(sim, &host, "nexus#/arbiter");
   net.attach(sim);
@@ -395,7 +410,8 @@ std::vector<TaskId> run_arbiter_schedule(
                  b);
   sim.run();
   EXPECT_EQ(arb.sim_tasks_live(), 0u) << "gather state must drain";
-  if (meta_parks != nullptr) *meta_parks = arb.meta_parks();
+  if (meta_parks != nullptr)
+    *meta_parks = reg.snapshot().counter_at("nexus#/arbiter/meta_parks");
   return host.ready;
 }
 
@@ -503,17 +519,18 @@ TEST(NexusSharp, TorusMetaOverNocKeepsSchedulesLegal) {
   cfg.noc.kind = noc::TopologyKind::kTorus;
   NexusSharp mgr(cfg);
   std::vector<ScheduleEntry> sched;
+  telemetry::MetricRegistry reg;
   RuntimeConfig rc;
   rc.workers = 32;
   rc.schedule_out = &sched;
+  rc.metrics = &reg;
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
   ASSERT_EQ(sched.size(), tr.num_tasks());
   std::string error;
   EXPECT_TRUE(validate_schedule(tr, sched, &error)) << error;
-  const NexusSharp::Stats s = mgr.stats();
-  EXPECT_EQ(s.sim_tasks_live, 0u);
-  EXPECT_EQ(s.ready_out, tr.num_tasks());
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
+  EXPECT_EQ(reg.snapshot().counter_at("runtime/dispatches"), tr.num_tasks());
 }
 
 TEST(NexusSharp, DeterministicAcrossRuns) {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nexus/common/rng.hpp"
@@ -311,12 +312,58 @@ NocConfig cfg_kind(TopologyKind kind, std::int64_t hop = 1,
   return cfg;
 }
 
+/// The counts a run left in its metric registry for the network named
+/// `net` (their only home: a Network keeps no mirrors of its own).
+struct NocCounts {
+  std::uint64_t messages = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t flits = 0;  ///< injected
+  std::uint64_t delivered_flits = 0;
+  std::uint64_t blocked_flits = 0;
+  Tick stall_ps = 0;
+  std::uint64_t hops = 0;  ///< summed over delivered messages
+  std::uint64_t max_in_flight = 0;
+
+  NocCounts(const telemetry::MetricRegistry& reg, std::string_view net = "noc")
+      : snap_(reg.snapshot()), net_(net) {
+    messages = counter("messages");
+    delivered = counter("delivered");
+    flits = counter("flits");
+    delivered_flits = counter("delivered_flits");
+    blocked_flits = counter("blocked_flits");
+    stall_ps = static_cast<Tick>(counter("stall_ps"));
+    hops = hist("hops").sum;
+    max_in_flight = hist("in_flight").max;
+  }
+  /// Flits that crossed link `l`, and its summed serialization time.
+  [[nodiscard]] std::uint64_t link_flits(const Network& n, noc::LinkId l) const {
+    return counter("link/" + n.topology().link_label(l) + "/flits");
+  }
+  [[nodiscard]] Tick link_busy(const Network& n, noc::LinkId l) const {
+    return static_cast<Tick>(
+        counter("link/" + n.topology().link_label(l) + "/busy_ps"));
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t counter(std::string_view leaf) const {
+    return snap_.counter_at(telemetry::path_join(net_, leaf));
+  }
+  [[nodiscard]] telemetry::HistogramData hist(std::string_view leaf) const {
+    const telemetry::MetricValue* v = snap_.find(telemetry::path_join(net_, leaf));
+    return v != nullptr ? v->hist : telemetry::HistogramData{};
+  }
+  telemetry::Snapshot snap_;
+  std::string net_;
+};
+
 TEST(Network, IdealDeliversAtUniformLatency) {
   Simulation sim;
   Sink sink;
   const std::uint32_t dst = sim.add_component(&sink);
   Network net(cfg_kind(TopologyKind::kIdeal), 4, 100.0,
               /*ideal_latency=*/3 * kCycle);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   net.send(sim, 0, 0, 3, dst, 7, 42);
   net.send(sim, 0, 0, 3, dst, 7, 43);  // a crossbar never contends
@@ -325,10 +372,10 @@ TEST(Network, IdealDeliversAtUniformLatency) {
   EXPECT_EQ(sink.seen[0].t, 3 * kCycle);
   EXPECT_EQ(sink.seen[1].t, 3 * kCycle);
   EXPECT_EQ(sink.seen[0].a, 42u);
-  const Network::Stats s = net.stats();
+  const NocCounts s(reg);
   EXPECT_EQ(s.messages, 2u);
   EXPECT_EQ(s.delivered, 2u);
-  EXPECT_EQ(s.total_hops, 2u);
+  EXPECT_EQ(s.hops, 2u);
   EXPECT_EQ(s.blocked_flits, 0u);
 }
 
@@ -340,6 +387,8 @@ TEST(Network, LinkSerializesOneFlitPerLinkCycles) {
   Sink sink;
   const std::uint32_t dst = sim.add_component(&sink);
   Network net(cfg_kind(TopologyKind::kRing, /*hop=*/1, /*link=*/1), 2, 100.0, 0);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   for (std::uint64_t i = 0; i < 4; ++i) net.send(sim, 0, 0, 1, dst, 0, i);
   sim.run();
@@ -348,11 +397,11 @@ TEST(Network, LinkSerializesOneFlitPerLinkCycles) {
     EXPECT_EQ(sink.seen[i].a, i) << "FIFO order must hold on one link";
     EXPECT_EQ(sink.seen[i].t, static_cast<Tick>(i + 1) * kCycle);
   }
-  const Network::Stats s = net.stats();
+  const NocCounts s(reg);
   EXPECT_EQ(s.blocked_flits, 3u);                      // msgs 1..3 waited
-  EXPECT_EQ(s.stall_ticks, (1 + 2 + 3) * kCycle);      // 1+2+3 cycles
-  EXPECT_EQ(s.link_flits[0], 4u);
-  EXPECT_EQ(s.link_busy[0], 4 * kCycle);
+  EXPECT_EQ(s.stall_ps, (1 + 2 + 3) * kCycle);         // 1+2+3 cycles
+  EXPECT_EQ(s.link_flits(net, 0), 4u);
+  EXPECT_EQ(s.link_busy(net, 0), 4 * kCycle);
   EXPECT_EQ(s.max_in_flight, 4u);
 }
 
@@ -368,6 +417,8 @@ TEST(Network, BottleneckLinkBacksUpUpstreamTraffic) {
   cfg.mesh_cols = 3;  // force the 1x3 row (auto geometry would pick 2x2)
   Network net(cfg, 3, 100.0, 0);
   ASSERT_EQ(net.topology().rows(), 1u);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   for (std::uint64_t i = 0; i < 3; ++i) net.send(sim, 0, 1, 2, dst, 1, i);
   net.send(sim, 0, 0, 2, dst, 0, 99);  // two hops, shares link 1->2
@@ -378,7 +429,7 @@ TEST(Network, BottleneckLinkBacksUpUpstreamTraffic) {
   // arrives at cycle 4 instead of the uncontended 2.
   EXPECT_EQ(sink.seen.back().a, 99u);
   EXPECT_EQ(sink.seen.back().t, 4 * kCycle);
-  EXPECT_GT(net.stats().stall_ticks, 0);
+  EXPECT_GT(NocCounts(reg).stall_ps, 0);
 }
 
 TEST(Network, HopCountGoldensAcrossTheMesh) {
@@ -387,13 +438,15 @@ TEST(Network, HopCountGoldensAcrossTheMesh) {
   Sink sink;
   const std::uint32_t dst = sim.add_component(&sink);
   Network net(cfg_kind(TopologyKind::kMesh, /*hop=*/2, /*link=*/1), 9, 100.0, 0);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   net.send(sim, 0, 0, 8, dst, 0, 1);
   net.send(sim, 0, 3, 4, dst, 0, 2);
   sim.run();
-  const Network::Stats s = net.stats();
+  const NocCounts s(reg);
   EXPECT_EQ(s.delivered, 2u);
-  EXPECT_EQ(s.total_hops, 5u);
+  EXPECT_EQ(s.hops, 5u);
   // Uncontended latency = hops * hop_cycles.
   ASSERT_EQ(sink.seen.size(), 2u);
   EXPECT_EQ(sink.seen[0].a, 2u);
@@ -420,6 +473,8 @@ TEST(Network, MultiFlitMessageOccupiesTheLinkForItsWholeTrain) {
   Sink sink;
   const std::uint32_t dst = sim.add_component(&sink);
   Network net(cfg_kind(TopologyKind::kRing, /*hop=*/1, /*link=*/1), 2, 100.0, 0);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   net.send(sim, 0, 0, 1, dst, 0, 1, 0, /*payload_bytes=*/16);
   net.send(sim, 0, 0, 1, dst, 0, 2, 0, /*payload_bytes=*/16);
@@ -427,13 +482,13 @@ TEST(Network, MultiFlitMessageOccupiesTheLinkForItsWholeTrain) {
   ASSERT_EQ(sink.seen.size(), 2u);
   EXPECT_EQ(sink.seen[0].t, 3 * kCycle);
   EXPECT_EQ(sink.seen[1].t, 6 * kCycle);
-  const Network::Stats s = net.stats();
-  EXPECT_EQ(s.injected_flits, 6u);
+  const NocCounts s(reg);
+  EXPECT_EQ(s.flits, 6u);
   EXPECT_EQ(s.delivered_flits, 6u);
-  EXPECT_EQ(s.link_flits[0], 6u);
-  EXPECT_EQ(s.link_busy[0], 6 * kCycle);
+  EXPECT_EQ(s.link_flits(net, 0), 6u);
+  EXPECT_EQ(s.link_busy(net, 0), 6 * kCycle);
   EXPECT_EQ(s.blocked_flits, 1u);
-  EXPECT_EQ(s.stall_ticks, 3 * kCycle);
+  EXPECT_EQ(s.stall_ps, 3 * kCycle);
 }
 
 TEST(Network, FlitConservationAcrossTopologies) {
@@ -448,6 +503,8 @@ TEST(Network, FlitConservationAcrossTopologies) {
     Sink sink;
     const std::uint32_t dst = sim.add_component(&sink);
     Network net(cfg_kind(kind, /*hop=*/2, /*link=*/1), 9, 100.0, 3 * kCycle);
+    telemetry::MetricRegistry reg;
+    sim.bind({.metrics = &reg});
     net.attach(sim);
     Xoshiro256 rng(2026);
     std::uint64_t expected_flits = 0;
@@ -460,43 +517,17 @@ TEST(Network, FlitConservationAcrossTopologies) {
       net.send(sim, sim.now(), src, to, dst, 0, i, 0, payload);
     }
     sim.run();
-    const Network::Stats s = net.stats();
+    const NocCounts s(reg);
     EXPECT_EQ(sink.seen.size(), kMsgs) << noc::to_string(kind);
     EXPECT_EQ(s.messages, kMsgs) << noc::to_string(kind);
     EXPECT_EQ(s.delivered, kMsgs) << noc::to_string(kind);
-    EXPECT_EQ(s.injected_flits, expected_flits) << noc::to_string(kind);
+    EXPECT_EQ(s.flits, expected_flits) << noc::to_string(kind);
     EXPECT_EQ(s.delivered_flits, expected_flits) << noc::to_string(kind);
-    EXPECT_EQ(std::accumulate(s.traffic.begin(), s.traffic.end(),
-                              std::uint64_t{0}),
+    const std::vector<std::uint64_t>& traffic = net.traffic();
+    EXPECT_EQ(std::accumulate(traffic.begin(), traffic.end(), std::uint64_t{0}),
               expected_flits)
         << noc::to_string(kind);
   }
-}
-
-TEST(Network, TelemetryMatchesStats) {
-  telemetry::MetricRegistry reg;
-  Simulation sim;
-  Sink sink;
-  const std::uint32_t dst = sim.add_component(&sink);
-  Network net(cfg_kind(TopologyKind::kRing), 2, 100.0, 0);
-  sim.bind({.metrics = &reg});
-  net.attach(sim);
-  for (std::uint64_t i = 0; i < 3; ++i) net.send(sim, 0, 0, 1, dst, 0, i);
-  sim.run();
-  const telemetry::Snapshot snap = reg.snapshot();
-  const Network::Stats s = net.stats();
-  EXPECT_EQ(snap.counter_at("noc/messages"), s.messages);
-  EXPECT_EQ(snap.counter_at("noc/delivered"), s.delivered);
-  EXPECT_EQ(snap.counter_at("noc/flits"), s.injected_flits);
-  EXPECT_EQ(snap.counter_at("noc/delivered_flits"), s.delivered_flits);
-  EXPECT_EQ(snap.counter_at("noc/blocked_flits"), s.blocked_flits);
-  EXPECT_EQ(snap.counter_at("noc/stall_ps"),
-            static_cast<std::uint64_t>(s.stall_ticks));
-  EXPECT_EQ(snap.counter_at("noc/link/l0_0to1/flits"), s.link_flits[0]);
-  const telemetry::MetricValue* hops = snap.find("noc/hops");
-  ASSERT_NE(hops, nullptr);
-  EXPECT_EQ(hops->hist.count, s.delivered);
-  EXPECT_EQ(hops->hist.sum, s.total_hops);
 }
 
 // ---------- transaction level vs the hop-by-hop reference ----------
@@ -595,17 +626,18 @@ TEST(NocReference, IdenticalWhereEveryLinkIsGrantedInSendOrder) {
       const NocConfig cfg = cfg_kind(kind, /*hop=*/2, /*link=*/1);
       const std::vector<Injection> plan =
           make_schedule(seed, 9, 40, /*max_gap=*/6, /*max_lead=*/3);
+      telemetry::MetricRegistry reg;
       Network net(cfg, 9, 100.0, 0);
       noc::HopByHopNetwork ref(cfg, 9, 100.0);
-      const std::vector<Tick> got = drive(net, plan);
+      const std::vector<Tick> got = drive(net, plan, &reg);
       const std::vector<Tick> want = drive(ref, plan);
       if (!granted_in_send_order(ref)) continue;
       ++exact;
       if (ref.blocked_flits() > 0) ++contended;
-      const Network::Stats s = net.stats();
+      const NocCounts s(reg);
       EXPECT_EQ(got, want) << noc::to_string(kind) << " seed " << seed;
       EXPECT_EQ(s.blocked_flits, ref.blocked_flits());
-      EXPECT_EQ(s.stall_ticks, ref.stall_ticks());
+      EXPECT_EQ(s.stall_ps, ref.stall_ticks());
       EXPECT_EQ(s.max_in_flight, ref.max_in_flight());
     }
   }
@@ -638,17 +670,19 @@ TEST(NocReference, ContendedStallsStayWithinTheEnvelope) {
         const NocConfig cfg = cfg_kind(kind, /*hop=*/2, /*link=*/1);
         const std::vector<Injection> plan =
             make_schedule(seed, 9, 400, max_gap, /*max_lead=*/6);
+        telemetry::MetricRegistry reg;
         Network net(cfg, 9, 100.0, 0);
         noc::HopByHopNetwork ref(cfg, 9, 100.0);
-        const std::vector<Tick> got = drive(net, plan);
+        const std::vector<Tick> got = drive(net, plan, &reg);
         const std::vector<Tick> want = drive(ref, plan);
         ASSERT_EQ(std::count(got.begin(), got.end(), -1), 0);
         for (std::size_t i = 0; i < plan.size(); ++i) {
           latency += got[i] - plan[i].at - plan[i].lead;
           ref_latency += want[i] - plan[i].at - plan[i].lead;
         }
-        blocked += net.stats().blocked_flits;
-        stall += net.stats().stall_ticks;
+        const NocCounts s(reg);
+        blocked += s.blocked_flits;
+        stall += s.stall_ps;
         ref_blocked += ref.blocked_flits();
         ref_stall += ref.stall_ticks();
       }
@@ -679,24 +713,26 @@ TEST(NocReference, LaterSendOvertakesIntoTheGapAheadOfAnEarlierReservation) {
       {0, 8 * kCycle, 1, 2, 16},  // B
   };
   {
+    telemetry::MetricRegistry reg;
     Network net(cfg, 3, 100.0, 0);
     noc::HopByHopNetwork ref(cfg, 3, 100.0);
     const std::vector<Tick> want = {12 * kCycle, 11 * kCycle};
-    EXPECT_EQ(drive(net, fits), want);
+    EXPECT_EQ(drive(net, fits, &reg), want);
     EXPECT_EQ(drive(ref, fits), want);
-    EXPECT_EQ(net.stats().stall_ticks, 0);
+    EXPECT_EQ(NocCounts(reg).stall_ps, 0);
     EXPECT_EQ(ref.stall_ticks(), 0);
   }
   const std::vector<Injection> too_long = {
       {0, 10 * kCycle, 0, 2, 0},  // A
       {0, 8 * kCycle, 1, 2, 24},  // C
   };
+  telemetry::MetricRegistry reg;
   Network net(cfg, 3, 100.0, 0);
   noc::HopByHopNetwork ref(cfg, 3, 100.0);
   // Reservation: A keeps [11, 12), C waits 4 cycles to [12, 16).
-  EXPECT_EQ(drive(net, too_long),
+  EXPECT_EQ(drive(net, too_long, &reg),
             (std::vector<Tick>{12 * kCycle, 16 * kCycle}));
-  EXPECT_EQ(net.stats().stall_ticks, 4 * kCycle);
+  EXPECT_EQ(NocCounts(reg).stall_ps, 4 * kCycle);
   // Hop by hop: C takes [8, 12), A waits 1 cycle to [12, 13).
   EXPECT_EQ(drive(ref, too_long),
             (std::vector<Tick>{13 * kCycle, 12 * kCycle}));
@@ -708,7 +744,7 @@ TEST(NocReference, InFlightDepthCountsDeliveriesStillAhead) {
   // one included) whose delivery tick is still ahead of now. Sends sit on
   // distinct clock phases, so "ahead of now" is never a same-tick tie.
   const NocConfig cfg = cfg_kind(TopologyKind::kMesh, /*hop=*/2, /*link=*/1);
-  const auto depths_of = [](const Network& net, const std::vector<Injection>& plan,
+  const auto depths_of = [](const std::vector<Injection>& plan,
                             const telemetry::MetricRegistry& reg) {
     const telemetry::Snapshot snap = reg.snapshot();
     const telemetry::MetricValue* h = snap.find("noc/in_flight");
@@ -717,7 +753,6 @@ TEST(NocReference, InFlightDepthCountsDeliveriesStillAhead) {
       return telemetry::HistogramData{};
     }
     EXPECT_EQ(h->hist.count, plan.size());
-    EXPECT_EQ(h->hist.max, net.stats().max_in_flight);
     return h->hist;
   };
   {
@@ -735,7 +770,7 @@ TEST(NocReference, InFlightDepthCountsDeliveriesStillAhead) {
       sum += depth;
       peak = std::max(peak, depth);
     }
-    const telemetry::HistogramData h = depths_of(net, plan, reg);
+    const telemetry::HistogramData h = depths_of(plan, reg);
     EXPECT_EQ(h.sum, sum);
     EXPECT_EQ(h.max, peak);
   }
@@ -748,7 +783,7 @@ TEST(NocReference, InFlightDepthCountsDeliveriesStillAhead) {
   noc::HopByHopNetwork ref(cfg, 9, 100.0);
   ASSERT_EQ(drive(net, plan, &reg), drive(ref, plan));
   const std::vector<std::uint64_t>& depth = ref.in_flight_at_inject();
-  const telemetry::HistogramData h = depths_of(net, plan, reg);
+  const telemetry::HistogramData h = depths_of(plan, reg);
   EXPECT_EQ(h.sum, std::accumulate(depth.begin(), depth.end(), std::uint64_t{0}));
   EXPECT_EQ(h.max, ref.max_in_flight());
   EXPECT_GE(ref.max_in_flight(), 3u) << "the schedule should overlap messages";
@@ -781,15 +816,16 @@ TEST(Network, HostileConfigsDrainConserveFlitsAndBoundReservations) {
       std::vector<Injection> plan =
           make_schedule(11, 6, 3000, /*max_gap=*/4, /*max_lead=*/20);
       for (Injection& in : plan) in.payload = payload;
+      telemetry::MetricRegistry reg;
       Network net(cfg, 6, 100.0, 0);
-      const std::vector<Tick> got = drive(net, plan);
+      const std::vector<Tick> got = drive(net, plan, &reg);
       EXPECT_EQ(std::count(got.begin(), got.end(), -1), 0);
-      const Network::Stats s = net.stats();
+      const NocCounts s(reg);
       EXPECT_EQ(s.delivered, plan.size());
-      EXPECT_EQ(s.injected_flits, plan.size() * net.flits_for(payload));
-      EXPECT_EQ(s.delivered_flits, s.injected_flits);
-      EXPECT_GE(s.max_link_intervals, 1u);
-      EXPECT_LE(s.max_link_intervals, s.max_in_flight);
+      EXPECT_EQ(s.flits, plan.size() * net.flits_for(payload));
+      EXPECT_EQ(s.delivered_flits, s.flits);
+      EXPECT_GE(net.max_link_intervals(), 1u);
+      EXPECT_LE(net.max_link_intervals(), s.max_in_flight);
     }
   }
 }
@@ -863,15 +899,16 @@ TEST(Placement, NetworkAppliesThePlacement) {
   cfg.placement = {0, 2, 1};
   cfg.placement_name = "swap12";
   Network net(cfg, 3, 100.0, 0);
+  telemetry::MetricRegistry reg;
+  sim.bind({.metrics = &reg});
   net.attach(sim);
   EXPECT_EQ(net.tile_of(1), 2u);
   net.send(sim, 0, 0, 2, dst, 0, 7);
   sim.run();
   ASSERT_EQ(sink.seen.size(), 1u);
   EXPECT_EQ(sink.seen[0].t, 1 * kCycle);  // one hop instead of two
-  const Network::Stats s = net.stats();
-  EXPECT_EQ(s.total_hops, 1u);
-  EXPECT_EQ(s.traffic[0 * 3 + 2], 1u) << "traffic keyed by logical endpoint";
+  EXPECT_EQ(NocCounts(reg).hops, 1u);
+  EXPECT_EQ(net.traffic()[0 * 3 + 2], 1u) << "traffic keyed by logical endpoint";
 }
 
 // ---------- whole-stack contracts ----------
@@ -937,9 +974,11 @@ TEST(NocIntegration, RingMeshAndTorusBoundIdealFromAbove) {
        {TopologyKind::kIdeal, TopologyKind::kRing, TopologyKind::kMesh,
         TopologyKind::kTorus}) {
     NexusSharp mgr(sharp_cfg(6, 0.0, kind));
+    telemetry::MetricRegistry reg;
     RuntimeConfig rc;
     rc.workers = 16;
     rc.noc.kind = kind;
+    rc.metrics = &reg;
     const Tick makespan = run_trace(tr, mgr, rc).makespan;
     if (kind == TopologyKind::kIdeal) {
       ideal = makespan;
@@ -948,13 +987,13 @@ TEST(NocIntegration, RingMeshAndTorusBoundIdealFromAbove) {
       EXPECT_GT(makespan, ideal)
           << noc::to_string(kind)
           << " must pay distance + contention over the ideal crossbar";
-      const Network::Stats s = mgr.network().stats();
+      const NocCounts s(reg, "nexus#/noc");
       EXPECT_GT(s.blocked_flits, 0u);
-      EXPECT_GT(s.stall_ticks, 0);
-      EXPECT_GT(s.total_hops, s.delivered);  // mean hop count > 1
+      EXPECT_GT(s.stall_ps, 0);
+      EXPECT_GT(s.hops, s.delivered);  // mean hop count > 1
       // Conservation holds across the whole drained run.
       EXPECT_EQ(s.delivered, s.messages);
-      EXPECT_EQ(s.delivered_flits, s.injected_flits);
+      EXPECT_EQ(s.delivered_flits, s.flits);
       if (kind == TopologyKind::kMesh) mesh = makespan;
       if (kind == TopologyKind::kTorus) {
         // Wraparound shortens routes; same grid, same traffic.
@@ -971,16 +1010,18 @@ TEST(NocIntegration, IdealMultiFlitAccountingDoesNotPerturb) {
   // charges them.
   const Trace tr = workloads::make_gaussian({.n = 120});
   NexusSharp mgr(sharp_cfg(4, 100.0));
-  EXPECT_EQ(run_trace(tr, mgr, RuntimeConfig{.workers = 16}).makespan,
+  telemetry::MetricRegistry reg;
+  EXPECT_EQ(run_trace(tr, mgr, RuntimeConfig{.workers = 16, .metrics = &reg})
+                .makespan,
             kSeedSharp4Gauss120W16);
-  const Network::Stats s = mgr.network().stats();
+  const NocCounts s(reg, "nexus#/noc");
   EXPECT_EQ(s.delivered, s.messages);
-  EXPECT_GT(s.injected_flits, s.messages)
+  EXPECT_GT(s.flits, s.messages)
       << "parameter payloads should make most messages multi-flit";
-  EXPECT_EQ(s.delivered_flits, s.injected_flits);
-  EXPECT_EQ(std::accumulate(s.traffic.begin(), s.traffic.end(),
-                            std::uint64_t{0}),
-            s.injected_flits);
+  EXPECT_EQ(s.delivered_flits, s.flits);
+  const std::vector<std::uint64_t>& traffic = mgr.network().traffic();
+  EXPECT_EQ(std::accumulate(traffic.begin(), traffic.end(), std::uint64_t{0}),
+            s.flits);
 }
 
 TEST(NocIntegration, MeshRunDrainsAndStaysLive) {
@@ -988,15 +1029,17 @@ TEST(NocIntegration, MeshRunDrainsAndStaysLive) {
   // other on different routes) must not wedge the arbiter's gather logic.
   const Trace tr = workloads::make_workload("h264dec-8x8-10f");
   NexusSharp mgr(sharp_cfg(6, 0.0, TopologyKind::kMesh));
+  telemetry::MetricRegistry reg;
   RuntimeConfig rc;
   rc.workers = 32;
   rc.noc.kind = TopologyKind::kMesh;
+  rc.metrics = &reg;
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
-  const NexusSharp::Stats s = mgr.stats();
-  EXPECT_EQ(s.sim_tasks_live, 0u);
-  EXPECT_EQ(s.tasks_in, tr.num_tasks());
-  EXPECT_EQ(s.ready_out, tr.num_tasks());
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_at("nexus#/tasks_in"), tr.num_tasks());
+  EXPECT_EQ(snap.counter_at("runtime/dispatches"), tr.num_tasks());
 }
 
 TEST(NocIntegration, HostNocChargesDispatchAndNotifyDistance) {
@@ -1026,11 +1069,13 @@ TEST(NocIntegration, NexusPPRingSerializesTheOneLinkPair) {
   NexusPPConfig cfg;
   cfg.noc.kind = TopologyKind::kRing;
   NexusPP mgr(cfg);
-  const Tick makespan = run_trace(tr, mgr, RuntimeConfig{.workers = 8}).makespan;
+  telemetry::MetricRegistry reg;
+  const Tick makespan =
+      run_trace(tr, mgr, RuntimeConfig{.workers = 8, .metrics = &reg}).makespan;
   EXPECT_GT(makespan, kSeedNppGauss120W8);
-  const Network::Stats s = mgr.network().stats();
+  const NocCounts s(reg, "nexus++/noc");
   EXPECT_EQ(s.delivered, s.messages);
-  EXPECT_EQ(s.total_hops, s.delivered);  // every route is the single hop
+  EXPECT_EQ(s.hops, s.delivered);  // every route is the single hop
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(RuntimeEdge, NexusSharpPoolOfOne) {
   const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 4});
   EXPECT_EQ(r.tasks, 8u);
   EXPECT_GE(r.makespan, us(16));  // fully serialized by the window
-  EXPECT_EQ(mgr.stats().pool_peak, 1u);
+  EXPECT_EQ(mgr.pool().peak(), 1u);
 }
 
 TEST(RuntimeEdge, SingleTaskGraphAtThirtyTwo) {
@@ -135,7 +135,7 @@ TEST(RuntimeEdge, SingleTaskGraphAtThirtyTwo) {
   const Trace tr = workloads::make_gaussian({.n = 80});
   const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 8});
   EXPECT_EQ(r.tasks, tr.num_tasks());
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
 }
 
 TEST(RuntimeEdge, WorkloadConfigVariants) {

@@ -65,7 +65,7 @@ TEST(Clustered, DrainsAndScheduleIsValid) {
   rc.schedule_out = &sched;
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
   EXPECT_TRUE(mgr.clustered());
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
@@ -80,7 +80,7 @@ TEST(Clustered, FourClustersValidToo) {
   rc.schedule_out = &sched;
   const RunResult r = run_trace(tr, mgr, rc);
   EXPECT_EQ(r.tasks, tr.num_tasks());
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
 }
@@ -147,7 +147,7 @@ TEST(Clustered, SingleClusterParticipationDrains) {
   NexusSharp mgr(sharp_cfg(4));
   const RunResult r = run_trace(tr, mgr, RuntimeConfig{.workers = 8});
   EXPECT_EQ(r.tasks, 40u);
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
 }
 
 // --- admission control / quotas -------------------------------------------
@@ -162,14 +162,15 @@ TEST(Tenancy, QuotaNackIsolatesHeavyTenant) {
   cfg.tenancy.tenants = 2;
   cfg.tenancy.quota.pool = 8;
   NexusSharp mgr(cfg);
-  const TenantRunResult r =
-      run_tenants(set.streams, mgr, RuntimeConfig{.workers = 4});
+  telemetry::MetricRegistry reg;
+  const TenantRunResult r = run_tenants(
+      set.streams, mgr, RuntimeConfig{.workers = 4, .metrics = &reg});
   EXPECT_EQ(r.total_tasks, 600u);
   EXPECT_EQ(r.tenants[0].tasks, 300u);
   EXPECT_EQ(r.tenants[1].tasks, 300u);
   EXPECT_GT(r.tenants[0].nack_holds, 0u);
-  EXPECT_GT(mgr.stats().nacks, 0u);
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_GT(reg.snapshot().counter_at("nexus#/admission/nacks"), 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
 }
 
 TEST(Tenancy, TinyQuotaStaysLive) {
@@ -184,17 +185,19 @@ TEST(Tenancy, TinyQuotaStaysLive) {
       run_tenants(set.streams, mgr, RuntimeConfig{.workers = 2});
   EXPECT_EQ(r.total_tasks, 120u);
   EXPECT_GT(r.tenants[0].nack_holds, 0u);
-  EXPECT_EQ(mgr.stats().sim_tasks_live, 0u);
+  EXPECT_EQ(mgr.sim_tasks_live(), 0u);
 }
 
 TEST(Tenancy, DisabledTenancyNeverNacks) {
   TenantSet set = make_tenants({2e6, 2e6}, 150);
   NexusSharp mgr(sharp_cfg(2));
-  const TenantRunResult r =
-      run_tenants(set.streams, mgr, RuntimeConfig{.workers = 8});
+  telemetry::MetricRegistry reg;
+  const TenantRunResult r = run_tenants(
+      set.streams, mgr, RuntimeConfig{.workers = 8, .metrics = &reg});
   EXPECT_EQ(r.total_tasks, 300u);
   EXPECT_EQ(r.tenants[0].nack_holds + r.tenants[1].nack_holds, 0u);
-  EXPECT_EQ(mgr.stats().nacks, 0u);
+  // Without tenancy there is no admission stage to count NACKs at all.
+  EXPECT_EQ(reg.snapshot().find("nexus#/admission/nacks"), nullptr);
 }
 
 // --- determinism ----------------------------------------------------------

@@ -2,9 +2,9 @@
 // complete, monotone lifecycle chain whose phase durations telescope to the
 // sojourn), cross-checks against the schedule oracle and the exec log, dep
 // edges bracketed by producer finish and consumer resolve, NoC flow events
-// conserving delivered flits against Network::stats(), the zero-overhead
-// contract (attaching a recorder must not change the schedule by one
-// event), critical-path attribution tiling [0, makespan] exactly on
+// conserving delivered flits against the network's registry counters, the
+// zero-overhead contract (attaching a recorder must not change the schedule
+// by one event), critical-path attribution tiling [0, makespan] exactly on
 // ideal/mesh/torus interconnects, and the Chrome exporter's invariants.
 #include <gtest/gtest.h>
 
@@ -60,12 +60,14 @@ struct TracedRun {
 };
 
 TracedRun run_traced(const Trace& tr, TaskManagerModel& mgr,
-                     std::uint32_t workers = 8) {
+                     std::uint32_t workers = 8,
+                     telemetry::MetricRegistry* metrics = nullptr) {
   TracedRun out;
   TraceRecorder rec;
   RuntimeConfig rc;
   rc.workers = workers;
   rc.trace = &rec;
+  rc.metrics = metrics;
   rc.schedule_out = &out.schedule;
   out.result = run_trace(tr, mgr, rc);
   out.trace = rec.freeze();
@@ -203,9 +205,11 @@ TEST(TraceNoc, DeliveredFlitsMatchNetworkStats) {
        {noc::TopologyKind::kIdeal, noc::TopologyKind::kMesh,
         noc::TopologyKind::kTorus}) {
     NexusSharp mgr(sharp_cfg(kind));
-    const TracedRun r = run_traced(tr, mgr);
-    const noc::Network::Stats s = mgr.network().stats();
-    EXPECT_EQ(r.trace.delivered_flits("nexus#/noc"), s.delivered_flits)
+    telemetry::MetricRegistry reg;
+    const TracedRun r = run_traced(tr, mgr, 8, &reg);
+    const telemetry::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(r.trace.delivered_flits("nexus#/noc"),
+              snap.counter_at("nexus#/noc/delivered_flits"))
         << noc::to_string(kind);
     // Every traced message was sent; every delivered one has an arrival no
     // earlier than its departure.
@@ -219,8 +223,9 @@ TEST(TraceNoc, DeliveredFlitsMatchNetworkStats) {
         EXPECT_GE(m.arrive, m.depart);
       }
     }
-    EXPECT_EQ(sent, s.messages) << noc::to_string(kind);
-    EXPECT_EQ(delivered, s.delivered) << noc::to_string(kind);
+    EXPECT_EQ(sent, snap.counter_at("nexus#/noc/messages")) << noc::to_string(kind);
+    EXPECT_EQ(delivered, snap.counter_at("nexus#/noc/delivered"))
+        << noc::to_string(kind);
   }
 }
 
@@ -527,7 +532,7 @@ TEST(ServingConservation, TenantRunHistogramsMatchSpanChains) {
   const TenantRunResult result = run_tenants(w.streams, mgr, rc);
   const TraceData td = rec.freeze();
   const telemetry::Snapshot snap = reg.snapshot();
-  EXPECT_GT(mgr.stats().nacks, 0u);
+  EXPECT_GT(snap.counter_at("nexus#/admission/nacks"), 0u);
 
   ASSERT_EQ(td.tasks.size(), w.release.size());
   EXPECT_EQ(td.makespan, result.makespan);
