@@ -1,7 +1,5 @@
 #include "nexus/hw/dep_counts_table.hpp"
 
-#include <algorithm>
-
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
 
@@ -13,7 +11,6 @@ void DepCountsTable::set(TaskId id, std::uint32_t count,
   const bool fresh = counts_.try_emplace(id, Parked{count, tenant}).second;
   NEXUS_ASSERT_MSG(fresh, "dep count already present");
   if (tenants_.enabled()) tenants_.add(tenant);
-  peak_ = std::max<std::uint64_t>(peak_, counts_.size());
   telemetry::inc(m_parked_);
   telemetry::record(m_occupancy_, counts_.size());
   if (trace_ != nullptr)

@@ -30,7 +30,6 @@ class DepCountsTable {
 
   [[nodiscard]] bool contains(TaskId id) const { return counts_.contains(id); }
   [[nodiscard]] std::size_t size() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t peak() const { return peak_; }
 
   /// Enable per-tenant occupancy accounting (tenancy quotas).
   void configure_tenancy(std::uint32_t tenants) { tenants_.configure(tenants); }
@@ -49,7 +48,6 @@ class DepCountsTable {
   };
   IdMap<Parked> counts_;
   TenantLedger tenants_;
-  std::uint64_t peak_ = 0;
   telemetry::TraceRecorder* trace_ = nullptr;
   std::string track_;
 

@@ -1,6 +1,5 @@
 #include "nexus/hw/task_graph_table.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "nexus/common/bit_ops.hpp"
@@ -41,7 +40,6 @@ TaskGraphTable::Entry& TaskGraphTable::claim(std::uint32_t i,
   e.chain_idx.clear();
   if (tenants_.enabled()) tenants_.add(tenant);
   ++used_slots_;
-  peak_used_ = std::max<std::uint64_t>(peak_used_, used_slots_);
   return e;
 }
 
@@ -165,24 +163,22 @@ void TaskGraphTable::check_self_stall(const char* unit,
   assert_fail("insert self-stall", __FILE__, __LINE__, msg);
 }
 
-TaskGraphTable::FinishResult TaskGraphTable::finish(Addr addr, TaskId /*task*/,
-                                                    std::vector<Waiter>* kicked) {
+std::uint32_t TaskGraphTable::finish(Addr addr, TaskId /*task*/,
+                                     std::vector<Waiter>* kicked) {
   NEXUS_ASSERT(kicked != nullptr);
   Entry* e = find(addr);
   NEXUS_ASSERT_MSG(e != nullptr, "finish for untracked address");
   NEXUS_ASSERT(e->cur_unfinished > 0);
-  FinishResult r;
-  if (--e->cur_unfinished > 0) return r;
+  if (--e->cur_unfinished > 0) return 0;
 
   if (e->kol.empty()) {
     release_entry(*e);
-    r.entry_freed = true;
-    return r;
+    return 0;
   }
 
   // Kick off the next group: a single writer, or every consecutive reader.
-  r.chain_hops = static_cast<std::uint32_t>(e->chain_idx.size());
-  telemetry::inc(m_chain_hops_, r.chain_hops);
+  const auto chain_hops = static_cast<std::uint32_t>(e->chain_idx.size());
+  telemetry::inc(m_chain_hops_, chain_hops);
   if (e->kol.front().is_writer) {
     kicked->push_back(e->kol.pop());
     e->cur_is_writer = true;
@@ -196,7 +192,7 @@ TaskGraphTable::FinishResult TaskGraphTable::finish(Addr addr, TaskId /*task*/,
     }
   }
   shrink_chain(*e);
-  return r;
+  return chain_hops;
 }
 
 bool TaskGraphTable::tracks(Addr addr) const {

@@ -15,7 +15,9 @@
 // The table reports chain-hop counts so the timing models can charge extra
 // cycles for walking chained lists, and reports kNoSpace so they can model
 // insert-stage stalls ("the task graph must then wait until one task
-// finishes", Section IV-D).
+// finishes", Section IV-D). It signals no freed space: an owner retries a
+// refused insert at each grant of its table port, and every finish it
+// serves re-arms that grant.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +64,6 @@ class TaskGraphTable {
   InsertResult insert(Addr addr, TaskId task, bool is_writer,
                       std::uint16_t tenant = 0);
 
-  struct FinishResult {
-    std::uint32_t chain_hops = 0;
-    bool entry_freed = false;  ///< address fully drained, ways reclaimed
-  };
-
   /// Fail loudly when parameter `index` of `task`, just refused with
   /// kNoSpace, can never be inserted: every way of its set holds the entry
   /// of one of the task's earlier, already inserted parameters. Those
@@ -78,8 +75,9 @@ class TaskGraphTable {
 
   /// Retire `task`'s access to `addr`. If the running group drains, the
   /// next kick-off-list group starts running and its members are appended
-  /// to *kicked (each represents one dependence satisfied).
-  FinishResult finish(Addr addr, TaskId task, std::vector<Waiter>* kicked);
+  /// to *kicked (each represents one dependence satisfied). Returns the
+  /// dummy entries walked to reach that group (0 when nothing is kicked).
+  std::uint32_t finish(Addr addr, TaskId task, std::vector<Waiter>* kicked);
 
   // --- occupancy / capacity introspection ---
   [[nodiscard]] std::uint32_t entries_in_use() const { return used_slots_; }
@@ -87,7 +85,6 @@ class TaskGraphTable {
     return cfg_.sets * cfg_.ways;
   }
   [[nodiscard]] bool tracks(Addr addr) const;
-  [[nodiscard]] std::uint64_t peak_used() const { return peak_used_; }
 
   /// Enable per-tenant slot accounting (tenancy quotas).
   void configure_tenancy(std::uint32_t tenants) { tenants_.configure(tenants); }
@@ -127,7 +124,6 @@ class TaskGraphTable {
   std::vector<std::uint64_t> tags_;
   TenantLedger tenants_;
   std::uint32_t used_slots_ = 0;
-  std::uint64_t peak_used_ = 0;
 
   telemetry::Counter* m_inserts_ = nullptr;     ///< accesses recorded
   telemetry::Counter* m_queued_ = nullptr;      ///< accesses that waited

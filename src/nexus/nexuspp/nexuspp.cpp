@@ -92,14 +92,14 @@ void NexusPP::handle(Simulation& sim, const Event& ev) {
 
 void NexusPP::pump(Simulation& sim) {
   // Single-ported table: serve one work item at a time. Finished tasks have
-  // priority (they free resources); a stalled insert parks until a finish
-  // frees space in its set.
+  // priority (they free resources). A stalled insert is retried at every
+  // grant of the port; each finish served re-arms the next grant, so room a
+  // finish makes (a freed way, chain slot or kick-off-list place) is seen.
   if (!port_.claim(sim)) return;
   const Tick now = sim.now();
   if (!finish_queue_.empty()) {
     process_finish(sim, finish_queue_.pop());
   } else if (active_insert_) {
-    if (insert_stalled_) return;  // wait for a finish
     const std::size_t resumed_at = active_insert_->next_param;
     if (continue_insert(sim)) {
       active_insert_.reset();
@@ -127,7 +127,6 @@ bool NexusPP::continue_insert(Simulation& sim) {
       // "The task graph must then wait until one task finishes" (IV-D),
       // unless the only tasks that could free the set are this one.
       table_.check_self_stall("nexus++", task, job.next_param);
-      insert_stalled_ = true;
       return false;
     }
     const Tick step = cycles(cfg_.insert_per_param +
@@ -137,7 +136,6 @@ bool NexusPP::continue_insert(Simulation& sim) {
     if (res.kind == hw::TaskGraphTable::InsertKind::kQueued) ++job.deps;
     ++job.next_param;
   }
-  insert_stalled_ = false;
   const Tick done = port_.free_at();
   if (trace_ != nullptr)
     trace_->unit_span("npp/table", "insert", job.id, job.started, done - job.started);
@@ -153,12 +151,8 @@ void NexusPP::process_finish(Simulation& sim, TaskId id) {
   const TaskDescriptor task = pool_.get(id);  // copy: erased below
   kicked_scratch_.clear();
   std::int64_t hop_cycles = 0;
-  bool freed_entry = false;
-  for (const auto& p : task.params) {
-    const auto res = table_.finish(p.addr, id, &kicked_scratch_);
-    hop_cycles += res.chain_hops;
-    freed_entry |= res.entry_freed;
-  }
+  for (const auto& p : task.params)
+    hop_cycles += table_.finish(p.addr, id, &kicked_scratch_);
   const Tick cost =
       cycles(cfg_.finish_per_param * static_cast<std::int64_t>(task.num_params()) +
              cfg_.kick_cycles * static_cast<std::int64_t>(kicked_scratch_.size()) +
@@ -184,7 +178,6 @@ void NexusPP::process_finish(Simulation& sim, TaskId id) {
   }
   pool_.erase(id, sim.now());
 
-  if (freed_entry && insert_stalled_) insert_stalled_ = false;
   if (master_blocked_) {
     master_blocked_ = false;
     host_->master_resume(sim);

@@ -129,7 +129,6 @@ class NexusPP final : public TaskManagerModel, public Component {
   FixedRing<TaskId> insert_queue_;
   FixedRing<TaskId> finish_queue_;
   std::optional<InsertJob> active_insert_;
-  bool insert_stalled_ = false;
   bool master_blocked_ = false;
 
   std::vector<hw::Waiter> kicked_scratch_;

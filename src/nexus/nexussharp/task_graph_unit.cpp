@@ -79,7 +79,7 @@ void TaskGraphUnit::pump(Simulation& sim) {
     const Arg a = fin_q_.pop();
     cost = serve_finished(sim, a);
   } else if (!new_q_.empty()) {
-    if (!serve_new(sim, &cost)) return;  // stalled: wait for a finish
+    if (!serve_new(sim, &cost)) return;  // stalled: retried at the next grant
   } else {
     return;
   }
@@ -91,10 +91,11 @@ void TaskGraphUnit::pump(Simulation& sim) {
 
 Tick TaskGraphUnit::serve_finished(Simulation& sim, const Arg& a) {
   kicked_scratch_.clear();
-  const auto res = table_.finish(a.addr, a.task, &kicked_scratch_);
+  const std::uint32_t chain_hops =
+      table_.finish(a.addr, a.task, &kicked_scratch_);
   const Tick cost =
       cycles(cfg_.tg_finish_per_param +
-             cfg_.chain_hop_cycles * static_cast<std::int64_t>(res.chain_hops) +
+             cfg_.chain_hop_cycles * static_cast<std::int64_t>(chain_hops) +
              cfg_.kick_enqueue_cycles *
                  static_cast<std::int64_t>(kicked_scratch_.size()));
   const Tick done = sim.now() + cost;
@@ -110,7 +111,6 @@ Tick TaskGraphUnit::serve_finished(Simulation& sim, const Arg& a) {
     net_->send(sim, done, sharp_tg_node(index_), arb_node_,
                arbiter_->component_id(), SharpArbiter::kWait, w.task);
   }
-  if (res.entry_freed && stalled_) stalled_ = false;
   return cost;
 }
 
@@ -128,10 +128,8 @@ bool TaskGraphUnit::serve_new(Simulation& sim, Tick* cost) {
     std::size_t index = 0;
     while (task.params[index].addr != a.addr) ++index;
     table_.check_self_stall("nexus#", task, index);
-    stalled_ = true;
     return false;
   }
-  stalled_ = false;
   new_q_.pop();
   *cost =
       cycles(cfg_.tg_insert_per_param +

@@ -73,9 +73,6 @@ class TaskGraphUnit final : public Component {
   }
 
   [[nodiscard]] const hw::TaskGraphTable& table() const { return table_; }
-  [[nodiscard]] bool idle() const {
-    return new_q_.empty() && fin_q_.empty() && !stalled_;
-  }
 
  private:
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
@@ -97,7 +94,6 @@ class TaskGraphUnit final : public Component {
   hw::TaskGraphTable table_;
   FixedRing<Arg> new_q_;
   FixedRing<Arg> fin_q_;
-  bool stalled_ = false;  ///< head new-arg is waiting for table space
   BusyPort port_{kPump};
 
   std::vector<hw::Waiter> kicked_scratch_;

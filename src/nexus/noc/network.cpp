@@ -44,10 +44,7 @@ void Network::attach(Simulation& sim) {
   if (obs.metrics != nullptr) {
     telemetry::MetricRegistry& reg = *obs.metrics;
     m_messages_ = &reg.counter(telemetry::path_join(name_, "messages"));
-    m_delivered_ = &reg.counter(telemetry::path_join(name_, "delivered"));
     m_flits_ = &reg.counter(telemetry::path_join(name_, "flits"));
-    m_delivered_flits_ =
-        &reg.counter(telemetry::path_join(name_, "delivered_flits"));
     m_blocked_ = &reg.counter(telemetry::path_join(name_, "blocked_flits"));
     m_stall_ticks_ = &reg.counter(telemetry::path_join(name_, "stall_ps"));
     m_hops_ = &reg.histogram(telemetry::path_join(name_, "hops"));
@@ -114,8 +111,6 @@ void Network::send(Simulation& sim, Tick depart, NodeId src, NodeId dst,
   if (!cfg_.ideal() && src != dst)
     deliver = route(sim.now(), depart, tile_of(src), tile_of(dst), flits, tmsg, &hops);
   telemetry::record(m_hops_, hops);
-  telemetry::inc(m_delivered_);
-  telemetry::inc(m_delivered_flits_, flits);
   if (trace_ != nullptr)
     trace_->noc_deliver(tmsg, static_cast<telemetry::TraceTick>(deliver));
   sim.schedule(deliver, comp, op, a, b);

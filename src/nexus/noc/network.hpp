@@ -46,7 +46,7 @@ class Network final : public Component {
           std::vector<std::string> op_names = {});
 
   /// Register with the simulation and pick up its observers. Metrics under
-  /// the network's name: messages/delivered counters, hop + in-flight
+  /// the network's name: message and flit counters, hop + in-flight
   /// histograms, contention stalls, and per-link flit counts and busy time.
   /// Trace: every send becomes a message with its arrival stamp, and
   /// routed topologies add one link-occupancy span per hop — all recorded
@@ -166,9 +166,7 @@ class Network final : public Component {
   std::vector<std::string> trace_links_;  ///< cached per-link labels
 
   telemetry::Counter* m_messages_ = nullptr;
-  telemetry::Counter* m_delivered_ = nullptr;
   telemetry::Counter* m_flits_ = nullptr;           ///< injected flits
-  telemetry::Counter* m_delivered_flits_ = nullptr;
   telemetry::Counter* m_blocked_ = nullptr;
   telemetry::Counter* m_stall_ticks_ = nullptr;     ///< picoseconds
   telemetry::Histogram* m_hops_ = nullptr;          ///< per delivered message

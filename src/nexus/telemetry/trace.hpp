@@ -139,7 +139,7 @@ struct TraceData {
     return strings[i];
   }
   /// Flits of messages actually delivered, per network label — the
-  /// conservation ledger cross-checked against noc delivered_flits.
+  /// conservation ledger cross-checked against the noc `flits` counter.
   [[nodiscard]] std::uint64_t delivered_flits(std::string_view net) const;
 };
 

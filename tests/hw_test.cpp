@@ -125,8 +125,8 @@ TEST(TaskGraphTable, FinishKicksNextGroup) {
   ASSERT_EQ(kicked.size(), 1u);
   EXPECT_EQ(kicked[0].task, 4u);
   kicked.clear();
-  const auto fr = t.finish(0x100, 4, &kicked);
-  EXPECT_TRUE(fr.entry_freed);
+  (void)t.finish(0x100, 4, &kicked);
+  EXPECT_FALSE(t.tracks(0x100));
   EXPECT_EQ(t.entries_in_use(), 0u);
 }
 
@@ -201,9 +201,9 @@ TEST(TaskGraphTable, ReusedSlotStartsClean) {
     running = kicked[0].task;
   }
   kicked.clear();
-  ASSERT_TRUE(t.finish(0x40, running, &kicked).entry_freed);
+  (void)t.finish(0x40, running, &kicked);
+  ASSERT_FALSE(t.tracks(0x40));
   ASSERT_EQ(t.entries_in_use(), 0u);
-  EXPECT_FALSE(t.tracks(0x40));
 
   // 0x140 maps to the same set, so it takes the freed head slot.
   EXPECT_EQ(t.insert(0x140, 10, true).kind, InsertKind::kRunsNow);
@@ -216,13 +216,14 @@ TEST(TaskGraphTable, ReusedSlotStartsClean) {
   }
   EXPECT_EQ(t.entries_in_use(), 1u);
   kicked.clear();
-  EXPECT_EQ(t.finish(0x140, 10, &kicked).chain_hops, 0u);
+  EXPECT_EQ(t.finish(0x140, 10, &kicked), 0u);
   ASSERT_EQ(kicked.size(), 2u);
   EXPECT_EQ(kicked[0].task, 11u);
   EXPECT_EQ(kicked[1].task, 12u);
   kicked.clear();
   (void)t.finish(0x140, 11, &kicked);
-  EXPECT_TRUE(t.finish(0x140, 12, &kicked).entry_freed);
+  (void)t.finish(0x140, 12, &kicked);
+  EXPECT_FALSE(t.tracks(0x140));
   EXPECT_TRUE(kicked.empty());
   EXPECT_EQ(t.entries_in_use(), 0u);
 }
@@ -266,14 +267,13 @@ TEST(TaskGraphTable, ChainProbeExhaustionStalls) {
   EXPECT_GE(reg.snapshot().counter_at("table/stalls"), 1u);
 }
 
-TEST(TaskGraphTable, PeakOccupancyTracked) {
+TEST(TaskGraphTable, DrainFreesEveryEntry) {
   TaskGraphTable t{TableConfig{}};
   for (Addr a = 0; a < 16; ++a) (void)t.insert(0x40 * (a + 1), static_cast<TaskId>(a), true);
-  EXPECT_EQ(t.peak_used(), 16u);
+  EXPECT_EQ(t.entries_in_use(), 16u);
   std::vector<Waiter> kicked;
   for (Addr a = 0; a < 16; ++a) (void)t.finish(0x40 * (a + 1), static_cast<TaskId>(a), &kicked);
   EXPECT_EQ(t.entries_in_use(), 0u);
-  EXPECT_EQ(t.peak_used(), 16u);
 }
 
 // ---------- task pool ----------
@@ -318,14 +318,14 @@ TEST(DepCounts, DecrementToReady) {
   EXPECT_FALSE(d.contains(5));
 }
 
-TEST(DepCounts, PeakTracksHighWater) {
+TEST(DepCounts, SizeCountsStillParkedTasks) {
   DepCountsTable d;
   d.set(1, 1);
   d.set(2, 1);
   d.set(3, 1);
+  EXPECT_EQ(d.size(), 3u);
   (void)d.decrement(1);
   (void)d.decrement(2);
-  EXPECT_EQ(d.peak(), 3u);
   EXPECT_EQ(d.size(), 1u);
 }
 

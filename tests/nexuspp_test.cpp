@@ -1,12 +1,13 @@
 // Nexus++ model tests: pipeline cycle fidelity against the paper's Fig. 1
 // example, finish-path timing, pool backpressure, the taskwait_on fallback,
-// and schedule-legality on whole workloads.
+// stalled-insert retries, and schedule-legality on whole workloads.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "nexus/nexuspp/nexuspp.hpp"
+#include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
@@ -159,6 +160,83 @@ TEST(NexusPP, TableStallsRecoveredUnderPressure) {
   EXPECT_GT(reg.snapshot().counter_at("nexus++/table/stalls"), 0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(tr, sched, &err)) << err;
+}
+
+/// Runs `tr` to completion into `sched` and checks the schedule is legal.
+RunResult run_legal(const Trace& tr, TaskManagerModel& mgr,
+                    std::uint32_t workers, std::vector<ScheduleEntry>* sched) {
+  sched->clear();
+  RuntimeConfig rc;
+  rc.workers = workers;
+  rc.schedule_out = sched;
+  const RunResult r = run_trace(tr, mgr, rc);
+  EXPECT_EQ(r.tasks, tr.num_tasks());
+  std::string err;
+  EXPECT_TRUE(validate_schedule(tr, *sched, &err)) << err;
+  return r;
+}
+
+Tick start_of(const std::vector<ScheduleEntry>& sched, TaskId id) {
+  for (const ScheduleEntry& e : sched)
+    if (e.task == id) return e.start;
+  ADD_FAILURE() << "task " << id << " never ran";
+  return -1;
+}
+
+TEST(NexusPP, StalledInsertRetriesWhenAChainSlotFrees) {
+  // 0x1000 maps to set 0 and probes only set 7 for a dummy entry; 0x11C0
+  // and 0x15C0 both map to set 7. T1's wait on 0x1000 fills the one-entry
+  // kick-off list, so T2's wait needs a dummy entry in set 7; T2's 0x11C0
+  // takes set 7's other way and its 0x15C0 stalls. T0's finish kicks T1
+  // and frees the dummy entry but no primary one: the stalled insert must
+  // still be retried, or the run never drains.
+  Trace tr("t");
+  tr.submit(0, us(10), {{0x1000, Dir::kOut}});
+  tr.submit(0, us(10), {{0x1000, Dir::kOut}});
+  tr.submit(0, us(10),
+            {{0x1000, Dir::kInOut}, {0x11C0, Dir::kOut}, {0x15C0, Dir::kOut}});
+  tr.taskwait();
+  hw::TableConfig table;
+  table.sets = 16;
+  table.ways = 2;
+  table.kol_entries = 1;
+  NexusPPConfig cfg;
+  cfg.table = table;
+  NexusPP npp(cfg);
+  std::vector<ScheduleEntry> sched;
+  EXPECT_EQ(run_legal(tr, npp, 2, &sched).makespan, 30'570'000);
+  // 1-TG Nexus# serves the same trace through one task graph unit.
+  NexusSharpConfig sharp;
+  sharp.num_task_graphs = 1;
+  sharp.table = table;
+  NexusSharp nsharp(sharp);
+  EXPECT_EQ(run_legal(tr, nsharp, 2, &sched).makespan, 31'295'928);
+}
+
+TEST(NexusPP, StalledInsertRetriesWhenAKickOffListRegainsRoom) {
+  // H1 and H2 fill set 7, the only set 0x1000 may chain into. T1 fills
+  // 0x1000's one-entry kick-off list, so T2's wait stalls; T3 waits behind
+  // it in the insert queue. T0's finish kicks T1 and empties the list
+  // without freeing any slot. T2 must insert then, so the independent T3
+  // starts long before the first slot frees (H1's end at 100 us).
+  Trace tr("t");
+  tr.submit(0, us(100), {{0x11C0, Dir::kOut}});
+  tr.submit(0, us(100), {{0x15C0, Dir::kOut}});
+  tr.submit(0, us(10), {{0x1000, Dir::kOut}});
+  tr.submit(0, us(200), {{0x1000, Dir::kOut}});
+  tr.submit(0, us(10), {{0x1000, Dir::kOut}});
+  tr.submit(0, us(10), {{0x2040, Dir::kOut}});
+  tr.taskwait();
+  NexusPPConfig cfg;
+  cfg.table.sets = 16;
+  cfg.table.ways = 2;
+  cfg.table.kol_entries = 1;
+  cfg.table.chain_probe_limit = 1;
+  NexusPP mgr(cfg);
+  std::vector<ScheduleEntry> sched;
+  (void)run_legal(tr, mgr, 4, &sched);
+  EXPECT_LT(start_of(sched, 5), us(20));
+  EXPECT_LT(start_of(sched, 5), start_of(sched, 0) + us(100));
 }
 
 TEST(NexusPPDeathTest, SelfStallFailsNamingTaskParameterAndSet) {

@@ -1,8 +1,8 @@
 // Million-event stress properties of the DES kernel: a hold-model storm
 // must repeat its event order bit for bit even with a TimelineRecorder
 // attached mid-run, and a full runtime-over-NoC run must keep its
-// conservation ledgers (per-core busy + idle == makespan, injected ==
-// delivered flits) intact.
+// conservation ledgers (per-core busy + idle == makespan, one delivered
+// dispatch and notification per task) intact.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -152,12 +152,13 @@ TEST(SimStress, LedgerAndFlitConservation) {
         << "core " << w;
   }
 
-  // Flit ledger at drain time: the host fabric delivered every flit it
-  // accepted (nothing parked in a link when the run ended).
-  const std::uint64_t injected = snap.counter_at("runtime/noc/flits");
-  const std::uint64_t delivered = snap.counter_at("runtime/noc/delivered_flits");
-  EXPECT_GT(injected, 0u);
-  EXPECT_EQ(injected, delivered);
+  // Message ledger at drain time: the host fabric carried one dispatch and
+  // one finish notification per task, and every task ran to completion, so
+  // each of them reached its receiver (nothing parked in a link).
+  EXPECT_EQ(r.tasks, tr.num_tasks());
+  EXPECT_EQ(snap.counter_at("runtime/noc/messages"), 2 * r.tasks);
+  EXPECT_GT(snap.counter_at("runtime/noc/flits"),
+            snap.counter_at("runtime/noc/messages"));
   EXPECT_EQ(snap.counter_at("sim/events"), r.events);
 }
 
