@@ -817,14 +817,13 @@ TEST(Network, HostileConfigsDrainConserveFlitsAndBoundReservations) {
       for (Injection& in : plan) in.payload = payload;
       telemetry::MetricRegistry reg;
       Network net(cfg, 6, 100.0, 0);
+      // The sink received every message once, and the flits injected are
+      // exactly those of the messages it received.
       const std::vector<Tick> got = drive(net, plan, &reg);
-      const auto received = static_cast<std::uint64_t>(
-          std::count_if(got.begin(), got.end(), [](Tick t) { return t >= 0; }));
-      EXPECT_EQ(received, plan.size());
+      EXPECT_EQ(std::count(got.begin(), got.end(), -1), 0);
       const NocCounts s(reg);
       EXPECT_EQ(s.messages, plan.size());
       EXPECT_EQ(s.flits, plan.size() * net.flits_for(payload));
-      EXPECT_EQ(received * net.flits_for(payload), s.flits);
       EXPECT_GE(net.max_link_intervals(), 1u);
       EXPECT_LE(net.max_link_intervals(), s.max_in_flight);
     }
