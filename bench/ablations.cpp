@@ -71,13 +71,6 @@ int topology(Run& run) {
                         run.csv);
   std::printf("\nInterconnect pressure (manager + host NoCs):\n");
   run.print(contention);
-  std::printf("\nReading: the ideal crossbar is the paper's implicit model; ring, mesh\n"
-              "and torus charge the same traffic per-hop distance and multi-flit\n"
-              "per-link serialization, so in the critical-path-bound regime their\n"
-              "makespans bound it from above — the gap is what physical distribution\n"
-              "of the task graph units would cost. (At worker-bound core counts a\n"
-              "delayed record can reorder dispatches into a luckier schedule — a\n"
-              "standard scheduling anomaly, so single rows may dip below ideal.)\n");
   return 0;
 }
 
@@ -161,11 +154,6 @@ int placement(Run& run) {
   }
   std::printf("Default (identity) vs optimized tile placement:\n");
   run.print(table);
-  std::printf("\nReading: the identity layout puts the IO tile and the arbiter —\n"
-              "the two hottest endpoints of the gather traffic — far apart on the\n"
-              "grid; the search pulls them together and centers them among the\n"
-              "task graph tiles, so every record pays fewer hops. The residual\n"
-              "gap between mesh and torus rows is the wraparound advantage.\n");
   return 0;
 }
 

@@ -90,12 +90,10 @@ struct Experiment {
   /// The one run --trace exports; --workloads (with its :fabric) and
   /// --cores override it.
   std::optional<Cell> trace{};
-  /// Flags this experiment accepts beyond the shared ones: name -> help.
-  std::map<std::string, std::string> flags{};
 };
 
-/// The flags `e` accepts (the shared ones plus its own): name -> help.
-std::map<std::string, std::string> flag_spec(const Experiment& e);
+/// The flags every experiment accepts: name -> help.
+const std::map<std::string, std::string>& flag_spec();
 
 /// The experiment table, in listing order.
 const std::vector<Experiment>& experiments();
@@ -163,6 +161,5 @@ class Run {
 std::vector<Experiment> paper_experiments();
 std::vector<Experiment> ablation_experiments();
 std::vector<Experiment> open_loop_experiments();
-std::vector<Experiment> simspeed_experiments();
 
 }  // namespace nexus::bench

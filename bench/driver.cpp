@@ -13,8 +13,8 @@
 
 namespace nexus::bench {
 
-std::map<std::string, std::string> flag_spec(const Experiment& e) {
-  std::map<std::string, std::string> spec = {
+const std::map<std::string, std::string>& flag_spec() {
+  static const std::map<std::string, std::string> spec = {
       {"quick", "reduced grid (the smoke and record configuration)"},
       {"json", "write the experiment's BENCH records to this file"},
       {"timeline", "attach sampled sim-time timelines to --json records"},
@@ -23,15 +23,14 @@ std::map<std::string, std::string> flag_spec(const Experiment& e) {
       {"prof", "write the host self-profile of every grid cell to this file"},
       {"workloads", "comma-separated workloads replacing the grid's"},
       {"cores", "comma-separated core counts replacing the grid's"}};
-  spec.insert(e.flags.begin(), e.flags.end());
   return spec;
 }
 
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> table = [] {
     std::vector<Experiment> all;
-    for (const auto part : {paper_experiments, ablation_experiments,
-                            open_loop_experiments, simspeed_experiments}) {
+    for (const auto part :
+         {paper_experiments, ablation_experiments, open_loop_experiments}) {
       for (Experiment& e : part()) all.push_back(std::move(e));
     }
     return all;
@@ -233,23 +232,31 @@ bool Run::profile(const std::string& path) {
   const std::vector<Cell> cells = grid.cells();
   for (const Cell& c : cells) {
     // A fresh profiler per cell, and a second clock around the run for
-    // scripts/validate_profile.py to reconcile the root total against.
+    // scripts/validate_profile.py to reconcile the root total against. A
+    // detached run of the same cell prices the profiler's own toll.
     telemetry::Profiler prof;
     RuntimeConfig rc = c.rc;
     rc.profiler = &prof;
     const Trace& tr = trace(c.workload);
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunReport rep = harness::run_once_report(tr, c.spec, c.cores, rc, false);
-    const auto wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    RunReport rep;
+    const auto timed_ns = [&](const RuntimeConfig& cfg) {
+      const auto t0 = std::chrono::steady_clock::now();
+      rep = harness::run_once_report(tr, c.spec, c.cores, cfg, false);
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+    };
+    const std::uint64_t detached_ns = timed_ns(c.rc);
+    const std::uint64_t wall_ns = timed_ns(rc);
     const telemetry::ProfileData d = prof.freeze();
     const std::string cell_key = c.workload + "|" + c.spec.label + "|" + rep.topology +
                                  "|c" + std::to_string(c.cores);
-    std::printf("=== %s: makespan %.3f ms, host wall %.3f ms ===\n%s\n",
+    std::printf("=== %s: makespan %.3f ms, host wall %.3f ms "
+                "(detached %.3f ms) ===\n%s\n",
                 cell_key.c_str(), to_ms(rep.result.makespan),
                 static_cast<double>(wall_ns) * 1e-6,
+                static_cast<double>(detached_ns) * 1e-6,
                 telemetry::profile_top_table(d, 12).c_str());
     json.begin_object();
     json.kv("workload", c.workload);
@@ -257,6 +264,7 @@ bool Run::profile(const std::string& path) {
     json.kv("topology", rep.topology);
     json.kv("cores", c.cores);
     json.kv("makespan", rep.result.makespan);
+    json.kv("detached_wall_ns", detached_ns);
     json.key("profile");
     telemetry::append_profile(json, d, wall_ns);
     json.end_object();

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     }
     return argc > 1 ? 2 : 0;
   }
-  const nexus::Flags flags(argc - 1, argv + 1, flag_spec(*exp));
+  const nexus::Flags flags(argc - 1, argv + 1, flag_spec());
   Run run(*exp, flags);
   return run.finish();
 }

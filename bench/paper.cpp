@@ -240,8 +240,7 @@ int table4(Run& run) {
   std::printf(
       "\nKnown deviation: the paper's Nexus++ column behaves as if it includes\n"
       "host-integration overheads (c-ray: 1200 independent 6 ms tasks reach\n"
-      "only 60.4x); our pure-hardware Nexus++ tracks the ideal curve there.\n"
-      "Run nexus-bench fig8 --host-cost-us 30 for the sensitivity study.\n");
+      "only 60.4x); our pure-hardware Nexus++ tracks the ideal curve there.\n");
   return 0;
 }
 
@@ -286,9 +285,6 @@ int fig7(Run& run) {
       harness::print_series(title, run.grid.cores, series, run.csv);
     }
   });
-  std::printf("\nPaper's reading: ~7x on the finest tasks with 6 TGs; 4/6/8 TGs "
-              "nearly tie,\nand at test frequencies 6 TGs remains the best "
-              "configuration (Section VI).\n");
   return 0;
 }
 
@@ -304,8 +300,6 @@ Grid fig8_grid(const Flags& f) {
                    "h264dec-8x8-10f"};
     g.cores = harness::paper_cores_256();
   }
-  // Sensitivity: a per-message host interface cost for the hw managers.
-  g.rc.host_message_cost = us(f.get_double("host-cost-us", 0.0));
   return g;
 }
 
@@ -346,9 +340,6 @@ int fig9(Run& run) {
         "Fig. 9: gaussian elimination, matrix " + w.substr(w.find('-') + 1);
     harness::print_series(title, run.grid.cores, series, run.csv);
   });
-  std::printf("\nPaper's reading: Nexus# (2TG) improves ~19%% over Nexus++ on the\n"
-              "finest tasks (matrix-250) and ~10%% as matrices grow; more TGs do\n"
-              "not help because each wave's pivot row maps to one graph.\n");
   return 0;
 }
 
@@ -374,8 +365,7 @@ std::vector<Experiment> paper_experiments() {
        .trace = Cell{"h264dec-8x8-10f", manager("nexus#-6TG"), 32}},
       {.name = "fig8", .artefact = "Fig. 8: Starbench and h264dec speedups",
        .grid = fig8_grid, .body = fig8, .bench = "fig8",
-       .record_flags = "--quick --timeline",
-       .flags = {{"host-cost-us", "per-message host cost of the hw managers (us)"}}},
+       .record_flags = "--quick --timeline"},
       {.name = "fig9", .artefact = "Fig. 9: Gaussian elimination speedup",
        .grid = fig9_grid, .body = fig9, .bench = "fig9",
        .record_flags = "--quick --timeline",

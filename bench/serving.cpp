@@ -110,14 +110,6 @@ int serving(Run& run) {
     }
   }
   run.print(table);
-  std::printf(
-      "\nReading: the knee is the highest offered rate whose p99 serving\n"
-      "latency (arrival -> completion) meets the budget; it is the bench's\n"
-      "capacity claim for that topology/manager pair. Below the knee the\n"
-      "tail grows smoothly with load; past it the admission backlog\n"
-      "compounds and p99 diverges, which is why the gate bisects on p99\n"
-      "rather than throughput (accepted always converges to offered until\n"
-      "saturation).\n");
   return 0;
 }
 
@@ -247,16 +239,6 @@ int tenancy(Run& run) {
     }
   }
   run.print(table);
-  std::printf(
-      "\nReading: a tenant's slowdown is its co-run mean serving latency\n"
-      "over its solo mean on the same (policy-identical) manager. Under\n"
-      "FIFO the heavy tenant's bursts occupy the shared pool and every\n"
-      "light tenant stalls behind it — max/min slowdown blows through the\n"
-      "bound. Quotas NACK the heavy stream at admission (it alone waits)\n"
-      "and the root arbiter's weighted round-robin meters its grants, so\n"
-      "the light tenants track their solo latency and the ratio stays\n"
-      "bounded. Jain condenses the same vector: 1.0 is perfect fairness,\n"
-      "1/n is one starved tenant.\n");
   return 0;
 }
 

@@ -11,15 +11,15 @@
 #   scripts/check.sh --diff          # --bench, then nexus-perfdiff each
 #                                    # regenerated BENCH_*.json against the
 #                                    # pre-run copy (nonzero unless every
-#                                    # deterministic field reproduces)
+#                                    # field of every record reproduces)
 #   scripts/check.sh --trace         # additionally export the fig9
 #                                    # experiment's Chrome trace and validate
 #                                    # it with scripts/validate_trace.py
 #   scripts/check.sh --prof          # additionally profile the fig9 grid on
 #                                    # gaussian-250 at 8 cores (nexus-bench
 #                                    # --prof), validate the profile with
-#                                    # scripts/validate_profile.py, and smoke
-#                                    # the attached-overhead bound
+#                                    # scripts/validate_profile.py and print
+#                                    # each cell's attached/detached wall
 #
 # Exit code is nonzero if any configure, build, test, smoke, or diff step
 # fails.
@@ -164,20 +164,14 @@ if [[ "${PROF}" -eq 1 ]]; then
   # Profile the fig9 workload (the finest-grained run the paper has) and
   # validate the frozen tree's reconciliation invariants: self >= 0
   # everywhere, total == self + children exactly, and the root total within
-  # tolerance of the independently measured wall time.
+  # tolerance of the independently measured wall time. Each cell's
+  # attached/detached wall ratio is printed as a report, not gated: it is
+  # host wall clock. Detached overhead is the contract that must stay at
+  # zero, and that one is gated bit-exactly by profiler_test.
   echo "==> profile smoke (nexus-bench fig9 --prof + validation)"
   "${NEXUS_BENCH}" fig9 --quick --workloads=gaussian-250 --cores=8 \
     --prof=build/profile_fig9.json >/dev/null
   python3 scripts/validate_profile.py build/profile_fig9.json
-  # Attached-overhead smoke. Per-scope instrumentation costs two clock
-  # reads (~30 ns here) against ~50 ns/event of simulated work, so an
-  # attached run lands near 2x wall on this finest-grained workload; the
-  # generous bound is there to catch pathological regressions (a syscall or
-  # allocation sneaking onto the hot path), not to pretend attribution is
-  # free. Detached overhead is the contract that must stay at zero, and
-  # that one is gated bit-exactly by profiler_test.
-  echo "==> profiler attached-overhead smoke (nexus-bench simspeed)"
-  "${NEXUS_BENCH}" simspeed --quick --max-overhead-pct=400 >/dev/null
 fi
 
 echo "==> all checks passed"

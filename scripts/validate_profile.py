@@ -22,6 +22,9 @@ Checks, per profile:
   4. The root total reconciles with the independently measured wall time
      ("wall_ns") within the tolerance (default 5%) — the profiler's clock
      calibration is checked against a second clock, not against itself.
+  5. Grid format only: each cell's "detached_wall_ns" (the same run timed
+     without the profiler) is a positive integer. The attached/detached
+     wall ratio is printed, not gated: it varies run to run with the host.
 
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
 """
@@ -139,6 +142,15 @@ def main():
                 for k in ("workload", "manager", "topology", "cores")
             )
             check_profile(cell["profile"], key, tolerance_pct)
+            detached = cell.get("detached_wall_ns")
+            if not isinstance(detached, int) or detached <= 0:
+                fail(f"{key}: detached_wall_ns is not a positive integer: "
+                     f"{detached!r}")
+            attached = cell["profile"].get("wall_ns", 0)
+            print(
+                f"validate_profile: {key}: attached/detached wall "
+                f"{attached / detached:.2f}x"
+            )
     else:
         check_profile(doc, path, tolerance_pct)
 

@@ -107,10 +107,10 @@ std::unique_ptr<TaskManagerModel> make_manager(const ManagerSpec& spec) {
 Tick run_once(const Trace& trace, const ManagerSpec& spec, std::uint32_t cores,
               const RuntimeConfig& base) {
   // The fast list scheduler computes the identical makespan (tested against
-  // the DES + IdealManager pair) without event overhead — unless host costs
-  // or a host NoC are configured, which need the DES.
-  if (spec.kind == ManagerSpec::Kind::kIdeal && base.host_message_cost == 0 &&
-      base.noc.ideal() && base.open_loop == nullptr)
+  // the DES + IdealManager pair) without event overhead — unless a host NoC
+  // or open-loop arrivals are configured, which need the DES.
+  if (spec.kind == ManagerSpec::Kind::kIdeal && base.noc.ideal() &&
+      base.open_loop == nullptr)
     return list_schedule_makespan(trace, cores);
   return run_once_report(trace, spec, cores, base, /*collect_metrics=*/false)
       .result.makespan;

@@ -54,7 +54,6 @@ FairnessReport run_fairness(const std::vector<TenantStream>& streams,
     TenantFairness& f = rep.tenants[t];
     const TenantLatency& co = rep.corun.tenants[t];
     f.corun_mean_ps = co.mean_ps;
-    f.corun_p99_ps = co.p99_ps;
     f.nack_holds = co.nack_holds;
     if (f.solo_mean_ps > 0.0) f.slowdown = f.corun_mean_ps / f.solo_mean_ps;
     slowdowns.push_back(f.slowdown);

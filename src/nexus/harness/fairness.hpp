@@ -22,7 +22,6 @@ namespace nexus::harness {
 struct TenantFairness {
   double solo_mean_ps = 0.0;   ///< un-contended baseline mean latency
   double corun_mean_ps = 0.0;  ///< mean latency in the co-run
-  double corun_p99_ps = 0.0;
   double slowdown = 0.0;       ///< corun_mean / solo_mean
   std::uint64_t nack_holds = 0;
 };

@@ -14,20 +14,6 @@ namespace {
 using telemetry::JsonValue;
 using Fields = std::vector<std::pair<std::string, long double>>;
 
-/// Host wall-clock fields: the only ones not compared exactly. A change is
-/// echoed as an [info] line; a nonzero `floor` still fails a drop below that
-/// fraction of the baseline — a collapse of simspeed's kernel throughput, not
-/// machine-to-machine noise.
-struct HostField {
-  const char* glob;
-  long double floor;
-};
-constexpr HostField kHostFields[] = {
-    {"prof/*", 0.0L},
-    {"simspeed/wall_us", 0.0L},
-    {"simspeed/events_per_sec", 0.25L},
-};
-
 /// Differing fields printed per record before the rest are only counted.
 constexpr std::size_t kShownPerRecord = 4;
 
@@ -143,18 +129,10 @@ bool parse_one_record(const JsonValue& v, BenchRecord* out,
          flatten_timeline(*f, &out->fields, error);
 }
 
-const HostField* host_field(std::string_view path) {
-  for (const HostField& h : kHostFields)
-    if (telemetry::path_glob_match(h.glob, path)) return &h;
-  return nullptr;
-}
-
 /// Every difference between two records at the same position, as
 /// "path: base -> cand" — for a timeline series only its first divergence.
-/// Host-time changes that pass go to `info`.
 void diff_record(const BenchRecord& b, const BenchRecord& c,
-                 std::vector<std::string>* diffs,
-                 std::vector<std::string>* info) {
+                 std::vector<std::string>* diffs) {
   if (b.schema != kBenchRecordSchema || c.schema != kBenchRecordSchema)
     diffs->push_back(fmt("schema: %d -> %d (gated schema is %d)", b.schema,
                          c.schema, kBenchRecordSchema));
@@ -176,19 +154,12 @@ void diff_record(const BenchRecord& b, const BenchRecord& c,
     const auto& [path, bv] = b.fields[i];
     const long double cv = c.fields[i].second;
     if (bv == cv) continue;
-    const std::string change = path + ": " + num(bv) + " -> " + num(cv);
-    const HostField* host = host_field(path);
-    if (host != nullptr && cv >= bv * host->floor) {
-      info->push_back(change);
-      continue;
-    }
     // Only timeline samples carry '@': report a series' first divergence.
     const std::string_view series =
         std::string_view(path).substr(0, path.find('@'));
     if (series.size() < path.size() && series == last_series) continue;
     last_series = series;
-    diffs->push_back(host == nullptr ? change
-                                     : change + " (below the floor)");
+    diffs->push_back(path + ": " + num(bv) + " -> " + num(cv));
   }
 }
 
@@ -230,32 +201,29 @@ bool parse_bench_records(std::string_view json_text,
 PerfdiffResult perfdiff_compare(std::span<const BenchRecord> baseline,
                                 std::span<const BenchRecord> candidate) {
   PerfdiffResult res;
-  auto line = [&res](const char* tag, const std::string& key,
-                     const std::string& what) {
-    res.report += std::string("  ") + tag + " " + key + ": " + what + "\n";
+  auto diff_line = [&res](const std::string& key, const std::string& what) {
+    res.report += "  [DIFF] " + key + ": " + what + "\n";
   };
   for (std::size_t r = 0; r < std::max(baseline.size(), candidate.size());
        ++r) {
     if (r >= baseline.size() || r >= candidate.size()) {
       ++res.differing;
       const bool missing = r >= candidate.size();
-      line("[DIFF]", fmt("row %zu", r),
-           (missing ? baseline[r] : candidate[r]).key() +
-               (missing ? " missing from candidate" : " only in candidate"));
+      diff_line(fmt("row %zu", r),
+                (missing ? baseline[r] : candidate[r]).key() +
+                    (missing ? " missing from candidate" : " only in candidate"));
       continue;
     }
     std::vector<std::string> diffs;
-    std::vector<std::string> info;
-    diff_record(baseline[r], candidate[r], &diffs, &info);
-    const std::string key = baseline[r].key();
-    for (const std::string& i : info) line("[info]", key, i);
+    diff_record(baseline[r], candidate[r], &diffs);
     if (diffs.empty()) continue;
+    const std::string key = baseline[r].key();
     ++res.differing;
     for (std::size_t d = 0; d < diffs.size() && d < kShownPerRecord; ++d)
-      line("[DIFF]", key, diffs[d]);
+      diff_line(key, diffs[d]);
     if (diffs.size() > kShownPerRecord)
-      line("[DIFF]", key, fmt("... and %zu more differing fields",
-                              diffs.size() - kShownPerRecord));
+      diff_line(key, fmt("... and %zu more differing fields",
+                         diffs.size() - kShownPerRecord));
   }
   res.report += fmt("perfdiff: %zu baseline vs %zu candidate records, "
                     "%d differ\n",

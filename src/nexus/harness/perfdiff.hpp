@@ -4,9 +4,9 @@
 // The simulator is deterministic, so one rule gates a change: each
 // candidate record must equal the baseline record at the same position in
 // every deterministic field — its join key, makespan, speedup, every
-// flattened metric and its sampled timeline. Host wall-clock fields are the
-// only exception (the short host-time list in perfdiff.cpp). A change that
-// moves a simulated number must regenerate the committed records and say so.
+// flattened metric and its sampled timeline, with no exception: records
+// carry no host wall-clock field. A change that moves a simulated number
+// must regenerate the committed records and say so.
 #pragma once
 
 #include <cstdint>

@@ -102,30 +102,23 @@ KneeResult find_knee(const workloads::ArrivalConfig& cfg,
     r.knee = std::move(first);
   }
 
-  double hi = search.hi_hz;
-  if (hi <= lo) {
-    // Exponential bracket expansion: double until the budget breaks. Stop
-    // honestly (lower bound, not a bracket) if doubling would overflow.
-    hi = lo;
-    bool found_fail = false;
-    for (std::uint32_t i = 0; i < search.max_doublings; ++i) {
-      const double next = hi * 2.0;
-      if (!std::isfinite(next)) break;
-      hi = next;
-      if (!probe(hi)) {
-        found_fail = true;
-        break;
-      }
-      lo = hi;
+  // Exponential bracket expansion: double until the budget breaks. Stop
+  // honestly (lower bound, not a bracket) if doubling would overflow.
+  double hi = lo;
+  bool found_fail = false;
+  for (std::uint32_t i = 0; i < search.max_doublings; ++i) {
+    const double next = hi * 2.0;
+    if (!std::isfinite(next)) break;
+    hi = next;
+    if (!probe(hi)) {
+      found_fail = true;
+      break;
     }
-    if (!found_fail) {
-      r.outcome = KneeOutcome::kLowerBound;
-      return r;  // knee_hz is a lower bound only
-    }
-  } else if (probe(hi)) {
-    // Caller's bracket top still passes: same lower-bound case.
+    lo = hi;
+  }
+  if (!found_fail) {
     r.outcome = KneeOutcome::kLowerBound;
-    return r;
+    return r;  // knee_hz is a lower bound only
   }
 
   // Geometric bisection: rates span decades, so split in log space.

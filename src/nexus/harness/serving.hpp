@@ -57,8 +57,6 @@ struct KneeSearch {
   /// Bracket start; must pass (an unloaded system violating the budget
   /// means the budget, not the rate, is the bottleneck).
   double lo_hz = 0.0;
-  /// Optional upper bracket; 0 doubles lo_hz until failure.
-  double hi_hz = 0.0;
   std::uint32_t bisect_iters = 10;   ///< geometric bisection refinements
   std::uint32_t max_doublings = 24;  ///< bracket expansion cap
 };
@@ -71,8 +69,7 @@ enum class KneeOutcome : std::uint8_t {
   /// for diagnosis.
   kUnattainable = 0,
   /// No failing rate was found below the doubling cap (or the doubling
-  /// overflowed, or the caller's hi_hz still passed): knee_hz is only a
-  /// lower bound on the true knee.
+  /// overflowed): knee_hz is only a lower bound on the true knee.
   kLowerBound = 1,
   /// A failing rate bracketed the knee and bisection refined it.
   kBracketed = 2,

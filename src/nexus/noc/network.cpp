@@ -12,11 +12,11 @@
 namespace nexus::noc {
 
 Network::Network(const NocConfig& cfg, std::uint32_t endpoints,
-                 double default_mhz, Tick ideal_latency, std::string name,
+                 double mhz, Tick ideal_latency, std::string name,
                  std::vector<std::string> op_names)
     : cfg_(cfg),
       topo_(cfg.kind, endpoints, cfg.mesh_cols),
-      clk_(cfg.freq_mhz > 0.0 ? cfg.freq_mhz : default_mhz),
+      clk_(mhz),
       ideal_latency_(ideal_latency),
       links_(topo_.link_count()),
       traffic_(static_cast<std::size_t>(endpoints) * endpoints, 0),

@@ -35,13 +35,13 @@ namespace nexus::noc {
 
 class Network final : public Component {
  public:
-  /// `default_mhz` clocks the interconnect when cfg.freq_mhz is 0 (the
-  /// owning block's domain); `ideal_latency` is the uniform delivery delay
-  /// under the ideal topology (the legacy FIFO visibility latency). `name`
-  /// is both the metric prefix and the trace network label (e.g.
-  /// "nexus#/noc"); `op_names` spells the op codes for trace messages and
-  /// per-kind profile nodes alike (unknown ops fall back to "op<N>").
-  Network(const NocConfig& cfg, std::uint32_t endpoints, double default_mhz,
+  /// `mhz` clocks the interconnect (the owning block's clock domain);
+  /// `ideal_latency` is the uniform delivery delay under the ideal topology
+  /// (the legacy FIFO visibility latency). `name` is both the metric prefix
+  /// and the trace network label (e.g. "nexus#/noc"); `op_names` spells the
+  /// op codes for trace messages and per-kind profile nodes alike (unknown
+  /// ops fall back to "op<N>").
+  Network(const NocConfig& cfg, std::uint32_t endpoints, double mhz,
           Tick ideal_latency, std::string name = "noc",
           std::vector<std::string> op_names = {});
 

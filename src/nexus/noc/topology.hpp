@@ -68,9 +68,6 @@ struct NocConfig {
   /// large-argument messages occupy every link on their route longer.
   std::uint32_t flit_bytes = 8;
 
-  /// Interconnect clock in MHz; 0 inherits the owning block's clock domain.
-  double freq_mhz = 0.0;
-
   /// Endpoint -> tile assignment (see noc/placement.hpp). Empty means the
   /// identity layout (endpoint e on router e); otherwise it must be a
   /// size-`endpoints` injection into the topology's router grid — filler

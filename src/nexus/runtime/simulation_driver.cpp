@@ -243,7 +243,7 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
           f.wait_task = it->second;
           break;
         }
-        const Tick query = manager_.taskwait_on_query_cost() + config_.host_message_cost;
+        const Tick query = manager_.taskwait_on_query_cost();
         if (query > 0) {
           busy(sim, p, sim.now() + query);
           return;
@@ -288,9 +288,8 @@ bool Driver::submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local) {
     for (const Param& prm : f.s.trace->task(local).params)
       if (is_write(prm.dir)) f.last_writer[prm.addr] = id;
   }
-  const Tick cont = resume + config_.host_message_cost;
-  if (cont > sim.now()) {
-    busy(sim, p, cont);
+  if (resume > sim.now()) {
+    busy(sim, p, resume);
     return false;
   }
   return true;  // zero-cost: continue inline
@@ -363,8 +362,7 @@ void Driver::try_dispatch(Simulation& sim) {
     free_workers_.pop_back();
     // dispatch_time models the scheduler critical section (software) or the
     // ready-queue fetch (hardware); the worker is reserved from now.
-    const Tick start =
-        manager_.dispatch_time(sim) + config_.host_message_cost;
+    const Tick start = manager_.dispatch_time(sim);
     NEXUS_ASSERT(start >= sim.now());
     telemetry::inc(m_dispatches_);
     if (config_.metrics != nullptr && ready_t_[id] >= 0)
@@ -425,7 +423,7 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
   // The completion path (software: completion critical section on this
   // worker; hardware: finish notification write) holds the worker until
   // `free_at`.
-  const Tick free_at = manager_.notify_finished(sim, id) + config_.host_message_cost;
+  const Tick free_at = manager_.notify_finished(sim, id);
   NEXUS_ASSERT(free_at >= sim.now());
   if (config_.trace != nullptr) config_.trace->on_freed(id, free_at);
   if (config_.metrics != nullptr && submit_t_[id] >= 0)
@@ -457,7 +455,7 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
   } else if (f.wait == Wait::kTask && finished_[f.wait_task]) {
     f.wait = Wait::kNone;
     f.wait_task = kInvalidTask;
-    const Tick query = manager_.taskwait_on_query_cost() + config_.host_message_cost;
+    const Tick query = manager_.taskwait_on_query_cost();
     if (query > 0) {
       busy(sim, f.s.port, sim.now() + query);
     } else {

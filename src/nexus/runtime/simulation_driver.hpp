@@ -60,20 +60,12 @@ struct RuntimeConfig {
   /// histograms. Null keeps the closed-loop replay bit-identical.
   const OpenLoopSubmission* open_loop = nullptr;
 
-  /// Host-interface sensitivity knob: extra cost added to every
-  /// master<->manager message (submission, ready fetch, finish notify).
-  /// 0 reproduces the paper's "Nexus# only" mode, where no communication
-  /// overhead is accounted; nonzero values emulate a driver/PCIe stack as
-  /// in the Nexus++ integration paper [11]; `nexus-bench fig8 --host-cost-us`
-  /// sweeps it (docs/BENCHMARKS.md, "Known deviations").
-  Tick host_message_cost = 0;
-
   /// Host-side interconnect between the manager/master tile (node 0) and
   /// the worker cores (core w at node 1+w). The default ideal topology is
   /// the pre-NoC behaviour, bit-identical: dispatch and finish notification
   /// stay synchronous. On ring/mesh, every ready-task dispatch traverses
   /// manager -> core and every finish notification core -> manager over a
-  /// `noc::Network` (clocked at 100 MHz unless noc.freq_mhz overrides), so
+  /// `noc::Network` (clocked at 100 MHz), so
   /// core placement distance and link contention become visible.
   noc::NocConfig noc{};
 

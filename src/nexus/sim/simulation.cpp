@@ -33,7 +33,7 @@ void Simulation::schedule(Tick t, std::uint32_t comp, std::uint32_t op,
 bool Simulation::run_some(std::uint64_t max_events) {
   if (obs_.profiler != nullptr) return run_profiled(max_events);
   std::uint64_t n = 0;
-  while (!queue_.empty() && !stopped_ && n < max_events) {
+  while (!queue_.empty() && n < max_events) {
     const Event ev = queue_.pop();
     observe(ev);
     now_ = ev.t;
@@ -42,12 +42,12 @@ bool Simulation::run_some(std::uint64_t max_events) {
     components_[ev.comp]->handle(*this, ev);
   }
   flush_queue_metrics();
-  return !queue_.empty() && !stopped_;
+  return !queue_.empty();
 }
 
 bool Simulation::run_profiled(std::uint64_t max_events) {
   std::uint64_t n = 0;
-  while (!queue_.empty() && !stopped_ && n < max_events) {
+  while (!queue_.empty() && n < max_events) {
     Event ev;
     {
       telemetry::ProfScope ps(obs_.profiler, prof_pop_);
@@ -65,7 +65,7 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
   }
   obs_.profiler->stat_max(prof_max_depth_, queue_.max_depth());
   flush_queue_metrics();
-  return !queue_.empty() && !stopped_;
+  return !queue_.empty();
 }
 
 std::uint32_t Simulation::profiler_op_node(std::uint32_t comp, std::uint32_t op) {

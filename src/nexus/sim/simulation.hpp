@@ -29,13 +29,11 @@ class Simulation {
     schedule(now_ + delay, comp, op, a, b);
   }
 
-  /// Run until the event queue drains (or a component calls stop()).
+  /// Run until the event queue drains.
   void run() { run_some(~std::uint64_t{0}); }
 
   /// Run at most `max_events` more events; returns false if the queue drained.
   bool run_some(std::uint64_t max_events);
-
-  void stop() { stopped_ = true; }
 
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
@@ -95,7 +93,6 @@ class Simulation {
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
-  bool stopped_ = false;
 
   telemetry::Observers obs_;
   std::uint32_t prof_push_ = 0;

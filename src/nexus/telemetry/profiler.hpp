@@ -20,9 +20,9 @@
 // root total reconciles against the measured run wall time — the
 // invariants scripts/validate_profile.py checks.
 //
-// Timestamps are raw TSC ticks on x86-64 (a handful of cycles per read, so
-// attached overhead stays within the simspeed-gated bound) and
-// steady_clock nanoseconds elsewhere; freeze() calibrates ticks against
+// Timestamps are raw TSC ticks on x86-64 (a handful of cycles per read;
+// `nexus-bench --prof` reports each cell's attached/detached wall ratio)
+// and steady_clock nanoseconds elsewhere; freeze() calibrates ticks against
 // steady_clock over the profiler's own lifetime, so no spin-up measurement
 // is needed.
 #pragma once

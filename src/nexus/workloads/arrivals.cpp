@@ -27,15 +27,12 @@ double exp_sample(Xoshiro256& rng, double rate_hz) {
   return -std::log(1.0 - rng.uniform()) / rate_hz;
 }
 
-constexpr double kTwoPi = 6.283185307179586;
-
 }  // namespace
 
 const char* to_string(ArrivalProcess p) {
   switch (p) {
     case ArrivalProcess::kPoisson: return "poisson";
     case ArrivalProcess::kBursty: return "bursty";
-    case ArrivalProcess::kDiurnal: return "diurnal";
   }
   return "?";
 }
@@ -44,8 +41,6 @@ ArrivalSchedule generate_arrivals(const ArrivalConfig& cfg) {
   NEXUS_ASSERT_MSG(cfg.rate_hz > 0.0, "arrival rate must be positive");
   NEXUS_ASSERT_MSG(cfg.tasks > 0, "need at least one arrival");
   NEXUS_ASSERT_MSG(cfg.clients > 0, "need at least one client");
-  NEXUS_ASSERT_MSG(cfg.depth >= 0.0 && cfg.depth < 1.0,
-                   "diurnal depth must be in [0, 1)");
   NEXUS_ASSERT_MSG(cfg.on_fraction > 0.0 && cfg.on_fraction <= 1.0,
                    "on_fraction must be in (0, 1]");
 
@@ -66,9 +61,6 @@ ArrivalSchedule generate_arrivals(const ArrivalConfig& cfg) {
   const double rate_on_hz = cfg.rate_hz / cfg.on_fraction;
   double on_end_ps = 0.0;
   bool burst_started = false;
-
-  // Diurnal thinning bound.
-  const double rate_max_hz = cfg.rate_hz * (1.0 + cfg.depth);
 
   for (std::uint64_t i = 0; i < cfg.tasks; ++i) {
     switch (cfg.process) {
@@ -93,19 +85,6 @@ ArrivalSchedule generate_arrivals(const ArrivalConfig& cfg) {
           // partial interarrival is exact for exponentials.
           t_ps = on_end_ps - std::log(1.0 - rng.uniform()) * mean_off_ps;
           on_end_ps = t_ps - std::log(1.0 - rng.uniform()) * mean_on_ps;
-        }
-        break;
-      }
-      case ArrivalProcess::kDiurnal: {
-        // Lewis-Shedler thinning against the curve's peak rate.
-        for (;;) {
-          t_ps += exp_sample(rng, rate_max_hz) * 1e12;
-          const double lambda_t =
-              cfg.rate_hz *
-              (1.0 + cfg.depth *
-                         std::sin(kTwoPi * t_ps /
-                                  static_cast<double>(cfg.period_ps)));
-          if (rng.uniform() * rate_max_hz <= lambda_t) break;
         }
         break;
       }

@@ -5,7 +5,7 @@
 // manager instead faces an *arrival process* — requests from many
 // independent clients at an offered rate — and is judged on tail latency at
 // that rate. This layer generates deterministic seeded arrival schedules
-// (Poisson, bursty MMPP on-off, diurnal rate curve) over the existing
+// (Poisson, bursty MMPP on-off) over the existing
 // workload kernels, and turns them into dependency-correct serving traces.
 //
 // Determinism contract: `generate_arrivals` and `make_serving_trace` are
@@ -27,7 +27,6 @@ namespace nexus::workloads {
 enum class ArrivalProcess : std::uint8_t {
   kPoisson = 0,  ///< memoryless aggregate rate (interarrival CV = 1)
   kBursty = 1,   ///< MMPP on-off: exponential bursts, silent gaps (CV > 1)
-  kDiurnal = 2,  ///< sinusoidal rate curve (nonhomogeneous Poisson)
 };
 
 const char* to_string(ArrivalProcess p);
@@ -55,12 +54,6 @@ struct ArrivalConfig {
   double on_fraction = 0.2;
   /// Mean length of one on+off modulation cycle.
   Tick burst_cycle_ps = us(400);
-
-  // -- diurnal knobs --
-  /// Period of the rate curve rate_hz * (1 + depth * sin(2*pi*t/period)).
-  Tick period_ps = ms(1.0);
-  /// Swing of the rate curve, in [0, 1).
-  double depth = 0.8;
 
   friend bool operator==(const ArrivalConfig&, const ArrivalConfig&) = default;
 };

@@ -1,8 +1,7 @@
 // Statistical and replay tests for the open-loop arrival generators:
 // empirical mean rate within tolerance of the configured λ for every
 // process kind, interarrival CV ≈ 1 for Poisson and materially > 1 for the
-// bursty MMPP, diurnal arrivals concentrating in the rate curve's peak
-// half, and an open-loop run that repeats bit for bit and never
+// bursty MMPP, and an open-loop run that repeats bit for bit and never
 // starts a task before its release. Tolerances are sized for the fixed seeds below — the
 // generators are deterministic, so these are exact regression checks, not
 // flaky statistical gates.
@@ -91,23 +90,6 @@ TEST(ArrivalStats, BurstyKeepsMeanRateButOverdisperses) {
   // Poisson mean, a few carry whole off-periods. CV must clear 1 by a
   // margin no homogeneous process would.
   EXPECT_GT(cv_of(gaps), 1.3);
-}
-
-TEST(ArrivalStats, DiurnalArrivalsFollowTheRateCurve) {
-  const ArrivalConfig cfg = stats_config(ArrivalProcess::kDiurnal);
-  const ArrivalSchedule s = workloads::generate_arrivals(cfg);
-  EXPECT_NEAR(mean_of(gaps_of(s)), 1e12 / 2e6, 0.05 * (1e12 / 2e6));
-  // Fold arrivals by the curve period: the sin>0 half must hold the bulk.
-  // With depth 0.8 the halves integrate to (1 ± 2*0.8/π) x the mean rate,
-  // a ~3:1 ratio; require at least 2:1 so the check has slack.
-  const auto period = static_cast<double>(cfg.period_ps);
-  std::uint64_t peak = 0;
-  std::uint64_t trough = 0;
-  for (const Tick t : s.submission.release) {
-    const double phase = std::fmod(static_cast<double>(t), period) / period;
-    (phase < 0.5 ? peak : trough) += 1;
-  }
-  EXPECT_GT(peak, 2 * trough);
 }
 
 TEST(ArrivalStats, ClientMarksCoverAllClients) {

@@ -23,13 +23,13 @@ namespace nexus::bench {
 namespace {
 
 /// Flags as nexus-bench parses `<experiment> <flags>`.
-Flags parse(const Experiment& e, const std::string& flags) {
+Flags parse(const std::string& flags) {
   std::vector<std::string> words{"nexus-bench"};
   std::istringstream in(flags);
   for (std::string w; in >> w;) words.push_back(w);
   std::vector<const char*> argv;
   for (const std::string& w : words) argv.push_back(w.c_str());
-  return Flags(static_cast<int>(argv.size()), argv.data(), flag_spec(e));
+  return Flags(static_cast<int>(argv.size()), argv.data(), flag_spec());
 }
 
 const Experiment& experiment(const std::string& name) {
@@ -41,7 +41,7 @@ const Experiment& experiment(const std::string& name) {
 
 /// Finish `e` under `flags` (returns before simulating on bad input).
 int finish(const Experiment& e, const std::string& flags) {
-  const Flags f = parse(e, flags);
+  const Flags f = parse(flags);
   Run run(e, f);
   return run.finish();
 }
@@ -64,7 +64,7 @@ TEST(BenchTable, RecordGridsMatchTheCommittedRecordsRowForRow) {
     ++record_experiments;
     const std::string file = "BENCH_" + std::string(e.name) + ".json";
     const std::vector<RowKey> rows =
-        record_rows(e, parse(e, std::string(e.record_flags) + " --json " + file));
+        record_rows(e, parse(std::string(e.record_flags) + " --json " + file));
     const std::vector<harness::BenchRecord> records = committed(file);
     ASSERT_EQ(rows.size(), records.size()) << file;
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -78,7 +78,7 @@ TEST(BenchTable, RecordGridsMatchTheCommittedRecordsRowForRow) {
       EXPECT_EQ(key.key(), records[i].key()) << file << " row " << i;
     }
   }
-  EXPECT_EQ(record_experiments, 9);
+  EXPECT_EQ(record_experiments, 8);
 }
 
 TEST(BenchTable, NamesAreUniqueAndEveryExperimentHasABody) {
@@ -88,14 +88,14 @@ TEST(BenchTable, NamesAreUniqueAndEveryExperimentHasABody) {
     EXPECT_NE(e.body, nullptr) << e.name;
     EXPECT_EQ(e.bench == nullptr, e.record_flags == nullptr) << e.name;
   }
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
 }
 
 TEST(BenchTable, EveryGridManagerLabelRoundTripsThroughParseManager) {
   for (const Experiment& e : experiments()) {
     if (e.grid == nullptr) continue;
     for (const char* flags : {"", "--quick", "--json x", "--quick --json x"}) {
-      for (const ManagerSpec& m : make_grid(e, parse(e, flags)).managers) {
+      for (const ManagerSpec& m : make_grid(e, parse(flags)).managers) {
         ManagerSpec parsed;
         ASSERT_TRUE(harness::parse_manager(m.label, &parsed))
             << e.name << ": " << m.label;
@@ -178,7 +178,7 @@ TEST(BenchTable, ProfileWritesOneCellPerGridCellInOrder) {
   telemetry::JsonValue doc;
   std::string error;
   ASSERT_TRUE(telemetry::json_parse(slurp(out), &doc, &error)) << error;
-  const std::vector<Cell> cells = make_grid(table2, parse(table2, flags)).cells();
+  const std::vector<Cell> cells = make_grid(table2, parse(flags)).cells();
   ASSERT_EQ(doc.array.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const telemetry::JsonValue& cell = doc.array[i];
@@ -190,6 +190,7 @@ TEST(BenchTable, ProfileWritesOneCellPerGridCellInOrder) {
     EXPECT_EQ(cell.find("makespan")->int_or(0),
               harness::run_once(workloads::make_workload(c.workload), c.spec,
                                 c.cores, c.rc));
+    EXPECT_GT(cell.find("detached_wall_ns")->int_or(0), 0);
     expect_exclusive_ledger(*cell.find("profile")->find("tree"));
   }
   const std::string stacks = ::testing::TempDir() + "bench_test_prof.collapsed";
@@ -198,15 +199,13 @@ TEST(BenchTable, ProfileWritesOneCellPerGridCellInOrder) {
   std::remove(stacks.c_str());
 }
 
-TEST(BenchTable, AnotherExperimentsFlagExitsTwo) {
-  EXPECT_EXIT(parse(experiment("fig7"), "--host-cost-us 30"),
+TEST(BenchTable, UnknownFlagExitsTwo) {
+  // Every experiment takes the same shared flags and no private ones.
+  EXPECT_EXIT(finish(experiment("fig8"), "--host-cost-us 30"),
               ::testing::ExitedWithCode(2), "unknown or malformed flag: --host-cost-us");
-  EXPECT_EXIT(parse(experiment("table1"), "--max-overhead-pct 5"),
+  EXPECT_EXIT(finish(experiment("table1"), "--max-overhead-pct 5"),
               ::testing::ExitedWithCode(2),
               "unknown or malformed flag: --max-overhead-pct");
-  EXPECT_TRUE(parse(experiment("fig8"), "--host-cost-us 30").has("host-cost-us"));
-  EXPECT_TRUE(
-      parse(experiment("simspeed"), "--max-overhead-pct 5").has("max-overhead-pct"));
 }
 
 Grid two_cells(const Flags&) {

@@ -266,17 +266,5 @@ TEST(Serving, GenerousBudgetReportsLowerBoundNotKnee) {
   EXPECT_EQ(r.probes, 3u);
 }
 
-TEST(Serving, CallerBracketTopStillPassingIsLowerBound) {
-  const workloads::ArrivalConfig cfg = serving_config();
-  KneeSearch search;
-  search.p99_budget_ps = static_cast<Tick>(ms(8.0)) * 1000000;
-  search.lo_hz = 1000.0;
-  search.hi_hz = 2000.0;  // caller's bracket top — also passes
-  const KneeResult r =
-      find_knee(cfg, search, ManagerSpec::nexussharp(4), 16);
-  EXPECT_EQ(r.outcome, KneeOutcome::kLowerBound);
-  EXPECT_DOUBLE_EQ(r.knee_hz, 2000.0);
-}
-
 }  // namespace
 }  // namespace nexus::harness

@@ -161,25 +161,5 @@ TEST(Integration, HostileHardwareConfigsStillDrain) {
   }
 }
 
-// Host-interface sensitivity: adding per-message cost must slow every
-// manager monotonically (the `nexus-bench fig8 --host-cost-us` sensitivity
-// knob).
-TEST(Integration, HostMessageCostIsMonotone) {
-  const Trace tr = fuzz_trace({41, 300, 16, 3, 0.01, 0.02, us(2), us(40)});
-  Tick prev = 0;
-  for (const double cost_us : {0.0, 1.0, 5.0}) {
-    NexusSharpConfig cfg;
-    cfg.num_task_graphs = 4;
-    cfg.freq_mhz = 100.0;
-    NexusSharp mgr(cfg);
-    RuntimeConfig rc;
-    rc.workers = 8;
-    rc.host_message_cost = us(cost_us);
-    const Tick mk = run_trace(tr, mgr, rc).makespan;
-    EXPECT_GE(mk, prev);
-    prev = mk;
-  }
-}
-
 }  // namespace
 }  // namespace nexus

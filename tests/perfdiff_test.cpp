@@ -1,10 +1,9 @@
 // nexus-perfdiff library tests: the strict JSON reader, BENCH record
-// parsing, and the exact comparator over the nine committed BENCH_*.json
+// parsing, and the exact comparator over the eight committed BENCH_*.json
 // files. Each file must diff clean against itself; each one-field
 // perturbation (a makespan, a histogram quantile, a timeline point, a
 // per-layer counter, a dropped or swapped row, an older schema) must fail
-// and name its field. Host wall-clock fields pass with an [info] line,
-// except an events/sec collapse below a quarter of the baseline.
+// and name its field.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -191,9 +190,9 @@ TEST(BenchRecords, RejectsUnknownSchemaAndMalformedInput) {
 // ---------- the comparator over the committed records ----------
 
 const char* const kRecordFiles[] = {
-    "BENCH_fig7.json",      "BENCH_fig8.json",     "BENCH_fig9.json",
-    "BENCH_placement.json", "BENCH_serving.json",  "BENCH_simspeed.json",
-    "BENCH_table2.json",    "BENCH_tenancy.json",  "BENCH_topology.json",
+    "BENCH_fig7.json",   "BENCH_fig8.json",      "BENCH_fig9.json",
+    "BENCH_placement.json", "BENCH_serving.json", "BENCH_table2.json",
+    "BENCH_tenancy.json",   "BENCH_topology.json",
 };
 
 /// A committed record file, read once the way bench_test reads it.
@@ -279,17 +278,15 @@ TEST(Perfdiff, MakespanRegressionDetected) {
 
 TEST(Perfdiff, MetricRateRegressionDetectedEvenWithEqualMakespan) {
   // One per-layer counter per record: NoC hops (both managers and the host
-  // fabric), or simspeed's event count. The makespan stays put.
+  // fabric). The makespan stays put.
   for (const char* file : kRecordFiles) {
     int checked = 0;
     for (const BenchRecord& r : committed(file)) {
       BenchRecord work = r;
-      for (const char* glob : {"**/noc/hops:sum", "simspeed/events"}) {
-        for (std::size_t i : matching(r, glob)) {
-          ++checked;
-          expect_names(perturbed(r, &work, i, r.fields[i].second + 1),
-                       r.fields[i].first + ": ");
-        }
+      for (std::size_t i : matching(r, "**/noc/hops:sum")) {
+        ++checked;
+        expect_names(perturbed(r, &work, i, r.fields[i].second + 1),
+                     r.fields[i].first + ": ");
       }
     }
     EXPECT_GT(checked, 0) << file;
@@ -343,29 +340,6 @@ TEST(Perfdiff, ZeroBaselineRateFlagsNewConflicts) {
     }
   }
   EXPECT_GT(checked, 0);
-}
-
-TEST(Perfdiff, HigherIsBetterRateRegressesOnCollapseOnly) {
-  for (const BenchRecord& r : committed("BENCH_simspeed.json")) {
-    const std::vector<std::size_t> eps =
-        matching(r, "simspeed/events_per_sec");
-    ASSERT_EQ(eps.size(), 1u) << r.key();
-    const std::size_t i = eps[0];
-    const long double base = r.fields[i].second;
-    BenchRecord work = r;
-    // A collapse below a quarter of the baseline fails...
-    expect_names(perturbed(r, &work, i, std::floor(base * 0.24L)),
-                 "[DIFF] " + r.key() + ": simspeed/events_per_sec: ");
-    // ...anything above it, or any speed-up, is wall-clock noise.
-    for (long double v : {std::ceil(base * 0.26L), base * 2}) {
-      const PerfdiffResult res = perturbed(r, &work, i, v);
-      EXPECT_TRUE(res.ok()) << res.report;
-      EXPECT_NE(res.report.find("[info] " + r.key() +
-                                ": simspeed/events_per_sec: "),
-                std::string::npos)
-          << res.report;
-    }
-  }
 }
 
 TEST(Perfdiff, PlacementIsPartOfTheJoinKey) {
@@ -606,29 +580,6 @@ TEST(PerfdiffTimelines, AxisMismatchDetected) {
   BenchRecord cand = r;
   cand.fields[points[3]].first += "0";
   expect_names(diff(r, cand), r.fields[points[3]].first);
-}
-
-// ---------- host time ----------
-
-TEST(PerfdiffHostTime, ReportOnlyFieldsEchoButNeverRegress) {
-  const std::vector<BenchRecord>& base = committed("BENCH_simspeed.json");
-  std::vector<BenchRecord> cand = base;
-  int moved = 0;
-  for (BenchRecord& r : cand) {
-    for (const char* glob : {"prof/*", "simspeed/wall_us"}) {
-      for (std::size_t i : matching(r, glob)) {
-        r.fields[i].second = r.fields[i].second * 10 + 1;
-        ++moved;
-      }
-    }
-  }
-  EXPECT_EQ(moved, 5 * static_cast<int>(base.size()));
-  const PerfdiffResult res = perfdiff_compare(base, cand);
-  EXPECT_TRUE(res.ok()) << res.report;
-  EXPECT_NE(res.report.find("[info] " + base[0].key() + ": prof/pop_ns: "),
-            std::string::npos)
-      << res.report;
-  EXPECT_NE(res.report.find(": simspeed/wall_us: "), std::string::npos);
 }
 
 }  // namespace

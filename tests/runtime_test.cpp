@@ -244,16 +244,5 @@ TEST(Nanos, CoarseTasksStillScale) {
   EXPECT_LE(speedup, 8.1);
 }
 
-TEST(Nanos, HostMessageCostSlowsEverything) {
-  const Trace tr = workloads::make_gaussian({.n = 40});
-  NanosModel a;
-  NanosModel b;
-  const Tick t0 = run_trace(tr, a, RuntimeConfig{.workers = 4}).makespan;
-  const Tick t1 =
-      run_trace(tr, b, RuntimeConfig{.workers = 4, .host_message_cost = us(2)})
-          .makespan;
-  EXPECT_GT(t1, t0);
-}
-
 }  // namespace
 }  // namespace nexus

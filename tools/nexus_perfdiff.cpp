@@ -5,9 +5,7 @@
 // The simulator is deterministic, so every candidate record must equal the
 // baseline record at the same position in every field: join key, makespan,
 // speedup, every metric (scalars and each histogram field) and the sampled
-// timeline. Host wall-clock fields are the only exception: prof/* and
-// simspeed/wall_us are echoed as [info], and simspeed/events_per_sec fails
-// only below 25% of its baseline. Each differing record prints its key and
+// timeline, with no exception. Each differing record prints its key and
 // its first few differing fields as `path: base -> cand`; a timeline series
 // prints the sim-time of its first divergence.
 //
