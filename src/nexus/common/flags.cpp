@@ -53,11 +53,6 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t dflt) const {
   return it == values_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
-double Flags::get_double(const std::string& key, double dflt) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
-}
-
 bool Flags::get_bool(const std::string& key, bool dflt) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return dflt;

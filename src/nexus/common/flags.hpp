@@ -21,7 +21,6 @@ class Flags {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& dflt) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t dflt) const;
-  [[nodiscard]] double get_double(const std::string& key, double dflt) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt) const;
 
   /// Comma-separated list, empty items dropped, e.g. --workloads=a,b.

@@ -347,7 +347,7 @@ TEST(Flags, ParsesKeyValueForms) {
       {"cores", ""}, {"freq", ""}, {"csv", ""}};
   Flags f(5, argv, spec);
   EXPECT_EQ(f.get_int("cores", 0), 8);
-  EXPECT_NEAR(f.get_double("freq", 0.0), 55.56, 1e-9);
+  EXPECT_EQ(f.get("freq", ""), "55.56");
   EXPECT_TRUE(f.get_bool("csv", false));
   EXPECT_EQ(f.get_int("absent", 17), 17);
 }
