@@ -262,6 +262,92 @@ TEST(Golden, RunTenantsPoolFullStall) {
   EXPECT_EQ(m.pool().peak(), 6u);  // a full pool stalls the whole port
 }
 
+/// `n` tenants with `tasks` tiny independent tasks each: tenant 0 bursty,
+/// the rest Poisson, durations 1-3 us.
+Tenants tiny_tenants(std::size_t n, std::uint64_t tasks) {
+  Tenants set;
+  set.scheds.reserve(n);
+  set.traces.reserve(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    workloads::ArrivalConfig c;
+    c.rate_hz = t == 0 ? 4e6 : 2e5;
+    c.tasks = tasks;
+    c.clients = 1;
+    c.seed = 0x3A9 + t;
+    c.process = t == 0 ? workloads::ArrivalProcess::kBursty
+                       : workloads::ArrivalProcess::kPoisson;
+    set.scheds.push_back(workloads::generate_arrivals(c));
+    Trace& tr = set.traces.emplace_back("tiny");
+    for (std::uint64_t i = 0; i < tasks; ++i)
+      tr.submit(0, us(static_cast<double>(1 + (t + i) % 3)),
+                {{0x1000 + 0x40 * static_cast<Addr>(i), Dir::kOut}});
+  }
+  for (std::size_t t = 0; t < n; ++t)
+    set.streams.push_back({&set.traces[t], set.scheds[t].submission.release});
+  return set;
+}
+
+TEST(Golden, RunTenantsWrrAcrossWordBoundaries) {
+  // 130 tenants: the root's per-tenant ready queues span three 64-bit
+  // words, so the WRR search crosses word boundaries and wraps from the
+  // last partial word back to tenant 0. A slow root grant lets ready tasks
+  // of many tenants queue at the root at once, so the WRR order decides
+  // who goes first. Unequal weights vary the burst a tenant keeps, and a
+  // one-slot pool quota NACKs each arrival whose tenant still has a task
+  // in the pool.
+  constexpr std::uint32_t kTenants = 130;
+  const Tenants set = tiny_tenants(kTenants, 6);
+  NexusSharpConfig cfg = sharp(4);
+  cfg.arbiter_clusters = 2;
+  cfg.root_grant_cycles = 60;
+  cfg.pool_capacity = 64;
+  cfg.tenancy.tenants = kTenants;
+  cfg.tenancy.quota.pool = 1;
+  for (std::uint32_t t = 0; t < kTenants; ++t)
+    cfg.tenancy.weights.push_back(1 + t % 4);
+  NexusSharp m(cfg);
+  telemetry::MetricRegistry reg;
+  EXPECT_EQ(tenant_digest(set.streams, m,
+                          RuntimeConfig{.workers = 4, .metrics = &reg}),
+            0x40d432dcf47c561aULL);
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_GT(snap.counter_at("nexus#/admission/nacks"), 0u);
+  for (const std::uint32_t t : {0u, 63u, 64u, 127u, 128u, 129u})
+    EXPECT_EQ(snap.counter_at(telemetry::path_join(
+                  telemetry::indexed_path("nexus#/root/tenant", t, kTenants),
+                  "grants")),
+              6u)
+        << "tenant " << t;
+}
+
+TEST(Golden, RunTenantsWrrWrapsBackToTheOnlyBusyTenant) {
+  // Only tenant 1 has work while its burst runs, and its weight is 1, so
+  // after each grant its credits are exhausted: the WRR search must come
+  // all the way round (past 2, wrapping past 0) back to tenant 1 itself.
+  // Tenants 0 and 2 each release one task long after the burst.
+  constexpr Tick kFar = ms(1);
+  constexpr int kBurst = 12;
+  Trace burst("burst");
+  for (int i = 0; i < kBurst; ++i)
+    burst.submit(0, us(1), {{0x1000 + 0x40 * static_cast<Addr>(i), Dir::kOut}});
+  Trace late("late");
+  late.submit(0, us(1), {{0x1000, Dir::kOut}});
+  const std::vector<TenantStream> streams = {
+      {&late, {kFar}}, {&burst, std::vector<Tick>(kBurst, 0)}, {&late, {kFar}}};
+  NexusSharpConfig cfg = sharp(4);
+  cfg.arbiter_clusters = 2;
+  cfg.tenancy.tenants = 3;
+  NexusSharp m(cfg);
+  telemetry::MetricRegistry reg;
+  EXPECT_EQ(tenant_digest(streams, m, RuntimeConfig{.workers = 8, .metrics = &reg}),
+            0xc4a72023da468321ULL);
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_at("nexus#/root/tenant1/grants"),
+            static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(snap.counter_at("nexus#/root/tenant0/grants"), 1u);
+  EXPECT_EQ(snap.counter_at("nexus#/root/tenant2/grants"), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // The observation surface: metrics, trace and profile shape.
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "nexus/common/rng.hpp"
 #include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/noc/network.hpp"
@@ -199,32 +200,73 @@ TEST(TraceNoc, HostMeshMessagesAreNamedWithoutAProfiler) {
                                                         {"notify", n}}));
 }
 
+/// Receives every message a test network delivers, as the receiving
+/// component sees it.
+struct Sink final : Component {
+  struct Delivery {
+    Tick t;
+    std::uint64_t msg;
+  };
+  std::vector<Delivery> seen;
+  void handle(Simulation& sim, const Event& ev) override {
+    seen.push_back({sim.now(), ev.a});
+  }
+};
+
 TEST(TraceNoc, DeliveredFlitsMatchNetworkStats) {
-  const Trace tr = small_gaussian();
+  // The delivery ledger is kept at the receiving component: a message the
+  // trace stamps as arrived (and the registry counts) must reach the sink,
+  // exactly once and at its stamped arrival tick, and the flits of what the
+  // sink received must equal both the trace's delivered flits and the
+  // network's own count. Seeded traffic with multi-flit payloads contends
+  // for links on the mesh and the torus.
+  constexpr std::uint32_t kNodes = 9;
+  constexpr std::uint64_t kMsgs = 300;
   for (const noc::TopologyKind kind :
        {noc::TopologyKind::kIdeal, noc::TopologyKind::kMesh,
         noc::TopologyKind::kTorus}) {
-    NexusSharp mgr(sharp_cfg(kind));
+    noc::NocConfig cfg;
+    cfg.kind = kind;
+    Simulation sim;
+    Sink sink;
+    const std::uint32_t dst = sim.add_component(&sink);
+    noc::Network net(cfg, kNodes, 100.0, /*ideal_latency=*/30000, "test/noc",
+                     {"msg"});
     telemetry::MetricRegistry reg;
-    const TracedRun r = run_traced(tr, mgr, 8, &reg);
-    const telemetry::Snapshot snap = reg.snapshot();
-    EXPECT_EQ(r.trace.delivered_flits("nexus#/noc"),
-              snap.counter_at("nexus#/noc/flits"))
-        << noc::to_string(kind);
-    // Every traced message was sent; every delivered one has an arrival no
-    // earlier than its departure.
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    for (const NocMessage& m : r.trace.messages) {
-      if (r.trace.str(m.net) != "nexus#/noc") continue;
-      ++sent;
-      if (m.arrive >= 0) {
-        ++delivered;
-        EXPECT_GE(m.arrive, m.depart);
-      }
+    TraceRecorder rec;
+    sim.bind({.metrics = &reg, .trace = &rec});
+    net.attach(sim);
+    Xoshiro256 rng(77);
+    std::vector<std::uint32_t> payload;
+    for (std::uint64_t i = 0; i < kMsgs; ++i) {
+      const auto src = static_cast<noc::NodeId>(rng.below(kNodes));
+      const auto to = static_cast<noc::NodeId>(rng.below(kNodes));
+      payload.push_back(static_cast<std::uint32_t>(rng.below(48)));
+      net.send(sim, sim.now() + 10000 * static_cast<Tick>(i / 20), src, to, dst,
+               0, i, 0, payload.back());
     }
-    EXPECT_EQ(sent, snap.counter_at("nexus#/noc/messages")) << noc::to_string(kind);
-    EXPECT_EQ(delivered, sent) << noc::to_string(kind);
+    sim.run();
+    const TraceData d = rec.freeze();
+    const telemetry::Snapshot snap = reg.snapshot();
+
+    ASSERT_EQ(d.messages.size(), kMsgs) << noc::to_string(kind);
+    ASSERT_EQ(sink.seen.size(), kMsgs) << noc::to_string(kind);
+    std::vector<int> received(kMsgs, 0);
+    std::uint64_t received_flits = 0;
+    for (const Sink::Delivery& got : sink.seen) {
+      ASSERT_LT(got.msg, kMsgs);
+      ++received[got.msg];
+      received_flits += net.flits_for(payload[got.msg]);
+      const NocMessage& m = d.messages[got.msg];
+      EXPECT_EQ(m.arrive, got.t) << noc::to_string(kind) << " message " << got.msg;
+      EXPECT_GE(m.arrive, m.depart);
+    }
+    EXPECT_EQ(std::count(received.begin(), received.end(), 1),
+              static_cast<std::ptrdiff_t>(kMsgs))
+        << noc::to_string(kind);
+    EXPECT_EQ(received_flits, d.delivered_flits("test/noc")) << noc::to_string(kind);
+    EXPECT_EQ(received_flits, snap.counter_at("test/noc/flits")) << noc::to_string(kind);
+    EXPECT_EQ(kMsgs, snap.counter_at("test/noc/messages")) << noc::to_string(kind);
   }
 }
 
