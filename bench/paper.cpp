@@ -237,10 +237,6 @@ int table4(Run& run) {
     t.add_row(cells);
   }
   run.print(t);
-  std::printf(
-      "\nKnown deviation: the paper's Nexus++ column behaves as if it includes\n"
-      "host-integration overheads (c-ray: 1200 independent 6 ms tasks reach\n"
-      "only 60.4x); our pure-hardware Nexus++ tracks the ideal curve there.\n");
   return 0;
 }
 

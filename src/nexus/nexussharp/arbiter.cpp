@@ -1,6 +1,7 @@
 #include "nexus/nexussharp/arbiter.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
@@ -12,13 +13,8 @@ SharpArbiter::SharpArbiter(const NexusSharpConfig& cfg, noc::Network* net,
     : cfg_(cfg), net_(net), self_node_(self_node), dst_node_(dst_node),
       clk_(cfg.freq_mhz), dep_q_(cfg.num_task_graphs) {
   NEXUS_ASSERT(net != nullptr);
+  NEXUS_ASSERT(cfg.num_task_graphs <= 64);
   if (cfg.tenancy.enabled()) depcounts_.configure_tenancy(cfg.tenancy.tenants);
-}
-
-bool SharpArbiter::dep_pending() const {
-  for (const auto& q : dep_q_)
-    if (!q.empty()) return true;
-  return false;
 }
 
 void SharpArbiter::attach(Simulation& sim, RuntimeHost* host,
@@ -70,6 +66,7 @@ void SharpArbiter::handle(Simulation& sim, const Event& ev) {
     case kDep:
       NEXUS_DCHECK(ev.b < dep_q_.size());
       dep_q_[ev.b].push(ev.a);
+      dep_pending_ |= std::uint64_t{1} << ev.b;
       pump(sim);
       break;
     case kMeta: {
@@ -113,16 +110,16 @@ void SharpArbiter::pump(Simulation& sim) {
 
   // Grant one buffer class in the paper's priority order (Section IV-D).
   enum Class { kClsReady, kClsWait, kClsDep, kClsNone };
-  const Class pick = !ready_q_.empty()  ? kClsReady
-                     : !wait_q_.empty() ? kClsWait
-                     : dep_pending()    ? kClsDep
-                                        : kClsNone;
+  const Class pick = !ready_q_.empty()   ? kClsReady
+                     : !wait_q_.empty()  ? kClsWait
+                     : dep_pending_ != 0 ? kClsDep
+                                         : kClsNone;
   if (pick == kClsNone) return;
 
   // A conflict: more than one buffer class competed for this grant — the
   // contention the service priority is about.
   const int pending = (ready_q_.empty() ? 0 : 1) + (wait_q_.empty() ? 0 : 1) +
-                      (dep_pending() ? 1 : 0);
+                      (dep_pending_ != 0 ? 1 : 0);
   if (pending > 1) telemetry::inc(m_conflicts_);
 
   Tick cost = 0;
@@ -162,9 +159,11 @@ void SharpArbiter::pump(Simulation& sim) {
       telemetry::inc(m_grants_dep_);
       if (trace_ != nullptr)
         trace_->unit_span("sharp/arbiter", "gather", 0, now, cost);
-      for (auto& q : dep_q_) {
-        if (q.empty()) continue;
+      for (std::uint64_t bits = dep_pending_; bits != 0; bits &= bits - 1) {
+        const auto tg = static_cast<std::uint32_t>(std::countr_zero(bits));
+        FixedRing<std::uint64_t>& q = dep_q_[tg];
         const std::uint64_t rec = q.pop();
+        if (q.empty()) dep_pending_ &= ~(std::uint64_t{1} << tg);
         const auto id = static_cast<TaskId>(rec & 0xFFFFFFFF);
         const auto contributes = static_cast<std::uint32_t>(rec >> 32);
         SimTask& st = sim_tasks_[id];
@@ -178,7 +177,7 @@ void SharpArbiter::pump(Simulation& sim) {
       break;
   }
   port_.occupy(now, cost);
-  port_.rearm(sim, !ready_q_.empty() || !wait_q_.empty() || dep_pending());
+  port_.rearm(sim, !ready_q_.empty() || !wait_q_.empty() || dep_pending_ != 0);
 }
 
 void SharpArbiter::conclude_if_complete(Simulation& sim, TaskId id, SimTask& st,

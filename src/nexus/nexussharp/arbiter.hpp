@@ -108,14 +108,14 @@ class SharpArbiter final : public Component {
   RuntimeHost* host_ = nullptr;
   std::uint32_t self_ = 0;
 
-  [[nodiscard]] bool dep_pending() const;
-
   FixedRing<TaskId> ready_q_;
   FixedRing<TaskId> wait_q_;
   /// Per-task-graph Dep. Counts buffers: one gather grant (2 cycles) reads
   /// one record from EVERY nonempty buffer in parallel — the paper's
   /// best-case "two cycles to collect the results of all the task graphs".
   std::vector<FixedRing<std::uint64_t>> dep_q_;
+  /// Bit i is set while dep_q_[i] is non-empty.
+  std::uint64_t dep_pending_ = 0;
 
   IdMap<SimTask> sim_tasks_;
   hw::DepCountsTable depcounts_;

@@ -1,6 +1,7 @@
 #include "nexus/nexussharp/root_arbiter.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/trace.hpp"
@@ -16,6 +17,7 @@ RootArbiter::RootArbiter(const NexusSharpConfig& cfg, noc::Network* net)
   const std::uint32_t nq =
       cfg.tenancy.enabled() && cfg.tenancy.weighted ? cfg.tenancy.tenants : 1;
   queues_.resize(nq);
+  nonempty_.assign((nq + 63) / 64, 0);
 }
 
 void RootArbiter::attach(Simulation& sim, RuntimeHost* host) {
@@ -88,6 +90,7 @@ void RootArbiter::enqueue_ready(Simulation& sim, TaskId id,
   const std::size_t q = queues_.size() > 1 ? tenant : 0;
   NEXUS_ASSERT(q < queues_.size());
   queues_[q].push(id);
+  nonempty_[q / 64] |= std::uint64_t{1} << (q % 64);
   ++queued_;
   telemetry::record(m_ready_depth_, queued_);
   pump(sim);
@@ -101,12 +104,12 @@ void RootArbiter::pump(Simulation& sim) {
   if (queues_.size() > 1) {
     // Weighted round-robin: the current tenant keeps the grant while it has
     // both work and burst credits; otherwise advance to the next tenant
-    // with queued work and refill its credits from the configured weight.
+    // with queued work (after the current one, wrapping round to it) and
+    // refill its credits from the configured weight.
     if (queues_[cur_tenant_].empty() || credits_ == 0) {
-      std::uint32_t c = cur_tenant_;
-      do {
-        c = (c + 1) % static_cast<std::uint32_t>(queues_.size());
-      } while (queues_[c].empty());
+      const auto n = static_cast<std::uint32_t>(queues_.size());
+      std::uint32_t c = first_nonempty(cur_tenant_ + 1, n);
+      if (c == n) c = first_nonempty(0, cur_tenant_ + 1);
       cur_tenant_ = c;
       credits_ = cfg_.tenancy.weight(c);
     }
@@ -115,6 +118,7 @@ void RootArbiter::pump(Simulation& sim) {
   }
 
   const TaskId id = queues_[t].pop();
+  if (queues_[t].empty()) nonempty_[t / 64] &= ~(std::uint64_t{1} << (t % 64));
   --queued_;
   const Tick cost = cycles(cfg_.root_grant_cycles);
   telemetry::inc(m_grants_);
@@ -125,6 +129,15 @@ void RootArbiter::pump(Simulation& sim) {
 
   port_.occupy(now, cost);
   port_.rearm(sim, queued_ > 0);
+}
+
+std::uint32_t RootArbiter::first_nonempty(std::uint32_t lo, std::uint32_t hi) const {
+  for (std::uint32_t w = lo / 64; w * 64 < hi; ++w) {
+    std::uint64_t bits = nonempty_[w];
+    if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
+    if (bits != 0) return std::min(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)), hi);
+  }
+  return hi;
 }
 
 void RootArbiter::to_writeback(Simulation& sim, Tick from, TaskId id) {

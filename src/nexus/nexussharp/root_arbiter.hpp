@@ -70,6 +70,8 @@ class RootArbiter final : public Component {
 
   [[nodiscard]] Tick cycles(std::int64_t n) const { return clk_.cycles(n); }
   void enqueue_ready(Simulation& sim, TaskId id, std::uint16_t tenant);
+  /// The first non-empty queue in [lo, hi), or hi if there is none.
+  [[nodiscard]] std::uint32_t first_nonempty(std::uint32_t lo, std::uint32_t hi) const;
   void pump(Simulation& sim);
   void to_writeback(Simulation& sim, Tick from, TaskId id);
 
@@ -83,6 +85,8 @@ class RootArbiter final : public Component {
   /// One ready queue per tenant (a single queue when tenancy is disabled
   /// or the FIFO baseline is selected).
   std::vector<FixedRing<TaskId>> queues_;
+  /// Bit q of word q / 64 is set while queues_[q] is non-empty.
+  std::vector<std::uint64_t> nonempty_;
   std::size_t queued_ = 0;
   std::uint32_t cur_tenant_ = 0;   ///< WRR pointer
   std::uint32_t credits_ = 0;      ///< grants left for cur_tenant_'s burst

@@ -1,6 +1,7 @@
 #include "nexus/runtime/simulation_driver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -46,6 +47,16 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
     tasks += s.trace->num_tasks();
     ports_.resize(std::max<std::size_t>(ports_.size(), s.port + 1));
   }
+  for (std::uint32_t i = 0; i < feeds_.size(); ++i) {
+    Feed& f = feeds_[i];
+    Port& port = ports_[f.s.port];
+    f.slot = static_cast<std::uint32_t>(port.feeds.size());
+    port.feeds.push_back(i);
+    bases_.push_back(f.base);
+    events_left_ += f.s.trace->events().size();
+  }
+  for (Port& port : ports_) port.build();
+  for (const Feed& f : feeds_) refresh(f);
   finished_.assign(tasks, false);
 
   NEXUS_ASSERT_MSG(config_.timeline == nullptr || config_.metrics != nullptr,
@@ -190,28 +201,11 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
   while (true) {
     // The next event comes from the eligible stream whose head arrives
     // first (ties to the lower stream).
-    Feed* pick = nullptr;
-    Tick at = 0;
-    for (Feed& f : feeds_) {
-      if (f.s.port != p || f.held || f.wait != Wait::kNone ||
-          f.next >= f.s.trace->events().size())
-        continue;
-      const TraceEvent& ev = f.s.trace->events()[f.next];
-      const Tick rel = f.s.release != nullptr && ev.op == TraceOp::kSubmit
-                           ? (*f.s.release)[ev.task]
-                           : 0;
-      if (pick == nullptr || rel < at) {
-        pick = &f;
-        at = rel;
-      }
-    }
-    if (pick == nullptr) {
+    const std::uint32_t pick = port.tree[1];
+    const Tick at = port.due[pick];
+    if (at == kIneligible) {
       // Idle or done; a master that ends after the drain ends the run.
-      if (outstanding_ == 0 &&
-          std::all_of(feeds_.begin(), feeds_.end(), [](const Feed& f) {
-            return f.next == f.s.trace->events().size();
-          }))
-        last_activity_ = sim.now();
+      if (outstanding_ == 0 && events_left_ == 0) last_activity_ = sim.now();
       return;
     }
     if (at > sim.now()) {
@@ -220,30 +214,29 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
       wake(sim, p, at);
       return;
     }
-    Feed& f = *pick;
+    Feed& f = feeds_[port.feeds[pick]];
     const TraceEvent& ev = f.s.trace->events()[f.next];
     switch (ev.op) {
       case TraceOp::kSubmit:
         if (!submit(sim, p, f, ev.task)) return;
         break;
       case TraceOp::kTaskwait:
-        ++f.next;
         if (f.outstanding > 0) f.wait = Wait::kBarrier;  // resumed by on_notify
+        advance(f);
         break;
       case TraceOp::kTaskwaitOn: {
-        ++f.next;
+        Tick query = 0;
         if (!manager_.supports_taskwait_on()) {
           // Fallback used for Nexus++ (Section III): treat as full barrier.
           if (f.outstanding > 0) f.wait = Wait::kBarrier;
-          break;
-        }
-        const auto it = f.last_writer.find(ev.addr);
-        if (it != f.last_writer.end() && !finished_[it->second]) {
+        } else if (const auto it = f.last_writer.find(ev.addr);
+                   it != f.last_writer.end() && !finished_[it->second]) {
           f.wait = Wait::kTask;  // resumed by on_notify
           f.wait_task = it->second;
-          break;
+        } else {
+          query = manager_.taskwait_on_query_cost();
         }
-        const Tick query = manager_.taskwait_on_query_cost();
+        advance(f);
         if (query > 0) {
           busy(sim, p, sim.now() + query);
           return;
@@ -269,6 +262,8 @@ bool Driver::submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local) {
     // Per-tenant backpressure: only this stream holds; the port moves on.
     f.held = true;
     ++f.nack_holds;
+    held_.push_back(static_cast<std::uint32_t>(&f - feeds_.data()));
+    refresh(f);
     return true;
   }
   if (resume < 0) {
@@ -281,7 +276,7 @@ bool Driver::submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local) {
   if (m_admission_wait_ != nullptr && f.s.release != nullptr)
     telemetry::record(m_admission_wait_,
                       static_cast<std::uint64_t>(sim.now() - (*f.s.release)[local]));
-  ++f.next;
+  advance(f);
   ++f.outstanding;
   ++outstanding_;
   if (f.track_writers) {
@@ -310,20 +305,54 @@ void Driver::wake(Simulation& sim, std::uint32_t p, Tick at) {
   sim.schedule(at, self_, kMasterStep, p);
 }
 
-Driver::Feed& Driver::feed_of(TaskId id) {
-  const auto it = std::upper_bound(feeds_.begin(), feeds_.end(), id,
-                                   [](TaskId v, const Feed& f) { return v < f.base; });
-  return *(it - 1);
+void Driver::refresh(const Feed& f) {
+  Tick due = kIneligible;
+  if (!f.held && f.wait == Wait::kNone && f.next < f.s.trace->events().size()) {
+    // A taskwait head, and every head of a closed-loop stream, is due now.
+    const TraceEvent& ev = f.s.trace->events()[f.next];
+    due = f.s.release != nullptr && ev.op == TraceOp::kSubmit ? (*f.s.release)[ev.task]
+                                                             : 0;
+  }
+  ports_[f.s.port].set(f.slot, due);
 }
 
-const TaskDescriptor& Driver::descriptor(const Feed& f, TaskId local) {
+void Driver::Port::build() {
+  const auto n = static_cast<std::uint32_t>(feeds.size());
+  leaves = std::bit_ceil(std::max(n, 1u));
+  due.assign(n + 1, kIneligible);
+  tree.assign(2 * leaves, n);
+  for (std::uint32_t s = 0; s < n; ++s) tree[leaves + s] = s;
+}
+
+void Driver::Port::set(std::uint32_t s, Tick t) {
+  due[s] = t;
+  for (std::uint32_t i = (leaves + s) / 2; i > 0; i /= 2) {
+    const std::uint32_t l = tree[2 * i];
+    const std::uint32_t r = tree[2 * i + 1];
+    tree[i] = due[r] < due[l] ? r : l;
+  }
+}
+
+void Driver::advance(Feed& f) {
+  ++f.next;
+  --events_left_;
+  refresh(f);
+}
+
+Driver::Feed& Driver::feed_of(TaskId id) {
+  const auto it = std::upper_bound(bases_.begin(), bases_.end(), id);
+  return feeds_[static_cast<std::size_t>(it - bases_.begin()) - 1];
+}
+
+const TaskDescriptor& Driver::descriptor(Feed& f, TaskId local) {
   const TaskDescriptor& own = f.s.trace->task(local);
   if (f.base == 0 && f.s.tenant == 0 && f.s.addr_offset == 0) return own;
-  placed_ = own;
-  placed_.id = f.base + local;
-  placed_.tenant = f.s.tenant;
-  for (Param& prm : placed_.params) prm.addr = (prm.addr + f.s.addr_offset) & kAddrMask;
-  return placed_;
+  if (f.placed.id == f.base + local) return f.placed;  // a retried submit
+  f.placed = own;
+  f.placed.id = f.base + local;
+  f.placed.tenant = f.s.tenant;
+  for (Param& prm : f.placed.params) prm.addr = (prm.addr + f.s.addr_offset) & kAddrMask;
+  return f.placed;
 }
 
 void Driver::task_ready(Simulation& sim, TaskId id) {
@@ -343,10 +372,13 @@ void Driver::master_resume(Simulation& sim) {
   // The manager freed structure space. Every hold clears and each port that
   // had one retries, in port order: the first retry wins the space, later
   // ones re-block inside submit. A NACK hold marks its port for the retry.
-  for (Feed& f : feeds_) {
-    if (f.held) ports_[f.s.port].blocked = true;
+  for (const std::uint32_t i : held_) {
+    Feed& f = feeds_[i];
+    ports_[f.s.port].blocked = true;
     f.held = false;
+    refresh(f);
   }
+  held_.clear();
   for (std::uint32_t p = 0; p < ports_.size(); ++p) {
     if (!ports_[p].blocked) continue;
     ports_[p].blocked = false;
@@ -451,10 +483,12 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
   // eligible returns), so resuming a stream just clears its wait and steps.
   if (f.wait == Wait::kBarrier && f.outstanding == 0) {
     f.wait = Wait::kNone;
+    refresh(f);
     master_step(sim, f.s.port);
   } else if (f.wait == Wait::kTask && finished_[f.wait_task]) {
     f.wait = Wait::kNone;
     f.wait_task = kInvalidTask;
+    refresh(f);
     const Tick query = manager_.taskwait_on_query_cost();
     if (query > 0) {
       busy(sim, f.s.port, sim.now() + query);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -151,6 +152,13 @@ struct Stream {
 /// release on one wake-up event. kSubmitBlocked holds the whole port,
 /// kSubmitNacked only the offending stream, and the manager's master_resume
 /// clears both on every port.
+///
+/// The pick never reads a stream's trace: each port keeps its streams' head
+/// keys (the head's release, 0 for a taskwait head or a closed-loop stream,
+/// a sentinel while the stream is held, waiting or drained) under a
+/// tournament tree of their minimum, updated only where a stream's head or
+/// eligibility changes, so a pick costs O(1) and an update O(log streams).
+/// master_resume walks the list of NACK-held streams, not every stream.
 class Driver final : public Component, public RuntimeHost {
  public:
   Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
@@ -201,6 +209,7 @@ class Driver final : public Component, public RuntimeHost {
   struct Feed {
     Stream s;
     TaskId base = 0;            ///< global id of local task 0
+    std::uint32_t slot = 0;     ///< index into its port's feeds/due arrays
     std::size_t next = 0;       ///< index into s.trace->events()
     Wait wait = Wait::kNone;    ///< taskwait / taskwait_on in progress
     TaskId wait_task = kInvalidTask;
@@ -212,7 +221,13 @@ class Driver final : public Component, public RuntimeHost {
     /// Local address -> global id of its last submitted writer, as of
     /// master progress (kept only when track_writers).
     std::unordered_map<Addr, TaskId> last_writer;
+    /// The head task moved into the stream's window (id kInvalidTask until
+    /// first placed); a retried submit reuses it.
+    TaskDescriptor placed;
   };
+
+  /// Due time of a stream that cannot submit now.
+  static constexpr Tick kIneligible = std::numeric_limits<Tick>::max();
 
   /// One master thread: a single in-flight submission at a time.
   struct Port {
@@ -220,14 +235,33 @@ class Driver final : public Component, public RuntimeHost {
     bool wake_pending = false;  ///< a kMasterStep for it is queued
     Tick wake_at = 0;           ///< the earliest queued kMasterStep's time
     Tick busy_until = 0;        ///< submission occupancy / query round trip
+    /// Per stream on this port, in stream order: its index into feeds_,
+    /// and its head's due time or kIneligible (one more slot, always
+    /// kIneligible, pads the tree's spare leaves).
+    std::vector<std::uint32_t> feeds;
+    std::vector<Tick> due;
+    /// Tournament tree over `due`: node i holds the slot of the minimum of
+    /// nodes 2i and 2i+1 (ties to the left, i.e. the lower stream); leaf
+    /// slot s is node leaves + s, and node 1 is the pick.
+    std::vector<std::uint32_t> tree;
+    std::uint32_t leaves = 0;
+
+    /// Size the tree for `feeds` (every stream kIneligible).
+    void build();
+    /// Set slot s's due time and replay its matches up to the root.
+    void set(std::uint32_t s, Tick t);
   };
 
   void master_step(Simulation& sim, std::uint32_t p);
   bool submit(Simulation& sim, std::uint32_t p, Feed& f, TaskId local);
   void busy(Simulation& sim, std::uint32_t p, Tick until);
   void wake(Simulation& sim, std::uint32_t p, Tick at);
+  /// Rewrite f's head key after its head or eligibility changed.
+  void refresh(const Feed& f);
+  /// Step f past its head trace event.
+  void advance(Feed& f);
   Feed& feed_of(TaskId id);
-  const TaskDescriptor& descriptor(const Feed& f, TaskId local);
+  const TaskDescriptor& descriptor(Feed& f, TaskId local);
   void try_dispatch(Simulation& sim);
   /// Execute `id` on `worker` from `start`; the worker is reserved from
   /// `from` (dispatch) or `start` (host-NoC arrival).
@@ -239,8 +273,10 @@ class Driver final : public Component, public RuntimeHost {
   TaskManagerModel& manager_;
   RuntimeConfig config_;
   std::vector<Feed> feeds_;
+  std::vector<TaskId> bases_;          ///< feeds_[i].base, for feed_of
+  std::vector<std::uint32_t> held_;    ///< NACK-held feeds, in hold order
+  std::size_t events_left_ = 0;        ///< trace events no master stepped past
   std::vector<Port> ports_;
-  TaskDescriptor placed_;  ///< a descriptor moved into its stream's window
 
   Simulation sim_;
   std::uint32_t self_ = 0;

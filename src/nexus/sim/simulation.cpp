@@ -41,7 +41,7 @@ bool Simulation::run_some(std::uint64_t max_events) {
     ++n;
     components_[ev.comp]->handle(*this, ev);
   }
-  flush_queue_metrics();
+  flush_run_metrics();
   return !queue_.empty();
 }
 
@@ -64,7 +64,7 @@ bool Simulation::run_profiled(std::uint64_t max_events) {
     }
   }
   obs_.profiler->stat_max(prof_max_depth_, queue_.max_depth());
-  flush_queue_metrics();
+  flush_run_metrics();
   return !queue_.empty();
 }
 
@@ -86,6 +86,7 @@ void Simulation::bind(const telemetry::Observers& obs) {
   m_events_ = reg != nullptr ? &reg->counter("sim/events") : nullptr;
   m_advance_ = reg != nullptr ? &reg->histogram("sim/advance_ps") : nullptr;
   m_q_max_depth_ = reg != nullptr ? &reg->gauge("sim/queue/max_depth") : nullptr;
+  published_ = processed_;
   if (obs_.profiler != nullptr) {
     telemetry::Profiler& prof = *obs_.profiler;
     const auto queue = prof.node(obs_.profile_parent, "queue");
@@ -121,15 +122,25 @@ void Simulation::cover(std::uint32_t i) {
   }
 }
 
-void Simulation::flush_queue_metrics() {
+void Simulation::flush_run_metrics() {
   if (m_q_max_depth_ == nullptr) return;
+  publish_events();
   m_q_max_depth_->set(static_cast<std::int64_t>(queue_.max_depth()));
 }
 
-void Simulation::sample_to(Tick t) { obs_.timeline->sample_until(t); }
+void Simulation::publish_events() {
+  if (m_events_ == nullptr) return;
+  m_events_->inc(processed_ - published_);
+  published_ = processed_;
+}
+
+void Simulation::sample_to(Tick t) {
+  if (t < obs_.timeline->next_sample()) return;
+  publish_events();
+  obs_.timeline->sample_until(t);
+}
 
 void Simulation::observe_slow(const Event& ev) {
-  m_events_->inc();
   m_advance_->record(static_cast<std::uint64_t>(ev.t - now_));
   if (ev.comp < comp_events_.size()) {
     comp_events_[ev.comp]->inc();

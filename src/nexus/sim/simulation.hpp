@@ -39,7 +39,9 @@ class Simulation {
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Bind the run's observers (not owned). Metrics: total events, a
+  /// Bind the run's observers (not owned). Metrics: total events
+  /// ("sim/events": events_processed() since the bind, published before
+  /// each timeline row and at the end of each run()/run_some() call), a
   /// histogram of time advances, per-component event counts plus
   /// inter-event sim-time histograms ("sim/c<i>_<label>/..."), and the
   /// deepest pending population ("sim/queue/max_depth", flushed at the end
@@ -74,6 +76,8 @@ class Simulation {
     observe_slow(ev);
   }
   void observe_slow(const Event& ev);
+  /// Publish processed_ into sim/events, then record the timeline rows due
+  /// by `t` (if any are).
   void sample_to(Tick t);
 
   /// Register component `i`'s per-component metrics and profile node.
@@ -84,9 +88,11 @@ class Simulation {
   bool run_profiled(std::uint64_t max_events);
   /// The op child of component `comp`'s profile node (created on first use).
   std::uint32_t profiler_op_node(std::uint32_t comp, std::uint32_t op);
-  /// Publish the queue's max depth into the max_depth gauge (run epilogue;
-  /// one null check).
-  void flush_queue_metrics();
+  /// Publish the event count and the queue's max depth (run epilogue; one
+  /// null check).
+  void flush_run_metrics();
+  /// Add the events processed since the last publish to sim/events.
+  void publish_events();
 
   EventQueue queue_;
   std::vector<Component*> components_;
@@ -104,6 +110,7 @@ class Simulation {
   std::uint32_t prof_max_depth_ = 0;
 
   telemetry::Counter* m_events_ = nullptr;
+  std::uint64_t published_ = 0;  ///< processed_ as of the last publish
   telemetry::Histogram* m_advance_ = nullptr;  ///< now() jumps, in ps
   std::vector<telemetry::Counter*> comp_events_;
   std::vector<telemetry::Histogram*> comp_gap_;  ///< per-component event gaps

@@ -90,6 +90,8 @@ class TimelineRecorder {
   void finish(TimeTick t);
 
   [[nodiscard]] TimeTick interval() const { return interval_; }
+  /// The next grid point sample_until() will record.
+  [[nodiscard]] TimeTick next_sample() const { return next_t_; }
   [[nodiscard]] std::size_t rows() const { return times_.size(); }
 
   /// Deep-copy the collected series, sorted by path.
