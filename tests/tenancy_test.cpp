@@ -337,9 +337,9 @@ TEST(Tenancy, WrrAndQuotasProtectLightTenants) {
 
 TEST(Tenancy, MaxTenantsAtQuotaOneDrainValid) {
   // The hostile corner: the 256-tenant cap, one pool slot per tenant and a
-  // pool far smaller than the tenant count, so nearly every tenant is
-  // NACK-held at some point. Everything must drain, and the merged
-  // schedule must be a legal execution of the tenants' traces.
+  // pool far smaller than the tenant count, so tenants are NACK-held and
+  // the pool fills. Everything must drain, and the merged schedule must be
+  // a legal execution of the tenants' traces.
   constexpr std::uint32_t kTenants = 256;
   constexpr int kTasks = 3;
   std::vector<Trace> traces;
@@ -383,6 +383,7 @@ TEST(Tenancy, MaxTenantsAtQuotaOneDrainValid) {
     holds += lat.nack_holds;
   }
   EXPECT_GT(holds, 0u);
+  EXPECT_EQ(mgr.pool().peak(), cfg.pool_capacity);
   EXPECT_EQ(mgr.sim_tasks_live(), 0u);
   std::string err;
   EXPECT_TRUE(validate_schedule(merged, sched, &err)) << err;
