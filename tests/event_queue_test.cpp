@@ -255,5 +255,123 @@ TEST(EventQueueDifferential, RefillLeavesSeveralEqualTimes) {
   d.check_sizes();
 }
 
+
+// ---------- tier boundaries: a 64-event sorted run in front of a heap ----------
+//
+// The tests below are shaped around a queue that keeps up to 64 near-future
+// events in a sorted run and the rest in a binary heap, and pops the earlier
+// of the two by (t, seq). They hold for any correct (t, seq) queue.
+
+TEST(EventQueueDifferential, DepthsCrossingRunCapacity) {
+  // Hold at each depth around one and two run capacities: every pop is
+  // followed by a push, some earlier than everything pending (evicting the
+  // run's last-due event when the run is full), some later than everything
+  // (straight to the heap), some in between.
+  for (const std::size_t depth :
+       {std::size_t{1}, std::size_t{2}, std::size_t{63}, std::size_t{64},
+        std::size_t{65}, std::size_t{66}, std::size_t{127}, std::size_t{128},
+        std::size_t{129}, std::size_t{200}}) {
+    SCOPED_TRACE(depth);
+    Xoshiro256 rng(depth);
+    Differential d;
+    for (std::size_t i = 0; i < depth; ++i)
+      d.push(static_cast<Tick>(rng.below(4 * depth)));
+    for (int step = 0; step < 4000; ++step) {
+      d.pop();
+      if (HasFatalFailure()) return;
+      const std::uint64_t kind = rng.below(4);
+      const Tick delay = kind == 0   ? 0
+                         : kind == 1 ? static_cast<Tick>(8 * depth + rng.below(8))
+                                     : static_cast<Tick>(rng.below(4 * depth));
+      d.push(d.now() + delay);
+      if (HasFatalFailure()) return;
+    }
+    d.check_sizes();
+    d.drain();
+    d.check_sizes();
+  }
+}
+
+TEST(EventQueueDifferential, EvictedEventTiesLaterSamePush) {
+  // Fill the run with 64 distinct times, then push one earlier event: the
+  // run's last-due event (t = 163 ns, seq 63) is evicted to the heap. After
+  // a few pops a new t = 163 ns push fits in the run, with a higher seq, so
+  // the heap top ties the run's back on t with the lower seq and must pop
+  // first.
+  Differential d;
+  for (int i = 0; i < 64; ++i) d.push(ns(100 + i));
+  d.push(ns(50));
+  for (int i = 0; i < 4; ++i) {
+    d.pop();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  d.push(ns(163));
+  d.push(ns(163));
+  d.drain();
+  d.check_sizes();
+}
+
+TEST(EventQueueDifferential, RunBackTiesLaterHeapPush) {
+  // The other direction: the run is full and its last-due event is at
+  // t = 163 ns; two more t = 163 ns pushes are later in (t, seq), so they go
+  // past the run. The run's copy has the lowest seq and must pop first.
+  Differential d;
+  for (int i = 0; i < 64; ++i) d.push(ns(100 + i));
+  d.push(ns(163));
+  d.push(ns(163));
+  d.drain();
+  d.check_sizes();
+}
+
+TEST(EventQueueDifferential, PopsAlternateBetweenTiers) {
+  // 128 even times: the first 64 fill the run, the rest are later and wait
+  // past it. Popping 64 empties the run; then 64 odd times, each between
+  // two of the waiting evens, go into the run. The drain must alternate
+  // tiers on every pop; a second round repeats it with equal times, where
+  // the waiting events hold the lower seq.
+  for (const Tick odd : {Tick{1}, Tick{0}}) {
+    SCOPED_TRACE(odd);
+    Differential d;
+    for (int k = 0; k < 128; ++k) d.push(2 * k);
+    for (int k = 0; k < 64; ++k) {
+      d.pop();
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    for (int k = 64; k < 128; ++k) d.push(2 * k + odd);
+    d.check_sizes();
+    d.drain();
+    d.check_sizes();
+  }
+}
+
+TEST(EventQueueDifferential, ManagerCycleTraffic) {
+  // The kernel's measured traffic: 8 to 64 pending (now and then past 64),
+  // every push 2^15..2^22 ps ahead (2 to 233 manager cycles of 18,000 ps)
+  // or at the same tick, every time on a cycle multiple so equal times are
+  // common.
+  constexpr Tick kCycle = 18'000;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    Differential d;
+    std::size_t target = 8;
+    for (int step = 0; step < 30000; ++step) {
+      if (step % 500 == 0) target = 8 + rng.below(seed % 2 == 0 ? 57 : 90);
+      if (d.size() > target || (d.size() >= 8 && rng.below(2) == 0)) {
+        d.pop();
+      } else {
+        const Tick delay = rng.below(8) == 0
+                               ? 0
+                               : kCycle * static_cast<Tick>(2 + rng.below(232));
+        d.push(d.now() + delay);
+      }
+      if (HasFatalFailure()) return;
+    }
+    d.check_sizes();
+    d.drain();
+    d.check_sizes();
+  }
+}
+
 }  // namespace
 }  // namespace nexus

@@ -409,6 +409,61 @@ TEST(CriticalPath, BindingProducerWinsOverEarlierKicks) {
   check_attribution(td);
 }
 
+TEST(CriticalPath, EqualExecEndAnchorsOnLargerTaskId) {
+  // Two independent tasks end at the same tick on two workers: the walk is
+  // anchored on the larger task id, and only that task's execution is on
+  // the path.
+  TraceRecorder rec;
+  for (std::uint64_t p : {1u, 2u}) {
+    rec.on_submit(p, 0);
+    rec.on_accepted(p, 0);
+    rec.on_resolved(p, 0);
+    rec.on_ready(p, 0);
+    rec.on_dispatch(p, 0, static_cast<std::int32_t>(p));
+  }
+  rec.on_exec(1, 10, 100);
+  rec.on_exec(2, 20, 100);
+  rec.set_makespan(120);
+  const TraceData td = rec.freeze();
+  const CriticalPathReport cp = telemetry::critical_path(td);
+  EXPECT_EQ(cp.last_task, 2u);
+  for (const telemetry::PathSegment& s : cp.segments)
+    EXPECT_EQ(s.task, 2u) << telemetry::to_string(s.phase);
+  EXPECT_EQ(cp.total(telemetry::PathPhase::kExecute), 80);
+  check_attribution(td);
+}
+
+TEST(CriticalPath, QueueWaitJumpsToOccupantEndingAtCursor) {
+  // Task 2 is ready at 50 but waits for worker 0, whose previous occupant
+  // (task 1) ends at 100, exactly when task 2 is dispatched. The walk must
+  // charge the wait to task 1's execution, not to task 2's queue.
+  TraceRecorder rec;
+  rec.on_submit(1, 0);
+  rec.on_accepted(1, 0);
+  rec.on_resolved(1, 0);
+  rec.on_ready(1, 0);
+  rec.on_dispatch(1, 0, 0);
+  rec.on_exec(1, 10, 100);
+  rec.on_submit(2, 0);
+  rec.on_accepted(2, 20);
+  rec.on_resolved(2, 30);
+  rec.on_ready(2, 50);
+  rec.on_dispatch(2, 100, 0);
+  rec.on_exec(2, 110, 200);
+  rec.set_makespan(200);
+  const TraceData td = rec.freeze();
+  const CriticalPathReport cp = telemetry::critical_path(td);
+  using telemetry::PathPhase;
+  EXPECT_EQ(cp.last_task, 2u);
+  EXPECT_EQ(cp.total(PathPhase::kQueueWait), 0);
+  EXPECT_EQ(cp.total(PathPhase::kExecute), 90 + 90);
+  bool charged_to_1 = false;
+  for (const telemetry::PathSegment& s : cp.segments)
+    if (s.phase == PathPhase::kExecute && s.task == 1) charged_to_1 = true;
+  EXPECT_TRUE(charged_to_1) << "the wait must jump to the worker's occupant";
+  check_attribution(td);
+}
+
 // ---------------------------------------------------------------------------
 // Chrome exporter invariants (the validator script checks the same things
 // on a full bench export; this keeps them under unit-test granularity).
