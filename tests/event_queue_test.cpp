@@ -2,7 +2,7 @@
 // by issue sequence, so same-tick events pop in insertion order and a
 // far-future straggler waits its turn; plus the max-depth high-water the
 // sim/queue/max_depth gauge reports. The differential tests replay seeded
-// monotone push/pop interleavings through the radix heap and a reference
+// monotone push/pop interleavings through the EventQueue and a reference
 // binary heap (std::priority_queue over EventLater) and require the same
 // (t, seq) pop sequence and the same max depth.
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@ namespace nexus {
 namespace {
 
 TEST(QueueKind, ToString) {
-  EXPECT_STREQ(to_string(QueueKind::kRadixHeap), "radix-heap");
-  EXPECT_EQ(default_queue_kind(), QueueKind::kRadixHeap);
+  EXPECT_STREQ(to_string(QueueKind::kSortedRunHeap), "sorted-run+binary-heap");
+  EXPECT_EQ(default_queue_kind(), QueueKind::kSortedRunHeap);
 }
 
 Event ev_at(Tick t, std::uint64_t seq) { return Event{t, seq, 0, 0, seq, 0}; }
@@ -84,7 +84,7 @@ TEST(EventQueueDepth, HeapTracksMaxDepthToo) {
   EXPECT_EQ(q.max_depth(), 10u);  // the first wave's peak
 }
 
-// ---------- differential: radix heap vs a reference binary heap ----------
+// ---------- differential: EventQueue vs a reference binary heap ----------
 
 /// Drives an EventQueue and a reference std::priority_queue in lockstep.
 /// Pushes must be monotone (t >= the last popped t), as in the kernel.
@@ -140,7 +140,7 @@ class Differential {
 
 TEST(EventQueueDifferential, SeededMonotoneInterleavings) {
   // Hold-model mixes: mostly small delays, same-tick bursts (pushed while
-  // bucket 0 is draining), and far-future stragglers.
+  // that tick is draining), and far-future stragglers.
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE(seed);
     Xoshiro256 rng(seed);
@@ -172,7 +172,8 @@ TEST(EventQueueDifferential, SameTickBurstWhileBucketZeroDrains) {
   d.push(ns(6));
   d.push(ns(9));
   // Each pop at t = 5 ns schedules two more at the same tick (and one at
-  // 6 ns), so bucket 0 keeps growing behind its head while it drains.
+  // 6 ns), so the current tick keeps growing behind its head while it
+  // drains.
   for (int i = 0; i < 200; ++i) {
     d.pop();
     ASSERT_FALSE(HasFatalFailure());
@@ -188,7 +189,7 @@ TEST(EventQueueDifferential, SameTickBurstWhileBucketZeroDrains) {
 
 TEST(EventQueueDifferential, PowerOfTwoBoundaries) {
   // Keys straddling every bit boundary: 2^k - 1, 2^k and 2^k + 1, pushed in
-  // scrambled order, then popped with refills landing on each boundary.
+  // scrambled order (deeper than the run), then popped and re-pushed on each one.
   Differential d;
   std::vector<Tick> keys;
   for (int k = 1; k < 62; ++k) {
@@ -212,8 +213,7 @@ TEST(EventQueueDifferential, PowerOfTwoBoundaries) {
 }
 
 TEST(EventQueueDifferential, KeysNearTwoToTheSixtySecond) {
-  // Near the top of the Tick range: bucket indices up to 63 and XORs whose
-  // highest bit is bit 62.
+  // Near the top of the Tick range, where keys differ first in bit 62.
   Differential d;
   const Tick base = Tick{1} << 62;
   d.push(3);
@@ -237,8 +237,8 @@ TEST(EventQueueDifferential, KeysNearTwoToTheSixtySecond) {
 }
 
 TEST(EventQueueDifferential, RefillLeavesSeveralEqualTimes) {
-  // One high bucket holding several equal-t groups in interleaved push
-  // order: the refill must hand each group to bucket 0 in seq order.
+  // Several equal-t groups pushed interleaved, all far above the first
+  // pop: each group must come out in seq order.
   Differential d;
   d.push(0);
   for (int rep = 0; rep < 4; ++rep) {
