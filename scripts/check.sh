@@ -6,8 +6,9 @@
 #   scripts/check.sh --sanitize      # additional ASan/UBSan build + all tests
 #   scripts/check.sh --label unit    # run only suites with the given CTest label
 #   scripts/check.sh --bench         # additionally smoke-run every nexus-bench
-#                                    # experiment (quick traces) and regenerate
-#                                    # the BENCH_*.json trajectory records
+#                                    # experiment (quick traces) and the three
+#                                    # examples, and regenerate the
+#                                    # BENCH_*.json trajectory records
 #   scripts/check.sh --diff          # --bench, then nexus-perfdiff each
 #                                    # regenerated BENCH_*.json against the
 #                                    # pre-run copy (nonzero unless every
@@ -127,7 +128,12 @@ if [[ "${BENCH}" -eq 1 ]]; then
     fi
     smoke "${NEXUS_BENCH}" "${name}" --quick
   done
+  # The three examples check themselves: metrics_report exits nonzero when
+  # a core's busy/idle ledger does not reconcile, trace_export when the
+  # critical-path attribution does not sum to the makespan.
+  smoke build/examples/quickstart
   smoke build/examples/metrics_report --workload gaussian-250 --cores 8
+  smoke build/examples/trace_export --workload gaussian-250 --cores 8
   for line in "${EXPERIMENTS[@]}"; do
     IFS=$'\t' read -r name record record_flags _ <<<"${line}"
     if [[ "${record}" == "-" ]]; then continue; fi

@@ -7,16 +7,16 @@
 // that order alone.
 //
 // Nearly every event the models schedule lands 1 to ~100 manager cycles
-// ahead, and the pending set stays below 64 events at 96% of pops on the
-// Table-II workloads. So the queue keeps up to kRunCapacity pending events
-// in a run sorted by (t, seq) with the next event at its back: a push walks
-// back past the few events due before it, and a pop takes the back. Every
-// other event waits in a binary heap ordered by (t, seq). A push later than
-// a full run's last-due event (its front) goes to the heap; an earlier one
-// evicts that front event to the heap. A pop takes the earlier of the run's
-// back and the heap's top, comparing both by (t, seq), so the pop order is
-// exactly (t, seq) whichever tier holds which event — an evicted event keeps
-// its (older) seq and still pops before a later same-t push.
+// ahead into a shallow pending set (see kRunCapacity). So the queue keeps
+// up to kRunCapacity pending events in a run sorted by (t, seq) with the
+// next event at its back: a push walks back past the few events due before
+// it, and a pop takes the back. Every other event waits in a binary heap
+// ordered by (t, seq). A push later than a full run's last-due event (its
+// front) goes to the heap; an earlier one evicts that front event to the
+// heap. A pop takes the earlier of the run's back and the heap's top,
+// comparing both by (t, seq), so the pop order is exactly (t, seq) whichever
+// tier holds which event: an evicted event keeps its (older) seq and still
+// pops before a later same-t push.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nexus/common/assert.hpp"
 #include "nexus/sim/event.hpp"
 
 namespace nexus {
@@ -57,7 +58,10 @@ class EventQueue {
   void push(const Event& ev) {
     if (++size_ > max_depth_) max_depth_ = size_;
     if (run_size_ == kRunCapacity) {
-      if (ev.t >= run_[0].t) return heap_push(ev);
+      if (ev.t >= run_[0].t) {
+        heap_push(ev);
+        return;
+      }
       // Evict the last-due event; the later ones move towards the front.
       heap_push(run_[0]);
       std::size_t i = 1;
@@ -72,6 +76,7 @@ class EventQueue {
 
   /// Pop the minimum (earliest t, lowest seq). Precondition: !empty().
   [[nodiscard]] Event pop() {
+    NEXUS_DCHECK(size_ != 0);
     --size_;
     if (run_size_ > 0 &&
         (heap_.empty() || EventLater{}(heap_.front(), run_[run_size_ - 1])))
@@ -90,10 +95,10 @@ class EventQueue {
 
  private:
   /// The run's capacity. The pending set stays below 64 events at 96% of
-  /// pops on the Table-II workloads, so nearly every event is pushed into
-  /// and popped from the run; a push costs O(capacity) at worst, so a much
-  /// longer run would make deep queues (open-loop tenants, event storms)
-  /// pay per push what the heap pays in O(log n).
+  /// pops on perfbench's Table-II workload, so nearly every event is pushed
+  /// into and popped from the run. A push costs O(capacity) at worst, so a
+  /// much longer run would make deep queues (open-loop tenants, event
+  /// storms) pay per push what the heap pays in O(log n).
   static constexpr std::size_t kRunCapacity = 64;
 
   void heap_push(const Event& ev) {
