@@ -189,7 +189,8 @@ TEST(EventQueueDifferential, SameTickBurstWhileBucketZeroDrains) {
 
 TEST(EventQueueDifferential, PowerOfTwoBoundaries) {
   // Keys straddling every bit boundary: 2^k - 1, 2^k and 2^k + 1, pushed in
-  // scrambled order (deeper than the run), then popped and re-pushed on each one.
+  // scrambled order (deeper than the run), then popped and re-pushed on
+  // each one.
   Differential d;
   std::vector<Tick> keys;
   for (int k = 1; k < 62; ++k) {
@@ -255,8 +256,7 @@ TEST(EventQueueDifferential, RefillLeavesSeveralEqualTimes) {
   d.check_sizes();
 }
 
-
-// ---------- tier boundaries: a 64-event sorted run in front of a heap ----------
+// ---------- tier boundaries: a 64-event sorted run before a heap ----------
 //
 // The tests below are shaped around a queue that keeps up to 64 near-future
 // events in a sorted run and the rest in a binary heap, and pops the earlier
@@ -280,9 +280,10 @@ TEST(EventQueueDifferential, DepthsCrossingRunCapacity) {
       d.pop();
       if (HasFatalFailure()) return;
       const std::uint64_t kind = rng.below(4);
-      const Tick delay = kind == 0   ? 0
-                         : kind == 1 ? static_cast<Tick>(8 * depth + rng.below(8))
-                                     : static_cast<Tick>(rng.below(4 * depth));
+      const Tick delay =
+          kind == 0   ? 0
+          : kind == 1 ? static_cast<Tick>(8 * depth + rng.below(8))
+                      : static_cast<Tick>(rng.below(4 * depth));
       d.push(d.now() + delay);
       if (HasFatalFailure()) return;
     }
