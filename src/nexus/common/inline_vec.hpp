@@ -3,11 +3,13 @@
 // Task descriptors carry at most a handful of parameters (the paper's
 // benchmarks use 1-6); storing them inline keeps descriptors contiguous and
 // trivially copyable, which matters because the simulator copies them into
-// hardware-model queues.
+// hardware-model queues. The count is one byte: it adds at most the
+// elements' alignment to the vector, never a whole size_t.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 
 #include "nexus/common/assert.hpp"
@@ -16,6 +18,8 @@ namespace nexus {
 
 template <typename T, std::size_t N>
 class InlineVec {
+  static_assert(N <= 255, "the count is kept in one byte");
+
  public:
   InlineVec() = default;
   InlineVec(std::initializer_list<T> init) {
@@ -57,7 +61,7 @@ class InlineVec {
 
  private:
   std::array<T, N> data_{};
-  std::size_t size_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 }  // namespace nexus

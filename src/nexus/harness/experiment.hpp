@@ -61,12 +61,13 @@ struct Series {
 
 /// The paper's speedup baseline: "single core execution time of the ideal
 /// curve" — the no-overhead makespan on one worker. That makespan is
-/// exactly `trace.total_work()`, so no schedule is simulated: a task can
-/// only depend on tasks submitted before it (Trace::submit is the only way
-/// to add one), so the earliest unfinished submitted task is always ready,
-/// and under a zero-cost manager the master reaches its next submission at
-/// the tick its barrier clears. The one worker is therefore never idle
-/// while work remains. list_schedule_makespan(trace, 1) is the oracle the
+/// exactly `trace.total_work()`, which the trace keeps current, so no
+/// schedule is simulated and the call is O(1): a task can only depend on
+/// tasks submitted before it (Trace::submit is the only way to add one), so
+/// the earliest unfinished submitted task is always ready, and under a
+/// zero-cost manager the master reaches its next submission at the tick its
+/// barrier clears. The one worker is therefore never idle while work
+/// remains. list_schedule_makespan(trace, 1) is the oracle the
 /// tests hold this to.
 Tick ideal_baseline(const Trace& trace);
 

@@ -159,18 +159,25 @@ Tick Network::route(Tick now, Tick depart, NodeId at, NodeId to,
 }
 
 Tick Network::reserve(LinkState& link, Tick now, Tick arrive, Tick ser) {
+  // Whether reservation r leaves the link free from t on ([start, end) is
+  // half-open). The prune at now() and the search at the arrival share this
+  // one boundary. Only the prune can observe it, in max_link_intervals()
+  // (Network.ReservationEndingAtNowIsPrunedBeforeTheNext): an interval
+  // ending exactly at the arrival, had the walk below begun at it, would
+  // only set start to its end, which is the arrival.
+  const auto ended_by = [](const Interval& r, Tick t) { return r.end <= t; };
   std::vector<Interval>& iv = link.reserved;
   auto live = iv.begin();
-  while (live != iv.end() && live->end <= now) ++live;
+  while (live != iv.end() && ended_by(*live, now)) ++live;
   iv.erase(iv.begin(), live);
   // Skip every reservation the train would overlap, starting from the
   // first one that ends after the arrival; at or past the horizon that is
   // none, and the train appends without a search.
   auto next = iv.end();
   Tick start = arrive;
-  if (!iv.empty() && arrive < iv.back().end) {
-    next = std::partition_point(iv.begin(), iv.end(), [arrive](const Interval& r) {
-      return r.end <= arrive;
+  if (!iv.empty() && !ended_by(iv.back(), arrive)) {
+    next = std::partition_point(iv.begin(), iv.end(), [&](const Interval& r) {
+      return ended_by(r, arrive);
     });
     for (; next != iv.end() && next->start < start + ser; ++next)
       start = next->end;

@@ -56,21 +56,21 @@ class ListScheduler {
   void advance_master(Tick now) {
     while (next_event_ < trace_.events().size()) {
       const TraceEvent& ev = trace_.events()[next_event_];
-      if (ev.op == TraceOp::kSubmit) {
+      if (ev.op() == TraceOp::kSubmit) {
         ++next_event_;
         ++outstanding_;
-        const TaskDescriptor& task = trace_.task(ev.task);
+        const TaskDescriptor& task = trace_.task(ev.task());
         for (const auto& p : task.params)
           if (is_write(p.dir)) last_writer_[p.addr] = task.id;
         if (tracker_.submit(task) == 0) push(now, false, task.id);
-      } else if (ev.op == TraceOp::kTaskwait) {
+      } else if (ev.op() == TraceOp::kTaskwait) {
         ++next_event_;
         if (outstanding_ > 0) {
           barrier_ = true;
           return;
         }
       } else {  // kTaskwaitOn (supported natively in the ideal model)
-        const auto it = last_writer_.find(ev.addr);
+        const auto it = last_writer_.find(ev.addr());
         if (it != last_writer_.end() && !finished_[it->second]) {
           wait_task_ = it->second;
           return;  // do not consume the event until the producer finishes
@@ -153,9 +153,10 @@ Tick critical_path(const Trace& trace) {
   std::vector<Tick> done_at(trace.num_tasks(), 0);
 
   for (const auto& ev : trace.events()) {
-    switch (ev.op) {
+    switch (ev.op()) {
       case TraceOp::kSubmit: {
-        const TaskDescriptor& t = trace.task(ev.task);
+        const TaskId id = ev.task();
+        const TaskDescriptor& t = trace.task(id);
         Tick start = fence;
         for (const auto& p : t.params) {
           auto& c = chains[p.addr];
@@ -166,14 +167,14 @@ Tick critical_path(const Trace& trace) {
           }
         }
         const Tick done = start + t.duration;
-        done_at[ev.task] = done;
+        done_at[id] = done;
         makespan = std::max(makespan, done);
         for (const auto& p : t.params) {
           auto& c = chains[p.addr];
           if (is_write(p.dir)) {
             c.last_writer_done = done;
             c.readers_done = 0;
-            last_writer[p.addr] = ev.task;
+            last_writer[p.addr] = id;
           } else {
             c.readers_done = std::max(c.readers_done, done);
           }
@@ -184,7 +185,7 @@ Tick critical_path(const Trace& trace) {
         fence = std::max(fence, makespan);
         break;
       case TraceOp::kTaskwaitOn: {
-        const auto it = last_writer.find(ev.addr);
+        const auto it = last_writer.find(ev.addr());
         if (it != last_writer.end()) fence = std::max(fence, done_at[it->second]);
         break;
       }

@@ -51,10 +51,11 @@ bool validate_schedule(const Trace& trace, const std::vector<ScheduleEntry>& sch
   Tick fence = 0;
   Tick all_end = 0;
   for (const auto& ev : trace.events()) {
-    switch (ev.op) {
+    switch (ev.op()) {
       case TraceOp::kSubmit: {
-        const TaskDescriptor& t = trace.task(ev.task);
-        const ScheduleEntry& e = *by_task[ev.task];
+        const TaskId id = ev.task();
+        const TaskDescriptor& t = trace.task(id);
+        const ScheduleEntry& e = *by_task[id];
         Tick min_start = fence;
         for (const auto& p : t.params) {
           const Chain& c = chains[p.addr];
@@ -63,7 +64,7 @@ bool validate_schedule(const Trace& trace, const std::vector<ScheduleEntry>& sch
                                               : c.writer_end);
         }
         if (e.start < min_start)
-          return fail("task " + std::to_string(ev.task) + " started at " +
+          return fail("task " + std::to_string(id) + " started at " +
                       std::to_string(e.start) + " before its dependences (" +
                       std::to_string(min_start) + ")");
         for (const auto& p : t.params) {
@@ -71,7 +72,7 @@ bool validate_schedule(const Trace& trace, const std::vector<ScheduleEntry>& sch
           if (is_write(p.dir)) {
             c.writer_end = e.end;
             c.readers_end = 0;
-            last_writer[p.addr] = ev.task;
+            last_writer[p.addr] = id;
           } else {
             c.readers_end = std::max(c.readers_end, e.end);
           }
@@ -83,7 +84,7 @@ bool validate_schedule(const Trace& trace, const std::vector<ScheduleEntry>& sch
         fence = std::max(fence, all_end);
         break;
       case TraceOp::kTaskwaitOn: {
-        const auto it = last_writer.find(ev.addr);
+        const auto it = last_writer.find(ev.addr());
         if (it != last_writer.end())
           fence = std::max(fence, by_task[it->second]->end);
         break;

@@ -41,9 +41,7 @@ Driver::Driver(const std::vector<Stream>& streams, TaskManagerModel& manager,
     Feed& f = feeds_.emplace_back();
     f.s = s;
     f.base = static_cast<TaskId>(tasks);
-    f.track_writers = std::any_of(
-        s.trace->events().begin(), s.trace->events().end(),
-        [](const TraceEvent& ev) { return ev.op == TraceOp::kTaskwaitOn; });
+    f.track_writers = s.trace->has_taskwait_on();
     tasks += s.trace->num_tasks();
     ports_.resize(std::max<std::size_t>(ports_.size(), s.port + 1));
   }
@@ -216,9 +214,9 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
     }
     Feed& f = feeds_[port.feeds[pick]];
     const TraceEvent& ev = f.s.trace->events()[f.next];
-    switch (ev.op) {
+    switch (ev.op()) {
       case TraceOp::kSubmit:
-        if (!submit(sim, p, f, ev.task)) return;
+        if (!submit(sim, p, f, ev.task())) return;
         break;
       case TraceOp::kTaskwait:
         if (f.outstanding > 0) f.wait = Wait::kBarrier;  // resumed by on_notify
@@ -229,7 +227,7 @@ void Driver::master_step(Simulation& sim, std::uint32_t p) {
         if (!manager_.supports_taskwait_on()) {
           // Fallback used for Nexus++ (Section III): treat as full barrier.
           if (f.outstanding > 0) f.wait = Wait::kBarrier;
-        } else if (const auto it = f.last_writer.find(ev.addr);
+        } else if (const auto it = f.last_writer.find(ev.addr());
                    it != f.last_writer.end() && !finished_[it->second]) {
           f.wait = Wait::kTask;  // resumed by on_notify
           f.wait_task = it->second;
@@ -310,8 +308,8 @@ void Driver::refresh(const Feed& f) {
   if (!f.held && f.wait == Wait::kNone && f.next < f.s.trace->events().size()) {
     // A taskwait head, and every head of a closed-loop stream, is due now.
     const TraceEvent& ev = f.s.trace->events()[f.next];
-    due = f.s.release != nullptr && ev.op == TraceOp::kSubmit ? (*f.s.release)[ev.task]
-                                                             : 0;
+    due = f.s.release != nullptr && ev.op() == TraceOp::kSubmit ? (*f.s.release)[ev.task()]
+                                                               : 0;
   }
   ports_[f.s.port].set(f.slot, due);
 }
@@ -351,7 +349,7 @@ const TaskDescriptor& Driver::descriptor(Feed& f, TaskId local) {
   f.placed = own;
   f.placed.id = f.base + local;
   f.placed.tenant = f.s.tenant;
-  for (Param& prm : f.placed.params) prm.addr = (prm.addr + f.s.addr_offset) & kAddrMask;
+  for (Param& prm : f.placed.params) prm = {(prm.addr + f.s.addr_offset) & kAddrMask, prm.dir};
   return f.placed;
 }
 

@@ -27,9 +27,9 @@ TenantRunResult run_tenants(const std::vector<TenantStream>& streams,
                      "one release time per tenant task");
     NEXUS_ASSERT_MSG(std::is_sorted(s.release.begin(), s.release.end()),
                      "tenant release times must be non-decreasing");
-    for (const TraceEvent& ev : s.trace->events())
-      NEXUS_ASSERT_MSG(ev.op == TraceOp::kSubmit,
-                       "tenant streams are submit-only (no taskwaits)");
+    // Only submit() adds a task, and it adds exactly one event.
+    NEXUS_ASSERT_MSG(s.trace->num_events() == s.trace->num_tasks(),
+                     "tenant streams are submit-only (no taskwaits)");
     feeds.push_back({.trace = s.trace,
                      .release = &s.release,
                      .tenant = static_cast<std::uint16_t>(t),

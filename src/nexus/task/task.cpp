@@ -6,7 +6,6 @@ bool validate_task(const TaskDescriptor& t) {
   if (t.params.empty() || t.params.size() > kMaxParams) return false;
   if (t.duration < 0) return false;
   for (std::size_t i = 0; i < t.params.size(); ++i) {
-    if ((t.params[i].addr & ~kAddrMask) != 0) return false;
     for (std::size_t j = i + 1; j < t.params.size(); ++j) {
       if (t.params[i].addr == t.params[j].addr) return false;
     }

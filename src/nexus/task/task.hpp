@@ -5,6 +5,15 @@
 // footprint the pragma declares), and an execution duration taken from the
 // workload trace. Descriptors are trivially copyable and compact because the
 // hardware models stream them through bounded queues by value.
+//
+// Layout (80 bytes, pinned by static_asserts below). A parameter is one
+// 64-bit word: the 48-bit address the interface transmits in two 32-bit
+// packets (noc::kParamBytes = 8) and its direction in the byte above it. Six
+// of them plus a one-byte count make the 56-byte ParamList; id, fn, tenant
+// and duration take the other 24. Large traces keep every descriptor in
+// memory (Table II's streamcluster alone has 652,776 tasks), and the managers'
+// task pools and each tenant's placed head copy them, so the word per
+// parameter is what sizes a run's memory and its trace set-up.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +41,22 @@ enum class Dir : std::uint8_t {
 
 constexpr bool is_write(Dir d) { return d != Dir::kIn; }
 
-/// One entry of a task's input/output list.
+/// One entry of a task's input/output list, packed into one 64-bit word.
 struct Param {
-  Addr addr = 0;
+  Addr addr : 48 = 0;
   Dir dir = Dir::kIn;
+
+  Param() = default;
+  /// Aborts on an address wider than kAddrMask: the 48-bit field would
+  /// otherwise truncate it silently. Inputs that may carry such addresses
+  /// (trace files) reject them before they get here.
+  Param(Addr a, Dir d) : addr(a & kAddrMask), dir(d) {
+    NEXUS_ASSERT_MSG((a & ~kAddrMask) == 0, "parameter address wider than 48 bits");
+  }
 
   friend bool operator==(const Param&, const Param&) = default;
 };
+static_assert(sizeof(Param) == 8);
 
 /// Maximum parameters per task. The paper's benchmarks use 1-6 (h264dec);
 /// the hardware models also rely on this bound for their buffer sizing.
@@ -58,10 +76,13 @@ struct TaskDescriptor {
 
   [[nodiscard]] std::size_t num_params() const { return params.size(); }
 };
+static_assert(sizeof(ParamList) == 56);
+static_assert(sizeof(TaskDescriptor) == 80);
 
-/// Validate a descriptor: at least one parameter, masked addresses, and no
-/// duplicate address within one task (OmpSs merges duplicate footprints; the
-/// generators never emit them and the hardware models assume it).
+/// Validate a descriptor: at least one parameter, a non-negative duration,
+/// and no duplicate address within one task (OmpSs merges duplicate
+/// footprints; the generators never emit them and the hardware models assume
+/// it). Addresses are 48-bit by construction (Param).
 bool validate_task(const TaskDescriptor& t);
 
 }  // namespace nexus

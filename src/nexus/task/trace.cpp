@@ -6,27 +6,22 @@ namespace nexus {
 
 TaskId Trace::submit(std::uint32_t fn, Tick duration, const ParamList& params) {
   const auto id = static_cast<TaskId>(tasks_.size());
-  TaskDescriptor t;
+  TaskDescriptor& t = tasks_.emplace_back();
   t.id = id;
   t.fn = fn;
   t.duration = duration;
   t.params = params;
   NEXUS_ASSERT_MSG(validate_task(t), "invalid task descriptor");
-  tasks_.push_back(t);
-  events_.push_back(TraceEvent{TraceOp::kSubmit, id, 0});
+  events_.push_back(TraceEvent::submit(id));
+  total_work_ += duration;
   return id;
 }
 
-void Trace::taskwait() { events_.push_back(TraceEvent{TraceOp::kTaskwait, kInvalidTask, 0}); }
+void Trace::taskwait() { events_.push_back(TraceEvent::taskwait()); }
 
 void Trace::taskwait_on(Addr addr) {
-  events_.push_back(TraceEvent{TraceOp::kTaskwaitOn, kInvalidTask, addr & kAddrMask});
-}
-
-Tick Trace::total_work() const {
-  Tick sum = 0;
-  for (const auto& t : tasks_) sum += t.duration;
-  return sum;
+  events_.push_back(TraceEvent::taskwait_on(addr));
+  has_taskwait_on_ = true;
 }
 
 bool Trace::validate(std::string* error) const {
@@ -38,13 +33,14 @@ bool Trace::validate(std::string* error) const {
   std::unordered_set<Addr> written;
   std::size_t submits = 0;
   for (const auto& ev : events_) {
-    switch (ev.op) {
+    switch (ev.op()) {
       case TraceOp::kSubmit: {
-        if (ev.task >= tasks_.size()) return fail("submit of unknown task");
-        if (seen[ev.task]) return fail("task submitted twice");
-        seen[ev.task] = true;
+        const TaskId id = ev.task();
+        if (id >= tasks_.size()) return fail("submit of unknown task");
+        if (seen[id]) return fail("task submitted twice");
+        seen[id] = true;
         ++submits;
-        const auto& t = tasks_[ev.task];
+        const auto& t = tasks_[id];
         if (!validate_task(t)) return fail("invalid task descriptor");
         for (const auto& p : t.params)
           if (is_write(p.dir)) written.insert(p.addr);
@@ -53,7 +49,7 @@ bool Trace::validate(std::string* error) const {
       case TraceOp::kTaskwait:
         break;
       case TraceOp::kTaskwaitOn:
-        if (written.find(ev.addr) == written.end())
+        if (written.find(ev.addr()) == written.end())
           return fail("taskwait_on address never written");
         break;
     }

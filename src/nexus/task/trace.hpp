@@ -19,11 +19,37 @@ enum class TraceOp : std::uint8_t {
   kTaskwaitOn = 2,  ///< #pragma omp taskwait on(addr) — wait for addr's producer
 };
 
-struct TraceEvent {
-  TraceOp op = TraceOp::kSubmit;
-  TaskId task = kInvalidTask;  ///< for kSubmit
-  Addr addr = 0;               ///< for kTaskwaitOn
+/// One master-thread action in one 64-bit word: the op in the low byte and
+/// a 56-bit payload above it, the task id of a kSubmit or the 48-bit address
+/// of a kTaskwaitOn (0 for a kTaskwait).
+class TraceEvent {
+ public:
+  static TraceEvent submit(TaskId id) { return {TraceOp::kSubmit, id}; }
+  static TraceEvent taskwait() { return {TraceOp::kTaskwait, 0}; }
+  static TraceEvent taskwait_on(Addr a) {
+    NEXUS_ASSERT_MSG((a & ~kAddrMask) == 0, "taskwait_on address wider than 48 bits");
+    return {TraceOp::kTaskwaitOn, a};
+  }
+
+  [[nodiscard]] TraceOp op() const { return static_cast<TraceOp>(word_ & 0xFF); }
+  [[nodiscard]] TaskId task() const {
+    NEXUS_DCHECK(op() == TraceOp::kSubmit);
+    return static_cast<TaskId>(word_ >> 8);
+  }
+  [[nodiscard]] Addr addr() const {
+    NEXUS_DCHECK(op() == TraceOp::kTaskwaitOn);
+    return word_ >> 8;
+  }
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
+
+ private:
+  TraceEvent(TraceOp kind, std::uint64_t payload)
+      : word_(payload << 8 | static_cast<std::uint64_t>(kind)) {}
+
+  std::uint64_t word_;
 };
+static_assert(sizeof(TraceEvent) == 8);
 
 class Trace {
  public:
@@ -37,6 +63,7 @@ class Trace {
   TaskId submit(std::uint32_t fn, Tick duration, const ParamList& params);
 
   void taskwait();
+  /// Aborts on an address wider than kAddrMask, as a Param does.
   void taskwait_on(Addr addr);
 
   /// Patch a task's duration after submission. Generators build the trace
@@ -44,6 +71,7 @@ class Trace {
   void set_duration(TaskId id, Tick d) {
     NEXUS_DCHECK(id < tasks_.size());
     NEXUS_ASSERT_MSG(d > 0, "duration must be positive");
+    total_work_ += d - tasks_[id].duration;
     tasks_[id].duration = d;
   }
 
@@ -56,8 +84,10 @@ class Trace {
   [[nodiscard]] const std::vector<TaskDescriptor>& tasks() const { return tasks_; }
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Total execution time over all tasks.
-  [[nodiscard]] Tick total_work() const;
+  /// Total execution time over all tasks (kept up to date, O(1)).
+  [[nodiscard]] Tick total_work() const { return total_work_; }
+  /// Whether any event is a kTaskwaitOn.
+  [[nodiscard]] bool has_taskwait_on() const { return has_taskwait_on_; }
 
   /// Structural validation: every task valid, submit events reference
   /// existing tasks exactly once each, taskwait_on addresses were written by
@@ -73,6 +103,8 @@ class Trace {
   std::string name_;
   std::vector<TaskDescriptor> tasks_;
   std::vector<TraceEvent> events_;
+  Tick total_work_ = 0;
+  bool has_taskwait_on_ = false;
 };
 
 }  // namespace nexus

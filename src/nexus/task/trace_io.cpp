@@ -16,6 +16,10 @@ const char* dir_name(Dir d) {
   return "?";
 }
 
+std::string wide_addr(std::size_t line_no) {
+  return "address wider than 48 bits on line " + std::to_string(line_no);
+}
+
 bool parse_dir(const std::string& s, Dir* out) {
   if (s == "in") { *out = Dir::kIn; return true; }
   if (s == "out") { *out = Dir::kOut; return true; }
@@ -30,9 +34,9 @@ void write_trace(std::ostream& os, const Trace& trace) {
   // Emit each task declaration immediately before its submit event so the
   // file reads in program order.
   for (const auto& ev : trace.events()) {
-    switch (ev.op) {
+    switch (ev.op()) {
       case TraceOp::kSubmit: {
-        const auto& t = trace.task(ev.task);
+        const auto& t = trace.task(ev.task());
         os << "task " << t.id << ' ' << t.fn << ' ' << t.duration << ' '
            << t.params.size();
         for (const auto& p : t.params)
@@ -44,7 +48,7 @@ void write_trace(std::ostream& os, const Trace& trace) {
         os << "taskwait\n";
         break;
       case TraceOp::kTaskwaitOn:
-        os << "taskwait_on " << std::hex << ev.addr << std::dec << "\n";
+        os << "taskwait_on " << std::hex << ev.addr() << std::dec << "\n";
         break;
     }
   }
@@ -96,10 +100,17 @@ bool read_trace(std::istream& is, Trace* out, std::string* error) {
         std::string d;
         if (!(ss >> std::hex >> a >> std::dec >> d))
           return fail("bad param on line " + std::to_string(line_no));
+        if (a > kAddrMask) return fail(wide_addr(line_no));
         Dir dir{};
         if (!parse_dir(d, &dir)) return fail("bad direction on line " + std::to_string(line_no));
         params.push_back(Param{a, dir});
       }
+      TaskDescriptor probe;
+      probe.duration = dur;
+      probe.params = params;
+      if (!validate_task(probe))
+        return fail("invalid task (negative duration or duplicate address) on line " +
+                    std::to_string(line_no));
       have_pending = true;
       pending_file_id = id;
       pending_fn = fn;
@@ -118,6 +129,7 @@ bool read_trace(std::istream& is, Trace* out, std::string* error) {
     } else if (kw == "taskwait_on") {
       Addr a = 0;
       if (!(ss >> std::hex >> a)) return fail("bad taskwait_on line " + std::to_string(line_no));
+      if (a > kAddrMask) return fail(wide_addr(line_no));
       trace.taskwait_on(a);
     } else {
       return fail("unknown keyword '" + kw + "' on line " + std::to_string(line_no));

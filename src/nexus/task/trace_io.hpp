@@ -7,7 +7,8 @@
 //   taskwait
 //   taskwait_on <addr_hex>
 // Tasks are declared before their submit event (the generator emits them
-// adjacently). The format is meant for inspection and for feeding external
+// adjacently). Addresses are at most 48 bits wide (kAddrMask); read_trace
+// rejects a wider one, or an invalid task, naming its line. The format is meant for inspection and for feeding external
 // tools, not for performance; benches generate traces in memory.
 #pragma once
 

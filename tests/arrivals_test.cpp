@@ -128,8 +128,8 @@ TEST(ArrivalReplay, ServingTraceValidatesAndChains) {
   // Task id i is arrival i (the open-loop driver indexes release[] by id).
   ASSERT_EQ(tr.events().size(), cfg.tasks);
   for (std::size_t i = 0; i < tr.events().size(); ++i) {
-    EXPECT_EQ(tr.events()[i].op, TraceOp::kSubmit);
-    EXPECT_EQ(tr.events()[i].task, static_cast<TaskId>(i));
+    EXPECT_EQ(tr.events()[i].op(), TraceOp::kSubmit);
+    EXPECT_EQ(tr.events()[i].task(), static_cast<TaskId>(i));
   }
   // With chain_fraction 0.5 a healthy share of tasks depends on its
   // client's predecessor (an input param pointing at an earlier output).

@@ -788,6 +788,23 @@ TEST(NocReference, InFlightDepthCountsDeliveriesStillAhead) {
   EXPECT_GE(ref.max_in_flight(), 3u) << "the schedule should overlap messages";
 }
 
+TEST(Network, ReservationEndingAtNowIsPrunedBeforeTheNext) {
+  // 1x3 mesh 0 - 1 - 2, hop = link = 1 cycle. A (1 -> 2, sent at 0) holds
+  // link 1->2 over [0, 1). B (0 -> 2) is sent at cycle 1, exactly when A's
+  // reservation ends, and reaches link 1->2 at cycle 2. [start, end) is
+  // half-open, so A's interval is over at B's send and pruned: no link
+  // ever holds two reservations. Kept, it would sit beside B's [2, 3).
+  NocConfig cfg = cfg_kind(TopologyKind::kMesh, /*hop=*/1, /*link=*/1);
+  cfg.mesh_cols = 3;
+  const std::vector<Injection> plan = {
+      {0, 0, 1, 2, 0},           // A
+      {1 * kCycle, 0, 0, 2, 0},  // B
+  };
+  Network net(cfg, 3, 100.0, 0);
+  EXPECT_EQ(drive(net, plan), (std::vector<Tick>{1 * kCycle, 3 * kCycle}));
+  EXPECT_EQ(net.max_link_intervals(), 1u);
+}
+
 TEST(Network, HostileConfigsDrainConserveFlitsAndBoundReservations) {
   // 1xN meshes, zero-latency routers, slow links and 0- vs 64-byte
   // payloads: every run must drain with flits conserved, and no link may

@@ -151,7 +151,7 @@ TEST(RuntimeEdge, WorkloadConfigVariants) {
     // 3 frames: only frame 2 needs a buffer-recycle wait.
     std::size_t waits = 0;
     for (const auto& ev : tr.events())
-      if (ev.op == TraceOp::kTaskwaitOn) ++waits;
+      if (ev.op() == TraceOp::kTaskwaitOn) ++waits;
     EXPECT_EQ(waits, 1u);
   }
   {

@@ -32,11 +32,11 @@ TEST(Task, ValidateRejectsDuplicateAddress) {
   EXPECT_FALSE(validate_task(t));
 }
 
-TEST(Task, ValidateRejectsOverwideAddress) {
-  TaskDescriptor t;
-  t.duration = us(1);
-  t.params.push_back({1ULL << 50, Dir::kIn});  // beyond 48 bits
-  EXPECT_FALSE(validate_task(t));
+// A parameter's address is a 48-bit field, so a wider one must fail where
+// it is built rather than be truncated into a different address.
+TEST(Task, ParamAbortsOnOverwideAddress) {
+  EXPECT_EQ((Param{kAddrMask, Dir::kInOut}).addr, kAddrMask);
+  EXPECT_DEATH((void)(Param{Addr{1} << 48, Dir::kIn}), "wider than 48 bits");
 }
 
 TEST(Task, DirPredicates) {
@@ -51,6 +51,25 @@ TEST(Trace, SubmitAssignsDenseIds) {
   EXPECT_EQ(tr.submit(1, us(2), params1(0x20, Dir::kOut)), 1u);
   EXPECT_EQ(tr.num_tasks(), 2u);
   EXPECT_EQ(tr.total_work(), us(3));
+}
+
+TEST(Trace, KeepsTotalWorkAndTaskwaitOnCurrent) {
+  Trace tr("t");
+  const TaskId a = tr.submit(1, us(1), params1(0x10, Dir::kOut));
+  tr.submit(1, us(2), params1(0x20, Dir::kOut));
+  EXPECT_FALSE(tr.has_taskwait_on());
+  tr.set_duration(a, us(5));
+  EXPECT_EQ(tr.total_work(), us(7));
+  tr.taskwait();
+  EXPECT_FALSE(tr.has_taskwait_on());
+  tr.taskwait_on(0x10);
+  EXPECT_TRUE(tr.has_taskwait_on());
+}
+
+TEST(Trace, TaskwaitOnAbortsOnOverwideAddress) {
+  Trace tr("t");
+  tr.submit(0, us(1), params1(0x10, Dir::kOut));
+  EXPECT_DEATH(tr.taskwait_on((Addr{1} << 48) | 0x10), "wider than 48 bits");
 }
 
 TEST(Trace, ValidatePassesForWellFormed) {

@@ -362,7 +362,7 @@ TEST(Tenancy, MaxTenantsAtQuotaOneDrainValid) {
     // The driver places tenant t in the address window t << 40.
     for (TaskId i = 0; i < tr.num_tasks(); ++i) {
       ParamList placed = tr.task(i).params;
-      for (Param& p : placed) p.addr = (p.addr + (static_cast<Addr>(t) << 40)) & kAddrMask;
+      for (Param& p : placed) p = {(p.addr + (static_cast<Addr>(t) << 40)) & kAddrMask, p.dir};
       merged.submit(tr.task(i).fn, tr.task(i).duration, placed);
     }
   }

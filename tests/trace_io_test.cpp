@@ -41,9 +41,57 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   }
   ASSERT_EQ(reread.num_events(), original.num_events());
   for (std::size_t i = 0; i < original.events().size(); ++i) {
-    EXPECT_EQ(reread.events()[i].op, original.events()[i].op);
-    EXPECT_EQ(reread.events()[i].addr, original.events()[i].addr);
+    EXPECT_TRUE(reread.events()[i] == original.events()[i]) << "event " << i;
   }
+}
+
+// Every address is a 48-bit field: the widest one survives the text format
+// under each direction and as a taskwait_on operand.
+TEST(TraceIo, RoundTripHoldsAtAddrMask) {
+  Trace original("widest");
+  for (const Dir d : {Dir::kIn, Dir::kOut, Dir::kInOut})
+    original.submit(1, ns(1), ParamList{Param{kAddrMask, d}, Param{kAddrMask - 1, Dir::kOut}});
+  original.taskwait_on(kAddrMask);
+  std::stringstream ss;
+  write_trace(ss, original);
+
+  Trace reread;
+  std::string err;
+  ASSERT_TRUE(read_trace(ss, &reread, &err)) << err;
+  ASSERT_EQ(reread.num_tasks(), 3u);
+  for (TaskId i = 0; i < 3; ++i)
+    EXPECT_TRUE(reread.task(i).params == original.task(i).params) << "task " << i;
+  ASSERT_EQ(reread.num_events(), 4u);
+  EXPECT_TRUE(reread.events() == original.events());
+  EXPECT_EQ(reread.events()[3].op(), TraceOp::kTaskwaitOn);
+  EXPECT_EQ(reread.events()[3].addr(), kAddrMask);
+}
+
+// A 49-bit address would be truncated by the 48-bit field, so the reader
+// rejects it and names the line.
+TEST(TraceIo, RejectsOverwideAddressNamingLine) {
+  {
+    std::stringstream ss("trace t\ntask 0 1 100 1 1000000000000 in\nsubmit 0\n");
+    Trace t;
+    std::string err;
+    EXPECT_FALSE(read_trace(ss, &t, &err));
+    EXPECT_EQ(err, "address wider than 48 bits on line 2");
+  }
+  {
+    std::stringstream ss("task 0 1 100 1 ff out\nsubmit 0\ntaskwait_on 10000000000ff\n");
+    Trace t;
+    std::string err;
+    EXPECT_FALSE(read_trace(ss, &t, &err));
+    EXPECT_EQ(err, "address wider than 48 bits on line 3");
+  }
+}
+
+TEST(TraceIo, RejectsDuplicateAddressNamingLine) {
+  std::stringstream ss("task 0 1 100 2 ff in ff out\nsubmit 0\n");
+  Trace t;
+  std::string err;
+  EXPECT_FALSE(read_trace(ss, &t, &err));
+  EXPECT_NE(err.find("on line 1"), std::string::npos) << err;
 }
 
 TEST(TraceIo, RejectsMalformedDirection) {

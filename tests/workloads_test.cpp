@@ -27,7 +27,8 @@ std::uint64_t trace_fingerprint(const Trace& tr) {
     mix(static_cast<std::uint64_t>(t.duration));
     for (const auto& p : t.params) mix(p.addr * 3 + static_cast<std::uint64_t>(p.dir));
   }
-  for (const auto& e : tr.events()) mix(static_cast<std::uint64_t>(e.op) + e.addr);
+  for (const auto& e : tr.events())
+    mix(static_cast<std::uint64_t>(e.op()) + (e.op() == TraceOp::kTaskwaitOn ? e.addr() : 0));
   return h;
 }
 
@@ -175,15 +176,15 @@ TEST(Streamcluster, ForkJoinPhaseStructure) {
   std::size_t phases_seen = 0;
   bool expect_recenter = true;
   for (const auto& ev : tr.events()) {
-    if (ev.op == TraceOp::kSubmit) {
-      const auto& t = tr.task(ev.task);
+    if (ev.op() == TraceOp::kSubmit) {
+      const auto& t = tr.task(ev.task());
       if (expect_recenter) {
         EXPECT_EQ(t.params.size(), 1u);  // recenter writes only centers
         EXPECT_EQ(t.params[0].dir, Dir::kOut);
         expect_recenter = false;
       }
       ++phase_tasks;
-    } else if (ev.op == TraceOp::kTaskwait) {
+    } else if (ev.op() == TraceOp::kTaskwait) {
       EXPECT_GE(phase_tasks, 2u);
       phase_tasks = 0;
       expect_recenter = true;
